@@ -239,11 +239,19 @@ def _summary_worker(spec: RunSpec) -> tuple[int, int, bool, float, float]:
     return (spec.seed, int(iters), converged, float(result.records[-1].loss), result.max_weight_norm)
 
 
+def _worker_count(threads: int, n_specs: int) -> int:
+    """Worker processes for n_specs runs: never more than the runs or the CPUs."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    return min(threads, n_specs, os.cpu_count() or 1)
+
+
 def map_runs(worker, specs, threads: int):
-    if threads <= 1:
+    workers = _worker_count(threads, len(specs))
+    if workers <= 1:
         return [worker(s) for s in specs]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        chunk = max(1, len(specs) // (4 * threads))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        chunk = max(1, len(specs) // (4 * workers))
         return list(ex.map(worker, specs, chunksize=chunk))
 
 

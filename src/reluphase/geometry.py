@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Cofactor normals of unit directions carry rounding below ~1e-14 for small
+# d, so a normal above this norm keeps the rounding of normalized dots below
+# 1e-10.
+_NEAR_ZERO_NORMAL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,21 @@ def _null_vectors(sub: np.ndarray) -> np.ndarray:
     return out
 
 
+def _max_gap(dirs: np.ndarray) -> np.ndarray:
+    """Largest angular gap between consecutive directions of each planar set in a (T, k, 2) stack."""
+    ang = np.sort(np.arctan2(dirs[:, :, 1], dirs[:, :, 0]), axis=1)
+    gaps = np.diff(ang, axis=1)
+    wrap = ang[:, 0] + _TWO_PI - ang[:, -1]
+    return np.maximum(gaps.max(axis=1), wrap)
+
+
+def _subset_dots(dirs: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized common normal of the subset's directions in each set of a
+    (T, k, d) stack, and its dot with every direction of the set."""
+    normal = _null_vectors(dirs[:, subset, :])
+    return normal, np.einsum("tkd,td->tk", dirs, normal)
+
+
 def gc_holds_batch(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Vectorized exact check for a (T, k, d) stack of unit-direction sets.
 
@@ -258,21 +277,53 @@ def gc_holds_batch(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         x = dirs[:, :, 0]
         return np.any(x > 0.0, axis=1) & np.any(x < 0.0, axis=1)
     if d == 2:
-        ang = np.sort(np.arctan2(dirs[:, :, 1], dirs[:, :, 0]), axis=1)
-        gaps = np.diff(ang, axis=1)
-        wrap = ang[:, 0] + _TWO_PI - ang[:, -1]
-        max_gap = np.maximum(gaps.max(axis=1), wrap)
-        return max_gap < math.pi
+        return _max_gap(dirs) < math.pi
     holds = np.ones(T, dtype=bool)
     for subset in combinations(range(k), d - 1):
         live = np.flatnonzero(holds)
         if live.size == 0:
             break
-        normal = _null_vectors(dirs[live][:, subset, :])
-        dots = np.einsum("tkd,td->tk", dirs[live], normal)
+        _, dots = _subset_dots(dirs[live], subset)
         covered = np.all(dots >= -tol, axis=1) | np.all(dots <= tol, axis=1)
         holds[live[covered]] = False
     return holds
+
+
+def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
+    """Signed slack of the geometric condition for a (T, k, d) stack of
+    unit-direction sets: negative where the origin is strictly inside the
+    hull of the directions, positive where a closed hemisphere holds them all.
+
+    For d = 2 the slack is max_gap - pi.  For d >= 3 it is the largest, over
+    the subsets of d-1 directions, of max(min dot, -max dot) taken over the
+    other directions' dots with the subset's unit normal.  A positive value
+    exhibits a covering hemisphere.  A negative value rules one out, because a
+    covering hemisphere, when one exists, can be taken orthogonal to d-1
+    independent directions.  Sets with k <= d never satisfy the condition and
+    get +inf.  Where a subset normal has norm at most _NEAR_ZERO_NORMAL
+    (shared or nearly shared rays) the normalized dots are not accurate, and
+    the slack is NaN.
+    """
+    if dirs.ndim != 3:
+        raise ValueError("need a (T, k, d) array")
+    T, k, d = dirs.shape
+    if k <= d:
+        return np.full(T, np.inf)
+    if d == 1:
+        x = dirs[:, :, 0]
+        return np.maximum(x.min(axis=1), -x.max(axis=1))
+    if d == 2:
+        return _max_gap(dirs) - math.pi
+    slack = np.full(T, -np.inf)
+    for subset in combinations(range(k), d - 1):
+        normal, dots = _subset_dots(dirs, subset)
+        size = np.linalg.norm(normal, axis=1)
+        others = np.delete(dots, subset, axis=1)
+        side = np.maximum(others.min(axis=1), -others.max(axis=1))
+        near_zero = size <= _NEAR_ZERO_NORMAL
+        slack = np.maximum(slack, side / np.where(near_zero, 1.0, size))
+        slack[near_zero] = np.nan
+    return slack
 
 
 def gc_probability_mc(

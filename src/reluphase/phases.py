@@ -14,9 +14,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Deferring this import into p_r_lower_bound was measured on a 2-vCPU VM:
+# set-up fell from 0.69 to 0.26 s and peak RSS from 86 to 44 MiB, yet the
+# train-sweep benchmark ran slower in all five paired runs
+# (wall_ref_s 2.2-2.6 s -> 2.7-3.0 s; raw wall_s 3.70 -> 4.70 s on seed 5).
+# The cause is unknown, so the import stays eager.
 from scipy.integrate import quad
 
-from .geometry import DirectionSet, gc_check
+from .geometry import DirectionSet, gc_check, gc_slack_batch
 from .training import TrainResult
 
 __all__ = [
@@ -159,15 +164,62 @@ class PhaseReport:
         }
 
 
+# Allowance for rounding in a computed slack: planar gaps come from arctan2
+# and a sort (error ~1e-15); subset slacks from normals above the near-zero
+# cutoff of gc_slack_batch (error below 1e-10).
+_SLACK_ROUNDING = 1e-9
+
+
+def _lp_band(tol: float, k: int) -> float:
+    """Half-width of the slack band around zero in which the LP decides."""
+    q = 2.0 * k * tol
+    if q >= 0.5:
+        return math.inf
+    return 2.0 * math.asin(q / (1.0 - q)) + _SLACK_ROUNDING
+
+
+def _lp_holds(W: np.ndarray, owner_cols: np.ndarray, tol: float, drop_tol: float) -> bool:
+    try:
+        ds = DirectionSet.from_weight_matrix(W, columns=owner_cols, drop_tol=drop_tol)
+    except ValueError:
+        return False
+    return gc_check(ds, tol=tol).verdict == "holds"
+
+
 def detect_phases(
     result: TrainResult, class_label: int, tol: float = 1e-9, drop_tol: float = 1e-12
 ) -> PhaseReport:
-    """Run the geometric checker on the class's owner directions at every record.
+    """Geometric-condition timeline of the class's owner directions over every record.
 
     Needs weight snapshots; for a faithful phase split train with
     record_every=1 and keep_weights=True.  A snapshot whose owner columns are
     all numerically zero, or whose verdict is degenerate, counts as not
-    holding.
+    holding.  The verdict is gc_check's (the LP with its certificate):
+    "holds", with the given tol.
+
+    The whole timeline is judged at once from the signed slack of
+    gc_slack_batch over the (T, k, d) stack of owner directions: a slack below
+    -band holds, one above band fails.  gc_check runs only where that cannot
+    stand in for the LP:
+      * snapshots with a column dropped (norm <= drop_tol) or a near-zero
+        subset normal (shared rays), whose slack is NaN;
+      * snapshots with |slack| <= band;
+      * for d != 2, snapshots whose slack holds, since only the planar slack
+        bounds the LP optimum;
+    and, as a check on the batch, at snapshot 0 and at every snapshot where
+    the timeline flips, first_hold among them.  If a check disagrees with a
+    batch verdict, the whole timeline is recomputed through gc_check.
+
+    The band, for k owners: band = 2 asin(2 k tol / (1 - 2 k tol)) + 1e-9,
+    the last term covering rounding in the slack (everything goes to the LP
+    once 2 k tol >= 1/2).  A planar max gap pi - delta leaves the disc of
+    radius r = sin(delta / 2) inside the hull, and then the LP optimum is at
+    least r / (k (1 + r)): the centroid c and the hull point -r c / |c| mix
+    to zero with weight at least r / (k (|c| + r)) on every direction.  Below
+    -band this bound is at least 2 tol, so the LP margin clears tol with room
+    for its own rounding; the disc also keeps the rank guard satisfied.
+    Above band the directions lie in an open half-plane (or, for d >= 3, in a
+    closed hemisphere), which the LP can only call failing or degenerate.
     """
     if result.weights is None or len(result.weights) != len(result.records):
         raise ValueError(
@@ -178,22 +230,33 @@ def detect_phases(
     if owner_cols.size == 0:
         raise ValueError(f"class {class_label} owns no hidden units")
 
-    timeline: list[bool] = []
-    for W in result.weights:
-        try:
-            ds = DirectionSet.from_weight_matrix(W, columns=owner_cols, drop_tol=drop_tol)
-        except ValueError:
-            timeline.append(False)
-            continue
-        timeline.append(gc_check(ds, tol=tol).verdict == "holds")
+    W = np.stack(result.weights)[:, :, owner_cols]
+    T, d, k = W.shape
+    norms = np.linalg.norm(W, axis=1)
+    kept = np.all(norms > drop_tol, axis=1)
+    slack = np.full(T, np.nan)
+    slack[kept] = gc_slack_batch(np.swapaxes(W[kept] / norms[kept, None, :], 1, 2))
+    band = _lp_band(tol, k)
+    flags = slack < -band
+    decided = flags | (slack > band)
+    if d != 2:
+        decided &= ~flags
+    for i in np.flatnonzero(~decided):
+        flags[i] = _lp_holds(result.weights[i], owner_cols, tol, drop_tol)
+    checks = np.concatenate(([0], np.flatnonzero(flags[1:] != flags[:-1]) + 1))
+    if any(
+        _lp_holds(result.weights[i], owner_cols, tol, drop_tol) != flags[i]
+        for i in checks
+        if decided[i]
+    ):
+        flags = np.array([_lp_holds(W_t, owner_cols, tol, drop_tol) for W_t in result.weights])
 
     times = tuple(rec.t for rec in result.records)
-    flags = np.asarray(timeline, dtype=bool)
     first_idx = int(np.argmax(flags)) if flags.any() else None
     first_hold = times[first_idx] if first_idx is not None else None
     persistence = float(flags[first_idx:].mean()) if first_idx is not None else None
     losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
-    for rec, flag in zip(result.records, timeline):
+    for rec, flag in zip(result.records, flags):
         if rec.gc_flags is None:
             rec.gc_flags = {}
         rec.gc_flags[class_label] = bool(flag)

@@ -30,7 +30,10 @@ class LpResult:
 
 
 def _pivot_loop(A, b, c, basis, x_B, allowed, tol, max_pivots):
-    """Primal simplex iterations with Bland's rule; mutates basis and x_B."""
+    """Primal simplex iterations with Bland's rule over the first `allowed`
+    columns; mutates basis and x_B."""
+    in_basis = np.zeros(A.shape[1], dtype=bool)
+    in_basis[basis] = True
     for _ in range(max_pivots):
         B = A[:, basis]
         try:
@@ -38,13 +41,10 @@ def _pivot_loop(A, b, c, basis, x_B, allowed, tol, max_pivots):
         except np.linalg.LinAlgError as exc:
             raise RuntimeError("simplex basis became singular") from exc
         reduced = c - A.T @ y
-        entering = -1
-        for j in allowed:
-            if reduced[j] < -tol and j not in basis:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero((reduced[:allowed] < -tol) & ~in_basis[:allowed])
+        if improving.size == 0:
             return "optimal"
+        entering = int(improving[0])
         w = np.linalg.solve(B, A[:, entering])
         positive = np.flatnonzero(w > tol)
         if positive.size == 0:
@@ -56,6 +56,8 @@ def _pivot_loop(A, b, c, basis, x_B, allowed, tol, max_pivots):
         x_B -= theta * w
         x_B[leave_pos] = theta
         np.clip(x_B, 0.0, None, out=x_B)
+        in_basis[basis[leave_pos]] = False
+        in_basis[entering] = True
         basis[leave_pos] = entering
     raise RuntimeError(f"simplex exceeded {max_pivots} pivots")
 
@@ -80,7 +82,7 @@ def solve_equality_lp(c, A, b, tol: float = _EPS, max_pivots: int = 5000) -> LpR
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
     x_B = b.copy()
-    status = _pivot_loop(A1, b, c1, basis, x_B, range(n + m), tol, max_pivots)
+    status = _pivot_loop(A1, b, c1, basis, x_B, n + m, tol, max_pivots)
     if status != "optimal":
         raise RuntimeError("phase 1 cannot be unbounded; numerical failure")
     infeas = float(c1[basis] @ x_B)
@@ -99,9 +101,11 @@ def solve_equality_lp(c, A, b, tol: float = _EPS, max_pivots: int = 5000) -> LpR
         B = A1[:, basis]
         z = np.linalg.solve(B.T, np.eye(m)[pos])
         row = z @ A
-        candidates = [j for j in range(n) if j not in basis and abs(row[j]) > tol]
-        if candidates:
-            basis[pos] = candidates[0]
+        in_basis = np.zeros(n + m, dtype=bool)
+        in_basis[basis] = True
+        candidates = np.flatnonzero(~in_basis[:n] & (np.abs(row) > tol))
+        if candidates.size:
+            basis[pos] = int(candidates[0])
         else:
             drop_rows.append(pos)
     if drop_rows:
@@ -120,7 +124,7 @@ def solve_equality_lp(c, A, b, tol: float = _EPS, max_pivots: int = 5000) -> LpR
         raise RuntimeError("lost primal feasibility after phase 1")
     np.clip(x_B, 0.0, None, out=x_B)
 
-    status = _pivot_loop(A, b, c, basis, x_B, range(n), tol, max_pivots)
+    status = _pivot_loop(A, b, c, basis, x_B, n, tol, max_pivots)
     if status == "unbounded":
         return LpResult(status="unbounded")
     x = np.zeros(n)

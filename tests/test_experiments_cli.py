@@ -15,6 +15,7 @@ from reluphase.experiments import (
     _build_config,
     _config_snapshot,
     _TRAIN_SPEC,
+    _worker_count,
     binary_output_map,
     build_task,
     execute_run,
@@ -137,6 +138,26 @@ class TestRhoCurve:
         params3 = network_params(np.ones((3, 2)), build_output_map(2, 2, 0.5))
         with pytest.raises(ValueError, match="planar"):
             rho_at(params3, np.array([0.0]))
+
+
+class TestWorkerCount:
+    def test_capped_by_runs_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _worker_count(1, 10) == 1
+        assert _worker_count(3, 10) == 3
+        assert _worker_count(10**6, 10) == 4
+        assert _worker_count(10**6, 2) == 2
+        assert _worker_count(8, 0) == 0
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(16, 100) == 1
+
+    @pytest.mark.parametrize("command", ["sweep-width", "sweep-angle", "norm-hist"])
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_sweeps_reject_threads_below_one(self, tmp_path, command, threads):
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            run_command(command, {"threads": threads}, str(tmp_path / "x"))
 
 
 class TestRunCommand:

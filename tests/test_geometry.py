@@ -13,7 +13,7 @@ from reluphase import (
     gc_probability_mc,
     verify_certificate,
 )
-from reluphase.geometry import gc_holds_batch
+from reluphase.geometry import gc_holds_batch, gc_slack_batch
 
 
 def unit_rows(a):
@@ -188,6 +188,7 @@ class TestBatchChecker:
                 dirs = rng.normal((40, k, d))
                 dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
                 got = gc_holds_batch(dirs)
+                assert np.array_equal(gc_slack_batch(dirs) < 0.0, got), (d, k)
                 for t in range(40):
                     if d == 1:
                         expect = bool(np.any(dirs[t, :, 0] > 0) and np.any(dirs[t, :, 0] < 0))
@@ -200,6 +201,19 @@ class TestBatchChecker:
         dirs = rng.normal((10, 3, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         assert not gc_holds_batch(dirs).any()
+        assert np.all(gc_slack_batch(dirs) == np.inf)
+
+    def test_slack_magnitudes(self):
+        # planar: max_gap - pi; the quarter fan leaves a gap of 3 pi / 2
+        planar = gc_slack_batch(np.stack([TRIPOD, QUARTER]))
+        assert planar == pytest.approx([2 * math.pi / 3 - math.pi, math.pi / 2], abs=1e-12)
+        # regular tetrahedron: every pair's unit normal puts the other two
+        # vertices at dots +-2/sqrt(6)
+        tetra = unit_rows([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+        assert gc_slack_batch(tetra[None]) == pytest.approx([-2.0 / math.sqrt(6)], abs=1e-12)
+        # a shared ray gives a zero subset normal: the slack is undefined
+        shared = unit_rows([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 1.0]])
+        assert np.isnan(gc_slack_batch(shared[None])[0])
 
     def test_mc_estimate_near_closed_form(self):
         est, se = gc_probability_mc(2, 3, 20000, Rng(0))

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reluphase import phases
 from reluphase import (
     BoundInputs,
+    DirectionSet,
+    GcCertificate,
     LabeledDataset,
     Rng,
     TrainConfig,
@@ -14,6 +17,7 @@ from reluphase import (
     build_output_map,
     cp_upper_bound,
     detect_phases,
+    gc_check,
     monotonicity_step_threshold,
     monotonicity_audit,
     network_params,
@@ -25,6 +29,7 @@ from reluphase import (
     t1_bound,
     train,
 )
+from reluphase.experiments import RunSpec, execute_run
 
 
 def toy_inputs(**overrides):
@@ -230,6 +235,141 @@ class TestDetectPhases:
         res = fabricated_result(clustered_then_spread(), [0.9, 0.4, 0.1])
         with pytest.raises(ValueError, match="owns no hidden units"):
             detect_phases(res, 3)
+
+
+def lp_report(result, class_label, tol=1e-9, drop_tol=1e-12):
+    """Reference: gc_check on every snapshot, the report built from that timeline."""
+    cols = result.params.output.owner_columns(class_label)
+    timeline = []
+    for W in result.weights:
+        try:
+            ds = DirectionSet.from_weight_matrix(W, columns=cols, drop_tol=drop_tol)
+        except ValueError:
+            timeline.append(False)
+            continue
+        timeline.append(gc_check(ds, tol=tol).verdict == "holds")
+    flags = np.array(timeline, dtype=bool)
+    times = tuple(rec.t for rec in result.records)
+    first = int(np.argmax(flags)) if flags.any() else None
+    losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
+    return phases.PhaseReport(
+        class_label=class_label,
+        times=times,
+        gc_timeline=tuple(timeline),
+        first_hold=None if first is None else times[first],
+        t1_size=int((~flags).sum()),
+        t2_size=int(flags.sum()),
+        persistence=None if first is None else float(flags[first:].mean()),
+        sum_sq_loss_t2=float((losses[flags] ** 2).sum()),
+    )
+
+
+def assert_matches_lp(result, class_label):
+    expected = lp_report(result, class_label)
+    report = detect_phases(result, class_label)
+    assert report == expected
+    assert [rec.gc_flags[class_label] for rec in result.records] == list(expected.gc_timeline)
+    return report
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Direction sets detect_phases hands to gc_check (lp_report's calls are not seen)."""
+    seen = []
+
+    def recording(ds, tol=1e-9):
+        seen.append(ds.dirs)
+        return gc_check(ds, tol=tol)
+
+    monkeypatch.setattr(phases, "gc_check", recording)
+    return seen
+
+
+def arc_owners(angles):
+    """Width-6 snapshot whose class-1 owners (columns 0, 2, 4) point at the angles."""
+    W = np.zeros((2, 6))
+    W[:, 0::2] = np.array([np.cos(angles), np.sin(angles)])
+    W[:, 1::2] = 0.2 * np.array([[1.0, -0.5, -0.5], [0.0, math.sqrt(3) / 2, -math.sqrt(3) / 2]])
+    return W
+
+
+class TestBatchTimelineMatchesLp:
+    @pytest.mark.parametrize(
+        "task, width, init, seeds",
+        [
+            ("planar-grid", 8, "random", range(4)),
+            ("planar-grid", 24, "random", range(2)),
+            ("planar-grid", 8, "halfspace", range(2)),
+            ("planar-grid", 6, "three-rays", range(1)),
+        ],
+    )
+    def test_planar_runs(self, task, width, init, seeds):
+        for seed in seeds:
+            spec = RunSpec(
+                task=task, width=width, v=0.5, eta=0.1, max_iters=5000, init=init, seed=seed,
+                keep_weights=True,
+            )
+            result, _ = execute_run(spec)
+            assert_matches_lp(result, 1)
+
+    def test_subspace_pair_both_classes(self):
+        for width in (8, 24):
+            spec = RunSpec(
+                task="subspace-pair", width=width, v=0.5, eta=0.2, max_iters=150, init="random",
+                seed=1, keep_weights=True, train_classes=(1, 2),
+            )
+            result, _ = execute_run(spec)
+            assert result.params.d == 4
+            for c in (1, 2):
+                assert_matches_lp(result, c)
+
+    def test_fabricated_edge_snapshots(self, lp_calls):
+        tripod = [0.0, 2 * math.pi / 3, 4 * math.pi / 3]
+        snaps = [
+            arc_owners([0.0, 0.1, -0.1]),  # clustered: fails
+            arc_owners(tripod),  # holds
+            arc_owners([0.0, math.pi / 2, math.pi + 1e-8]),  # gap pi - 1e-8: LP margin > tol
+            arc_owners([0.0, math.pi / 2, math.pi + 1e-10]),  # gap pi - 1e-10: LP degenerate
+            arc_owners([0.0, math.pi / 2, math.pi]),  # max gap exactly pi: degenerate
+            arc_owners(tripod),
+            arc_owners(tripod),
+            arc_owners([0.0, 0.0, math.pi]),  # shared ray
+        ]
+        snaps[5][:, 0] = 0.0  # one owner column dropped
+        snaps[6][:, 0::2] = 0.0  # every owner column zero
+        res = fabricated_result(snaps, [0.5] * len(snaps))
+        report = assert_matches_lp(res, 1)
+        assert report.gc_timeline == (False, True, True, False, False, False, False, False)
+
+        def sent_to_lp(i):
+            cols = res.params.output.owner_columns(1)
+            dirs = DirectionSet.from_weight_matrix(snaps[i], columns=cols).dirs
+            return any(seen.shape == dirs.shape and np.array_equal(seen, dirs) for seen in lp_calls)
+
+        # both near-pi gaps sit inside the band, so their verdict is the LP's
+        assert sent_to_lp(2) and sent_to_lp(3)
+        assert sent_to_lp(4) and sent_to_lp(5)
+
+    def test_at_most_d_owners_needs_no_lp_after_snapshot_zero(self, lp_calls):
+        # class 1 owns columns 0 and 2, antipodal: the LP calls that degenerate
+        k2 = [np.array([[1.0, 0.0, -1.0, 0.5], [0.0, 1.0, 0.0, -1.0]]) * s for s in (1.0, -1.0, 2.0)]
+        res = fabricated_result(k2, [0.5, 0.4, 0.3])
+        assert assert_matches_lp(res, 1).gc_timeline == (False, False, False)
+        assert len(lp_calls) == 1
+
+    def test_disagreeing_check_recomputes_the_whole_timeline(self, monkeypatch):
+        calls = []
+
+        def never_holds(ds, tol=1e-9):
+            calls.append(ds)
+            return GcCertificate(verdict="fails", margin=None, tol=tol)
+
+        monkeypatch.setattr(phases, "gc_check", never_holds)
+        res = fabricated_result(clustered_then_spread(), [0.9, 0.4, 0.1])
+        report = detect_phases(res, 1)
+        # the flip at snapshot 1 is checked, disagrees, and every snapshot is redone
+        assert report.gc_timeline == (False, False, False)
+        assert len(calls) == 2 + 3
 
 
 class TestNormViolationDetectors:
