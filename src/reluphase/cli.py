@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .experiments import COMMANDS, ConfigError, run_command
 
@@ -34,19 +35,19 @@ def _load_config(path: str | None) -> dict:
 
 
 def _apply_overrides(command: str, mapping: dict, args: argparse.Namespace) -> dict:
-    spec = COMMANDS[command][1]
+    keys = {f.name for f in fields(COMMANDS[command][0])}
     out = dict(mapping)
     if args.seed is not None:
-        key = "seed" if "seed" in spec else "seed_base" if "seed_base" in spec else None
+        key = "seed" if "seed" in keys else "seed_base" if "seed_base" in keys else None
         if key is None:
             raise ConfigError(f"command {command!r} takes no seed")
         out[key] = args.seed
     if args.runs is not None:
-        if "runs" not in spec:
+        if "runs" not in keys:
             raise ConfigError(f"command {command!r} takes no run count")
         out["runs"] = args.runs
     if args.threads is not None:
-        if "threads" not in spec:
+        if "threads" not in keys:
             raise ConfigError(f"command {command!r} takes no thread count")
         out["threads"] = args.threads
     return out

@@ -20,6 +20,7 @@ __all__ = [
     "validate_output_map",
     "network_params",
     "forward",
+    "forward_arrays",
     "forward_batch",
     "forward_binary",
     "predict",
@@ -218,11 +219,16 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return scores, pre
 
 
+def forward_arrays(W: np.ndarray, b: np.ndarray, values: np.ndarray, X: np.ndarray):
+    """Array-level forward pass, (F (N, n), H (N, k)), shared by forward_batch and the loss kernel."""
+    H = X @ W - b
+    F = np.maximum(H, 0.0) @ values.T
+    return F, H
+
+
 def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched scores and pre-activations: (F (N, n), H (N, k))."""
-    H = np.asarray(X, dtype=float) @ params.weights - params.biases
-    F = np.maximum(H, 0.0) @ params.output.values.T
-    return F, H
+    return forward_arrays(params.weights, params.biases, params.output.values, np.asarray(X, dtype=float))
 
 
 def predict(params: NetworkParams, x: np.ndarray) -> int:

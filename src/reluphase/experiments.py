@@ -67,9 +67,6 @@ class ConfigError(ValueError):
     pass
 
 
-_REQUIRED = object()
-
-
 def _reject_bool(value, name):
     if isinstance(value, bool):
         raise ConfigError(f"config key {name!r} must be a number, got a bool")
@@ -91,67 +88,56 @@ def _as_float(value, name):
     raise ConfigError(f"config key {name!r} must be a number, got {value!r}")
 
 
-def _as_bool(value, name):
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"config key {name!r} must be a bool, got {value!r}")
-
-
 def _as_str(value, name):
     if isinstance(value, str):
         return value
     raise ConfigError(f"config key {name!r} must be a string, got {value!r}")
 
 
-def _as_int_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {name!r} must be a non-empty list of integers")
-    return tuple(_as_int(v, name) for v in value)
+def _as_pair(item, name):
+    if not isinstance(item, list) or len(item) != 2:
+        raise ConfigError(f"each entry of {name!r} must be a [d, k] pair, got {item!r}")
+    return (_as_int(item[0], name), _as_int(item[1], name))
 
 
-def _as_float_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {name!r} must be a non-empty list of numbers")
-    return tuple(_as_float(v, name) for v in value)
+def _as_tuple(item, noun: str):
+    """Coercer for a non-empty JSON list whose entries each pass item()."""
+
+    def coerce(value, name):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config key {name!r} must be a non-empty list of {noun}")
+        return tuple(item(v, name) for v in value)
+
+    return coerce
 
 
-def _as_str_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {name!r} must be a non-empty list of strings")
-    return tuple(_as_str(v, name) for v in value)
+def _or_none(coerce):
+    return lambda value, name: None if value is None else coerce(value, name)
 
 
-def _as_pair_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {name!r} must be a non-empty list of [d, k] pairs")
-    out = []
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"each entry of {name!r} must be a [d, k] pair, got {item!r}")
-        out.append((_as_int(item[0], name), _as_int(item[1], name)))
-    return tuple(out)
+# Coercer per field annotation.  The module uses postponed annotations, so
+# dataclasses.fields() reports each type as the string written in the class.
+_COERCERS = {
+    "int": _as_int,
+    "float": _as_float,
+    "str": _as_str,
+    "tuple[int, ...]": _as_tuple(_as_int, "integers"),
+    "tuple[float, ...]": _as_tuple(_as_float, "numbers"),
+    "tuple[str, ...]": _as_tuple(_as_str, "strings"),
+    "tuple[tuple[int, int], ...]": _as_tuple(_as_pair, "[d, k] pairs"),
+    "tuple[float, ...] | None": _or_none(_as_tuple(_as_float, "numbers")),
+}
 
 
-def _as_opt_float_list(value, name):
-    if value is None:
-        return None
-    return _as_float_list(value, name)
-
-
-def _build_config(cls, spec: dict, mapping: dict):
+def _build_config(cls, mapping: dict):
+    """Instantiate a command config: keys, types and defaults come from cls's fields."""
     if not isinstance(mapping, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(mapping) - set(spec))
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(mapping) - set(names))
     if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-    kwargs = {}
-    for name, (coerce, default) in spec.items():
-        if name in mapping:
-            kwargs[name] = coerce(mapping[name], name)
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required config key {name!r}")
-        else:
-            kwargs[name] = default
+        raise ConfigError(f"unknown config keys: {unknown}; accepted keys: {names}")
+    kwargs = {f.name: _COERCERS[f.type](mapping[f.name], f.name) for f in fields(cls) if f.name in mapping}
     return cls(**kwargs)
 
 
@@ -225,18 +211,19 @@ def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
         max_iters=spec.max_iters,
         stop_loss=spec.stop_loss,
         record_every=spec.record_every,
-        seed=spec.seed,
         train_classes=spec.train_classes,
         keep_weights=spec.keep_weights,
     )
     return train(params, data, config), data
 
 
-def _summary_worker(spec: RunSpec) -> tuple[int, int, bool, float, float]:
+def _run_worker(spec: RunSpec) -> tuple[int, int, bool, float, float, float]:
+    """seed, iterations (-1 unless converged), converged, final loss, final and max weight norm."""
     result, _ = execute_run(spec)
     converged = result.stop_reason == "converged"
     iters = result.converged_at if converged else -1
-    return (spec.seed, int(iters), converged, float(result.records[-1].loss), result.max_weight_norm)
+    last = result.records[-1]
+    return (spec.seed, int(iters), converged, float(last.loss), last.weight_norm, result.max_weight_norm)
 
 
 def _worker_count(threads: int, n_specs: int) -> int:
@@ -253,6 +240,26 @@ def map_runs(worker, specs, threads: int):
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(specs) // (4 * workers))
         return list(ex.map(worker, specs, chunksize=chunk))
+
+
+def _run_cell(cfg, **run):
+    """Train cfg.runs seeded runs of one sweep cell, recording only the endpoints.
+
+    Returns the per-run _run_worker tuples and _iteration_stats over them.
+    """
+    specs = [
+        RunSpec(
+            v=cfg.v,
+            eta=cfg.eta,
+            max_iters=cfg.max_iters,
+            seed=cfg.seed_base + r,
+            record_every=cfg.max_iters,
+            **run,
+        )
+        for r in range(cfg.runs)
+    ]
+    runs = map_runs(_run_worker, specs, cfg.threads)
+    return runs, _iteration_stats([it for _, it, *_ in runs])
 
 
 def rho_at(params: NetworkParams, thetas: np.ndarray) -> np.ndarray:
@@ -275,6 +282,20 @@ def rho_curve(params: NetworkParams, samples: int = 512) -> tuple[np.ndarray, np
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _check_run_settings(cfg) -> None:
+    """The settings every training command shares: eta, max_iters and v."""
+    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
+    _require(cfg.max_iters >= 1, f"max_iters must be at least 1, got {cfg.max_iters}")
+    _require(math.isfinite(cfg.v) and cfg.v > 0.0, f"v must be positive, got {cfg.v}")
+
+
+def _check_sweep_settings(cfg) -> None:
+    """Run settings plus runs and threads, checked before a sweep trains any cell."""
+    _check_run_settings(cfg)
+    _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
+    _worker_count(cfg.threads, cfg.runs)
 
 
 def _check_biases(biases, width: int) -> None:
@@ -304,6 +325,18 @@ def _iteration_stats(iters: list[int]) -> tuple[float, float, float, float, floa
     return (float(arr.mean()), std, med, q25, q75)
 
 
+def _write_table(out: str, filename: str, schema: str, rows, group_sizes=None) -> None:
+    """Write a CSV under its registered schema and re-read it against that schema."""
+    path = os.path.join(out, filename)
+    write_csv(path, SCHEMAS[schema], rows, group_sizes=group_sizes)
+    validate_csv(path)
+
+
+def _write_svg(out: str, filename: str, svg: str) -> None:
+    with open(os.path.join(out, filename), "w") as fh:
+        fh.write(svg)
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -324,22 +357,6 @@ class TrainCommandConfig:
     biases: tuple[float, ...] | None = None
 
 
-_TRAIN_SPEC = {
-    "task": (_as_str, "planar-grid"),
-    "width": (_as_int, 8),
-    "v": (_as_float, 0.5),
-    "eta": (_as_float, 0.1),
-    "max_iters": (_as_int, 5000),
-    "stop_loss": (_as_float, 0.0),
-    "record_every": (_as_int, 1),
-    "seed": (_as_int, 0),
-    "init": (_as_str, "random"),
-    "theta": (_as_float, math.pi / 2),
-    "noise_std": (_as_float, 0.0),
-    "biases": (_as_opt_float_list, None),
-}
-
-
 def _trajectory_rows(result: TrainResult, class_count: int, gc_classes: tuple[int, ...]):
     rows = []
     for rec in result.records:
@@ -357,10 +374,10 @@ def _write_trajectory(out: str, result: TrainResult, gc_classes: tuple[int, ...]
     class_count = len(labels)
     if set(labels) != set(range(1, class_count + 1)):
         raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
-    path = os.path.join(out, "trajectory.csv")
-    write_csv(
-        path,
-        SCHEMAS["trajectory"],
+    _write_table(
+        out,
+        "trajectory.csv",
+        "trajectory",
         _trajectory_rows(result, class_count, gc_classes),
         group_sizes={
             "loss_class": class_count,
@@ -368,7 +385,6 @@ def _write_trajectory(out: str, result: TrainResult, gc_classes: tuple[int, ...]
             "gc_class": len(gc_classes),
         },
     )
-    validate_csv(path)
 
 
 def _result_json(result: TrainResult) -> dict:
@@ -394,9 +410,8 @@ def _result_json(result: TrainResult) -> dict:
 
 
 def cmd_train(cfg: TrainCommandConfig, out: str) -> dict:
+    _check_run_settings(cfg)
     _require(cfg.width >= 2, f"width must be at least 2, got {cfg.width}")
-    _require(cfg.max_iters >= 1, f"max_iters must be at least 1, got {cfg.max_iters}")
-    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
     _require(cfg.stop_loss >= 0.0, "stop_loss must be nonnegative")
     _require(cfg.record_every >= 1, "record_every must be at least 1")
     _check_biases(cfg.biases, cfg.width)
@@ -434,8 +449,7 @@ def cmd_train(cfg: TrainCommandConfig, out: str) -> dict:
     ts = [rec.t for rec in result.records]
     losses = [rec.loss for rec in result.records]
     svg = line_chart([("objective", ts, losses)], "training objective", "iteration", "loss")
-    with open(os.path.join(out, "loss_curve.svg"), "w") as fh:
-        fh.write(svg)
+    _write_svg(out, "loss_curve.svg", svg)
     return {
         "stop_reason": result.stop_reason,
         "converged_at": result.converged_at,
@@ -460,22 +474,8 @@ class SweepWidthConfig:
     threads: int = 1
 
 
-_SWEEP_WIDTH_SPEC = {
-    "widths": (_as_int_list, SweepWidthConfig.widths),
-    "inits": (_as_str_list, SweepWidthConfig.inits),
-    "runs": (_as_int, 100),
-    "seed_base": (_as_int, 0),
-    "v": (_as_float, 0.5),
-    "eta": (_as_float, 0.1),
-    "max_iters": (_as_int, 5000),
-    "threads": (_as_int, 1),
-}
-
-
 def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
-    _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
-    _require(cfg.max_iters >= 1, "max_iters must be at least 1")
-    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
+    _check_sweep_settings(cfg)
     for w in cfg.widths:
         if w < 4 or w % 2:
             raise ConfigError(f"widths must be even and at least 4, got {w}")
@@ -488,52 +488,32 @@ def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
     boxes = []
     for width in cfg.widths:
         for ci, init in enumerate(cfg.inits):
-            specs = [
-                RunSpec(
-                    task="planar-grid",
-                    width=width,
-                    v=cfg.v,
-                    eta=cfg.eta,
-                    max_iters=cfg.max_iters,
-                    init=init,
-                    seed=cfg.seed_base + r,
-                    record_every=max(1, cfg.max_iters),
-                )
-                for r in range(cfg.runs)
-            ]
-            results = map_runs(_summary_worker, specs, cfg.threads)
-            iters = []
-            for r, (seed, it, conv, floss, mnorm) in enumerate(results):
+            runs, (mean, std, med, q25, q75) = _run_cell(cfg, task="planar-grid", width=width, init=init)
+            for r, (seed, it, conv, floss, _, mnorm) in enumerate(runs):
                 run_rows.append([width, init, r, seed, it, conv, floss, mnorm])
-                iters.append(it)
-            mean, std, med, q25, q75 = _iteration_stats(iters)
-            converged = sum(1 for i in iters if i >= 0)
-            summary_rows.append([width, init, cfg.runs, converged, mean, std, med, q25, q75])
+            good = sorted(it for _, it, conv, *_ in runs if conv)
+            summary_rows.append([width, init, cfg.runs, len(good), mean, std, med, q25, q75])
             means[init].append(mean)
-            good = sorted(i for i in iters if i >= 0)
             if good:
                 boxes.append(
                     (f"{width} {init}", (float(good[0]), q25, med, q75, float(good[-1])), ci)
                 )
     if not boxes:
         raise RuntimeError("no run converged in any cell; nothing to summarize")
-    runs_path = os.path.join(out, "width_runs.csv")
-    write_csv(runs_path, SCHEMAS["width_runs"], run_rows)
-    validate_csv(runs_path)
-    summary_path = os.path.join(out, "width_summary.csv")
-    write_csv(summary_path, SCHEMAS["width_summary"], summary_rows)
-    validate_csv(summary_path)
-    with open(os.path.join(out, "width_box.svg"), "w") as fh:
-        fh.write(box_chart(boxes, "iterations to zero loss by width and init", "iterations"))
-    with open(os.path.join(out, "width_means.svg"), "w") as fh:
-        fh.write(
-            line_chart(
-                [(init, list(cfg.widths), means[init]) for init in cfg.inits],
-                "mean iterations to zero loss",
-                "total hidden units",
-                "iterations",
-            )
-        )
+    _write_table(out, "width_runs.csv", "width_runs", run_rows)
+    _write_table(out, "width_summary.csv", "width_summary", summary_rows)
+    svg = box_chart(boxes, "iterations to zero loss by width and init", "iterations")
+    _write_svg(out, "width_box.svg", svg)
+    _write_svg(
+        out,
+        "width_means.svg",
+        line_chart(
+            [(init, list(cfg.widths), means[init]) for init in cfg.inits],
+            "mean iterations to zero loss",
+            "total hidden units",
+            "iterations",
+        ),
+    )
     return {"means": means}
 
 
@@ -555,75 +535,46 @@ class SweepAngleConfig:
     threads: int = 1
 
 
-_SWEEP_ANGLE_SPEC = {
-    "angles": (_as_float_list, SweepAngleConfig.angles),
-    "runs": (_as_int, 20),
-    "seed_base": (_as_int, 0),
-    "width": (_as_int, 8),
-    "v": (_as_float, 0.5),
-    "eta": (_as_float, 0.2),
-    "max_iters": (_as_int, 20000),
-    "noise_std": (_as_float, 0.0),
-    "init": (_as_str, "random"),
-    "threads": (_as_int, 1),
-}
-
-
 def cmd_sweep_angle(cfg: SweepAngleConfig, out: str) -> dict:
-    _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
-    _require(cfg.max_iters >= 1, "max_iters must be at least 1")
-    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
+    _check_sweep_settings(cfg)
     _require(cfg.width >= 4 and cfg.width % 2 == 0, f"width must be even and at least 4, got {cfg.width}")
+    for theta in cfg.angles:
+        if not (0.0 < theta <= math.pi / 2):
+            raise ConfigError(f"angles must lie in (0, pi/2], got {theta}")
     run_rows = []
     summary_rows = []
     mean_by_angle = []
     for theta in cfg.angles:
-        if not (0.0 < theta <= math.pi / 2):
-            raise ConfigError(f"angles must lie in (0, pi/2], got {theta}")
-        specs = [
-            RunSpec(
-                task="subspace-pair",
-                width=cfg.width,
-                v=cfg.v,
-                eta=cfg.eta,
-                max_iters=cfg.max_iters,
-                init=cfg.init,
-                seed=cfg.seed_base + r,
-                theta=theta,
-                noise_std=cfg.noise_std,
-                train_classes=(1, 2),
-                record_every=max(1, cfg.max_iters),
-            )
-            for r in range(cfg.runs)
-        ]
-        results = map_runs(_summary_worker, specs, cfg.threads)
-        iters = []
-        for r, (seed, it, conv, floss, mnorm) in enumerate(results):
-            run_rows.append([theta, r, seed, it, conv, floss, mnorm])
-            iters.append(it)
-        mean, std, med, q25, q75 = _iteration_stats(iters)
-        converged = sum(1 for i in iters if i >= 0)
-        summary_rows.append([theta, cfg.runs, converged, mean, std, med, q25, q75])
-        mean_by_angle.append(mean)
-    runs_path = os.path.join(out, "angle_runs.csv")
-    write_csv(runs_path, SCHEMAS["angle_runs"], run_rows)
-    validate_csv(runs_path)
-    summary_path = os.path.join(out, "angle_summary.csv")
-    write_csv(summary_path, SCHEMAS["angle_summary"], summary_rows)
-    validate_csv(summary_path)
-    with open(os.path.join(out, "angle_sweep.svg"), "w") as fh:
-        fh.write(
-            line_chart(
-                [
-                    ("mean", list(cfg.angles), mean_by_angle),
-                    ("q25", list(cfg.angles), [row[6] for row in summary_rows]),
-                    ("q75", list(cfg.angles), [row[7] for row in summary_rows]),
-                ],
-                "iterations to zero loss vs subspace angle",
-                "principal angle (radians)",
-                "iterations",
-            )
+        runs, stats = _run_cell(
+            cfg,
+            task="subspace-pair",
+            width=cfg.width,
+            init=cfg.init,
+            theta=theta,
+            noise_std=cfg.noise_std,
+            train_classes=(1, 2),
         )
+        for r, (seed, it, conv, floss, _, mnorm) in enumerate(runs):
+            run_rows.append([theta, r, seed, it, conv, floss, mnorm])
+        converged = sum(1 for _, _, conv, *_ in runs if conv)
+        summary_rows.append([theta, cfg.runs, converged, *stats])
+        mean_by_angle.append(stats[0])
+    _write_table(out, "angle_runs.csv", "angle_runs", run_rows)
+    _write_table(out, "angle_summary.csv", "angle_summary", summary_rows)
+    _write_svg(
+        out,
+        "angle_sweep.svg",
+        line_chart(
+            [
+                ("mean", list(cfg.angles), mean_by_angle),
+                ("q25", list(cfg.angles), [row[6] for row in summary_rows]),
+                ("q75", list(cfg.angles), [row[7] for row in summary_rows]),
+            ],
+            "iterations to zero loss vs subspace angle",
+            "principal angle (radians)",
+            "iterations",
+        ),
+    )
     return {"angles": list(cfg.angles), "mean_iterations": mean_by_angle}
 
 
@@ -644,59 +595,22 @@ class NormHistConfig:
     threads: int = 1
 
 
-_NORM_HIST_SPEC = {
-    "runs": (_as_int, 200),
-    "seed_base": (_as_int, 0),
-    "width": (_as_int, 8),
-    "v": (_as_float, 0.5),
-    "eta": (_as_float, 0.1),
-    "max_iters": (_as_int, 5000),
-    "init": (_as_str, "random"),
-    "bins": (_as_int, 20),
-    "threads": (_as_int, 1),
-}
-
-
-def _final_norm_worker(spec: RunSpec) -> tuple[int, int, bool, float, float]:
-    result, _ = execute_run(spec)
-    converged = result.stop_reason == "converged"
-    iters = result.converged_at if converged else -1
-    return (spec.seed, int(iters), converged, result.records[-1].weight_norm, result.max_weight_norm)
-
-
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
-    _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
-    _require(cfg.max_iters >= 1, "max_iters must be at least 1")
+    _check_sweep_settings(cfg)
     _require(cfg.bins >= 1, "bins must be at least 1")
-    specs = [
-        RunSpec(
-            task="planar-grid",
-            width=cfg.width,
-            v=cfg.v,
-            eta=cfg.eta,
-            max_iters=cfg.max_iters,
-            init=cfg.init,
-            seed=cfg.seed_base + r,
-            record_every=max(1, cfg.max_iters),
-        )
-        for r in range(cfg.runs)
-    ]
-    results = map_runs(_final_norm_worker, specs, cfg.threads)
-    rows = [[r, seed, it, conv, fnorm, mnorm] for r, (seed, it, conv, fnorm, mnorm) in enumerate(results)]
-    runs_path = os.path.join(out, "norm_runs.csv")
-    write_csv(runs_path, SCHEMAS["norm_runs"], rows)
-    validate_csv(runs_path)
+    runs, _ = _run_cell(cfg, task="planar-grid", width=cfg.width, init=cfg.init)
+    rows = [[r, seed, it, conv, fnorm, mnorm] for r, (seed, it, conv, _, fnorm, mnorm) in enumerate(runs)]
+    _write_table(out, "norm_runs.csv", "norm_runs", rows)
     max_norms = np.array([row[5] for row in rows])
     counts, edges = np.histogram(max_norms, bins=cfg.bins)
-    hist_path = os.path.join(out, "norm_hist.csv")
-    write_csv(
-        hist_path,
-        SCHEMAS["histogram"],
+    _write_table(
+        out,
+        "norm_hist.csv",
+        "histogram",
         [[edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)],
     )
-    validate_csv(hist_path)
-    with open(os.path.join(out, "norm_hist.svg"), "w") as fh:
-        fh.write(histogram_chart(edges, counts, "largest weight norm per run", "max weight norm"))
+    svg = histogram_chart(edges, counts, "largest weight norm per run", "max weight norm")
+    _write_svg(out, "norm_hist.svg", svg)
     return {"max_norm_overall": float(max_norms.max()), "mean_max_norm": float(max_norms.mean())}
 
 
@@ -711,13 +625,6 @@ class GcProbConfig:
     seed: int = 0
 
 
-_GC_PROB_SPEC = {
-    "cells": (_as_pair_list, GcProbConfig.cells),
-    "trials": (_as_int, 100000),
-    "seed": (_as_int, 0),
-}
-
-
 def cmd_gc_prob(cfg: GcProbConfig, out: str) -> dict:
     _require(cfg.trials >= 1, f"trials must be at least 1, got {cfg.trials}")
     for d, k in cfg.cells:
@@ -729,9 +636,7 @@ def cmd_gc_prob(cfg: GcProbConfig, out: str) -> dict:
         est, se = gc_probability_mc(d, k, cfg.trials, rng.child(i))
         err = abs(est - exact)
         rows.append([d, k, cfg.trials, exact, est, se, err, bool(err <= 3.0 * se or err == 0.0)])
-    path = os.path.join(out, "gc_prob.csv")
-    write_csv(path, SCHEMAS["gc_prob"], rows)
-    validate_csv(path)
+    _write_table(out, "gc_prob.csv", "gc_prob", rows)
     write_json(
         os.path.join(out, "gc_prob.json"),
         {
@@ -757,22 +662,9 @@ class TraceDynamicsConfig:
     rho_samples: int = 512
 
 
-_TRACE_SPEC = {
-    "snapshots": (_as_int_list, TraceDynamicsConfig.snapshots),
-    "eta": (_as_float, 0.1),
-    "v": (_as_float, 0.5),
-    "max_iters": (_as_int, 5000),
-    "seed": (_as_int, 0),
-    "init": (_as_str, "three-rays"),
-    "rho_samples": (_as_int, 512),
-}
-
-
 def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
-    if cfg.rho_samples < 3:
-        raise ConfigError(f"rho_samples must be at least 3, got {cfg.rho_samples}")
-    _require(cfg.max_iters >= 1, "max_iters must be at least 1")
-    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
+    _check_run_settings(cfg)
+    _require(cfg.rho_samples >= 3, f"rho_samples must be at least 3, got {cfg.rho_samples}")
     spec = RunSpec(
         task="planar-grid",
         width=6,
@@ -824,8 +716,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
             rho,
             f"t = {t}, loss = {result.records[idx].loss:.6g}",
         )
-        with open(os.path.join(out, f"frame_t{t:05d}.svg"), "w") as fh:
-            fh.write(svg)
+        _write_svg(out, f"frame_t{t:05d}.svg", svg)
     write_json(
         os.path.join(out, "dynamics.json"),
         {
@@ -863,23 +754,8 @@ class LandscapeAuditConfig:
     seed: int = 0
 
 
-_LANDSCAPE_SPEC = {
-    "width": (_as_int, 8),
-    "v": (_as_float, 0.5),
-    "subspace_dim": (_as_int, 2),
-    "data_min": (_as_float, 1.0),
-    "data_max": (_as_float, 2.0),
-    "samples_per_class": (_as_int, 400),
-    "audit_runs": (_as_int, 5),
-    "eta": (_as_float, 0.1),
-    "max_iters": (_as_int, 5000),
-    "pairs": (_as_int, 10000),
-    "biases": (_as_opt_float_list, None),
-    "seed": (_as_int, 0),
-}
-
-
 def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
+    _check_run_settings(cfg)
     _require(cfg.pairs >= 1, "pairs must be at least 1")
     _require(cfg.audit_runs >= 0, "audit_runs must be nonnegative")
     _require(cfg.samples_per_class >= 1, "samples_per_class must be at least 1")
@@ -910,7 +786,7 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
             max_iters=cfg.max_iters,
             init="random",
             seed=cfg.seed + r,
-            record_every=max(1, cfg.max_iters),
+            record_every=cfg.max_iters,
         )
         result, data = execute_run(spec)
         audit = critical_point_audit(result.params, data)
@@ -924,25 +800,25 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
         return network_params(r.normal((2, cfg.width)), output, bias_arr)
 
     report = lipschitz_estimate(sampler, lip_data, cfg.pairs, rng.child(99))
-    hist_path = os.path.join(out, "lipschitz_hist.csv")
-    write_csv(
-        hist_path,
-        SCHEMAS["histogram"],
+    _write_table(
+        out,
+        "lipschitz_hist.csv",
+        "histogram",
         [
             [report.hist_edges[i], report.hist_edges[i + 1], report.hist_counts[i]]
             for i in range(len(report.hist_counts))
         ],
     )
-    validate_csv(hist_path)
-    with open(os.path.join(out, "lipschitz_hist.svg"), "w") as fh:
-        fh.write(
-            histogram_chart(
-                report.hist_edges,
-                report.hist_counts,
-                "loss difference ratios over weight pairs",
-                "|loss gap| / |weight gap|",
-            )
-        )
+    _write_svg(
+        out,
+        "lipschitz_hist.svg",
+        histogram_chart(
+            report.hist_edges,
+            report.hist_counts,
+            "loss difference ratios over weight pairs",
+            "|loss gap| / |weight gap|",
+        ),
+    )
     payload = {
         "constructed_minima": constructed,
         "trained_audits": trained,
@@ -965,21 +841,21 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
 
 
 COMMANDS = {
-    "train": (TrainCommandConfig, _TRAIN_SPEC, cmd_train),
-    "sweep-width": (SweepWidthConfig, _SWEEP_WIDTH_SPEC, cmd_sweep_width),
-    "sweep-angle": (SweepAngleConfig, _SWEEP_ANGLE_SPEC, cmd_sweep_angle),
-    "norm-hist": (NormHistConfig, _NORM_HIST_SPEC, cmd_norm_hist),
-    "gc-prob": (GcProbConfig, _GC_PROB_SPEC, cmd_gc_prob),
-    "trace-dynamics": (TraceDynamicsConfig, _TRACE_SPEC, cmd_trace_dynamics),
-    "landscape-audit": (LandscapeAuditConfig, _LANDSCAPE_SPEC, cmd_landscape_audit),
+    "train": (TrainCommandConfig, cmd_train),
+    "sweep-width": (SweepWidthConfig, cmd_sweep_width),
+    "sweep-angle": (SweepAngleConfig, cmd_sweep_angle),
+    "norm-hist": (NormHistConfig, cmd_norm_hist),
+    "gc-prob": (GcProbConfig, cmd_gc_prob),
+    "trace-dynamics": (TraceDynamicsConfig, cmd_trace_dynamics),
+    "landscape-audit": (LandscapeAuditConfig, cmd_landscape_audit),
 }
 
 
 def run_command(name: str, mapping: dict, out: str) -> dict:
     if name not in COMMANDS:
         raise ConfigError(f"unknown command {name!r}; expected one of {sorted(COMMANDS)}")
-    cls, spec, runner = COMMANDS[name]
-    cfg = _build_config(cls, spec, mapping)
+    cls, runner = COMMANDS[name]
+    cfg = _build_config(cls, mapping)
     os.makedirs(out, exist_ok=True)
     write_json(os.path.join(out, "config.json"), _config_snapshot(name, cfg))
     return runner(cfg, out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NetworkParams, forward
+from .core import NetworkParams, forward, forward_arrays, forward_batch
 from .datagen import LabeledDataset
 
 __all__ = [
@@ -40,12 +40,6 @@ def _select(data: LabeledDataset, classes) -> np.ndarray:
     return rows
 
 
-def _scores(W: np.ndarray, b: np.ndarray, values: np.ndarray, X: np.ndarray):
-    H = X @ W - b
-    F = np.maximum(H, 0.0) @ values.T
-    return F, H
-
-
 def _margins(F: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """(N, n) hinge margins 1 - f_y + f_i with the i = y column zeroed."""
     rows = np.arange(F.shape[0])
@@ -60,7 +54,7 @@ def batch_loss_grad(W, b, values, X, y0, rows):
     Array-level workhorse shared by the public ops and the training loop so
     both follow bit-identical arithmetic.  y0 holds 0-based labels.
     """
-    F, H = _scores(W, b, values, X)
+    F, H = forward_arrays(W, b, values, X)
     margins = _margins(F, y0)
     losses = np.maximum(margins, 0.0).sum(axis=1)
     active = margins > 0.0
@@ -79,7 +73,7 @@ def sample_loss(params: NetworkParams, x: np.ndarray, y: int) -> float:
 
 
 def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
-    F, _ = _scores(params.weights, params.biases, params.output.values, data.X)
+    F, _ = forward_batch(params, data.X)
     return np.maximum(_margins(F, data.y - 1), 0.0).sum(axis=1)
 
 
@@ -110,7 +104,7 @@ class ActiveSets:
 
 
 def active_sets(params: NetworkParams, data: LabeledDataset) -> ActiveSets:
-    F, H = _scores(params.weights, params.biases, params.output.values, data.X)
+    F, H = forward_batch(params, data.X)
     return ActiveSets(margin=_margins(F, data.y - 1) > 0.0, relu=H > 0.0)
 
 

@@ -41,7 +41,6 @@ class TrainConfig:
     max_iters: int
     stop_loss: float = 0.0
     record_every: int = 1
-    seed: int = 0
     train_classes: tuple[int, ...] | None = None
     r_max: float = 1e3
     keep_weights: bool = True

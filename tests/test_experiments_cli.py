@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from reluphase import Rng, build_output_map, network_params
+from reluphase import experiments
 from reluphase.cli import main
 from reluphase.experiments import (
     COMMANDS,
@@ -14,7 +17,6 @@ from reluphase.experiments import (
     TrainCommandConfig,
     _build_config,
     _config_snapshot,
-    _TRAIN_SPEC,
     _worker_count,
     binary_output_map,
     build_task,
@@ -29,40 +31,37 @@ from reluphase.tableio import validate_csv
 
 class TestConfigBuilding:
     def test_defaults_fill_in(self):
-        cfg = _build_config(TrainCommandConfig, _TRAIN_SPEC, {})
+        cfg = _build_config(TrainCommandConfig, {})
         assert cfg == TrainCommandConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            _build_config(TrainCommandConfig, _TRAIN_SPEC, {"widht": 8})
+            _build_config(TrainCommandConfig, {"widht": 8})
 
     def test_bool_rejected_for_int(self):
         with pytest.raises(ConfigError, match="width"):
-            _build_config(TrainCommandConfig, _TRAIN_SPEC, {"width": True})
+            _build_config(TrainCommandConfig, {"width": True})
 
     def test_string_rejected_for_float(self):
         with pytest.raises(ConfigError, match="eta"):
-            _build_config(TrainCommandConfig, _TRAIN_SPEC, {"eta": "fast"})
+            _build_config(TrainCommandConfig, {"eta": "fast"})
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
-            _build_config(TrainCommandConfig, _TRAIN_SPEC, [1, 2])
+            _build_config(TrainCommandConfig, [1, 2])
 
     def test_biases_list_coerced_to_tuple(self):
-        cfg = _build_config(
-            TrainCommandConfig, _TRAIN_SPEC, {"biases": [0.1, 0.1, 0.1, 0.1], "width": 4}
-        )
+        cfg = _build_config(TrainCommandConfig, {"biases": [0.1, 0.1, 0.1, 0.1], "width": 4})
         assert cfg.biases == (0.1, 0.1, 0.1, 0.1)
 
     def test_pair_list_validation(self):
-        spec = COMMANDS["gc-prob"][1]
         cls = COMMANDS["gc-prob"][0]
-        cfg = _build_config(cls, spec, {"cells": [[2, 3], [3, 5]]})
+        cfg = _build_config(cls, {"cells": [[2, 3], [3, 5]]})
         assert cfg.cells == ((2, 3), (3, 5))
         with pytest.raises(ConfigError, match="cells"):
-            _build_config(cls, spec, {"cells": [[2, 3, 4]]})
+            _build_config(cls, {"cells": [[2, 3, 4]]})
         with pytest.raises(ConfigError, match="cells"):
-            _build_config(cls, spec, {"cells": "23"})
+            _build_config(cls, {"cells": "23"})
 
     def test_snapshot_names_command_and_lists_tuples(self):
         cfg = TrainCommandConfig(biases=(0.1, 0.2))
@@ -71,6 +70,62 @@ class TestConfigBuilding:
         assert snap["biases"] == [0.1, 0.2]
         assert "out_dir" not in snap
         assert "out" not in snap
+
+
+CONFIG_CLASSES = [cls for cls, _ in COMMANDS.values()]
+COMMAND_NAMES = list(COMMANDS)
+
+
+class TestConfigFromFields:
+    """Every command's keys, defaults and coercion come from its dataclass."""
+
+    @pytest.mark.parametrize("name", COMMAND_NAMES)
+    def test_defaults_and_snapshot_round_trip(self, name):
+        cls = COMMANDS[name][0]
+        assert _build_config(cls, {}) == cls()
+        # config.json, fed back as a config, rebuilds the same settings
+        snapshot = json.loads(json.dumps(_config_snapshot(name, cls())))
+        del snapshot["command"]
+        assert _build_config(cls, snapshot) == cls()
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=COMMAND_NAMES)
+    def test_bool_rejected_for_every_number_field(self, cls):
+        numeric = [f.name for f in fields(cls) if f.type in ("int", "float")]
+        assert numeric
+        for name in numeric:
+            with pytest.raises(ConfigError, match=f"'{name}' must be a number, got a bool"):
+                _build_config(cls, {name: True})
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=COMMAND_NAMES)
+    def test_list_fields_come_back_as_tuples(self, cls):
+        for f in fields(cls):
+            if not f.type.startswith("tuple"):
+                continue
+            default = getattr(cls(), f.name)
+            expected = default if default is not None else (0.25, 0.5)
+            value = getattr(_build_config(cls, {f.name: json.loads(json.dumps(expected))}), f.name)
+            assert isinstance(value, tuple) and value == expected, f.name
+            assert all(not isinstance(item, list) for item in value), f.name
+
+    @pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=COMMAND_NAMES)
+    def test_unknown_key_error_names_accepted_keys(self, cls):
+        with pytest.raises(ConfigError, match="unknown config keys") as info:
+            _build_config(cls, {"no_such_key": 1})
+        message = str(info.value)
+        assert "no_such_key" in message
+        for f in fields(cls):
+            assert repr(f.name) in message, f.name
+
+    def test_readme_lists_each_commands_fields(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        section = text.split("Accepted config keys per command", 1)[1].split("Examples:", 1)[0]
+        listed = {}
+        for bullet in re.findall(r"^- `([a-z-]+)`:(.*?)(?=^- |\Z)", section, re.M | re.S):
+            name, body = bullet
+            listed[name] = re.findall(r"`([a-z_]+)`", re.sub(r"\([^)]*\)", "", body))
+        assert listed == {name: [f.name for f in fields(cls)] for name, (cls, _) in COMMANDS.items()}
 
 
 class TestTaskBuilders:
@@ -155,9 +210,67 @@ class TestWorkerCount:
 
     @pytest.mark.parametrize("command", ["sweep-width", "sweep-angle", "norm-hist"])
     @pytest.mark.parametrize("threads", [0, -2])
-    def test_sweeps_reject_threads_below_one(self, tmp_path, command, threads):
+    def test_sweeps_reject_threads_below_one(self, tmp_path, command, threads, run_counter):
         with pytest.raises(ConfigError, match="threads must be at least 1"):
             run_command(command, {"threads": threads}, str(tmp_path / "x"))
+        assert run_counter == []
+
+
+@pytest.fixture
+def run_counter(monkeypatch):
+    """Record every spec that reaches execute_run, without training."""
+    calls = []
+
+    def fake_execute_run(spec):
+        calls.append(spec)
+        raise AssertionError("a run started before the config was fully checked")
+
+    monkeypatch.setattr(experiments, "execute_run", fake_execute_run)
+    return calls
+
+
+# One case per training command for the shared eta / max_iters / v check.
+BAD_RUN_SETTINGS = [
+    ("train", {"v": -1}, "v must be positive"),
+    ("train", {"v": math.inf}, "v must be positive"),
+    ("sweep-width", {"v": 0}, "v must be positive"),
+    ("sweep-angle", {"v": -0.5}, "v must be positive"),
+    ("norm-hist", {"eta": 0}, "eta must be positive"),
+    ("norm-hist", {"v": -1}, "v must be positive"),
+    ("trace-dynamics", {"v": 0}, "v must be positive"),
+    ("landscape-audit", {"eta": -1}, "eta must be positive"),
+    ("landscape-audit", {"max_iters": 0}, "max_iters must be at least 1, got 0"),
+    ("landscape-audit", {"v": -2}, "v must be positive"),
+]
+
+
+class TestRunSettingChecks:
+    @pytest.mark.parametrize("command, mapping, message", BAD_RUN_SETTINGS)
+    def test_rejected_before_any_run(self, tmp_path, run_counter, command, mapping, message):
+        with pytest.raises(ConfigError, match=message):
+            run_command(command, mapping, str(tmp_path / "x"))
+        assert run_counter == []
+
+    @pytest.mark.parametrize("command, mapping, message", BAD_RUN_SETTINGS)
+    def test_cli_exits_2(self, tmp_path, capsys, run_counter, command, mapping, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(mapping))
+        assert main([command, "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert "Traceback" not in err
+        assert run_counter == []
+
+    @pytest.mark.parametrize("command", ["sweep-width", "sweep-angle", "norm-hist", "trace-dynamics"])
+    def test_max_iters_message_names_the_value(self, tmp_path, run_counter, command):
+        with pytest.raises(ConfigError, match="max_iters must be at least 1, got 0"):
+            run_command(command, {"max_iters": 0}, str(tmp_path / "x"))
+
+    def test_bad_trailing_angle_starts_no_run(self, tmp_path, run_counter):
+        mapping = {"angles": [0.5, 3.0], "runs": 2, "max_iters": 10}
+        with pytest.raises(ConfigError, match="angles must lie in"):
+            run_command("sweep-angle", mapping, str(tmp_path / "x"))
+        assert run_counter == []
 
 
 class TestRunCommand:
