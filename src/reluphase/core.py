@@ -81,19 +81,29 @@ class Rng:
         return float(out) if size is None else out
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype, copy=True)
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class OutputMap:
-    """Fixed output layer: values[i, j] = +v when class i owns unit j, else -v."""
+    """Fixed output layer: values[i, j] = +v when class i owns unit j, else -v.
+
+    The arrays are frozen copies, checked by validate_output_map once here,
+    so every holder of the map can rely on its contract.
+    """
 
     values: np.ndarray  # (n, k)
     v: float
     owner: np.ndarray  # (k,) owning class per hidden unit, labels 1..n
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _frozen(self.values))
+        object.__setattr__(self, "v", float(self.v))
+        object.__setattr__(self, "owner", _frozen(self.owner, dtype=None))
+        validate_output_map(self)
 
     @property
     def n(self) -> int:
@@ -118,9 +128,7 @@ def build_output_map(n: int, k: int, v: float) -> OutputMap:
         raise ValueError(f"output magnitude v must be positive, got v={v}")
     owner = np.arange(k) % n + 1
     values = np.where(owner[None, :] == np.arange(1, n + 1)[:, None], v, -v)
-    out = OutputMap(values=_frozen(values), v=float(v), owner=_frozen(owner).astype(int))
-    validate_output_map(out)
-    return out
+    return OutputMap(values=values, v=v, owner=owner)
 
 
 def validate_output_map(m: OutputMap) -> None:
@@ -184,7 +192,6 @@ class NetworkParams:
                 raise ValueError(f"bias mode requires 0 < sum(biases) < 1, got {total}")
         else:
             raise ValueError(f"mode must be 'bias' or 'no-bias', got {self.mode!r}")
-        validate_output_map(self.output)
 
     @property
     def d(self) -> int:

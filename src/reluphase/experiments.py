@@ -36,7 +36,7 @@ from .datagen import (
 )
 from .geometry import gc_probability, gc_probability_mc
 from .landscape import construct_zero_loss, critical_point_audit, lipschitz_estimate
-from .phases import detect_phases
+from .phases import PhaseReport, detect_phases
 from .svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
 from .tableio import SCHEMAS, validate_csv, write_csv, write_json
 from .training import TrainConfig, TrainResult, train
@@ -179,24 +179,79 @@ def initial_weights(init: str, d: int, width: int, rng: Rng) -> np.ndarray:
     raise ConfigError(f"unknown init {init!r}; expected 'random', 'halfspace', or 'three-rays'")
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ConfigError(message)
+
+
+def _check_run_settings(cfg) -> None:
+    """The settings every training command shares: eta, max_iters and v."""
+    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
+    _require(cfg.max_iters >= 1, f"max_iters must be at least 1, got {cfg.max_iters}")
+    _require(math.isfinite(cfg.v) and cfg.v > 0.0, f"v must be positive, got {cfg.v}")
+
+
+def _check_biases(biases, width: int) -> None:
+    if biases is None:
+        return
+    if len(biases) != width:
+        raise ConfigError(f"biases must list one value per hidden unit ({width}), got {len(biases)}")
+    if any(b < 0.0 for b in biases):
+        raise ConfigError("biases must be nonnegative")
+    total = sum(biases)
+    if total != 0.0 and not (0.0 < total < 1.0):
+        raise ConfigError(f"nonzero biases must sum into (0, 1), got {total}")
+
+
+# The classes each task trains: the planar grid holds class 1 only.
+_TASK_CLASSES = {"planar-grid": (1,), "subspace-pair": (1, 2)}
+
+
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything needed to reproduce one training run."""
+    """Everything needed to reproduce one training run; also the train command's config."""
 
-    task: str
-    width: int
-    v: float
-    eta: float
-    max_iters: int
-    init: str
-    seed: int
-    theta: float = math.pi / 2
-    noise_std: float = 0.0
+    task: str = "planar-grid"
+    width: int = 8
+    v: float = 0.5
+    eta: float = 0.1
+    max_iters: int = 5000
     stop_loss: float = 0.0
     record_every: int = 1
-    keep_weights: bool = False
-    train_classes: tuple[int, ...] | None = (1,)
+    seed: int = 0
+    init: str = "random"
+    theta: float = math.pi / 2
+    noise_std: float = 0.0
     biases: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _check_run_settings(self)
+        _require(self.width >= 2, f"width must be at least 2, got {self.width}")
+        _require(self.stop_loss >= 0.0, "stop_loss must be nonnegative")
+        _require(self.record_every >= 1, "record_every must be at least 1")
+        _check_biases(self.biases, self.width)
+        _require(
+            self.task in _TASK_CLASSES,
+            f"unknown task {self.task!r}; expected 'planar-grid' or 'subspace-pair'",
+        )
+        _require(
+            self.init in ("random", "halfspace", "three-rays"),
+            f"unknown init {self.init!r}; expected 'random', 'halfspace', or 'three-rays'",
+        )
+        _require(
+            self.init != "three-rays" or (self.task == "planar-grid" and self.width == 6),
+            "the three-rays init is the fixed 6-unit planar layout (d=2, width=6)",
+        )
+        _require(
+            math.isfinite(self.noise_std) and self.noise_std >= 0.0,
+            f"noise_std must be finite and nonnegative, got {self.noise_std}",
+        )
+        if self.task == "subspace-pair":
+            _require(0.0 < self.theta <= math.pi / 2, f"theta must lie in (0, pi/2], got {self.theta}")
+
+    @property
+    def train_classes(self) -> tuple[int, ...]:
+        return _TASK_CLASSES[self.task]
 
 
 def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
@@ -212,7 +267,6 @@ def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
         stop_loss=spec.stop_loss,
         record_every=spec.record_every,
         train_classes=spec.train_classes,
-        keep_weights=spec.keep_weights,
     )
     return train(params, data, config), data
 
@@ -242,22 +296,34 @@ def map_runs(worker, specs, threads: int):
         return list(ex.map(worker, specs, chunksize=chunk))
 
 
+def _sweep_spec(cfg, r: int, **run) -> RunSpec:
+    """Run r of a sweep cell: seed seed_base + r, recording only the endpoints."""
+    return RunSpec(
+        v=cfg.v,
+        eta=cfg.eta,
+        max_iters=cfg.max_iters,
+        seed=cfg.seed_base + r,
+        record_every=cfg.max_iters,
+        **run,
+    )
+
+
+def _check_sweep(cfg, **run) -> None:
+    """runs, threads and the spec of run 0 of one cell, checked when a sweep config is built.
+
+    The cells of a sweep differ only in settings the sweep checks itself.
+    """
+    _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
+    _worker_count(cfg.threads, cfg.runs)
+    _sweep_spec(cfg, 0, **run)
+
+
 def _run_cell(cfg, **run):
-    """Train cfg.runs seeded runs of one sweep cell, recording only the endpoints.
+    """Train cfg.runs seeded runs of one sweep cell.
 
     Returns the per-run _run_worker tuples and _iteration_stats over them.
     """
-    specs = [
-        RunSpec(
-            v=cfg.v,
-            eta=cfg.eta,
-            max_iters=cfg.max_iters,
-            seed=cfg.seed_base + r,
-            record_every=cfg.max_iters,
-            **run,
-        )
-        for r in range(cfg.runs)
-    ]
+    specs = [_sweep_spec(cfg, r, **run) for r in range(cfg.runs)]
     runs = map_runs(_run_worker, specs, cfg.threads)
     return runs, _iteration_stats([it for _, it, *_ in runs])
 
@@ -277,37 +343,6 @@ def rho_curve(params: NetworkParams, samples: int = 512) -> tuple[np.ndarray, np
         raise ValueError("need at least 3 samples")
     thetas = np.arange(samples) * (2.0 * math.pi / samples)
     return thetas, rho_at(params, thetas)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
-
-
-def _check_run_settings(cfg) -> None:
-    """The settings every training command shares: eta, max_iters and v."""
-    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
-    _require(cfg.max_iters >= 1, f"max_iters must be at least 1, got {cfg.max_iters}")
-    _require(math.isfinite(cfg.v) and cfg.v > 0.0, f"v must be positive, got {cfg.v}")
-
-
-def _check_sweep_settings(cfg) -> None:
-    """Run settings plus runs and threads, checked before a sweep trains any cell."""
-    _check_run_settings(cfg)
-    _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
-    _worker_count(cfg.threads, cfg.runs)
-
-
-def _check_biases(biases, width: int) -> None:
-    if biases is None:
-        return
-    if len(biases) != width:
-        raise ConfigError(f"biases must list one value per hidden unit ({width}), got {len(biases)}")
-    if any(b < 0.0 for b in biases):
-        raise ConfigError("biases must be nonnegative")
-    total = sum(biases)
-    if total != 0.0 and not (0.0 < total < 1.0):
-        raise ConfigError(f"nonzero biases must sum into (0, 1), got {total}")
 
 
 def _percentiles(values: np.ndarray) -> tuple[float, float, float]:
@@ -341,35 +376,19 @@ def _write_svg(out: str, filename: str, svg: str) -> None:
 # train
 
 
-@dataclass(frozen=True)
-class TrainCommandConfig:
-    task: str = "planar-grid"
-    width: int = 8
-    v: float = 0.5
-    eta: float = 0.1
-    max_iters: int = 5000
-    stop_loss: float = 0.0
-    record_every: int = 1
-    seed: int = 0
-    init: str = "random"
-    theta: float = math.pi / 2
-    noise_std: float = 0.0
-    biases: tuple[float, ...] | None = None
-
-
-def _trajectory_rows(result: TrainResult, class_count: int, gc_classes: tuple[int, ...]):
+def _trajectory_rows(result: TrainResult, class_count: int, reports: dict[int, PhaseReport]):
+    timelines = [rep.gc_timeline for rep in reports.values()]
     rows = []
-    for rec in result.records:
+    for i, rec in enumerate(result.records):
         row = [rec.t, rec.loss, rec.weight_norm, rec.grad_norm]
         row += [rec.loss_per_class[c] for c in range(1, class_count + 1)]
         row += list(rec.neuron_norms)
-        flags = rec.gc_flags or {}
-        row += [bool(flags.get(c, False)) for c in gc_classes]
+        row += [timeline[i] for timeline in timelines]
         rows.append(row)
     return rows
 
 
-def _write_trajectory(out: str, result: TrainResult, gc_classes: tuple[int, ...]):
+def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseReport]):
     labels = result.data_labels
     class_count = len(labels)
     if set(labels) != set(range(1, class_count + 1)):
@@ -378,16 +397,16 @@ def _write_trajectory(out: str, result: TrainResult, gc_classes: tuple[int, ...]
         out,
         "trajectory.csv",
         "trajectory",
-        _trajectory_rows(result, class_count, gc_classes),
+        _trajectory_rows(result, class_count, reports),
         group_sizes={
             "loss_class": class_count,
             "neuron_norm": result.params.k,
-            "gc_class": len(gc_classes),
+            "gc_class": len(reports),
         },
     )
 
 
-def _result_json(result: TrainResult) -> dict:
+def _result_json(result: TrainResult, reports: dict[int, PhaseReport]) -> dict:
     return {
         "stop_reason": result.stop_reason,
         "converged_at": result.converged_at,
@@ -402,42 +421,20 @@ def _result_json(result: TrainResult) -> dict:
                 "neuron_norms": list(rec.neuron_norms),
                 "weight_norm": rec.weight_norm,
                 "grad_norm": rec.grad_norm,
-                "gc_flags": {str(k): v for k, v in sorted((rec.gc_flags or {}).items())},
+                "gc_flags": {str(c): rep.gc_timeline[i] for c, rep in reports.items()},
             }
-            for rec in result.records
+            for i, rec in enumerate(result.records)
         ],
     }
 
 
-def cmd_train(cfg: TrainCommandConfig, out: str) -> dict:
-    _check_run_settings(cfg)
-    _require(cfg.width >= 2, f"width must be at least 2, got {cfg.width}")
-    _require(cfg.stop_loss >= 0.0, "stop_loss must be nonnegative")
-    _require(cfg.record_every >= 1, "record_every must be at least 1")
-    _check_biases(cfg.biases, cfg.width)
-    train_classes = (1,) if cfg.task == "planar-grid" else (1, 2)
-    spec = RunSpec(
-        task=cfg.task,
-        width=cfg.width,
-        v=cfg.v,
-        eta=cfg.eta,
-        max_iters=cfg.max_iters,
-        init=cfg.init,
-        seed=cfg.seed,
-        theta=cfg.theta,
-        noise_std=cfg.noise_std,
-        stop_loss=cfg.stop_loss,
-        record_every=cfg.record_every,
-        keep_weights=True,
-        train_classes=train_classes,
-        biases=cfg.biases,
-    )
-    result, data = execute_run(spec)
-    reports = {c: detect_phases(result, c) for c in train_classes}
-    audits = {c: critical_point_audit(result.params, data.subset([c])) for c in train_classes}
+def cmd_train(cfg: RunSpec, out: str) -> dict:
+    result, data = execute_run(cfg)
+    reports = {c: detect_phases(result, c) for c in cfg.train_classes}
+    audits = {c: critical_point_audit(result.params, data.subset([c])) for c in cfg.train_classes}
 
-    _write_trajectory(out, result, train_classes)
-    write_json(os.path.join(out, "trajectory.json"), _result_json(result))
+    _write_trajectory(out, result, reports)
+    write_json(os.path.join(out, "trajectory.json"), _result_json(result, reports))
     write_json(
         os.path.join(out, "phase_report.json"),
         {f"class_{c}": rep.to_json_dict() for c, rep in reports.items()},
@@ -473,15 +470,18 @@ class SweepWidthConfig:
     max_iters: int = 5000
     threads: int = 1
 
+    def __post_init__(self):
+        for w in self.widths:
+            _require(w >= 4 and w % 2 == 0, f"widths must be even and at least 4, got {w}")
+        for init in self.inits:
+            _require(
+                init in ("random", "halfspace"),
+                f"sweep-width inits must be 'random' or 'halfspace', got {init!r}",
+            )
+        _check_sweep(self, task="planar-grid", width=self.widths[0], init=self.inits[0])
+
 
 def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
-    _check_sweep_settings(cfg)
-    for w in cfg.widths:
-        if w < 4 or w % 2:
-            raise ConfigError(f"widths must be even and at least 4, got {w}")
-    for init in cfg.inits:
-        if init not in ("random", "halfspace"):
-            raise ConfigError(f"sweep-width inits must be 'random' or 'halfspace', got {init!r}")
     run_rows = []
     summary_rows = []
     means: dict[str, list[float]] = {init: [] for init in cfg.inits}
@@ -498,12 +498,11 @@ def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
                 boxes.append(
                     (f"{width} {init}", (float(good[0]), q25, med, q75, float(good[-1])), ci)
                 )
-    if not boxes:
-        raise RuntimeError("no run converged in any cell; nothing to summarize")
     _write_table(out, "width_runs.csv", "width_runs", run_rows)
     _write_table(out, "width_summary.csv", "width_summary", summary_rows)
-    svg = box_chart(boxes, "iterations to zero loss by width and init", "iterations")
-    _write_svg(out, "width_box.svg", svg)
+    if boxes:
+        svg = box_chart(boxes, "iterations to zero loss by width and init", "iterations")
+        _write_svg(out, "width_box.svg", svg)
     _write_svg(
         out,
         "width_means.svg",
@@ -534,26 +533,22 @@ class SweepAngleConfig:
     init: str = "random"
     threads: int = 1
 
+    def __post_init__(self):
+        _require(self.width >= 4 and self.width % 2 == 0, f"width must be even and at least 4, got {self.width}")
+        for theta in self.angles:
+            _require(0.0 < theta <= math.pi / 2, f"angles must lie in (0, pi/2], got {theta}")
+        _check_sweep(self, **self.cell(self.angles[0]))
+
+    def cell(self, theta: float) -> dict:
+        return dict(task="subspace-pair", width=self.width, init=self.init, theta=theta, noise_std=self.noise_std)
+
 
 def cmd_sweep_angle(cfg: SweepAngleConfig, out: str) -> dict:
-    _check_sweep_settings(cfg)
-    _require(cfg.width >= 4 and cfg.width % 2 == 0, f"width must be even and at least 4, got {cfg.width}")
-    for theta in cfg.angles:
-        if not (0.0 < theta <= math.pi / 2):
-            raise ConfigError(f"angles must lie in (0, pi/2], got {theta}")
     run_rows = []
     summary_rows = []
     mean_by_angle = []
     for theta in cfg.angles:
-        runs, stats = _run_cell(
-            cfg,
-            task="subspace-pair",
-            width=cfg.width,
-            init=cfg.init,
-            theta=theta,
-            noise_std=cfg.noise_std,
-            train_classes=(1, 2),
-        )
+        runs, stats = _run_cell(cfg, **cfg.cell(theta))
         for r, (seed, it, conv, floss, _, mnorm) in enumerate(runs):
             run_rows.append([theta, r, seed, it, conv, floss, mnorm])
         converged = sum(1 for _, _, conv, *_ in runs if conv)
@@ -594,10 +589,12 @@ class NormHistConfig:
     bins: int = 20
     threads: int = 1
 
+    def __post_init__(self):
+        _require(self.bins >= 1, "bins must be at least 1")
+        _check_sweep(self, task="planar-grid", width=self.width, init=self.init)
+
 
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
-    _check_sweep_settings(cfg)
-    _require(cfg.bins >= 1, "bins must be at least 1")
     runs, _ = _run_cell(cfg, task="planar-grid", width=cfg.width, init=cfg.init)
     rows = [[r, seed, it, conv, fnorm, mnorm] for r, (seed, it, conv, _, fnorm, mnorm) in enumerate(runs)]
     _write_table(out, "norm_runs.csv", "norm_runs", rows)
@@ -624,11 +621,13 @@ class GcProbConfig:
     trials: int = 100000
     seed: int = 0
 
+    def __post_init__(self):
+        _require(self.trials >= 1, f"trials must be at least 1, got {self.trials}")
+        for d, k in self.cells:
+            _require(d >= 1 and k >= 1, f"cells need d >= 1 and k >= 1, got ({d}, {k})")
+
 
 def cmd_gc_prob(cfg: GcProbConfig, out: str) -> dict:
-    _require(cfg.trials >= 1, f"trials must be at least 1, got {cfg.trials}")
-    for d, k in cfg.cells:
-        _require(d >= 1 and k >= 1, f"cells need d >= 1 and k >= 1, got ({d}, {k})")
     rng = Rng(cfg.seed)
     rows = []
     for i, (d, k) in enumerate(cfg.cells):
@@ -661,22 +660,19 @@ class TraceDynamicsConfig:
     init: str = "three-rays"
     rho_samples: int = 512
 
+    def __post_init__(self):
+        self.run_spec()  # checks the run settings and the init
+        _require(self.rho_samples >= 3, f"rho_samples must be at least 3, got {self.rho_samples}")
+
+    def run_spec(self) -> RunSpec:
+        """The traced run: six planar units, recorded at every iteration."""
+        return RunSpec(
+            task="planar-grid", width=6, v=self.v, eta=self.eta, max_iters=self.max_iters, seed=self.seed, init=self.init
+        )
+
 
 def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
-    _check_run_settings(cfg)
-    _require(cfg.rho_samples >= 3, f"rho_samples must be at least 3, got {cfg.rho_samples}")
-    spec = RunSpec(
-        task="planar-grid",
-        width=6,
-        v=cfg.v,
-        eta=cfg.eta,
-        max_iters=cfg.max_iters,
-        init=cfg.init,
-        seed=cfg.seed,
-        keep_weights=True,
-        record_every=1,
-    )
-    result, data = execute_run(spec)
+    result, data = execute_run(cfg.run_spec())
     final_t = result.records[-1].t
     wanted = sorted({min(max(t, 0), final_t) for t in cfg.snapshots} | {final_t})
     t_to_index = {rec.t: i for i, rec in enumerate(result.records)}
@@ -688,7 +684,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
     frames = []
     for t in wanted:
         idx = t_to_index[t]
-        W = result.weights[idx]
+        W = result.records[idx].weights
         params_t = result.params.with_weights(W)
         pos = W[:, owner == 1]
         norms = np.linalg.norm(pos, axis=0)
@@ -726,7 +722,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
             "frames": frames,
         },
     )
-    _write_trajectory(out, result, ())
+    _write_trajectory(out, result, {})
     return {
         "stop_reason": result.stop_reason,
         "converged_at": result.converged_at,
@@ -753,18 +749,27 @@ class LandscapeAuditConfig:
     biases: tuple[float, ...] | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        _check_run_settings(self)
+        _require(self.pairs >= 1, "pairs must be at least 1")
+        _require(self.audit_runs >= 0, "audit_runs must be nonnegative")
+        _require(self.samples_per_class >= 1, "samples_per_class must be at least 1")
+        _require(self.subspace_dim >= 1, "subspace_dim must be at least 1")
+        _require(0.0 < self.data_min < self.data_max < math.inf, "need 0 < data_min < data_max < inf")
+        _require(self.width >= 4 and self.width % 2 == 0, f"width must be even and at least 4, got {self.width}")
+        _require(
+            self.width // 2 > self.subspace_dim,
+            f"the zero-loss construction needs more than subspace_dim ({self.subspace_dim}) "
+            f"units per class, got width {self.width}",
+        )
+        _check_biases(self.biases, self.width)
+        _require(
+            self.biases is None or sum(self.biases) != 0.0,
+            "the weight-perturbation diagnostic needs nonzero biases",
+        )
+
 
 def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
-    _check_run_settings(cfg)
-    _require(cfg.pairs >= 1, "pairs must be at least 1")
-    _require(cfg.audit_runs >= 0, "audit_runs must be nonnegative")
-    _require(cfg.samples_per_class >= 1, "samples_per_class must be at least 1")
-    _require(cfg.subspace_dim >= 1, "subspace_dim must be at least 1")
-    _require(0.0 < cfg.data_min < cfg.data_max, "need 0 < data_min < data_max")
-    _require(cfg.width >= 4 and cfg.width % 2 == 0, f"width must be even and at least 4, got {cfg.width}")
-    _check_biases(cfg.biases, cfg.width)
-    if cfg.biases is not None and sum(cfg.biases) == 0.0:
-        raise ConfigError("the weight-perturbation diagnostic needs nonzero biases")
     rng = Rng(cfg.seed)
     output = binary_output_map(cfg.width, cfg.v)
     dist = AnnulusDistribution(np.eye(cfg.subspace_dim), cfg.data_min, cfg.data_max)
@@ -841,7 +846,7 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
 
 
 COMMANDS = {
-    "train": (TrainCommandConfig, cmd_train),
+    "train": (RunSpec, cmd_train),
     "sweep-width": (SweepWidthConfig, cmd_sweep_width),
     "sweep-angle": (SweepAngleConfig, cmd_sweep_angle),
     "norm-hist": (NormHistConfig, cmd_norm_hist),

@@ -191,11 +191,11 @@ def detect_phases(
 ) -> PhaseReport:
     """Geometric-condition timeline of the class's owner directions over every record.
 
-    Needs weight snapshots; for a faithful phase split train with
-    record_every=1 and keep_weights=True.  A snapshot whose owner columns are
-    all numerically zero, or whose verdict is degenerate, counts as not
-    holding.  The verdict is gc_check's (the LP with its certificate):
-    "holds", with the given tol.
+    Each record's weight matrix is one snapshot; for a faithful phase split
+    train with record_every=1.  The records are read, never changed.  A
+    snapshot whose owner columns are all numerically zero, or whose verdict
+    is degenerate, counts as not holding.  The verdict is gc_check's (the LP
+    with its certificate): "holds", with the given tol.
 
     The whole timeline is judged at once from the signed slack of
     gc_slack_batch over the (T, k, d) stack of owner directions: a slack below
@@ -221,16 +221,12 @@ def detect_phases(
     Above band the directions lie in an open half-plane (or, for d >= 3, in a
     closed hemisphere), which the LP can only call failing or degenerate.
     """
-    if result.weights is None or len(result.weights) != len(result.records):
-        raise ValueError(
-            "phase detection needs one weight snapshot per record; "
-            "train with keep_weights=True (and record_every=1 for per-step resolution)"
-        )
     owner_cols = result.params.output.owner_columns(class_label)
     if owner_cols.size == 0:
         raise ValueError(f"class {class_label} owns no hidden units")
 
-    W = np.stack(result.weights)[:, :, owner_cols]
+    snapshots = [rec.weights for rec in result.records]
+    W = np.stack(snapshots)[:, :, owner_cols]
     T, d, k = W.shape
     norms = np.linalg.norm(W, axis=1)
     kept = np.all(norms > drop_tol, axis=1)
@@ -242,24 +238,20 @@ def detect_phases(
     if d != 2:
         decided &= ~flags
     for i in np.flatnonzero(~decided):
-        flags[i] = _lp_holds(result.weights[i], owner_cols, tol, drop_tol)
+        flags[i] = _lp_holds(snapshots[i], owner_cols, tol, drop_tol)
     checks = np.concatenate(([0], np.flatnonzero(flags[1:] != flags[:-1]) + 1))
     if any(
-        _lp_holds(result.weights[i], owner_cols, tol, drop_tol) != flags[i]
+        _lp_holds(snapshots[i], owner_cols, tol, drop_tol) != flags[i]
         for i in checks
         if decided[i]
     ):
-        flags = np.array([_lp_holds(W_t, owner_cols, tol, drop_tol) for W_t in result.weights])
+        flags = np.array([_lp_holds(W_t, owner_cols, tol, drop_tol) for W_t in snapshots])
 
     times = tuple(rec.t for rec in result.records)
     first_idx = int(np.argmax(flags)) if flags.any() else None
     first_hold = times[first_idx] if first_idx is not None else None
     persistence = float(flags[first_idx:].mean()) if first_idx is not None else None
     losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
-    for rec, flag in zip(result.records, flags):
-        if rec.gc_flags is None:
-            rec.gc_flags = {}
-        rec.gc_flags[class_label] = bool(flag)
     return PhaseReport(
         class_label=class_label,
         times=times,

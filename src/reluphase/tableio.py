@@ -34,14 +34,13 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnGroup:
-    """Run of numbered columns <prefix><sep>1..<prefix><sep>m, m >= 0 per file."""
+    """Run of numbered columns <prefix>_1..<prefix>_m, m >= 0 per file."""
 
     prefix: str
     kind: str
-    sep: str = "_"
 
     def name(self, index: int) -> str:
-        return f"{self.prefix}{self.sep}{index}"
+        return f"{self.prefix}_{index}"
 
 
 @dataclass(frozen=True)
@@ -164,12 +163,6 @@ SCHEMAS: dict[str, CsvSchema] = {
             ("within_three_se", "bool"),
         ),
     ),
-    "dataset": CsvSchema(
-        name="dataset",
-        version=1,
-        fixed=(("label", "int"),),
-        groups=(ColumnGroup("x", "float", sep=""),),
-    ),
 }
 
 # Which schema a file follows, by basename.
@@ -183,7 +176,6 @@ _BASENAME_TO_SCHEMA = {
     "norm_hist.csv": "histogram",
     "lipschitz_hist.csv": "histogram",
     "gc_prob.csv": "gc_prob",
-    "dataset.csv": "dataset",
 }
 
 

@@ -8,6 +8,7 @@ updated.  The matrix norm used throughout is the sum of column norms.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ class TrainConfig:
     record_every: int = 1
     train_classes: tuple[int, ...] | None = None
     r_max: float = 1e3
-    keep_weights: bool = True
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0.0):
@@ -68,8 +68,8 @@ class TrajectoryRecord:
     """State of the run at iteration t, measured before any step is taken.
 
     loss is the trained objective (mean over the selected samples);
-    loss_per_class covers every class present in the dataset.  gc_flags is
-    filled in later by phase detection, one flag per trained class.
+    loss_per_class covers every class present in the dataset.  weights is
+    the (d, k) hidden-layer matrix W^t itself.
     """
 
     t: int
@@ -78,14 +78,13 @@ class TrajectoryRecord:
     neuron_norms: np.ndarray
     weight_norm: float
     grad_norm: float
-    gc_flags: dict[int, bool] | None = None
+    weights: np.ndarray
 
 
 @dataclass
 class TrainResult:
     params: NetworkParams
     records: list[TrajectoryRecord]
-    weights: list[np.ndarray] | None
     stop_reason: str  # converged | dead_start | stalled | max_iters
     converged_at: int | None
     max_weight_norm: float
@@ -138,34 +137,8 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
     X, y0 = data.X, data.y - 1
 
     records: list[TrajectoryRecord] = []
-    weights: list[np.ndarray] | None = [] if config.keep_weights else None
     max_norm = 0.0
-    converged_at: int | None = None
-    last_recorded = -1
-
-    def record(t, loss, losses, grad):
-        nonlocal last_recorded
-        if t == last_recorded:
-            return
-        per_class = {label: float(losses[idx].mean()) for label, idx in class_rows.items()}
-        col_norms = np.linalg.norm(W, axis=0)
-        records.append(
-            TrajectoryRecord(
-                t=t,
-                loss=loss,
-                loss_per_class=per_class,
-                neuron_norms=col_norms,
-                weight_norm=float(col_norms.sum()),
-                grad_norm=weight_matrix_norm(grad),
-            )
-        )
-        if weights is not None:
-            weights.append(W.copy())
-        last_recorded = t
-
-    t = 0
-    stop_reason = "max_iters"
-    while True:
+    for t in itertools.count():
         loss, losses, grad = batch_loss_grad(W, b, values, X, y0, rows)
         if not np.all(np.isfinite(grad)) or not np.isfinite(loss):
             raise RuntimeError(
@@ -173,32 +146,38 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
                 f"{weight_matrix_norm(W)} suggests divergence (step size too large?)"
             )
         max_norm = max(max_norm, weight_matrix_norm(W))
-        due = t % config.record_every == 0
         if loss <= config.stop_loss:
-            record(t, loss, losses, grad)
             stop_reason = "converged"
-            converged_at = t
-            break
-        if not grad.any():
-            record(t, loss, losses, grad)
+        elif not grad.any():
             stop_reason = "dead_start" if t == 0 else "stalled"
-            break
-        if t == config.max_iters:
-            record(t, loss, losses, grad)
+        elif t == config.max_iters:
             stop_reason = "max_iters"
+        else:
+            stop_reason = None
+        if stop_reason is not None or t % config.record_every == 0:
+            col_norms = np.linalg.norm(W, axis=0)
+            records.append(
+                TrajectoryRecord(
+                    t=t,
+                    loss=loss,
+                    loss_per_class={label: float(losses[idx].mean()) for label, idx in class_rows.items()},
+                    neuron_norms=col_norms,
+                    weight_norm=float(col_norms.sum()),
+                    grad_norm=weight_matrix_norm(grad),
+                    # The loop rebinds W each step and never writes into it.
+                    weights=W,
+                )
+            )
+        if stop_reason is not None:
             break
-        if due:
-            record(t, loss, losses, grad)
         W = W - config.eta * grad
-        t += 1
 
     final = params.with_weights(W)
     return TrainResult(
         params=final,
         records=records,
-        weights=weights,
         stop_reason=stop_reason,
-        converged_at=converged_at,
+        converged_at=t if stop_reason == "converged" else None,
         max_weight_norm=max_norm,
         diverged=max_norm > config.r_max,
         config=config,

@@ -95,7 +95,6 @@ def crit3_runs():
             max_iters=5000,
             init="random",
             seed=seed,
-            keep_weights=True,
         )
         result, data = execute_run(spec)
         stats.append(
@@ -148,8 +147,9 @@ def width_cells():
 def angle_runs():
     """Joint two-class runs over the four swept subspace angles, 20 seeds each.
 
-    For the orthogonal angle the weight snapshots are kept so owner norms can
-    be audited inside each class's own subspace.
+    For the orthogonal angle every iteration is recorded so owner norms can
+    be audited inside each class's own subspace; the other angles record only
+    the endpoints.
     """
     runs = {theta: [] for theta in SWEEP_ANGLES}
     for theta in SWEEP_ANGLES:
@@ -165,8 +165,7 @@ def angle_runs():
                 init="random",
                 seed=seed,
                 theta=theta,
-                train_classes=(1, 2),
-                keep_weights=keep,
+                record_every=1 if keep else 20000,
             )
             result, _ = execute_run(spec)
             entry = {
@@ -180,7 +179,7 @@ def angle_runs():
                     basis = pair.basis(label)
                     cols = result.params.output.owner_columns(label)
                     projected = np.array(
-                        [np.linalg.norm(basis.T @ W, axis=0) for W in result.weights]
+                        [np.linalg.norm(basis.T @ rec.weights, axis=0) for rec in result.records]
                     )
                     total += len(owner_norm_violations(projected, times, cols))
                 entry["projected_violations"] = total

@@ -12,7 +12,6 @@ from reluphase import (
     predict,
     predict_batch,
     predict_binary,
-    validate_output_map,
 )
 
 
@@ -86,31 +85,27 @@ class TestOutputMap:
         m = build_output_map(2, 4, 1.0)
         values = np.array(m.values)
         values[1, 0] = 1.0
-        bad = type(m)(values=values, v=1.0, owner=np.array(m.owner))
         with pytest.raises(ValueError, match="exactly one positive"):
-            validate_output_map(bad)
+            type(m)(values=values, v=1.0, owner=np.array(m.owner))
 
     def test_validate_rejects_wrong_magnitude(self):
         m = build_output_map(2, 4, 1.0)
         values = np.array(m.values)
         values[0, 1] = -0.5
-        bad = type(m)(values=values, v=1.0, owner=np.array(m.owner))
         with pytest.raises(ValueError, match="magnitude"):
-            validate_output_map(bad)
+            type(m)(values=values, v=1.0, owner=np.array(m.owner))
 
     def test_validate_rejects_unowned_class(self):
         m = build_output_map(2, 2, 1.0)
         values = np.array(m.values)
         values[:, 1] = [1.0, -1.0]  # class 2 now owns nothing
-        bad = type(m)(values=values, v=1.0, owner=np.array([1, 1]))
         with pytest.raises(ValueError, match="at least one"):
-            validate_output_map(bad)
+            type(m)(values=values, v=1.0, owner=np.array([1, 1]))
 
     def test_validate_rejects_owner_mismatch(self):
         m = build_output_map(2, 4, 1.0)
-        bad = type(m)(values=np.array(m.values), v=1.0, owner=np.array([2, 1, 2, 1]))
         with pytest.raises(ValueError, match="owner labels"):
-            validate_output_map(bad)
+            type(m)(values=np.array(m.values), v=1.0, owner=np.array([2, 1, 2, 1]))
 
 
 class TestNetworkParams:

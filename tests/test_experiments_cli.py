@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from reluphase.experiments import (
     COMMANDS,
     ConfigError,
     RunSpec,
-    TrainCommandConfig,
     _build_config,
     _config_snapshot,
     _worker_count,
@@ -31,27 +31,27 @@ from reluphase.tableio import validate_csv
 
 class TestConfigBuilding:
     def test_defaults_fill_in(self):
-        cfg = _build_config(TrainCommandConfig, {})
-        assert cfg == TrainCommandConfig()
+        cfg = _build_config(RunSpec, {})
+        assert cfg == RunSpec()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
-            _build_config(TrainCommandConfig, {"widht": 8})
+            _build_config(RunSpec, {"widht": 8})
 
     def test_bool_rejected_for_int(self):
         with pytest.raises(ConfigError, match="width"):
-            _build_config(TrainCommandConfig, {"width": True})
+            _build_config(RunSpec, {"width": True})
 
     def test_string_rejected_for_float(self):
         with pytest.raises(ConfigError, match="eta"):
-            _build_config(TrainCommandConfig, {"eta": "fast"})
+            _build_config(RunSpec, {"eta": "fast"})
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
-            _build_config(TrainCommandConfig, [1, 2])
+            _build_config(RunSpec, [1, 2])
 
     def test_biases_list_coerced_to_tuple(self):
-        cfg = _build_config(TrainCommandConfig, {"biases": [0.1, 0.1, 0.1, 0.1], "width": 4})
+        cfg = _build_config(RunSpec, {"biases": [0.1, 0.1, 0.1, 0.1], "width": 4})
         assert cfg.biases == (0.1, 0.1, 0.1, 0.1)
 
     def test_pair_list_validation(self):
@@ -64,7 +64,7 @@ class TestConfigBuilding:
             _build_config(cls, {"cells": "23"})
 
     def test_snapshot_names_command_and_lists_tuples(self):
-        cfg = TrainCommandConfig(biases=(0.1, 0.2))
+        cfg = RunSpec(width=2, biases=(0.1, 0.2))
         snap = _config_snapshot("train", cfg)
         assert snap["command"] == "train"
         assert snap["biases"] == [0.1, 0.2]
@@ -102,7 +102,8 @@ class TestConfigFromFields:
             if not f.type.startswith("tuple"):
                 continue
             default = getattr(cls(), f.name)
-            expected = default if default is not None else (0.25, 0.5)
+            # biases, the one optional list, takes a value per hidden unit
+            expected = default if default is not None else (0.05,) * cls().width
             value = getattr(_build_config(cls, {f.name: json.loads(json.dumps(expected))}), f.name)
             assert isinstance(value, tuple) and value == expected, f.name
             assert all(not isinstance(item, list) for item in value), f.name
@@ -229,7 +230,7 @@ def run_counter(monkeypatch):
     return calls
 
 
-# One case per training command for the shared eta / max_iters / v check.
+# Bad run settings, each rejected when its command's config is built.
 BAD_RUN_SETTINGS = [
     ("train", {"v": -1}, "v must be positive"),
     ("train", {"v": math.inf}, "v must be positive"),
@@ -241,6 +242,12 @@ BAD_RUN_SETTINGS = [
     ("landscape-audit", {"eta": -1}, "eta must be positive"),
     ("landscape-audit", {"max_iters": 0}, "max_iters must be at least 1, got 0"),
     ("landscape-audit", {"v": -2}, "v must be positive"),
+    ("train", {"noise_std": -1}, "noise_std must be finite and nonnegative"),
+    ("train", {"task": "subspace-pair", "theta": 3.0}, "theta must lie in"),
+    ("sweep-angle", {"angles": [1.0], "runs": 1, "max_iters": 5, "noise_std": -1}, "noise_std must be"),
+    ("train", {"task": "nope"}, "unknown task"),
+    ("landscape-audit", {"subspace_dim": 4}, "zero-loss construction needs more than subspace_dim"),
+    ("landscape-audit", {"data_max": 1e400}, "data_max < inf"),
 ]
 
 
@@ -250,6 +257,7 @@ class TestRunSettingChecks:
         with pytest.raises(ConfigError, match=message):
             run_command(command, mapping, str(tmp_path / "x"))
         assert run_counter == []
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command, mapping, message", BAD_RUN_SETTINGS)
     def test_cli_exits_2(self, tmp_path, capsys, run_counter, command, mapping, message):
@@ -260,6 +268,7 @@ class TestRunSettingChecks:
         assert err.startswith("config error: ") and message in err
         assert "Traceback" not in err
         assert run_counter == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["sweep-width", "sweep-angle", "norm-hist", "trace-dynamics"])
     def test_max_iters_message_names_the_value(self, tmp_path, run_counter, command):
@@ -298,6 +307,26 @@ class TestRunCommand:
         report = json.loads((out / "phase_report.json").read_text())
         assert set(report) == {"class_1"}
 
+    @pytest.mark.parametrize(
+        "mapping",
+        [{"width": 6, "max_iters": 400}, {"task": "subspace-pair", "width": 16, "max_iters": 200, "seed": 2}],
+        ids=["planar-grid", "subspace-pair"],
+    )
+    def test_train_outputs_agree_on_gc_flags(self, tmp_path, mapping):
+        out = tmp_path / "train"
+        run_command("train", mapping, str(out))
+        report = json.loads((out / "phase_report.json").read_text())
+        timelines = {key.removeprefix("class_"): rep["gc_timeline"] for key, rep in report.items()}
+        # a timeline that flips, so a shifted or swapped column would show
+        assert any(len(set(timeline)) == 2 for timeline in timelines.values())
+        with open(out / "trajectory.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        records = json.loads((out / "trajectory.json").read_text())["records"]
+        assert all(set(rec["gc_flags"]) == set(timelines) for rec in records)
+        for c, timeline in timelines.items():
+            assert [row[f"gc_class_{c}"] == "true" for row in rows] == timeline
+            assert [rec["gc_flags"][c] for rec in records] == timeline
+
     def test_train_bad_biases(self, tmp_path):
         with pytest.raises(ConfigError, match="biases"):
             run_command("train", {"width": 4, "biases": [0.5, 0.5, 0.5, 0.5]}, str(tmp_path / "x"))
@@ -328,6 +357,20 @@ class TestRunCommand:
         assert (out / "width_means.svg").exists()
         assert list(summary["means"]) == ["random"]
         assert len(summary["means"]["random"]) == 1
+
+    def test_sweep_width_without_convergence(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"widths": [6], "inits": ["random"], "runs": 1, "max_iters": 1}))
+        out = tmp_path / "sw"
+        assert main(["sweep-width", "--out", str(out), "--config", str(cfg)]) == 0
+        with open(out / "width_runs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["iterations"], r["converged"]) for r in rows] == [("0", "-1", "false")]
+        with open(out / "width_summary.csv") as fh:
+            (summary,) = csv.DictReader(fh)
+        assert summary["converged"] == "0" and summary["mean_iterations"] == "-1.0"
+        assert (out / "width_means.svg").exists()
+        assert not (out / "width_box.svg").exists()
 
     def test_sweep_width_zero_runs(self, tmp_path):
         with pytest.raises(ConfigError, match="runs"):

@@ -39,8 +39,9 @@ class TestSchemas:
         assert schema_for_file("/a/b/trajectory.csv").name == "trajectory"
         assert schema_for_file("norm_hist.csv").name == "histogram"
         assert schema_for_file("lipschitz_hist.csv").name == "histogram"
-        with pytest.raises(SchemaError, match="no schema"):
-            schema_for_file("mystery.csv")
+        for name in ("mystery.csv", "dataset.csv"):
+            with pytest.raises(SchemaError, match="no schema"):
+                schema_for_file(name)
 
 
 class TestCsvRoundTrip:

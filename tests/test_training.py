@@ -7,7 +7,6 @@ from reluphase import (
     Rng,
     TrainConfig,
     build_output_map,
-    detect_phases,
     gd_step,
     grid_dataset_planar,
     init_random,
@@ -144,7 +143,6 @@ class TestRecording:
         assert res.converged_at == 20
         assert times == [0, 3, 6, 9, 12, 15, 18, 20]
         assert len(times) == len(set(times))
-        assert len(res.weights) == len(res.records)
 
     def test_record_fields(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
@@ -156,15 +154,7 @@ class TestRecording:
         np.testing.assert_allclose(first.neuron_norms, [0.1, 0.0])
         assert first.weight_norm == pytest.approx(0.1)
         assert first.grad_norm == pytest.approx(2.0)
-        assert first.gc_flags is None
-
-    def test_keep_weights_false(self):
-        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,), keep_weights=False)
-        res = train(params, single_point(), cfg)
-        assert res.weights is None
-        with pytest.raises(ValueError, match="keep_weights"):
-            detect_phases(res, 1)
+        np.testing.assert_array_equal(first.weights, params.weights)
 
 
 class TestAgainstManualSteps:
@@ -177,10 +167,10 @@ class TestAgainstManualSteps:
         cfg = TrainConfig(eta=0.05, max_iters=10, train_classes=(1,))
         res = train(params, data, cfg)
         manual = params
-        for t, W in enumerate(res.weights[:-1]):
-            np.testing.assert_array_equal(W, manual.weights, err_msg=f"t={t}")
+        for rec in res.records[:-1]:
+            np.testing.assert_array_equal(rec.weights, manual.weights, err_msg=f"t={rec.t}")
             manual = gd_step(manual, data, cfg.eta, cfg.train_classes)
-        np.testing.assert_array_equal(res.weights[-1], manual.weights)
+        np.testing.assert_array_equal(res.records[-1].weights, manual.weights)
         np.testing.assert_array_equal(res.params.weights, manual.weights)
 
     def test_trained_classes_property(self):
