@@ -157,31 +157,57 @@ def binary_output_map(width: int, v: float = 0.5) -> OutputMap:
     return build_output_map(2, width, v)
 
 
-def build_task(task: str, theta: float, noise_std: float, rng: Rng | None) -> LabeledDataset:
-    """planar-grid: one class's polar grid in R^2.  subspace-pair: both classes in R^4."""
-    spec = GridDatasetSpec(noise_std=noise_std)
-    if task == "planar-grid":
-        return grid_dataset_planar(spec, label=1, rng=rng)
-    if task == "subspace-pair":
-        return grid_dataset(make_subspace_pair(theta), spec, rng=rng)
-    raise ConfigError(f"unknown task {task!r}; expected 'planar-grid' or 'subspace-pair'")
-
-
-def initial_weights(init: str, d: int, width: int, rng: Rng) -> np.ndarray:
-    if init == "random":
-        return init_random(d, width, rng)
-    if init == "halfspace":
-        return init_halfspace(d, width, rng)
-    if init == "three-rays":
-        if d != 2 or width != 6:
-            raise ConfigError("the three-rays init is the fixed 6-unit planar layout (d=2, width=6)")
-        return init_three_rays()
-    raise ConfigError(f"unknown init {init!r}; expected 'random', 'halfspace', or 'three-rays'")
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
+
+
+def _planar_grid(spec: GridDatasetSpec, theta: float, rng: Rng | None) -> LabeledDataset:
+    return grid_dataset_planar(spec, label=1, rng=rng)
+
+
+def _subspace_pair(spec: GridDatasetSpec, theta: float, rng: Rng | None) -> LabeledDataset:
+    return grid_dataset(make_subspace_pair(theta), spec, rng=rng)
+
+
+# Task name -> (dataset builder, input dimension, trained classes).  The
+# planar grid holds class 1 only.
+_TASKS = {
+    "planar-grid": (_planar_grid, 2, (1,)),
+    "subspace-pair": (_subspace_pair, 4, (1, 2)),
+}
+
+# Init name -> weight initializer (d, width, rng).
+_INITS = {
+    "random": init_random,
+    "halfspace": init_halfspace,
+    "three-rays": lambda d, width, rng: init_three_rays(),
+}
+
+
+def _require_known(kind: str, name: str, table: dict) -> None:
+    names = ", ".join(repr(known) for known in table)
+    _require(name in table, f"unknown {kind} {name!r}; expected one of {names}")
+
+
+def _check_init(init: str, d: int, width: int) -> None:
+    _require_known("init", init, _INITS)
+    _require(
+        init != "three-rays" or (d == 2 and width == 6),
+        "the three-rays init is the fixed 6-unit planar layout (d=2, width=6)",
+    )
+
+
+def build_task(task: str, theta: float, noise_std: float, rng: Rng | None) -> LabeledDataset:
+    """planar-grid: one class's polar grid in R^2.  subspace-pair: both classes in R^4."""
+    _require_known("task", task, _TASKS)
+    build, _, _ = _TASKS[task]
+    return build(GridDatasetSpec(noise_std=noise_std), theta, rng)
+
+
+def initial_weights(init: str, d: int, width: int, rng: Rng) -> np.ndarray:
+    _check_init(init, d, width)
+    return _INITS[init](d, width, rng)
 
 
 def _check_run_settings(cfg) -> None:
@@ -201,10 +227,6 @@ def _check_biases(biases, width: int) -> None:
     total = sum(biases)
     if total != 0.0 and not (0.0 < total < 1.0):
         raise ConfigError(f"nonzero biases must sum into (0, 1), got {total}")
-
-
-# The classes each task trains: the planar grid holds class 1 only.
-_TASK_CLASSES = {"planar-grid": (1,), "subspace-pair": (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -230,18 +252,8 @@ class RunSpec:
         _require(self.stop_loss >= 0.0, "stop_loss must be nonnegative")
         _require(self.record_every >= 1, "record_every must be at least 1")
         _check_biases(self.biases, self.width)
-        _require(
-            self.task in _TASK_CLASSES,
-            f"unknown task {self.task!r}; expected 'planar-grid' or 'subspace-pair'",
-        )
-        _require(
-            self.init in ("random", "halfspace", "three-rays"),
-            f"unknown init {self.init!r}; expected 'random', 'halfspace', or 'three-rays'",
-        )
-        _require(
-            self.init != "three-rays" or (self.task == "planar-grid" and self.width == 6),
-            "the three-rays init is the fixed 6-unit planar layout (d=2, width=6)",
-        )
+        _require_known("task", self.task, _TASKS)
+        _check_init(self.init, _TASKS[self.task][1], self.width)
         _require(
             math.isfinite(self.noise_std) and self.noise_std >= 0.0,
             f"noise_std must be finite and nonnegative, got {self.noise_std}",
@@ -251,7 +263,7 @@ class RunSpec:
 
     @property
     def train_classes(self) -> tuple[int, ...]:
-        return _TASK_CLASSES[self.task]
+        return _TASKS[self.task][2]
 
 
 def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:

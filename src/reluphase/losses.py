@@ -40,30 +40,49 @@ def _select(data: LabeledDataset, classes) -> np.ndarray:
     return rows
 
 
-def _margins(F: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """(N, n) hinge margins 1 - f_y + f_i with the i = y column zeroed."""
-    rows = np.arange(F.shape[0])
-    m = 1.0 - F[rows, y0][:, None] + F
-    m[rows, y0] = 0.0
-    return m
+def _hinge(F: np.ndarray, y0: np.ndarray):
+    """Hinge terms class by class: (losses (N,), strict flags (N, n), flag count (N,)).
+
+    Class c has margin m_c = 1 - f_y + F[:, c].  For c != y it adds
+    max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN) and
+    is active when m_c > 0.
+    """
+    N, n = F.shape
+    slack = 1.0 - F[np.arange(N), y0]
+    losses = np.zeros(N)
+    count = np.zeros(N)
+    active = np.empty((N, n), dtype=bool)
+    for c in range(n):
+        margin = slack + F[:, c]
+        other = y0 != c
+        np.add(losses, np.maximum(margin, 0.0), out=losses, where=other)
+        flag = np.greater(margin, 0.0, out=active[:, c])
+        flag &= other
+        count += flag
+    return losses, active, count
 
 
 def batch_loss_grad(W, b, values, X, y0, rows):
     """Mean loss and mean subgradient over the given sample rows.
 
     Array-level workhorse shared by the public ops and the training loop so
-    both follow bit-identical arithmetic.  y0 holds 0-based labels.
+    both follow bit-identical arithmetic.  y0 holds 0-based labels and rows
+    distinct sample indices; values is an OutputMap's matrix.
     """
     F, H = forward_arrays(W, b, values, X)
-    margins = _margins(F, y0)
-    losses = np.maximum(margins, 0.0).sum(axis=1)
-    active = margins > 0.0
-    # coefficient of x in d/dw_j, per sample: sum_i active * (V[y,j] - V[i,j])
-    coef = active.sum(axis=1)[:, None] * values[y0, :] - active @ values
-    coef = coef * (H > 0.0)
-    sel = coef[rows]
-    grad = -(X[rows].T @ sel) / rows.size
-    return float(losses[rows].mean()), losses, grad
+    losses, active, count = _hinge(F, y0)
+    # Column j of values is +v on its owner class o_j and -v on every other
+    # class, so the coefficient sum_i active_i (V[y, j] - V[i, j]) of x in
+    # d/dw_j equals 2v (count [o_j = y] - active[o_j]); table[:, c] holds it
+    # for the units that class c owns.
+    table = np.negative(active, dtype=float)
+    table[np.arange(y0.size), y0] = count
+    table *= 2.0 * values.max()
+    coef = table[:, values.argmax(axis=0)]
+    coef *= H > 0.0
+    if rows.size == y0.size:
+        return float(losses.mean()), losses, -(X.T @ coef) / rows.size
+    return float(losses[rows].mean()), losses, -(X[rows].T @ coef[rows]) / rows.size
 
 
 def sample_loss(params: NetworkParams, x: np.ndarray, y: int) -> float:
@@ -74,7 +93,8 @@ def sample_loss(params: NetworkParams, x: np.ndarray, y: int) -> float:
 
 def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
     F, _ = forward_batch(params, data.X)
-    return np.maximum(_margins(F, data.y - 1), 0.0).sum(axis=1)
+    losses, _, _ = _hinge(F, data.y - 1)
+    return losses
 
 
 def dataset_loss(params: NetworkParams, data: LabeledDataset, classes=None) -> float:
@@ -105,7 +125,8 @@ class ActiveSets:
 
 def active_sets(params: NetworkParams, data: LabeledDataset) -> ActiveSets:
     F, H = forward_batch(params, data.X)
-    return ActiveSets(margin=_margins(F, data.y - 1) > 0.0, relu=H > 0.0)
+    _, margin, _ = _hinge(F, data.y - 1)
+    return ActiveSets(margin=margin, relu=H > 0.0)
 
 
 def directional_derivative_fd(

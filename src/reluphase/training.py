@@ -3,8 +3,10 @@
 Exact stopping semantics: the loop evaluates loss and subgradient at the
 current state W^t before stepping, so "converged" means the recorded state
 itself meets the stop threshold, and a run that starts at a flat point is
-reported as such instead of looping.  Biases and the output map are never
-updated.  The matrix norm used throughout is the sum of column norms.
+reported as such instead of looping.  A run whose loss, subgradient or
+weight norm turns non-finite stops at the last finite iterate with stop
+reason "nonfinite" and is flagged diverged.  Biases and the output map are
+never updated.  The matrix norm used throughout is the sum of column norms.
 """
 from __future__ import annotations
 
@@ -85,7 +87,7 @@ class TrajectoryRecord:
 class TrainResult:
     params: NetworkParams
     records: list[TrajectoryRecord]
-    stop_reason: str  # converged | dead_start | stalled | max_iters
+    stop_reason: str  # converged | dead_start | stalled | max_iters | nonfinite
     converged_at: int | None
     max_weight_norm: float
     diverged: bool
@@ -139,22 +141,27 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
     records: list[TrajectoryRecord] = []
     max_norm = 0.0
     for t in itertools.count():
-        loss, losses, grad = batch_loss_grad(W, b, values, X, y0, rows)
-        if not np.all(np.isfinite(grad)) or not np.isfinite(loss):
-            raise RuntimeError(
-                f"non-finite loss or gradient at iteration {t}; weight norm "
-                f"{weight_matrix_norm(W)} suggests divergence (step size too large?)"
-            )
-        max_norm = max(max_norm, weight_matrix_norm(W))
-        if loss <= config.stop_loss:
-            stop_reason = "converged"
-        elif not grad.any():
-            stop_reason = "dead_start" if t == 0 else "stalled"
-        elif t == config.max_iters:
-            stop_reason = "max_iters"
+        state = batch_loss_grad(W, b, values, X, y0, rows)
+        loss, losses, grad = state
+        norm = weight_matrix_norm(W)
+        if not (np.isfinite(loss) and np.isfinite(norm) and np.all(np.isfinite(grad))):
+            if t == 0:
+                raise RuntimeError("non-finite loss, gradient or weight norm at the initial weights")
+            # Stop at the last iterate whose loss, gradient and norm were finite.
+            t, W, (loss, losses, grad) = t - 1, previous_W, previous_state
+            stop_reason = "nonfinite"
         else:
-            stop_reason = None
-        if stop_reason is not None or t % config.record_every == 0:
+            max_norm = max(max_norm, norm)
+            if loss <= config.stop_loss:
+                stop_reason = "converged"
+            elif not grad.any():
+                stop_reason = "dead_start" if t == 0 else "stalled"
+            elif t == config.max_iters:
+                stop_reason = "max_iters"
+            else:
+                stop_reason = None
+        due = stop_reason is not None or t % config.record_every == 0
+        if due and not (records and records[-1].t == t):
             col_norms = np.linalg.norm(W, axis=0)
             records.append(
                 TrajectoryRecord(
@@ -170,6 +177,7 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
             )
         if stop_reason is not None:
             break
+        previous_W, previous_state = W, state
         W = W - config.eta * grad
 
     final = params.with_weights(W)
@@ -179,7 +187,7 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
         stop_reason=stop_reason,
         converged_at=t if stop_reason == "converged" else None,
         max_weight_norm=max_norm,
-        diverged=max_norm > config.r_max,
+        diverged=stop_reason == "nonfinite" or max_norm > config.r_max,
         config=config,
         data_labels=data.labels,
     )

@@ -372,6 +372,29 @@ class TestRunCommand:
         assert (out / "width_means.svg").exists()
         assert not (out / "width_box.svg").exists()
 
+    @pytest.mark.parametrize("eta", [1e306, 1e200], ids=["loss-overflows", "norm-overflows"])
+    def test_train_divergent_run_ends_cleanly(self, tmp_path, eta):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": eta, "max_iters": 50}))
+        out = tmp_path / "tr"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--out", str(out), "--config", str(cfg)]) == 0
+        payload = json.loads((out / "trajectory.json").read_text())
+        assert payload["stop_reason"] == "nonfinite"
+        assert payload["diverged"] is True
+        assert validate_csv(out / "trajectory.csv") == len(payload["records"])
+
+    def test_sweep_width_divergent_runs_end_cleanly(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        mapping = {"widths": [6], "inits": ["random"], "runs": 2, "max_iters": 50, "eta": 1e306}
+        cfg.write_text(json.dumps(mapping))
+        out = tmp_path / "sw"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep-width", "--out", str(out), "--config", str(cfg)]) == 0
+        with open(out / "width_runs.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["converged"]) for r in rows] == [("0", "false"), ("1", "false")]
+
     def test_sweep_width_zero_runs(self, tmp_path):
         with pytest.raises(ConfigError, match="runs"):
             run_command("sweep-width", {"runs": 0}, str(tmp_path / "x"))

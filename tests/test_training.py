@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from reluphase import training
+from reluphase.losses import batch_loss_grad
 from reluphase import (
     GridDatasetSpec,
     LabeledDataset,
@@ -122,16 +124,49 @@ class TestStopReasons:
         assert small.max_weight_norm == large.max_weight_norm
         assert small.max_weight_norm == pytest.approx(0.5, abs=1e-15)
 
-    def test_nonfinite_loss_raises(self):
+    def test_nonfinite_stops_at_last_finite_iterate(self):
         # An absurd step size overflows unit 2 along the class 2 sample, whose
         # direction overlaps the class 1 sample; the class 1 sample then sees
-        # a +inf score on the wrong class and the hinge overflows, which must
-        # be reported, not silently absorbed.
+        # a +inf score on the wrong class and the hinge overflows.  The run
+        # must end on the iterate before that, not absorb the overflow.
         params = one_unit_per_class([[0.1, 0.1], [0.0, 0.0]])
         data = LabeledDataset(np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([1, 2]))
         cfg = TrainConfig(eta=1e308, max_iters=10)
-        with pytest.raises(RuntimeError, match="non-finite"):
-            train(params, data, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train(params, data, cfg)
+        assert res.stop_reason == "nonfinite"
+        assert res.diverged
+        last = res.records[-1]
+        assert np.isfinite(last.loss) and np.isfinite(last.grad_norm)
+        assert np.all(np.isfinite(last.weights))
+        np.testing.assert_array_equal(res.params.weights, last.weights)
+
+    def test_nonfinite_ends_on_previous_iterate_off_the_record_cadence(self, monkeypatch):
+        # The kernel reports an inf loss at t = 5, so the run ends on t = 4,
+        # which the cadence of 3 did not record: it is appended, by reference.
+        seen = []
+
+        def kernel(W, *rest):
+            seen.append(W)
+            loss, losses, grad = batch_loss_grad(W, *rest)
+            return (np.inf if len(seen) == 6 else loss), losses, grad
+
+        monkeypatch.setattr(training, "batch_loss_grad", kernel)
+        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
+        cfg = TrainConfig(eta=0.01, max_iters=100, record_every=3, train_classes=(1,))
+        res = train(params, single_point(), cfg)
+        assert res.stop_reason == "nonfinite"
+        assert [rec.t for rec in res.records] == [0, 3, 4]
+        assert res.records[-1].weights is seen[4]
+        np.testing.assert_array_equal(res.params.weights, seen[4])
+
+    def test_nonfinite_start_raises(self):
+        # The first score is already inf: no finite iterate exists to stop at.
+        params = one_unit_per_class([[1e308, 0.1], [0.0, 0.0]])
+        data = LabeledDataset(np.array([[2.0, 0.0]]), np.array([2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="initial weights"):
+                train(params, data, TrainConfig(eta=0.1, max_iters=10))
 
 
 class TestRecording:
