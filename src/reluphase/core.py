@@ -8,7 +8,8 @@ output map V stay fixed for the lifetime of a model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +18,6 @@ __all__ = [
     "OutputMap",
     "NetworkParams",
     "build_output_map",
-    "validate_output_map",
     "network_params",
     "forward",
     "forward_arrays",
@@ -91,19 +91,28 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
 class OutputMap:
     """Fixed output layer: values[i, j] = +v when class i owns unit j, else -v.
 
-    The arrays are frozen copies, checked by validate_output_map once here,
-    so every holder of the map can rely on its contract.
+    Built from the owner labels (1..n, each owning at least one unit) and
+    the magnitude v; values is derived from them once and frozen, so a
+    matrix that disagrees with its owners cannot exist.
     """
 
-    values: np.ndarray  # (n, k)
-    v: float
     owner: np.ndarray  # (k,) owning class per hidden unit, labels 1..n
+    v: float
+    values: np.ndarray = field(init=False, repr=False)  # (n, k)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "owner", _frozen(self.owner, dtype=None))
-        validate_output_map(self)
+        owner = _frozen(self.owner, dtype=None)
+        v = float(self.v)
+        if owner.ndim != 1 or owner.size == 0 or not np.issubdtype(owner.dtype, np.integer):
+            raise ValueError("owner must be a non-empty 1-d array of integer labels")
+        labels = np.arange(1, owner.max() + 1)
+        if owner.min() < 1 or not np.all(np.isin(labels, owner)):
+            raise ValueError("every class 1..n must own at least one hidden unit")
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"output magnitude v must be positive and finite, got v={v}")
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "values", _frozen(np.where(owner == labels[:, None], v, -v)))
 
     @property
     def n(self) -> int:
@@ -124,49 +133,20 @@ def build_output_map(n: int, k: int, v: float) -> OutputMap:
         raise ValueError(f"output map needs at least two classes, got n={n}")
     if k < n:
         raise ValueError(f"output map needs k >= n so every class owns a unit, got k={k} < n={n}")
-    if not (v > 0.0):
-        raise ValueError(f"output magnitude v must be positive, got v={v}")
-    owner = np.arange(k) % n + 1
-    values = np.where(owner[None, :] == np.arange(1, n + 1)[:, None], v, -v)
-    return OutputMap(values=values, v=v, owner=owner)
-
-
-def validate_output_map(m: OutputMap) -> None:
-    """Check the structural contract on the raw matrix, independent of builder.
-
-    Every class owns at least one unit; a positive entry in a column forces
-    every other entry of that column negative (single owner); all entries
-    have magnitude exactly v.
-    """
-    values = np.asarray(m.values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError("output map values must be a 2-d array")
-    n, k = values.shape
-    if not np.all(np.abs(np.abs(values) - m.v) == 0.0):
-        raise ValueError("output map entries must all have magnitude exactly v")
-    pos = values > 0
-    if not np.all(pos.sum(axis=0) == 1):
-        raise ValueError("each hidden unit must have exactly one positive (owner) class")
-    if not np.all(pos.any(axis=1)):
-        raise ValueError("every class must own at least one hidden unit")
-    owner = pos.argmax(axis=0) + 1
-    if not np.array_equal(owner, np.asarray(m.owner)):
-        raise ValueError("owner labels disagree with the sign pattern of values")
+    return OutputMap(owner=np.arange(k) % n + 1, v=v)
 
 
 @dataclass(frozen=True)
 class NetworkParams:
     """Immutable snapshot of the full model state.
 
-    weights: (d, k), column j is hidden unit j.  biases: (k,) nonnegative.
-    mode is "no-bias" (all biases zero, the positively homogeneous case) or
-    "bias" (0 < sum of biases < 1).
+    weights: (d, k), column j is hidden unit j.  biases: (k,) nonnegative,
+    either all zero or summing into (0, 1).
     """
 
     weights: np.ndarray
     biases: np.ndarray
     output: OutputMap
-    mode: str
 
     def __post_init__(self):
         w = _frozen(self.weights)
@@ -183,15 +163,13 @@ class NetworkParams:
             raise ValueError("weights must be finite")
         if not np.all(np.isfinite(b)) or np.any(b < 0):
             raise ValueError("biases must be finite and nonnegative")
-        if self.mode == "no-bias":
-            if np.any(b != 0.0):
-                raise ValueError("no-bias mode requires every bias to be exactly zero")
-        elif self.mode == "bias":
-            total = float(b.sum())
-            if not (0.0 < total < 1.0):
-                raise ValueError(f"bias mode requires 0 < sum(biases) < 1, got {total}")
-        else:
-            raise ValueError(f"mode must be 'bias' or 'no-bias', got {self.mode!r}")
+        if b.any() and not (0.0 < float(b.sum()) < 1.0):
+            raise ValueError(f"nonzero biases must sum into (0, 1), got {float(b.sum())}")
+
+    @property
+    def mode(self) -> str:
+        """Either "no-bias" (every bias zero, the positively homogeneous case) or "bias"."""
+        return "bias" if self.biases.any() else "no-bias"
 
     @property
     def d(self) -> int:
@@ -206,17 +184,15 @@ class NetworkParams:
         return self.output.n
 
     def with_weights(self, weights: np.ndarray) -> "NetworkParams":
-        return NetworkParams(weights=weights, biases=self.biases, output=self.output, mode=self.mode)
+        return NetworkParams(weights=weights, biases=self.biases, output=self.output)
 
 
 def network_params(weights: np.ndarray, output: OutputMap, biases=None) -> NetworkParams:
-    """Build params, inferring the mode: absent or all-zero biases -> no-bias."""
+    """Build params; absent biases are all zero (no-bias mode)."""
     weights = np.asarray(weights, dtype=float)
     if biases is None:
         biases = np.zeros(weights.shape[1])
-    biases = np.asarray(biases, dtype=float)
-    mode = "no-bias" if np.all(biases == 0.0) else "bias"
-    return NetworkParams(weights=weights, biases=biases, output=output, mode=mode)
+    return NetworkParams(weights=weights, biases=biases, output=output)
 
 
 def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from .geometry import gc_probability, gc_probability_mc
 from .landscape import construct_zero_loss, critical_point_audit, lipschitz_estimate
 from .phases import PhaseReport, detect_phases
 from .svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
-from .tableio import SCHEMAS, validate_csv, write_csv, write_json
+from .tableio import schema_for_file, validate_csv, write_csv, write_json
 from .training import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -372,16 +372,23 @@ def _iteration_stats(iters: list[int]) -> tuple[float, float, float, float, floa
     return (float(arr.mean()), std, med, q25, q75)
 
 
-def _write_table(out: str, filename: str, schema: str, rows, group_sizes=None) -> None:
-    """Write a CSV under its registered schema and re-read it against that schema."""
+def _write_table(out: str, filename: str, rows, group_sizes=None) -> None:
+    """Write a CSV under the schema registered to its file name, then re-read it against that schema."""
     path = os.path.join(out, filename)
-    write_csv(path, SCHEMAS[schema], rows, group_sizes=group_sizes)
-    validate_csv(path)
+    schema = schema_for_file(filename)
+    write_csv(path, schema, rows, group_sizes=group_sizes)
+    validate_csv(path, schema)
 
 
 def _write_svg(out: str, filename: str, svg: str) -> None:
     with open(os.path.join(out, filename), "w") as fh:
         fh.write(svg)
+
+
+def _write_histogram(out: str, name: str, edges, counts, title: str, x_label: str) -> None:
+    """<name>.csv with one (bin_lo, bin_hi, count) row per bin, and its chart <name>.svg."""
+    _write_table(out, f"{name}.csv", [[edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)])
+    _write_svg(out, f"{name}.svg", histogram_chart(edges, counts, title, x_label))
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +412,8 @@ def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseRep
     class_count = len(labels)
     if set(labels) != set(range(1, class_count + 1)):
         raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
-    _write_table(
-        out,
-        "trajectory.csv",
-        "trajectory",
-        _trajectory_rows(result, class_count, reports),
-        group_sizes={
-            "loss_class": class_count,
-            "neuron_norm": result.params.k,
-            "gc_class": len(reports),
-        },
-    )
+    sizes = {"loss_class": class_count, "neuron_norm": result.params.k, "gc_class": len(reports)}
+    _write_table(out, "trajectory.csv", _trajectory_rows(result, class_count, reports), group_sizes=sizes)
 
 
 def _result_json(result: TrainResult, reports: dict[int, PhaseReport]) -> dict:
@@ -510,8 +508,8 @@ def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
                 boxes.append(
                     (f"{width} {init}", (float(good[0]), q25, med, q75, float(good[-1])), ci)
                 )
-    _write_table(out, "width_runs.csv", "width_runs", run_rows)
-    _write_table(out, "width_summary.csv", "width_summary", summary_rows)
+    _write_table(out, "width_runs.csv", run_rows)
+    _write_table(out, "width_summary.csv", summary_rows)
     if boxes:
         svg = box_chart(boxes, "iterations to zero loss by width and init", "iterations")
         _write_svg(out, "width_box.svg", svg)
@@ -566,8 +564,8 @@ def cmd_sweep_angle(cfg: SweepAngleConfig, out: str) -> dict:
         converged = sum(1 for _, _, conv, *_ in runs if conv)
         summary_rows.append([theta, cfg.runs, converged, *stats])
         mean_by_angle.append(stats[0])
-    _write_table(out, "angle_runs.csv", "angle_runs", run_rows)
-    _write_table(out, "angle_summary.csv", "angle_summary", summary_rows)
+    _write_table(out, "angle_runs.csv", run_rows)
+    _write_table(out, "angle_summary.csv", summary_rows)
     _write_svg(
         out,
         "angle_sweep.svg",
@@ -609,17 +607,10 @@ class NormHistConfig:
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
     runs, _ = _run_cell(cfg, task="planar-grid", width=cfg.width, init=cfg.init)
     rows = [[r, seed, it, conv, fnorm, mnorm] for r, (seed, it, conv, _, fnorm, mnorm) in enumerate(runs)]
-    _write_table(out, "norm_runs.csv", "norm_runs", rows)
+    _write_table(out, "norm_runs.csv", rows)
     max_norms = np.array([row[5] for row in rows])
     counts, edges = np.histogram(max_norms, bins=cfg.bins)
-    _write_table(
-        out,
-        "norm_hist.csv",
-        "histogram",
-        [[edges[i], edges[i + 1], int(c)] for i, c in enumerate(counts)],
-    )
-    svg = histogram_chart(edges, counts, "largest weight norm per run", "max weight norm")
-    _write_svg(out, "norm_hist.svg", svg)
+    _write_histogram(out, "norm_hist", edges, counts, "largest weight norm per run", "max weight norm")
     return {"max_norm_overall": float(max_norms.max()), "mean_max_norm": float(max_norms.mean())}
 
 
@@ -647,7 +638,7 @@ def cmd_gc_prob(cfg: GcProbConfig, out: str) -> dict:
         est, se = gc_probability_mc(d, k, cfg.trials, rng.child(i))
         err = abs(est - exact)
         rows.append([d, k, cfg.trials, exact, est, se, err, bool(err <= 3.0 * se or err == 0.0)])
-    _write_table(out, "gc_prob.csv", "gc_prob", rows)
+    _write_table(out, "gc_prob.csv", rows)
     write_json(
         os.path.join(out, "gc_prob.json"),
         {
@@ -817,24 +808,13 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
         return network_params(r.normal((2, cfg.width)), output, bias_arr)
 
     report = lipschitz_estimate(sampler, lip_data, cfg.pairs, rng.child(99))
-    _write_table(
+    _write_histogram(
         out,
-        "lipschitz_hist.csv",
-        "histogram",
-        [
-            [report.hist_edges[i], report.hist_edges[i + 1], report.hist_counts[i]]
-            for i in range(len(report.hist_counts))
-        ],
-    )
-    _write_svg(
-        out,
-        "lipschitz_hist.svg",
-        histogram_chart(
-            report.hist_edges,
-            report.hist_counts,
-            "loss difference ratios over weight pairs",
-            "|loss gap| / |weight gap|",
-        ),
+        "lipschitz_hist",
+        report.hist_edges,
+        report.hist_counts,
+        "loss difference ratios over weight pairs",
+        "|loss gap| / |weight gap|",
     )
     payload = {
         "constructed_minima": constructed,

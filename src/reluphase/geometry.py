@@ -38,6 +38,10 @@ _TWO_PI = 2.0 * math.pi
 # d, so a normal above this norm keeps the rounding of normalized dots below
 # 1e-10.
 _NEAR_ZERO_NORMAL = 1e-4
+# gc_holds_batch counts a dot within this of zero as lying on the hemisphere.
+_HOLDS_TOL = 1e-12
+# Direction sets per gc_holds_batch call in gc_probability_mc.
+_MC_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,9 @@ def gc_check_2d(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
     constructions, independent of the linear-programming path."""
     if ds.d != 2:
         raise ValueError(f"planar checker needs d = 2, got d = {ds.d}")
-    ang = np.sort(np.arctan2(ds.dirs[:, 1], ds.dirs[:, 0]) % _TWO_PI)
+    raw = np.arctan2(ds.dirs[:, 1], ds.dirs[:, 0]) % _TWO_PI
+    order = np.argsort(raw)
+    ang = raw[order]
     k = ang.size
     gaps = np.empty(k)
     gaps[: k - 1] = np.diff(ang)
@@ -171,26 +177,32 @@ def gc_check_2d(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
     if max_gap >= math.pi - tol:
         return GcCertificate(verdict="degenerate", margin=margin, tol=tol)
 
-    # Holds: write -dir_0 as a nonnegative combination of the two directions
-    # whose wedge contains it, giving dir_0 + a*dir_p + b*dir_q = 0.
-    order = np.argsort(np.arctan2(ds.dirs[:, 1], ds.dirs[:, 0]) % _TWO_PI)
-    first = ds.dirs[order[0]]
-    target = (math.atan2(first[1], first[0]) + math.pi) % _TWO_PI
-    pos = int(np.searchsorted(ang, target))
-    lo, hi = (pos - 1) % k, pos % k
-    P = np.column_stack([ds.dirs[order[lo]], ds.dirs[order[hi]]])
-    ab = np.linalg.solve(P, -first)
-    ab = np.maximum(ab, 0.0)  # clear fp noise; the wedge guarantees nonnegativity
+    # Holds: for each direction u_i, write -u_i as a nonnegative combination
+    # a*u_p + b*u_q of the two directions whose wedge contains it, and
+    # average the normalized combinations u_i + a*u_p + b*u_q = 0 over i.
+    # Every direction then carries positive weight, and they span R^2.
+    dirs = ds.dirs[order]
     lam = np.zeros(k)
-    lam[order[0]] += 1.0
-    lam[order[lo]] += ab[0]
-    lam[order[hi]] += ab[1]
-    lam /= lam.sum()
-    return GcCertificate(verdict="holds", margin=margin, tol=tol, hull_coeffs=lam)
+    for i in range(k):
+        pos = int(np.searchsorted(ang, (ang[i] + math.pi) % _TWO_PI))
+        lo, hi = (pos - 1) % k, pos % k
+        a, b = np.linalg.solve(np.column_stack([dirs[lo], dirs[hi]]), -dirs[i])
+        a, b = max(a, 0.0), max(b, 0.0)  # clear fp noise; the wedge guarantees nonnegativity
+        lam[[i, lo, hi]] += np.array([1.0, a, b]) / (1.0 + a + b)
+    hull = np.empty(k)
+    hull[order] = lam / k
+    return GcCertificate(verdict="holds", margin=margin, tol=tol, hull_coeffs=hull)
 
 
 def verify_certificate(ds: DirectionSet, cert: GcCertificate, tol: float | None = None) -> bool:
-    """Recheck a certificate against its direction set from scratch."""
+    """Recheck a certificate against its direction set from scratch.
+
+    A "holds" witness lambda sums the directions to the origin as a convex
+    combination, and the directions whose lambda exceeds tol must span R^d,
+    or the origin may lie on the hull's boundary.  The span test is the rank
+    rule of gc_check's guard, written out: the least of the d singular values
+    of those m directions must exceed max(m, d) * machine epsilon * the largest.
+    """
     tol = cert.tol if tol is None else tol
     if cert.verdict == "holds":
         lam = cert.hull_coeffs
@@ -200,7 +212,13 @@ def verify_certificate(ds: DirectionSet, cert: GcCertificate, tol: float | None 
             return False
         if abs(float(lam.sum()) - 1.0) > max(tol, 1e-9):
             return False
-        return float(np.linalg.norm(lam @ ds.dirs)) <= max(tol, 1e-9)
+        if float(np.linalg.norm(lam @ ds.dirs)) > max(tol, 1e-9):
+            return False
+        support = ds.dirs[lam > tol]
+        if support.shape[0] < ds.d:
+            return False
+        sv = np.linalg.svd(support, compute_uv=False)
+        return bool(sv[-1] > max(support.shape) * np.finfo(float).eps * sv[0])
     if cert.verdict == "fails":
         n = cert.separator
         if n is None or n.shape != (ds.d,):
@@ -260,7 +278,7 @@ def _subset_dots(dirs: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray,
     return normal, np.einsum("tkd,td->tk", dirs, normal)
 
 
-def gc_holds_batch(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def gc_holds_batch(dirs: np.ndarray) -> np.ndarray:
     """Vectorized exact check for a (T, k, d) stack of unit-direction sets.
 
     Exact for directions in general position (an almost-sure event for the
@@ -284,7 +302,7 @@ def gc_holds_batch(dirs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         if live.size == 0:
             break
         _, dots = _subset_dots(dirs[live], subset)
-        covered = np.all(dots >= -tol, axis=1) | np.all(dots <= tol, axis=1)
+        covered = np.all(dots >= -_HOLDS_TOL, axis=1) | np.all(dots <= _HOLDS_TOL, axis=1)
         holds[live[covered]] = False
     return holds
 
@@ -326,9 +344,7 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
     return slack
 
 
-def gc_probability_mc(
-    d: int, k: int, trials: int, rng: Rng, chunk: int = 32768
-) -> tuple[float, float]:
+def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, float]:
     """Monte Carlo estimate and its standard error over `trials` direction sets.
 
     Directions are normalized Gaussian draws; each set is judged by the
@@ -341,7 +357,7 @@ def gc_probability_mc(
     count = 0
     done = 0
     while done < trials:
-        t = min(chunk, trials - done)
+        t = min(_MC_CHUNK, trials - done)
         raw = rng.normal((t, k, d))
         norms = np.linalg.norm(raw, axis=2)
         norms[norms == 0.0] = 1.0

@@ -27,6 +27,15 @@ __all__ = [
     "lipschitz_estimate",
 ]
 
+# critical_point_audit calls a state with a live output a global minimum
+# when its subgradient norm and its loss are both at most these.
+EPS_CRITICAL = 1e-8
+LOSS_TOLERANCE = 1e-8
+# lipschitz_estimate's histogram bins, and the weight gap below which a
+# sampled pair counts as coincident and is skipped.
+_LIPSCHITZ_BINS = 32
+_SKIP_TOL = 1e-14
+
 
 def regular_simplex_vertices(d: int) -> np.ndarray:
     """(d+1, d) unit vectors forming a regular simplex centered at the origin.
@@ -96,8 +105,6 @@ class LandscapeAudit:
     grad_norm: float
     loss: float
     nonzero_output_witness: int | None
-    eps_critical: float
-    loss_tolerance: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,17 +112,12 @@ class LandscapeAudit:
             "grad_norm": self.grad_norm,
             "loss": self.loss,
             "nonzero_output_witness": self.nonzero_output_witness,
-            "eps_critical": self.eps_critical,
-            "loss_tolerance": self.loss_tolerance,
+            "eps_critical": EPS_CRITICAL,
+            "loss_tolerance": LOSS_TOLERANCE,
         }
 
 
-def critical_point_audit(
-    params: NetworkParams,
-    data: LabeledDataset,
-    eps_critical: float = 1e-8,
-    loss_tolerance: float = 1e-8,
-) -> LandscapeAudit:
+def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> LandscapeAudit:
     """Classify a weight state: near-critical with a live output means global minimum.
 
     A network that outputs exactly zero on every sample is flat but useless;
@@ -128,7 +130,7 @@ def critical_point_audit(
     loss = dataset_loss(params, data)
     if witness is None:
         verdict = "degenerate_zero_output"
-    elif grad_norm <= eps_critical and loss <= loss_tolerance:
+    elif grad_norm <= EPS_CRITICAL and loss <= LOSS_TOLERANCE:
         verdict = "global_min"
     else:
         verdict = "not_critical"
@@ -137,8 +139,6 @@ def critical_point_audit(
         grad_norm=grad_norm,
         loss=loss,
         nonzero_output_witness=witness,
-        eps_critical=eps_critical,
-        loss_tolerance=loss_tolerance,
     )
 
 
@@ -167,14 +167,12 @@ def lipschitz_estimate(
     data: LabeledDataset,
     pairs: int,
     rng: Rng,
-    bins: int = 32,
-    skip_tol: float = 1e-14,
 ) -> LipschitzReport:
     """Empirical modulus max |l(W1) - l(W2)| / |W1 - W2| over sampled weight pairs.
 
     Only bias-mode states are accepted: without biases the loss is positively
     homogeneous and the ratio is unbounded, so the diagnostic would be
-    meaningless there.  Pairs closer than skip_tol in weight norm are skipped.
+    meaningless there.  Pairs closer than _SKIP_TOL in weight norm are skipped.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
@@ -189,7 +187,7 @@ def lipschitz_estimate(
                 "lipschitz_estimate refuses no-bias states: the no-bias loss has no finite modulus"
             )
         gap = weight_matrix_norm(p1.weights - p2.weights)
-        if gap < skip_tol:
+        if gap < _SKIP_TOL:
             skipped += 1
             continue
         ratios[used] = abs(dataset_loss(p1, data) - dataset_loss(p2, data)) / gap
@@ -197,7 +195,7 @@ def lipschitz_estimate(
     if used == 0:
         raise ValueError("every sampled pair was coincident; nothing to estimate")
     ratios = ratios[:used]
-    counts, edges = np.histogram(ratios, bins=bins)
+    counts, edges = np.histogram(ratios, bins=_LIPSCHITZ_BINS)
     return LipschitzReport(
         max_ratio=float(ratios.max()),
         mean_ratio=float(ratios.mean()),

@@ -273,32 +273,33 @@ class NormViolation:
     delta: float
 
 
-def owner_norm_violations(norms: np.ndarray, times, cols, tol: float = 1e-12) -> list[NormViolation]:
-    """Owner-unit norms must never drop: flag every consecutive decrease beyond tol."""
-    out = []
-    for a in range(len(times) - 1):
-        for j in cols:
-            delta = norms[a + 1, j] - norms[a, j]
-            if delta < -tol:
-                out.append(NormViolation(int(times[a]), int(times[a + 1]), int(j), "owner_decrease", float(delta)))
-    return out
+# A norm step counts as a violation only beyond this.
+_NORM_TOL = 1e-12
 
 
-def nonowner_norm_violations(
-    norms: np.ndarray, times, cols, r: float, tol: float = 1e-12
-) -> list[NormViolation]:
+def _norm_steps(norms: np.ndarray, times, cols, kind: str, flagged) -> list[NormViolation]:
+    """NormViolations, in (time, unit) order, for the consecutive steps of the
+    chosen columns that flagged(before, delta) marks."""
+    cols = np.asarray(cols, dtype=int)
+    before = norms[: len(times), cols]
+    delta = np.diff(before, axis=0)
+    steps, units = np.nonzero(flagged(before[:-1], delta))
+    return [
+        NormViolation(int(times[a]), int(times[a + 1]), int(cols[j]), kind, float(delta[a, j]))
+        for a, j in zip(steps, units)
+    ]
+
+
+def owner_norm_violations(norms: np.ndarray, times, cols) -> list[NormViolation]:
+    """Owner-unit norms must never drop: flag every consecutive decrease beyond _NORM_TOL."""
+    return _norm_steps(norms, times, cols, "owner_decrease", lambda before, delta: delta < -_NORM_TOL)
+
+
+def nonowner_norm_violations(norms: np.ndarray, times, cols, r: float) -> list[NormViolation]:
     """Non-owner norms above r must not grow; only meaningful below the step threshold."""
-    out = []
-    for a in range(len(times) - 1):
-        for j in cols:
-            if norms[a, j] > r and norms[a + 1, j] - norms[a, j] > tol:
-                out.append(
-                    NormViolation(
-                        int(times[a]), int(times[a + 1]), int(j), "nonowner_increase",
-                        float(norms[a + 1, j] - norms[a, j]),
-                    )
-                )
-    return out
+    return _norm_steps(
+        norms, times, cols, "nonowner_increase", lambda before, delta: (before > r) & (delta > _NORM_TOL)
+    )
 
 
 def monotonicity_audit(
@@ -306,7 +307,6 @@ def monotonicity_audit(
     class_label: int,
     r: float | None = None,
     bounds: BoundInputs | None = None,
-    tol: float = 1e-12,
 ) -> list[NormViolation]:
     """Audit a no-bias, single-class run against the norm monotonicity guarantees.
 
@@ -325,8 +325,8 @@ def monotonicity_audit(
     norms = np.array([rec.neuron_norms for rec in result.records])
     times = [rec.t for rec in result.records]
     owner_cols = result.params.output.owner_columns(class_label)
-    violations = owner_norm_violations(norms, times, owner_cols, tol)
+    violations = owner_norm_violations(norms, times, owner_cols)
     if r is not None and bounds is not None and result.config.eta < monotonicity_step_threshold(r, bounds):
         nonowner_cols = np.flatnonzero(result.params.output.owner != class_label)
-        violations += nonowner_norm_violations(norms, times, nonowner_cols, r, tol)
+        violations += nonowner_norm_violations(norms, times, nonowner_cols, r)
     return violations

@@ -18,6 +18,8 @@ import numpy as np
 __all__ = ["LpResult", "solve_equality_lp"]
 
 _EPS = 1e-9
+# Pivots allowed per phase before the solver gives up.
+_MAX_PIVOTS = 5000
 
 
 @dataclass(frozen=True)
@@ -29,12 +31,12 @@ class LpResult:
     farkas: np.ndarray | None = None
 
 
-def _pivot_loop(A, b, c, basis, x_B, allowed, tol, max_pivots):
+def _pivot_loop(A, b, c, basis, x_B, allowed, tol):
     """Primal simplex iterations with Bland's rule over the first `allowed`
     columns; mutates basis and x_B."""
     in_basis = np.zeros(A.shape[1], dtype=bool)
     in_basis[basis] = True
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         B = A[:, basis]
         try:
             y = np.linalg.solve(B.T, c[basis])
@@ -59,10 +61,10 @@ def _pivot_loop(A, b, c, basis, x_B, allowed, tol, max_pivots):
         in_basis[basis[leave_pos]] = False
         in_basis[entering] = True
         basis[leave_pos] = entering
-    raise RuntimeError(f"simplex exceeded {max_pivots} pivots")
+    raise RuntimeError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
 
-def solve_equality_lp(c, A, b, tol: float = _EPS, max_pivots: int = 5000) -> LpResult:
+def solve_equality_lp(c, A, b, tol: float = _EPS) -> LpResult:
     A = np.array(A, dtype=float, copy=True)
     b = np.array(b, dtype=float, copy=True)
     c = np.array(c, dtype=float, copy=True)
@@ -82,7 +84,7 @@ def solve_equality_lp(c, A, b, tol: float = _EPS, max_pivots: int = 5000) -> LpR
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
     x_B = b.copy()
-    status = _pivot_loop(A1, b, c1, basis, x_B, n + m, tol, max_pivots)
+    status = _pivot_loop(A1, b, c1, basis, x_B, n + m, tol)
     if status != "optimal":
         raise RuntimeError("phase 1 cannot be unbounded; numerical failure")
     infeas = float(c1[basis] @ x_B)
@@ -124,7 +126,7 @@ def solve_equality_lp(c, A, b, tol: float = _EPS, max_pivots: int = 5000) -> LpR
         raise RuntimeError("lost primal feasibility after phase 1")
     np.clip(x_B, 0.0, None, out=x_B)
 
-    status = _pivot_loop(A, b, c, basis, x_B, n, tol, max_pivots)
+    status = _pivot_loop(A, b, c, basis, x_B, n, tol)
     if status == "unbounded":
         return LpResult(status="unbounded")
     x = np.zeros(n)

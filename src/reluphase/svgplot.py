@@ -15,6 +15,9 @@ __all__ = ["line_chart", "box_chart", "histogram_chart", "dynamics_frame"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _FONT = 'font-family="Helvetica, Arial, sans-serif"'
+# Canvas size of the framed charts, and the side of a square dynamics frame.
+_WIDTH, _HEIGHT = 640, 430
+_FRAME_SIZE = 460
 
 
 def _fmt(x: float) -> str:
@@ -131,7 +134,7 @@ def _pad(lo: float, hi: float) -> tuple[float, float]:
     return lo - 0.05 * span, hi + 0.05 * span
 
 
-def line_chart(series, title: str, x_label: str, y_label: str, width: int = 640, height: int = 430) -> str:
+def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     """series: iterable of (label, xs, ys)."""
     series = [(str(lbl), np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for lbl, xs, ys in series]
     if not series or all(xs.size == 0 for _, xs, _ in series):
@@ -140,7 +143,7 @@ def line_chart(series, title: str, x_label: str, y_label: str, width: int = 640,
     xhi = max(xs.max() for _, xs, _ in series if xs.size)
     ylo = min(ys.min() for _, _, ys in series if ys.size)
     yhi = max(ys.max() for _, _, ys in series if ys.size)
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(_WIDTH, _HEIGHT)
     frame = _Frame(canvas, _pad(xlo, xhi), _pad(min(ylo, 0.0) if ylo > 0 else ylo, yhi), title, x_label, y_label)
     for i, (lbl, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -151,13 +154,13 @@ def line_chart(series, title: str, x_label: str, y_label: str, width: int = 640,
     return canvas.render()
 
 
-def box_chart(groups, title: str, y_label: str, width: int = 640, height: int = 430) -> str:
+def box_chart(groups, title: str, y_label: str) -> str:
     """groups: iterable of (label, (lo, q25, median, q75, hi), color_index)."""
     groups = list(groups)
     if not groups:
         raise ValueError("box chart needs at least one group")
     values = [v for _, stats, _ in groups for v in stats]
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(_WIDTH, _HEIGHT)
     frame = _Frame(canvas, (0.0, float(len(groups))), _pad(min(values), max(values)), title, "", y_label)
     slot = (frame.right - frame.left) / len(groups)
     for i, (label, (lo, q25, med, q75, hi), ci) in enumerate(groups):
@@ -174,15 +177,15 @@ def box_chart(groups, title: str, y_label: str, width: int = 640, height: int = 
     return canvas.render()
 
 
-def histogram_chart(edges, counts, title: str, x_label: str, y_label: str = "count",
-                    width: int = 640, height: int = 430) -> str:
+def histogram_chart(edges, counts, title: str, x_label: str) -> str:
+    """Bar per bin; the y axis is the count."""
     edges = np.asarray(edges, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if edges.size != counts.size + 1:
         raise ValueError("need len(edges) == len(counts) + 1")
-    canvas = _Canvas(width, height)
+    canvas = _Canvas(_WIDTH, _HEIGHT)
     frame = _Frame(canvas, _pad(float(edges[0]), float(edges[-1])), (0.0, float(counts.max()) * 1.05 or 1.0),
-                   title, x_label, y_label)
+                   title, x_label, "count")
     for i, cnt in enumerate(counts):
         x = frame.px(edges[i])
         w = frame.px(edges[i + 1]) - x
@@ -191,8 +194,7 @@ def histogram_chart(edges, counts, title: str, x_label: str, y_label: str = "cou
     return canvas.render()
 
 
-def dynamics_frame(points, pos_dirs, neg_weights, rho_angles, rho_values, title: str,
-                   size: int = 460) -> str:
+def dynamics_frame(points, pos_dirs, neg_weights, rho_angles, rho_values, title: str) -> str:
     """Polar snapshot: inverted data points, unit circle, owner directions as rays,
     the opposing class's raw weights as crosses, and the dashed coverage curve."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -200,6 +202,7 @@ def dynamics_frame(points, pos_dirs, neg_weights, rho_angles, rho_values, title:
     neg_weights = np.asarray(neg_weights, dtype=float).reshape(-1, 2)
     rho_angles = np.asarray(rho_angles, dtype=float)
     rho_values = np.asarray(rho_values, dtype=float)
+    size = _FRAME_SIZE
 
     extent = 1.15
     for arr in (points, neg_weights):

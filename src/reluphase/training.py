@@ -30,6 +30,9 @@ __all__ = [
     "weight_matrix_norm",
 ]
 
+# A run whose weight matrix norm ever exceeds this is flagged diverged.
+R_MAX = 1e3
+
 
 def weight_matrix_norm(W: np.ndarray) -> float:
     """Sum of Euclidean column norms, the matrix size measure used everywhere here."""
@@ -45,7 +48,6 @@ class TrainConfig:
     stop_loss: float = 0.0
     record_every: int = 1
     train_classes: tuple[int, ...] | None = None
-    r_max: float = 1e3
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0.0):
@@ -56,8 +58,6 @@ class TrainConfig:
             raise ValueError("record_every must be at least 1")
         if self.stop_loss < 0.0:
             raise ValueError("stop_loss must be nonnegative")
-        if not (self.r_max > 0.0):
-            raise ValueError("r_max must be positive")
         if self.train_classes is not None:
             tc = tuple(int(c) for c in self.train_classes)
             if len(tc) == 0 or any(c < 1 for c in tc) or len(set(tc)) != len(tc):
@@ -78,9 +78,12 @@ class TrajectoryRecord:
     loss: float
     loss_per_class: dict[int, float]
     neuron_norms: np.ndarray
-    weight_norm: float
     grad_norm: float
     weights: np.ndarray
+
+    @property
+    def weight_norm(self) -> float:
+        return float(self.neuron_norms.sum())
 
 
 @dataclass
@@ -88,11 +91,19 @@ class TrainResult:
     params: NetworkParams
     records: list[TrajectoryRecord]
     stop_reason: str  # converged | dead_start | stalled | max_iters | nonfinite
-    converged_at: int | None
     max_weight_norm: float
-    diverged: bool
     config: TrainConfig
     data_labels: tuple[int, ...] = field(default_factory=tuple)
+
+    @property
+    def converged_at(self) -> int | None:
+        """The iteration the run converged at: its last record's t, if it converged."""
+        return self.records[-1].t if self.stop_reason == "converged" else None
+
+    @property
+    def diverged(self) -> bool:
+        """A non-finite stop, or a weight norm that exceeded R_MAX along the way."""
+        return self.stop_reason == "nonfinite" or self.max_weight_norm > R_MAX
 
     @property
     def trained_classes(self) -> tuple[int, ...]:
@@ -140,54 +151,52 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
 
     records: list[TrajectoryRecord] = []
     max_norm = 0.0
-    for t in itertools.count():
-        state = batch_loss_grad(W, b, values, X, y0, rows)
-        loss, losses, grad = state
-        norm = weight_matrix_norm(W)
-        if not (np.isfinite(loss) and np.isfinite(norm) and np.all(np.isfinite(grad))):
-            if t == 0:
-                raise RuntimeError("non-finite loss, gradient or weight norm at the initial weights")
-            # Stop at the last iterate whose loss, gradient and norm were finite.
-            t, W, (loss, losses, grad) = t - 1, previous_W, previous_state
-            stop_reason = "nonfinite"
-        else:
-            max_norm = max(max_norm, norm)
-            if loss <= config.stop_loss:
-                stop_reason = "converged"
-            elif not grad.any():
-                stop_reason = "dead_start" if t == 0 else "stalled"
-            elif t == config.max_iters:
-                stop_reason = "max_iters"
+    # Overflow on the way to a non-finite iterate is expected and recorded
+    # as the "nonfinite" stop reason, so numpy's warnings are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in itertools.count():
+            state = batch_loss_grad(W, b, values, X, y0, rows), np.linalg.norm(W, axis=0)
+            (loss, losses, grad), col_norms = state
+            norm = float(col_norms.sum())
+            if not (np.isfinite(loss) and np.isfinite(norm) and np.all(np.isfinite(grad))):
+                if t == 0:
+                    raise RuntimeError("non-finite loss, gradient or weight norm at the initial weights")
+                # Stop at the last iterate whose loss, gradient and norm were finite.
+                t, W, ((loss, losses, grad), col_norms) = t - 1, previous_W, previous_state
+                stop_reason = "nonfinite"
             else:
-                stop_reason = None
-        due = stop_reason is not None or t % config.record_every == 0
-        if due and not (records and records[-1].t == t):
-            col_norms = np.linalg.norm(W, axis=0)
-            records.append(
-                TrajectoryRecord(
-                    t=t,
-                    loss=loss,
-                    loss_per_class={label: float(losses[idx].mean()) for label, idx in class_rows.items()},
-                    neuron_norms=col_norms,
-                    weight_norm=float(col_norms.sum()),
-                    grad_norm=weight_matrix_norm(grad),
-                    # The loop rebinds W each step and never writes into it.
-                    weights=W,
+                max_norm = max(max_norm, norm)
+                if loss <= config.stop_loss:
+                    stop_reason = "converged"
+                elif not grad.any():
+                    stop_reason = "dead_start" if t == 0 else "stalled"
+                elif t == config.max_iters:
+                    stop_reason = "max_iters"
+                else:
+                    stop_reason = None
+            due = stop_reason is not None or t % config.record_every == 0
+            if due and not (records and records[-1].t == t):
+                records.append(
+                    TrajectoryRecord(
+                        t=t,
+                        loss=loss,
+                        loss_per_class={c: float(losses[idx].mean()) for c, idx in class_rows.items()},
+                        neuron_norms=col_norms,
+                        grad_norm=weight_matrix_norm(grad),
+                        # The loop rebinds W each step and never writes into it.
+                        weights=W,
+                    )
                 )
-            )
-        if stop_reason is not None:
-            break
-        previous_W, previous_state = W, state
-        W = W - config.eta * grad
+            if stop_reason is not None:
+                break
+            previous_W, previous_state = W, state
+            W = W - config.eta * grad
 
-    final = params.with_weights(W)
     return TrainResult(
-        params=final,
+        params=params.with_weights(W),
         records=records,
         stop_reason=stop_reason,
-        converged_at=t if stop_reason == "converged" else None,
         max_weight_norm=max_norm,
-        diverged=stop_reason == "nonfinite" or max_norm > config.r_max,
         config=config,
         data_labels=data.labels,
     )

@@ -3,6 +3,7 @@ import pytest
 
 from reluphase import (
     NetworkParams,
+    OutputMap,
     Rng,
     build_output_map,
     forward,
@@ -76,36 +77,32 @@ class TestOutputMap:
         assert np.all((m.values > 0).sum(axis=0) == 1)
         np.testing.assert_array_equal(m.values[0], [0.25, -0.25, 0.25, -0.25])
 
-    @pytest.mark.parametrize("n,k,v", [(1, 3, 1.0), (3, 2, 1.0), (2, 4, 0.0), (2, 4, -1.0)])
+    @pytest.mark.parametrize(
+        "n,k,v", [(1, 3, 1.0), (3, 2, 1.0), (2, 4, 0.0), (2, 4, -1.0), (2, 4, float("inf")), (2, 4, float("nan"))]
+    )
     def test_builder_rejects_bad_arguments(self, n, k, v):
         with pytest.raises(ValueError):
             build_output_map(n, k, v)
 
-    def test_validate_rejects_two_owners_in_column(self):
-        m = build_output_map(2, 4, 1.0)
-        values = np.array(m.values)
-        values[1, 0] = 1.0
-        with pytest.raises(ValueError, match="exactly one positive"):
-            type(m)(values=values, v=1.0, owner=np.array(m.owner))
-
-    def test_validate_rejects_wrong_magnitude(self):
-        m = build_output_map(2, 4, 1.0)
-        values = np.array(m.values)
-        values[0, 1] = -0.5
-        with pytest.raises(ValueError, match="magnitude"):
-            type(m)(values=values, v=1.0, owner=np.array(m.owner))
+    def test_values_derived_from_owner_and_v(self):
+        m = OutputMap(owner=[2, 1, 3, 1], v=0.5)
+        assert m.n == 3 and m.k == 4
+        np.testing.assert_array_equal(
+            m.values, [[-0.5, 0.5, -0.5, 0.5], [0.5, -0.5, -0.5, -0.5], [-0.5, -0.5, 0.5, -0.5]]
+        )
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 0.5
 
     def test_validate_rejects_unowned_class(self):
-        m = build_output_map(2, 2, 1.0)
-        values = np.array(m.values)
-        values[:, 1] = [1.0, -1.0]  # class 2 now owns nothing
         with pytest.raises(ValueError, match="at least one"):
-            type(m)(values=values, v=1.0, owner=np.array([1, 1]))
+            OutputMap(owner=np.array([1, 3, 1, 3]), v=1.0)  # class 2 owns nothing
+        with pytest.raises(ValueError, match="at least one"):
+            OutputMap(owner=np.array([0, 1, 2]), v=1.0)
 
-    def test_validate_rejects_owner_mismatch(self):
-        m = build_output_map(2, 4, 1.0)
-        with pytest.raises(ValueError, match="owner labels"):
-            type(m)(values=np.array(m.values), v=1.0, owner=np.array([2, 1, 2, 1]))
+    @pytest.mark.parametrize("owner", [[], [[1, 2]], [1.0, 2.0]])
+    def test_rejects_malformed_owner(self, owner):
+        with pytest.raises(ValueError, match="integer labels"):
+            OutputMap(owner=np.array(owner), v=1.0)
 
 
 class TestNetworkParams:
@@ -145,14 +142,13 @@ class TestNetworkParams:
         np.testing.assert_array_equal(q.biases, p.biases)
         assert q.output is p.output
 
-    def test_explicit_mode_mismatch_rejected(self):
+    def test_mode_is_read_off_the_biases(self):
         m = build_output_map(2, 4, 1.0)
-        with pytest.raises(ValueError):
-            NetworkParams(np.ones((2, 4)), np.full(4, 0.1), m, "no-bias")
-        with pytest.raises(ValueError):
-            NetworkParams(np.ones((2, 4)), np.zeros(4), m, "bias")
-        with pytest.raises(ValueError):
-            NetworkParams(np.ones((2, 4)), np.zeros(4), m, "weird")
+        assert NetworkParams(np.ones((2, 4)), np.zeros(4), m).mode == "no-bias"
+        p = NetworkParams(np.ones((2, 4)), np.full(4, 0.1), m)
+        assert p.mode == "bias"
+        with pytest.raises(AttributeError):
+            p.mode = "no-bias"
 
 
 class TestForward:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -383,6 +384,19 @@ class TestRunCommand:
         assert payload["stop_reason"] == "nonfinite"
         assert payload["diverged"] is True
         assert validate_csv(out / "trajectory.csv") == len(payload["records"])
+
+    @pytest.mark.parametrize("eta", [1e306, 1e200], ids=["loss-overflows", "norm-overflows"])
+    def test_divergent_train_raises_no_warning(self, tmp_path, capsys, eta):
+        mapping = {"eta": eta, "max_iters": 50}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(mapping))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_command("train", mapping, str(tmp_path / "lib"))
+            capsys.readouterr()
+            assert main(["train", "--out", str(tmp_path / "cli"), "--config", str(cfg)]) == 0
+        assert summary["stop_reason"] == "nonfinite"
+        assert capsys.readouterr().err == ""
 
     def test_sweep_width_divergent_runs_end_cleanly(self, tmp_path):
         cfg = tmp_path / "cfg.json"

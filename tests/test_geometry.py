@@ -148,6 +148,39 @@ class TestVerifyCertificate:
         ds = DirectionSet(TRIPOD)
         assert not verify_certificate(ds, GcCertificate(verdict="holds", margin=0.1, tol=1e-9))
 
+    @pytest.mark.parametrize(
+        "dirs,lam",
+        [
+            ([[1.0, 0.0], [-1.0, 0.0]], [0.5, 0.5]),
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.5, 0.5, 0.0]),
+        ],
+        ids=["antipodal-pair", "antipodal-pair-plus-unweighted"],
+    )
+    def test_rejects_hull_witness_on_the_boundary(self, dirs, lam):
+        # The weights sum the directions to the origin, but the weighted
+        # directions span only a line: the origin is on the hull's boundary.
+        ds = DirectionSet(np.array(dirs))
+        cert = GcCertificate(verdict="holds", margin=0.1, tol=1e-9, hull_coeffs=np.array(lam))
+        assert not verify_certificate(ds, cert)
+
+    def test_rejects_ill_conditioned_span(self):
+        # A thin rhombus holds the origin inside for any eps > 0, with exact
+        # weights 1/4.  At eps = 1e-17 its span falls below the conditioning
+        # guard, where the LP's rank guard calls the set degenerate too.
+        cert = GcCertificate(verdict="holds", margin=0.0, tol=1e-9, hull_coeffs=np.full(4, 0.25))
+        for eps, interior in ((1e-10, True), (1e-17, False)):
+            ds = DirectionSet(unit_rows([[1.0, eps], [1.0, -eps], [-1.0, eps], [-1.0, -eps]]))
+            assert verify_certificate(ds, cert) is interior
+            assert (gc_check(ds).verdict == "holds") is interior
+
+    @pytest.mark.parametrize("check", [gc_check, gc_check_2d], ids=["lp", "planar"])
+    def test_axis_square_witness_weights_every_direction(self, check):
+        ds = DirectionSet(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+        cert = check(ds)
+        assert cert.verdict == "holds"
+        assert np.all(cert.hull_coeffs > cert.tol)
+        assert verify_certificate(ds, cert)
+
     def test_degenerate_certificate_carries_no_witness(self):
         ds = DirectionSet(ANTIPODAL)
         cert = gc_check(ds)

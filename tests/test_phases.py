@@ -11,6 +11,7 @@ from reluphase import (
     DirectionSet,
     GcCertificate,
     LabeledDataset,
+    NormViolation,
     Rng,
     TrainConfig,
     TrainResult,
@@ -151,7 +152,6 @@ def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
                 loss=loss1,
                 loss_per_class={1: loss1, 2: 0.0},
                 neuron_norms=norms,
-                weight_norm=float(norms.sum()),
                 grad_norm=0.0,
                 weights=W,
             )
@@ -161,9 +161,7 @@ def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
         params=params,
         records=records,
         stop_reason="max_iters",
-        converged_at=None,
         max_weight_norm=max(r.weight_norm for r in records),
-        diverged=False,
         config=cfg,
         data_labels=(1, 2),
     )
@@ -392,6 +390,59 @@ class TestNormViolationDetectors:
     def test_nonowner_growth_below_radius_ignored(self):
         norms = np.array([[0.5], [5.0]])
         assert nonowner_norm_violations(norms, [0, 1], [0], r=1.0) == []
+
+
+def loop_owner_violations(norms, times, cols, tol=1e-12):
+    """Reference: the double loop over steps and owner units."""
+    out = []
+    for a in range(len(times) - 1):
+        for j in cols:
+            delta = norms[a + 1, j] - norms[a, j]
+            if delta < -tol:
+                out.append(NormViolation(int(times[a]), int(times[a + 1]), int(j), "owner_decrease", float(delta)))
+    return out
+
+
+def loop_nonowner_violations(norms, times, cols, r, tol=1e-12):
+    """Reference: the double loop over steps and non-owner units."""
+    out = []
+    for a in range(len(times) - 1):
+        for j in cols:
+            if norms[a, j] > r and norms[a + 1, j] - norms[a, j] > tol:
+                out.append(
+                    NormViolation(
+                        int(times[a]), int(times[a + 1]), int(j), "nonowner_increase",
+                        float(norms[a + 1, j] - norms[a, j]),
+                    )
+                )
+    return out
+
+
+class TestNormViolationScan:
+    # Exact ties, steps of exactly +-1e-12 (0 <-> 1e-12 <-> 2e-12, both
+    # exact in binary) and large steps, on either side of each radius.
+    POOL = np.array([0.0, 1e-12, 2e-12, 0.5, 1.0, 1.0 + 1e-12, 3.0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_double_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        T, k = 12, 7
+        norms = self.POOL[rng.integers(0, self.POOL.size, size=(T, k))]
+        times = np.cumsum(rng.integers(1, 4, size=T))
+        cols = np.sort(rng.choice(k, size=4, replace=False))
+        norms[0:3, cols[0]] = (0.0, 1e-12, 0.0)  # +tol then -tol
+        norms[3:6, cols[1]] = (2e-12, 1e-12, 1e-12)  # -tol then a tie
+        steps = np.diff(norms[:, cols], axis=0)
+        assert np.any(steps == 0.0) and np.any(np.abs(steps) == 1e-12)
+        assert owner_norm_violations(norms, times, cols) == loop_owner_violations(norms, times, cols)
+        for r in (0.0, 1e-12, 0.5, 1.0):
+            got = nonowner_norm_violations(norms, times, list(cols), r)
+            assert got == loop_nonowner_violations(norms, times, cols, r)
+
+    def test_no_steps_or_no_units(self):
+        norms = np.ones((1, 3))
+        assert owner_norm_violations(norms, [0], [0, 1]) == []
+        assert nonowner_norm_violations(np.ones((4, 3)), [0, 1, 2, 3], [], 0.5) == []
 
 
 class TestMonotonicityAudit:

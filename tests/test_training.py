@@ -3,6 +3,7 @@ import pytest
 
 from reluphase import training
 from reluphase.losses import batch_loss_grad
+from reluphase.training import R_MAX
 from reluphase import (
     GridDatasetSpec,
     LabeledDataset,
@@ -47,8 +48,6 @@ class TestTrainConfig:
             TrainConfig(eta=0.1, max_iters=1, record_every=0)
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, max_iters=1, stop_loss=-1e-9)
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.1, max_iters=1, r_max=0.0)
 
     @pytest.mark.parametrize("classes", [(), (0,), (1, 1)])
     def test_bad_train_classes(self, classes):
@@ -115,14 +114,16 @@ class TestStopReasons:
         assert res.converged_at is None
 
     def test_diverged_flag_tracks_r_max(self):
-        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        base = dict(eta=0.1, max_iters=50, train_classes=(1,))
-        small = train(params, single_point(), TrainConfig(r_max=0.2, **base))
-        large = train(params, single_point(), TrainConfig(r_max=10.0, **base))
-        assert small.diverged
-        assert not large.diverged
-        assert small.max_weight_norm == large.max_weight_norm
-        assert small.max_weight_norm == pytest.approx(0.5, abs=1e-15)
+        # Unit 2 points along (0, 1), orthogonal to the sample, so it never
+        # activates and keeps its norm while unit 1 grows 0.1 -> 0.5.
+        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,))
+        below = train(one_unit_per_class([[0.1, 0.0], [0.0, R_MAX - 1.0]]), single_point(), cfg)
+        above = train(one_unit_per_class([[0.1, 0.0], [0.0, R_MAX]]), single_point(), cfg)
+        assert below.stop_reason == above.stop_reason == "converged"
+        assert below.max_weight_norm == pytest.approx(R_MAX - 0.5, abs=1e-12)
+        assert above.max_weight_norm == pytest.approx(R_MAX + 0.5, abs=1e-12)
+        assert not below.diverged
+        assert above.diverged
 
     def test_nonfinite_stops_at_last_finite_iterate(self):
         # An absurd step size overflows unit 2 along the class 2 sample, whose
