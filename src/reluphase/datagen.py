@@ -281,11 +281,15 @@ def dataset_to_csv(path, data: LabeledDataset) -> None:
 def dataset_from_csv(path) -> LabeledDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != "label" or any(h != f"x{i + 1}" for i, h in enumerate(header[:-1])):
-            raise ValueError(f"unexpected dataset header: {header}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty")
+        if not header or header[-1] != "label" or any(h != f"x{i + 1}" for i, h in enumerate(header[:-1])):
+            raise ValueError(f"{path}: unexpected dataset header: {header}")
         X, y = [], []
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             X.append([float(v) for v in row[:-1]])
             y.append(int(row[-1]))
     return LabeledDataset(np.array(X, dtype=float).reshape(len(y), len(header) - 1), np.array(y, dtype=int))

@@ -155,7 +155,12 @@ def gc_check(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
 def gc_check_2d(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
     """Planar oracle: the condition holds exactly when the largest angular gap
     between consecutive directions is below pi.  Witnesses come from elementary
-    constructions, independent of the linear-programming path."""
+    constructions, independent of the linear-programming path.
+
+    The margin is an angle, pi minus the largest gap, while gc_check's margin
+    is the LP's least hull weight, so the two degenerate bands of width tol
+    differ: near the boundary one checker may call a set degenerate that the
+    other decides.  They never reach opposite holds/fails verdicts."""
     if ds.d != 2:
         raise ValueError(f"planar checker needs d = 2, got d = {ds.d}")
     raw = np.arctan2(ds.dirs[:, 1], ds.dirs[:, 0]) % _TWO_PI

@@ -14,12 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Deferring this import into p_r_lower_bound was measured on a 2-vCPU VM:
-# set-up fell from 0.69 to 0.26 s and peak RSS from 86 to 44 MiB, yet the
-# train-sweep benchmark ran slower in all five paired runs
-# (wall_ref_s 2.2-2.6 s -> 2.7-3.0 s; raw wall_s 3.70 -> 4.70 s on seed 5).
-# The cause is unknown, so the import stays eager.
-from scipy.integrate import quad
 
 from .geometry import DirectionSet, gc_check, gc_slack_batch
 from .training import TrainResult
@@ -86,6 +80,36 @@ def cp_upper_bound(bi: BoundInputs) -> float:
     return bi.data_max ** (bi.subspace_dim - 1) * bi.density_max
 
 
+def _sin_power_integral(m: int, beta: float) -> float:
+    """integral_0^beta sin(t)^m dt for 0 < beta < pi/2, in closed form.
+
+    Up to pi/4, substituting u = sin t gives the all-positive series
+    sum_n C(2n, n) / 4^n * sin(beta)^(m+2n+1) / (m+2n+1), whose terms shrink
+    at least as fast as sin(beta)^2 <= 1/2.  Above pi/4, the upward recurrence
+    I_j = ((j-1) I_(j-2) - sin(beta)^(j-1) cos(beta)) / j runs from
+    I_0 = beta or I_1 = 2 sin(beta/2)^2; its rounding error grows by about
+    1 / sin(beta)^2 <= 2 every second index, which keeps m <= 20 within
+    3e-13 relative.  (Below pi/4 the same recurrence, or I_1 = 1 - cos(beta),
+    cancels nearly every digit once beta is small.)
+    """
+    s = math.sin(beta)
+    if beta <= math.pi / 4:
+        coef, power, total, n = 1.0, s ** (m + 1), 0.0, 0
+        while True:
+            term = coef * power / (m + 2 * n + 1)
+            if total + term == total:
+                return total
+            total += term
+            coef *= (2 * n + 1) / (2 * n + 2)
+            power *= s * s
+            n += 1
+    c = math.cos(beta)
+    integral = 2.0 * math.sin(beta / 2.0) ** 2 if m % 2 else beta
+    for j in range(2 + m % 2, m + 1, 2):
+        integral = ((j - 1) * integral - s ** (j - 1) * c) / j
+    return integral
+
+
 def p_r_lower_bound(bi: BoundInputs) -> float:
     """Lower bound on the activated-cap mass for unit directions at radius R.
 
@@ -99,8 +123,7 @@ def p_r_lower_bound(bi: BoundInputs) -> float:
     if not (s > 1.0):
         raise ValueError(f"need 2 * v * data_max * radius > 1, got {s}")
     beta = math.asin(1.0 / s)
-    power = bi.subspace_dim - 2
-    integral, _ = quad(lambda t: math.sin(t) ** power, 0.0, beta, epsabs=1e-10, epsrel=1e-10)
+    integral = _sin_power_integral(bi.subspace_dim - 2, beta)
     ratio = sphere_area(bi.subspace_dim - 2) / sphere_area(bi.subspace_dim - 1)
     return bi.density_min * ratio * integral
 

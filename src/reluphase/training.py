@@ -145,6 +145,12 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
             RuntimeWarning,
         )
 
+    # glibc's malloc serves each block at or above its mmap threshold (128 KiB
+    # at start-up) with a fresh mmap, so every N x k temporary of a wide run
+    # (880 x 24 float64 is 169 KB) would fault in new pages on each kernel
+    # call.  Freeing an mmapped block raises the threshold to its size, so one
+    # 2 MiB block allocated and freed here keeps those temporaries on the heap.
+    np.empty(1 << 18)
     W = np.array(params.weights, dtype=float, copy=True)
     b, values = params.biases, params.output.values
     X, y0 = data.X, data.y - 1

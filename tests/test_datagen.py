@@ -199,3 +199,20 @@ class TestCsvRoundTrip:
         path.write_text("a,b,label\n1.0,2.0,1\n")
         with pytest.raises(ValueError, match="header"):
             dataset_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "is empty"),
+            ("\n1.0,2.0,1\n", "unexpected dataset header"),
+            ("x1,x2,label\n1.0,2.0,1\n\n", "expected 3 cells, got 0"),
+            ("x1,x2,label\n1.0,2.0,1,7\n", "expected 3 cells, got 4"),
+        ],
+        ids=["empty", "blank-header", "blank-row", "long-row"],
+    )
+    def test_malformed_file_names_path(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            dataset_from_csv(path)
+        assert str(path) in str(info.value)

@@ -1,5 +1,9 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +35,40 @@ def test_star_import():
     namespace = {}
     exec("from reluphase import *", namespace)
     assert set(reluphase.__all__) <= set(namespace)
+
+
+# One small config per command; the guard below runs each in a fresh interpreter.
+TINY_CONFIGS = {
+    "train": {"width": 6, "max_iters": 20},
+    "sweep-width": {"widths": [6], "inits": ["random"], "runs": 1, "max_iters": 20},
+    "sweep-angle": {"angles": [1.5], "runs": 1, "max_iters": 20},
+    "norm-hist": {"runs": 2, "bins": 2, "max_iters": 20, "width": 6},
+    "gc-prob": {"cells": [[2, 3]], "trials": 100},
+    "trace-dynamics": {"snapshots": [0, 5], "max_iters": 10, "rho_samples": 16},
+    "landscape-audit": {"width": 6, "samples_per_class": 10, "audit_runs": 1, "max_iters": 20, "pairs": 5},
+}
+
+_GUARD = """
+import json, os, sys
+import reluphase, reluphase.cli
+from reluphase.experiments import COMMANDS, run_command
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+assert sorted(configs) == sorted(COMMANDS), sorted(COMMANDS)
+for name, cfg in configs.items():
+    run_command(name, cfg, os.path.join(out, name))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(reluphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD, json.dumps(TINY_CONFIGS), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

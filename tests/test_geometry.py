@@ -120,6 +120,30 @@ class TestPlanarOracle:
             both[a.verdict] += 1
         assert min(both.values()) > 20  # both outcomes genuinely exercised
 
+    def test_agrees_with_lp_at_the_boundary(self):
+        # Largest gap pi +- delta: the two checkers' degenerate bands differ
+        # (an angle against the LP's least hull weight), so near the boundary
+        # one may say degenerate where the other decides.  They must never
+        # decide opposite ways, and every decided certificate must verify.
+        decided = {"holds": 0, "fails": 0}
+        split = 0
+        for k in (3, 4, 6):
+            for delta in np.logspace(-13, -5, 17):
+                for gap in (math.pi - delta, math.pi + delta):
+                    for turn in (0.0, 0.3, 1.1, 2.5):
+                        rest = gap + np.arange(1, k - 1) * (2 * math.pi - gap) / (k - 1)
+                        ang = turn + np.concatenate([[0.0, gap], rest])
+                        ds = DirectionSet(np.column_stack([np.cos(ang), np.sin(ang)]))
+                        verdicts = set()
+                        for cert in (gc_check(ds), gc_check_2d(ds)):
+                            if cert.verdict != "degenerate":
+                                assert verify_certificate(ds, cert), (k, delta, gap, turn, cert.verdict)
+                                decided[cert.verdict] += 1
+                            verdicts.add(cert.verdict)
+                        assert verdicts != {"holds", "fails"}, (k, delta, gap, turn)
+                        split += len(verdicts) > 1
+        assert min(decided.values()) > 50 and split > 0
+
     def test_planar_witnesses_verify(self):
         for dirs in (TRIPOD, QUARTER):
             ds = DirectionSet(dirs)

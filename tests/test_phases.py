@@ -107,6 +107,22 @@ class TestCapMassBound:
         expected = 0.2 * (sphere_area(2) / sphere_area(3)) * integral
         assert p_r_lower_bound(bi) == pytest.approx(expected, rel=1e-8)
 
+    # beta from 1e-6 up to 1e-3 below pi/2, on both sides of the pi/4 switch
+    CAP_ANGLES = (1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, math.pi / 4, 0.79, 1.0, 1.3, 1.5, math.pi / 2 - 1e-3)
+
+    @pytest.mark.parametrize("dim", range(2, 23))
+    def test_matches_tight_quadrature_across_angles(self, dim):
+        mismatches = []
+        for beta in self.CAP_ANGLES:
+            bi = toy_inputs(radius=1.0 / (2.0 * math.sin(beta)), subspace_dim=dim, density_min=0.5)
+            b = math.asin(1.0 / (2.0 * bi.radius))
+            integral, _ = quad(lambda t: math.sin(t) ** (dim - 2), 0.0, b, epsabs=0.0, epsrel=1e-13, limit=200)
+            expected = 0.5 * (sphere_area(dim - 2) / sphere_area(dim - 1)) * integral
+            got = p_r_lower_bound(bi)
+            if abs(got - expected) > 1e-12 * expected:
+                mismatches.append((beta, got, expected))
+        assert mismatches == []
+
     def test_requires_wide_enough_product(self):
         with pytest.raises(ValueError, match="2 \\* v"):
             p_r_lower_bound(toy_inputs(v=0.25))
