@@ -45,9 +45,11 @@ class LabeledDataset:
             raise ValueError("X must be a 2-d array (N, d)")
         if y.shape != (X.shape[0],):
             raise ValueError(f"y must have shape ({X.shape[0]},), got {y.shape}")
+        if X.shape[0] == 0:
+            raise ValueError("a dataset needs at least one sample, got none")
         if not np.all(np.isfinite(X)):
             raise ValueError("samples must be finite")
-        if X.shape[0] > 0 and y.min() < 1:
+        if y.min() < 1:
             raise ValueError("labels must be positive integers starting at 1")
         X.flags.writeable = False
         y.flags.writeable = False
@@ -292,4 +294,6 @@ def dataset_from_csv(path) -> LabeledDataset:
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             X.append([float(v) for v in row[:-1]])
             y.append(int(row[-1]))
-    return LabeledDataset(np.array(X, dtype=float).reshape(len(y), len(header) - 1), np.array(y, dtype=int))
+    if not y:
+        raise ValueError(f"{path} has a header but no data rows")
+    return LabeledDataset(X, y)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import NetworkParams, OutputMap, Rng, build_output_map, forward_batch, network_params
+from .core import NetworkParams, Rng, build_output_map, forward_batch, network_params
 from .datagen import (
     AnnulusDistribution,
     GridDatasetSpec,
@@ -46,7 +46,6 @@ __all__ = [
     "RunSpec",
     "execute_run",
     "build_task",
-    "binary_output_map",
     "initial_weights",
     "rho_curve",
     "rho_at",
@@ -153,10 +152,6 @@ def _config_snapshot(command: str, cfg) -> dict:
 # Tasks and runs
 
 
-def binary_output_map(width: int, v: float = 0.5) -> OutputMap:
-    return build_output_map(2, width, v)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -170,11 +165,11 @@ def _subspace_pair(spec: GridDatasetSpec, theta: float, rng: Rng | None) -> Labe
     return grid_dataset(make_subspace_pair(theta), spec, rng=rng)
 
 
-# Task name -> (dataset builder, input dimension, trained classes).  The
-# planar grid holds class 1 only.
+# Task name -> (dataset builder, input dimension).  The planar grid holds
+# class 1 only; a run trains on every class its dataset holds.
 _TASKS = {
-    "planar-grid": (_planar_grid, 2, (1,)),
-    "subspace-pair": (_subspace_pair, 4, (1, 2)),
+    "planar-grid": (_planar_grid, 2),
+    "subspace-pair": (_subspace_pair, 4),
 }
 
 # Init name -> weight initializer (d, width, rng).
@@ -201,7 +196,7 @@ def _check_init(init: str, d: int, width: int) -> None:
 def build_task(task: str, theta: float, noise_std: float, rng: Rng | None) -> LabeledDataset:
     """planar-grid: one class's polar grid in R^2.  subspace-pair: both classes in R^4."""
     _require_known("task", task, _TASKS)
-    build, _, _ = _TASKS[task]
+    build, _ = _TASKS[task]
     return build(GridDatasetSpec(noise_std=noise_std), theta, rng)
 
 
@@ -261,15 +256,11 @@ class RunSpec:
         if self.task == "subspace-pair":
             _require(0.0 < self.theta <= math.pi / 2, f"theta must lie in (0, pi/2], got {self.theta}")
 
-    @property
-    def train_classes(self) -> tuple[int, ...]:
-        return _TASKS[self.task][2]
-
 
 def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
     rng = Rng(spec.seed)
     data = build_task(spec.task, spec.theta, spec.noise_std, rng.child(1))
-    output = binary_output_map(spec.width, spec.v)
+    output = build_output_map(2, spec.width, spec.v)
     W0 = initial_weights(spec.init, data.dim, spec.width, rng.child(0))
     biases = None if spec.biases is None else np.asarray(spec.biases, dtype=float)
     params = network_params(W0, output, biases)
@@ -278,7 +269,6 @@ def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
         max_iters=spec.max_iters,
         stop_loss=spec.stop_loss,
         record_every=spec.record_every,
-        train_classes=spec.train_classes,
     )
     return train(params, data, config), data
 
@@ -422,7 +412,7 @@ def _result_json(result: TrainResult, reports: dict[int, PhaseReport]) -> dict:
         "converged_at": result.converged_at,
         "max_weight_norm": result.max_weight_norm,
         "diverged": result.diverged,
-        "trained_classes": list(result.trained_classes),
+        "trained_classes": list(result.data_labels),
         "records": [
             {
                 "t": rec.t,
@@ -440,8 +430,8 @@ def _result_json(result: TrainResult, reports: dict[int, PhaseReport]) -> dict:
 
 def cmd_train(cfg: RunSpec, out: str) -> dict:
     result, data = execute_run(cfg)
-    reports = {c: detect_phases(result, c) for c in cfg.train_classes}
-    audits = {c: critical_point_audit(result.params, data.subset([c])) for c in cfg.train_classes}
+    reports = {c: detect_phases(result, c) for c in data.labels}
+    audits = {c: critical_point_audit(result.params, data.subset([c])) for c in data.labels}
 
     _write_trajectory(out, result, reports)
     write_json(os.path.join(out, "trajectory.json"), _result_json(result, reports))
@@ -774,7 +764,7 @@ class LandscapeAuditConfig:
 
 def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
     rng = Rng(cfg.seed)
-    output = binary_output_map(cfg.width, cfg.v)
+    output = build_output_map(2, cfg.width, cfg.v)
     dist = AnnulusDistribution(np.eye(cfg.subspace_dim), cfg.data_min, cfg.data_max)
 
     constructed = {}

@@ -7,7 +7,7 @@ The subgradient follows the rule
 
 with both indicators strict, so samples sitting exactly on a hinge or ReLU
 boundary contribute nothing.  Dataset quantities are plain means over the
-selected samples.
+samples; to restrict them to some classes, pass data.subset(labels).
 """
 from __future__ import annotations
 
@@ -23,21 +23,11 @@ __all__ = [
     "sample_loss",
     "per_sample_losses",
     "dataset_loss",
-    "class_loss",
     "subgradient",
     "active_sets",
     "directional_derivative_fd",
     "batch_loss_grad",
 ]
-
-
-def _select(data: LabeledDataset, classes) -> np.ndarray:
-    if classes is None:
-        return np.arange(data.n_samples)
-    rows = np.flatnonzero(np.isin(data.y, list(classes)))
-    if rows.size == 0:
-        raise ValueError(f"no samples with labels in {tuple(classes)}")
-    return rows
 
 
 def _hinge(F: np.ndarray, y0: np.ndarray):
@@ -97,20 +87,14 @@ def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray
     return losses
 
 
-def dataset_loss(params: NetworkParams, data: LabeledDataset, classes=None) -> float:
-    rows = _select(data, classes)
-    return float(per_sample_losses(params, data)[rows].mean())
+def dataset_loss(params: NetworkParams, data: LabeledDataset) -> float:
+    return float(per_sample_losses(params, data).mean())
 
 
-def class_loss(params: NetworkParams, data: LabeledDataset, label: int) -> float:
-    return dataset_loss(params, data, classes=(label,))
-
-
-def subgradient(params: NetworkParams, data: LabeledDataset, classes=None) -> np.ndarray:
+def subgradient(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
     """Exact mean subgradient of the hinge loss with respect to W, shape (d, k)."""
-    rows = _select(data, classes)
     _, _, grad = batch_loss_grad(
-        params.weights, params.biases, params.output.values, data.X, data.y - 1, rows
+        params.weights, params.biases, params.output.values, data.X, data.y - 1, np.arange(data.n_samples)
     )
     return grad
 
@@ -130,12 +114,12 @@ def active_sets(params: NetworkParams, data: LabeledDataset) -> ActiveSets:
 
 
 def directional_derivative_fd(
-    params: NetworkParams, data: LabeledDataset, direction: np.ndarray, h: float, classes=None
+    params: NetworkParams, data: LabeledDataset, direction: np.ndarray, h: float
 ) -> float:
     """Central finite difference of the mean loss along a weight-space direction."""
     direction = np.asarray(direction, dtype=float)
     if direction.shape != params.weights.shape:
         raise ValueError("direction must match the weight shape")
-    lo = dataset_loss(params.with_weights(params.weights - h * direction), data, classes)
-    hi = dataset_loss(params.with_weights(params.weights + h * direction), data, classes)
+    lo = dataset_loss(params.with_weights(params.weights - h * direction), data)
+    hi = dataset_loss(params.with_weights(params.weights + h * direction), data)
     return (hi - lo) / (2.0 * h)

@@ -115,10 +115,13 @@ def p_r_lower_bound(bi: BoundInputs) -> float:
 
     With sin(beta) = 1 / (2 v data_max radius), the bound is
     density_min * (|S^(dim-2)| / |S^(dim-1)|) * integral_0^beta sin(t)^(dim-2) dt,
-    requiring beta < pi/2, i.e. 2 v data_max radius > 1.
+    requiring beta < pi/2, i.e. 2 v data_max radius > 1.  The closed-form
+    integral keeps its accuracy only up to subspace_dim 22.
     """
     if bi.subspace_dim < 2:
         raise ValueError("cap bound needs subspace_dim >= 2")
+    if bi.subspace_dim > 22:
+        raise ValueError(f"cap bound is accurate only up to subspace_dim 22, got {bi.subspace_dim}")
     s = 2.0 * bi.v * bi.data_max * bi.radius
     if not (s > 1.0):
         raise ValueError(f"need 2 * v * data_max * radius > 1, got {s}")
@@ -340,10 +343,10 @@ def monotonicity_audit(
     """
     if result.params.mode != "no-bias":
         raise ValueError("the monotonicity audit applies to no-bias runs only")
-    trained = result.trained_classes
-    if trained != (class_label,):
+    if result.data_labels != (class_label,):
         raise ValueError(
-            f"the audit needs a run trained on class {class_label} alone, got train classes {trained}"
+            f"the audit needs a run trained on class {class_label} alone, "
+            f"got train classes {result.data_labels}"
         )
     norms = np.array([rec.neuron_norms for rec in result.records])
     times = [rec.t for rec in result.records]

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NetworkParams
 from .datagen import LabeledDataset
-from .losses import batch_loss_grad, subgradient, _select
+from .losses import batch_loss_grad, subgradient
 
 __all__ = [
     "TrainConfig",
@@ -41,13 +41,12 @@ def weight_matrix_norm(W: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one run.  train_classes None trains on every sample."""
+    """Hyperparameters for one run, which trains on every sample of its dataset."""
 
     eta: float
     max_iters: int
     stop_loss: float = 0.0
     record_every: int = 1
-    train_classes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0.0):
@@ -58,20 +57,15 @@ class TrainConfig:
             raise ValueError("record_every must be at least 1")
         if self.stop_loss < 0.0:
             raise ValueError("stop_loss must be nonnegative")
-        if self.train_classes is not None:
-            tc = tuple(int(c) for c in self.train_classes)
-            if len(tc) == 0 or any(c < 1 for c in tc) or len(set(tc)) != len(tc):
-                raise ValueError("train_classes must be distinct labels >= 1")
-            object.__setattr__(self, "train_classes", tc)
 
 
 @dataclass
 class TrajectoryRecord:
     """State of the run at iteration t, measured before any step is taken.
 
-    loss is the trained objective (mean over the selected samples);
-    loss_per_class covers every class present in the dataset.  weights is
-    the (d, k) hidden-layer matrix W^t itself.
+    loss is the trained objective (mean over every sample); loss_per_class
+    covers every class present in the dataset.  weights is the (d, k)
+    hidden-layer matrix W^t itself.
     """
 
     t: int
@@ -93,7 +87,7 @@ class TrainResult:
     stop_reason: str  # converged | dead_start | stalled | max_iters | nonfinite
     max_weight_norm: float
     config: TrainConfig
-    data_labels: tuple[int, ...] = field(default_factory=tuple)
+    data_labels: tuple[int, ...]
 
     @property
     def converged_at(self) -> int | None:
@@ -105,39 +99,33 @@ class TrainResult:
         """A non-finite stop, or a weight norm that exceeded R_MAX along the way."""
         return self.stop_reason == "nonfinite" or self.max_weight_norm > R_MAX
 
-    @property
-    def trained_classes(self) -> tuple[int, ...]:
-        return self.config.train_classes if self.config.train_classes is not None else self.data_labels
 
-
-def gd_step(params: NetworkParams, data: LabeledDataset, eta: float, classes=None) -> NetworkParams:
+def gd_step(params: NetworkParams, data: LabeledDataset, eta: float) -> NetworkParams:
     """One descent step W - eta * subgradient; eta = 0 returns the state unchanged."""
     if not (np.isfinite(eta) and eta >= 0.0):
         raise ValueError(f"step size must be finite and nonnegative, got {eta}")
-    grad = subgradient(params, data, classes)
+    grad = subgradient(params, data)
     return params.with_weights(params.weights - eta * grad)
 
 
-def _check_activation(params: NetworkParams, data: LabeledDataset, classes) -> list[int]:
+def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:
     """Classes whose owner units see no sample with |<w_j, x>| > b_j at init."""
     silent = []
-    for label in classes:
+    for label in data.labels:
         cols = params.output.owner_columns(label)
-        rows = data.indices_for(label)
-        if cols.size == 0 or rows.size == 0:
+        if cols.size == 0:
             continue
-        dots = np.abs(data.X[rows] @ params.weights[:, cols])
+        dots = np.abs(data.X[data.indices_for(label)] @ params.weights[:, cols])
         if not np.any(dots > params.biases[cols]):
             silent.append(label)
     return silent
 
 
 def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> TrainResult:
-    rows = _select(data, config.train_classes)
-    trained = config.train_classes if config.train_classes is not None else data.labels
+    rows = np.arange(data.n_samples)
     class_rows = {label: data.indices_for(label) for label in data.labels}
 
-    silent = _check_activation(params, data, trained)
+    silent = _check_activation(params, data)
     if silent:
         warnings.warn(
             f"initial weights activate no owner unit on any sample of classes {silent}; "

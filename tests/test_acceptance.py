@@ -27,7 +27,7 @@ from reluphase import (
     LabeledDataset,
     Rng,
     TrainConfig,
-    class_loss,
+    build_output_map,
     construct_zero_loss,
     critical_point_audit,
     dataset_loss,
@@ -54,7 +54,6 @@ from reluphase import (
 from reluphase.experiments import (
     LIPSCHITZ_FROZEN_MAX,
     RunSpec,
-    binary_output_map,
     build_task,
     execute_run,
     run_command,
@@ -314,14 +313,15 @@ def test_criterion_06_owner_norm_monotonicity(crit3_runs, width_cells, angle_run
 
 def test_criterion_07_orthogonal_class_decoupling():
     data = build_task("subspace-pair", math.pi / 2, 0.0, None)
-    output = binary_output_map(8, 0.5)
+    class1, class2 = data.subset([1]), data.subset([2])
+    output = build_output_map(2, 8, 0.5)
     rng = Rng(4242)
     worst = 0.0
     for _ in range(100):
         params = network_params(rng.normal((4, 8)), output)
-        before = class_loss(params, data, 2)
-        stepped = gd_step(params, data, 0.1, classes=(1,))
-        worst = max(worst, abs(class_loss(stepped, data, 2) - before))
+        before = dataset_loss(params, class2)
+        stepped = gd_step(params, class1, 0.1)
+        worst = max(worst, abs(dataset_loss(stepped, class2) - before))
     ok = worst < 1e-12
     _report(
         7,
@@ -342,7 +342,7 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
     dist = AnnulusDistribution(np.eye(2), 1.0, 2.0)
     data = sample_annulus(dist, 400, Rng(31), label=1)
     result = train(
-        network_params(init_random(2, 8, Rng(31).child(0)), binary_output_map(8, 0.5)),
+        network_params(init_random(2, 8, Rng(31).child(0)), build_output_map(2, 8, 0.5)),
         data,
         TrainConfig(eta=0.1, max_iters=5000),
     )
@@ -381,7 +381,7 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
 
 
 def test_criterion_09_constructed_and_reached_minima(crit3_runs):
-    output = binary_output_map(8, 0.5)
+    output = build_output_map(2, 8, 0.5)
     dist = AnnulusDistribution(np.eye(2), 1.0, 2.0)
     built_ok = True
     for label in (1, 2):
@@ -441,7 +441,7 @@ def test_criterion_10_finite_difference_consistency():
         "planar-grid": build_task("planar-grid", math.pi / 2, 0.0, None),
         "subspace-pair": build_task("subspace-pair", math.pi / 2, 0.0, None),
     }
-    output = binary_output_map(8, 0.5)
+    output = build_output_map(2, 8, 0.5)
     central_worst = {}
     one_sided_worst = {}
     counts_ok = True
@@ -509,7 +509,7 @@ def test_criterion_10_finite_difference_consistency():
 
 
 def test_criterion_11_lipschitz_ceiling():
-    output = binary_output_map(8, 0.5)
+    output = build_output_map(2, 8, 0.5)
     bias_arr = np.full(8, 0.4 / 8)
     data = grid_dataset_planar(GridDatasetSpec())
 

@@ -38,6 +38,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.eye(2), np.array([1]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
+        data = LabeledDataset(np.eye(3), np.array([1, 2, 1]))
+        with pytest.raises(ValueError, match="at least one sample"):
+            data.subset([9])
+
 
 class TestSubspacePair:
     @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 2])
@@ -207,8 +214,9 @@ class TestCsvRoundTrip:
             ("\n1.0,2.0,1\n", "unexpected dataset header"),
             ("x1,x2,label\n1.0,2.0,1\n\n", "expected 3 cells, got 0"),
             ("x1,x2,label\n1.0,2.0,1,7\n", "expected 3 cells, got 4"),
+            ("x1,x2,label\n", "no data rows"),
         ],
-        ids=["empty", "blank-header", "blank-row", "long-row"],
+        ids=["empty", "blank-header", "blank-row", "long-row", "header-only"],
     )
     def test_malformed_file_names_path(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

@@ -19,7 +19,6 @@ from reluphase.experiments import (
     _build_config,
     _config_snapshot,
     _worker_count,
-    binary_output_map,
     build_task,
     execute_run,
     initial_weights,
@@ -132,7 +131,7 @@ class TestConfigFromFields:
 
 class TestTaskBuilders:
     def test_binary_output_map(self):
-        omap = binary_output_map(6, 0.5)
+        omap = build_output_map(2, 6, 0.5)
         assert omap.values.shape == (2, 6)
         assert tuple(omap.owner) == (1, 2, 1, 2, 1, 2)
 

@@ -8,7 +8,6 @@ from reluphase import (
     Rng,
     active_sets,
     build_output_map,
-    class_loss,
     dataset_loss,
     directional_derivative_fd,
     network_params,
@@ -17,7 +16,7 @@ from reluphase import (
     subgradient,
 )
 from reluphase.core import forward_arrays
-from reluphase.experiments import binary_output_map, build_task, initial_weights
+from reluphase.experiments import build_task, initial_weights
 from reluphase.losses import batch_loss_grad
 
 
@@ -76,12 +75,10 @@ def test_matches_brute_force_reference():
 def test_class_restriction_matches_brute_force():
     params, data = random_instance(11)
     np.testing.assert_allclose(
-        subgradient(params, data, classes=(2,)),
+        subgradient(params, data.subset([2])),
         brute_force_grad(params, data, classes=(2,)),
         atol=1e-12,
     )
-    with pytest.raises(ValueError, match="no samples"):
-        subgradient(params, data, classes=(9,))
 
 
 def test_per_sample_losses_agree_with_sample_loss():
@@ -91,7 +88,7 @@ def test_per_sample_losses_agree_with_sample_loss():
         assert losses[s] == pytest.approx(sample_loss(params, data.X[s], int(data.y[s])), abs=1e-12)
     assert dataset_loss(params, data) == pytest.approx(losses.mean(), abs=1e-12)
     rows = data.indices_for(2)
-    assert class_loss(params, data, 2) == pytest.approx(losses[rows].mean(), abs=1e-12)
+    assert dataset_loss(params, data.subset([2])) == pytest.approx(losses[rows].mean(), abs=1e-12)
 
 
 def test_relu_boundary_contributes_nothing():
@@ -200,7 +197,7 @@ def task_arrays(task, width, bias=0.0, classes=None, seed=0):
     data = build_task(task, math.pi / 3, 0.0, rng.child(1))
     W = initial_weights("random", data.dim, width, rng.child(0))
     rows = np.arange(data.n_samples) if classes is None else np.flatnonzero(np.isin(data.y, classes))
-    return W, np.full(width, bias), binary_output_map(width).values, data.X, data.y - 1, rows
+    return W, np.full(width, bias), build_output_map(2, width, 0.5).values, data.X, data.y - 1, rows
 
 
 @pytest.mark.parametrize(

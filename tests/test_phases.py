@@ -128,6 +128,11 @@ class TestCapMassBound:
             p_r_lower_bound(toy_inputs(v=0.25))
         with pytest.raises(ValueError, match="subspace_dim"):
             p_r_lower_bound(toy_inputs(subspace_dim=1))
+        # The closed-form integral holds 3e-13 relative up to subspace_dim 22;
+        # at subspace_dim 102 it would be off by 45%.
+        for bound in (p_r_lower_bound, t1_bound):
+            with pytest.raises(ValueError, match="up to subspace_dim 22, got 23"):
+                bound(toy_inputs(subspace_dim=23))
 
 
 class TestPhaseBounds:
@@ -172,14 +177,14 @@ def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
                 weights=W,
             )
         )
-    cfg = TrainConfig(eta=0.01, max_iters=len(records) - 1, train_classes=trained)
+    cfg = TrainConfig(eta=0.01, max_iters=len(records) - 1)
     return TrainResult(
         params=params,
         records=records,
         stop_reason="max_iters",
         max_weight_norm=max(r.weight_norm for r in records),
         config=cfg,
-        data_labels=(1, 2),
+        data_labels=trained,
     )
 
 
@@ -467,7 +472,7 @@ class TestMonotonicityAudit:
         X = np.vstack([rng.normal((12, 2)) + np.array([2.0, 0.0])])
         data = LabeledDataset(X, np.ones(12, dtype=int))
         params = network_params(rng.normal((2, 4)), build_output_map(2, 4, 0.5))
-        return train(params, data, TrainConfig(eta=eta, max_iters=60, train_classes=(1,)))
+        return train(params, data, TrainConfig(eta=eta, max_iters=60))
 
     def test_clean_run_has_no_owner_violations(self):
         res = self.planar_run()
@@ -477,7 +482,7 @@ class TestMonotonicityAudit:
         rng = Rng(13)
         data = LabeledDataset(rng.normal((6, 2)) + 2.0, np.ones(6, dtype=int))
         params = network_params(rng.normal((2, 4)), build_output_map(2, 4, 0.5), np.full(4, 0.1))
-        res = train(params, data, TrainConfig(eta=0.05, max_iters=5, train_classes=(1,)))
+        res = train(params, data, TrainConfig(eta=0.05, max_iters=5))
         with pytest.raises(ValueError, match="no-bias"):
             monotonicity_audit(res, 1)
 

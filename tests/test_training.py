@@ -49,11 +49,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, max_iters=1, stop_loss=-1e-9)
 
-    @pytest.mark.parametrize("classes", [(), (0,), (1, 1)])
-    def test_bad_train_classes(self, classes):
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.1, max_iters=1, train_classes=classes)
-
 
 class TestGdStep:
     def test_hand_step(self):
@@ -78,7 +73,7 @@ class TestStopReasons:
     def test_converges_to_exact_zero(self):
         # Margin 1 - 2 w00 hits exactly zero at w00 = 0.5, two steps away.
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,))
+        cfg = TrainConfig(eta=0.1, max_iters=50)
         res = train(params, single_point(), cfg)
         assert res.stop_reason == "converged"
         assert res.converged_at == 2
@@ -87,7 +82,7 @@ class TestStopReasons:
 
     def test_dead_start_warns_and_stops(self):
         params = one_unit_per_class(np.zeros((2, 2)))
-        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,))
+        cfg = TrainConfig(eta=0.1, max_iters=50)
         with pytest.warns(RuntimeWarning, match="cannot start learning"):
             res = train(params, single_point(), cfg)
         assert res.stop_reason == "dead_start"
@@ -98,7 +93,7 @@ class TestStopReasons:
         # Unit 1 starts dead at (-0.5, 0); unit 2 shrinks 0.4 -> 0.2 -> 0 and
         # then every activation is gone, stranding the loss at 1.
         params = one_unit_per_class([[-0.5, 0.4], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,))
+        cfg = TrainConfig(eta=0.1, max_iters=50)
         res = train(params, single_point(), cfg)
         assert res.stop_reason == "stalled"
         assert res.records[-1].t == 2
@@ -107,7 +102,7 @@ class TestStopReasons:
 
     def test_max_iters(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.01, max_iters=3, train_classes=(1,))
+        cfg = TrainConfig(eta=0.01, max_iters=3)
         res = train(params, single_point(), cfg)
         assert res.stop_reason == "max_iters"
         assert res.records[-1].t == 3
@@ -116,7 +111,7 @@ class TestStopReasons:
     def test_diverged_flag_tracks_r_max(self):
         # Unit 2 points along (0, 1), orthogonal to the sample, so it never
         # activates and keeps its norm while unit 1 grows 0.1 -> 0.5.
-        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,))
+        cfg = TrainConfig(eta=0.1, max_iters=50)
         below = train(one_unit_per_class([[0.1, 0.0], [0.0, R_MAX - 1.0]]), single_point(), cfg)
         above = train(one_unit_per_class([[0.1, 0.0], [0.0, R_MAX]]), single_point(), cfg)
         assert below.stop_reason == above.stop_reason == "converged"
@@ -154,7 +149,7 @@ class TestStopReasons:
 
         monkeypatch.setattr(training, "batch_loss_grad", kernel)
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.01, max_iters=100, record_every=3, train_classes=(1,))
+        cfg = TrainConfig(eta=0.01, max_iters=100, record_every=3)
         res = train(params, single_point(), cfg)
         assert res.stop_reason == "nonfinite"
         assert [rec.t for rec in res.records] == [0, 3, 4]
@@ -173,7 +168,7 @@ class TestStopReasons:
 class TestRecording:
     def test_cadence_and_final_record(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.01, max_iters=100, record_every=3, train_classes=(1,))
+        cfg = TrainConfig(eta=0.01, max_iters=100, record_every=3)
         res = train(params, single_point(), cfg)
         times = [rec.t for rec in res.records]
         assert res.converged_at == 20
@@ -182,8 +177,9 @@ class TestRecording:
 
     def test_record_fields(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        cfg = TrainConfig(eta=0.1, max_iters=50, train_classes=(1,))
+        cfg = TrainConfig(eta=0.1, max_iters=50)
         res = train(params, single_point(), cfg)
+        assert res.data_labels == (1,)
         first = res.records[0]
         assert first.loss == 0.8
         assert first.loss_per_class == {1: 0.8}
@@ -200,21 +196,14 @@ class TestAgainstManualSteps:
         data = grid_dataset_planar(spec)
         omap = build_output_map(2, 4, 0.5)
         params = network_params(init_random(2, 4, rng), omap)
-        cfg = TrainConfig(eta=0.05, max_iters=10, train_classes=(1,))
+        cfg = TrainConfig(eta=0.05, max_iters=10)
         res = train(params, data, cfg)
         manual = params
         for rec in res.records[:-1]:
             np.testing.assert_array_equal(rec.weights, manual.weights, err_msg=f"t={rec.t}")
-            manual = gd_step(manual, data, cfg.eta, cfg.train_classes)
+            manual = gd_step(manual, data, cfg.eta)
         np.testing.assert_array_equal(res.records[-1].weights, manual.weights)
         np.testing.assert_array_equal(res.params.weights, manual.weights)
-
-    def test_trained_classes_property(self):
-        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        res = train(params, single_point(), TrainConfig(eta=0.1, max_iters=1, train_classes=(1,)))
-        assert res.trained_classes == (1,)
-        res_all = train(params, single_point(), TrainConfig(eta=0.1, max_iters=1))
-        assert res_all.trained_classes == (1,)  # dataset only has class 1
 
 
 class TestBiasMode:
@@ -225,7 +214,7 @@ class TestBiasMode:
         omap = build_output_map(2, 4, 0.5)
         biases = np.full(4, 0.1)
         params = network_params(init_random(2, 4, rng), omap, biases)
-        res = train(params, data, TrainConfig(eta=0.05, max_iters=200, train_classes=(1,)))
+        res = train(params, data, TrainConfig(eta=0.05, max_iters=200))
         assert res.records[-1].loss < res.records[0].loss
         np.testing.assert_array_equal(res.params.biases, biases)
 
@@ -233,11 +222,11 @@ class TestBiasMode:
 class TestIterationsToConvergence:
     def test_reads_records(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        res = train(params, single_point(), TrainConfig(eta=0.1, max_iters=50, train_classes=(1,)))
+        res = train(params, single_point(), TrainConfig(eta=0.1, max_iters=50))
         assert iterations_to_convergence(res.records) == 2
         assert iterations_to_convergence(res.records, threshold=10.0) == 0
 
     def test_none_when_never_reached(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        res = train(params, single_point(), TrainConfig(eta=0.01, max_iters=3, train_classes=(1,)))
+        res = train(params, single_point(), TrainConfig(eta=0.01, max_iters=3))
         assert iterations_to_convergence(res.records) is None
