@@ -10,156 +10,27 @@ Lipschitz moduli), and drive it all from a config-based CLI that emits
 deterministic CSV, JSON, and SVG.
 """
 
-from .core import (
-    NetworkParams,
-    OutputMap,
-    Rng,
-    build_output_map,
-    forward,
-    forward_batch,
-    forward_binary,
-    network_params,
-    predict,
-    predict_batch,
-    predict_binary,
-)
-from .datagen import (
-    AnnulusDistribution,
-    GridDatasetSpec,
-    LabeledDataset,
-    SubspacePair,
-    dataset_from_csv,
-    dataset_to_csv,
-    grid_dataset,
-    grid_dataset_planar,
-    init_halfspace,
-    init_random,
-    init_three_rays,
-    kelvin,
-    make_subspace_pair,
-    sample_annulus,
-)
-from .geometry import (
-    DirectionSet,
-    GcCertificate,
-    gc_check,
-    gc_check_2d,
-    gc_probability,
-    gc_probability_mc,
-    verify_certificate,
-)
-from .landscape import (
-    LandscapeAudit,
-    LipschitzReport,
-    construct_zero_loss,
-    critical_point_audit,
-    lipschitz_estimate,
-    regular_simplex_vertices,
-)
-from .losses import (
-    ActiveSets,
-    active_sets,
-    dataset_loss,
-    directional_derivative_fd,
-    per_sample_losses,
-    sample_loss,
-    subgradient,
-)
-from .phases import (
-    BoundInputs,
-    NormViolation,
-    PhaseReport,
-    cp_upper_bound,
-    detect_phases,
-    monotonicity_step_threshold,
-    monotonicity_audit,
-    nonowner_norm_violations,
-    owner_norm_violations,
-    p_r_lower_bound,
-    phase2_sum_bound,
-    sphere_area,
-    t1_bound,
-)
-from .simplex import LpResult, solve_equality_lp
-from .training import (
-    TrainConfig,
-    TrainResult,
-    TrajectoryRecord,
-    gd_step,
-    iterations_to_convergence,
-    train,
-    weight_matrix_norm,
-)
+from .core import *
+from .datagen import *
+from .geometry import *
+from .landscape import *
+from .losses import *
+from .phases import *
+from .simplex import *
+from .training import *
+from . import core, datagen, geometry, landscape, losses, phases, simplex, training
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "Rng",
-    "OutputMap",
-    "NetworkParams",
-    "build_output_map",
-    "network_params",
-    "forward",
-    "forward_batch",
-    "forward_binary",
-    "predict",
-    "predict_batch",
-    "predict_binary",
-    "LabeledDataset",
-    "SubspacePair",
-    "GridDatasetSpec",
-    "AnnulusDistribution",
-    "make_subspace_pair",
-    "grid_dataset",
-    "grid_dataset_planar",
-    "sample_annulus",
-    "init_random",
-    "init_halfspace",
-    "init_three_rays",
-    "kelvin",
-    "dataset_to_csv",
-    "dataset_from_csv",
-    "sample_loss",
-    "per_sample_losses",
-    "dataset_loss",
-    "subgradient",
-    "ActiveSets",
-    "active_sets",
-    "directional_derivative_fd",
-    "TrainConfig",
-    "TrajectoryRecord",
-    "TrainResult",
-    "gd_step",
-    "train",
-    "iterations_to_convergence",
-    "weight_matrix_norm",
-    "LpResult",
-    "solve_equality_lp",
-    "DirectionSet",
-    "GcCertificate",
-    "gc_check",
-    "gc_check_2d",
-    "verify_certificate",
-    "gc_probability",
-    "gc_probability_mc",
-    "BoundInputs",
-    "PhaseReport",
-    "NormViolation",
-    "sphere_area",
-    "cp_upper_bound",
-    "p_r_lower_bound",
-    "t1_bound",
-    "phase2_sum_bound",
-    "monotonicity_step_threshold",
-    "detect_phases",
-    "owner_norm_violations",
-    "nonowner_norm_violations",
-    "monotonicity_audit",
-    "LandscapeAudit",
-    "LipschitzReport",
-    "regular_simplex_vertices",
-    "construct_zero_loss",
-    "critical_point_audit",
-    "lipschitz_estimate",
+    *core.__all__,
+    *datagen.__all__,
+    *geometry.__all__,
+    *landscape.__all__,
+    *losses.__all__,
+    *phases.__all__,
+    *simplex.__all__,
+    *training.__all__,
     "__version__",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "build_output_map",
     "network_params",
     "forward",
-    "forward_arrays",
     "forward_batch",
     "forward_binary",
     "predict",

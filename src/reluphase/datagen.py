@@ -40,7 +40,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float, copy=True)
-        y = np.array(self.y, dtype=int, copy=True)
+        raw = np.asarray(self.y)
+        if raw.dtype.kind == "f":
+            fractional = np.flatnonzero(~np.isfinite(raw) | (np.trunc(raw) != raw))
+            if fractional.size:
+                raise ValueError(f"labels must be integers, got {float(raw.flat[fractional[0]])}")
+        y = np.array(raw, dtype=int, copy=True)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d array (N, d)")
         if y.shape != (X.shape[0],):
@@ -292,8 +297,11 @@ def dataset_from_csv(path) -> LabeledDataset:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            X.append([float(v) for v in row[:-1]])
-            y.append(int(row[-1]))
+            try:
+                X.append([float(v) for v in row[:-1]])
+                y.append(int(row[-1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if not y:
         raise ValueError(f"{path} has a header but no data rows")
     return LabeledDataset(X, y)

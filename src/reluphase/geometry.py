@@ -33,6 +33,12 @@ __all__ = [
     "gc_probability_mc",
 ]
 
+# An LP margin or planar angle margin within this of zero is degenerate, and
+# a certificate is rechecked to this.
+GC_TOL = 1e-9
+# A weight column at most this long has no direction and is left out.
+DROP_TOL = 1e-12
+
 _TWO_PI = 2.0 * math.pi
 # Cofactor normals of unit directions carry rounding below ~1e-14 for small
 # d, so a normal above this norm keeps the rounding of normalized dots below
@@ -46,11 +52,9 @@ _MC_CHUNK = 32768
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Unit direction rows (k, d) plus bookkeeping of dropped near-zero columns."""
+    """Unit direction rows (k, d)."""
 
     dirs: np.ndarray
-    source_indices: tuple[int, ...] = ()
-    dropped: tuple[int, ...] = ()
 
     def __post_init__(self):
         dirs = np.array(self.dirs, dtype=float, copy=True)
@@ -61,8 +65,6 @@ class DirectionSet:
             raise ValueError("directions must be unit vectors to 1e-12")
         dirs.flags.writeable = False
         object.__setattr__(self, "dirs", dirs)
-        if not self.source_indices:
-            object.__setattr__(self, "source_indices", tuple(range(dirs.shape[0])))
 
     @property
     def k(self) -> int:
@@ -73,30 +75,26 @@ class DirectionSet:
         return self.dirs.shape[1]
 
     @classmethod
-    def from_weight_matrix(cls, W: np.ndarray, columns=None, drop_tol: float = 1e-12) -> "DirectionSet":
-        """Normalize the chosen columns of W; columns with norm <= drop_tol are dropped."""
+    def from_weight_matrix(cls, W: np.ndarray, columns=None) -> "DirectionSet":
+        """Normalize the chosen columns of W; columns with norm <= DROP_TOL are left out."""
         W = np.asarray(W, dtype=float)
         cols = np.arange(W.shape[1]) if columns is None else np.asarray(columns, dtype=int)
         norms = np.linalg.norm(W[:, cols], axis=0)
-        keep = norms > drop_tol
+        keep = norms > DROP_TOL
         if not np.any(keep):
             raise ValueError("every selected column is numerically zero")
-        dirs = (W[:, cols[keep]] / norms[keep]).T
-        return cls(
-            dirs=dirs,
-            source_indices=tuple(int(c) for c in cols[keep]),
-            dropped=tuple(int(c) for c in cols[~keep]),
-        )
+        return cls((W[:, cols[keep]] / norms[keep]).T)
 
 
 @dataclass(frozen=True)
 class GcCertificate:
-    """Verdict plus witness.  margin is the LP optimum (None if the program
-    was infeasible, i.e. the origin is not even in the affine hull)."""
+    """Verdict plus witness.  margin is positive when the condition holds:
+    gc_check's LP optimum, the least hull weight (None if the program was
+    infeasible, i.e. the origin is not even in the affine hull), or
+    gc_check_2d's angle, pi minus the largest gap between directions."""
 
     verdict: str  # "holds" | "fails" | "degenerate"
     margin: float | None
-    tol: float
     hull_coeffs: np.ndarray | None = None
     separator: np.ndarray | None = None
 
@@ -109,7 +107,7 @@ def _separator_from_dual(y: np.ndarray, d: int) -> np.ndarray:
     return -head / norm
 
 
-def gc_check(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
+def gc_check(ds: DirectionSet) -> GcCertificate:
     D = ds.dirs.T  # (d, k)
     d, k = D.shape
     s = D.sum(axis=1)
@@ -126,39 +124,29 @@ def gc_check(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
     c[k] = -1.0
     c[k + 1] = 1.0
 
-    res = solve_equality_lp(c, A, b, tol=min(tol, 1e-9))
+    res = solve_equality_lp(c, A, b, tol=GC_TOL)
     if res.status == "infeasible":
-        return GcCertificate(
-            verdict="fails",
-            margin=None,
-            tol=tol,
-            separator=_separator_from_dual(res.farkas, d),
-        )
+        return GcCertificate(verdict="fails", margin=None, separator=_separator_from_dual(res.farkas, d))
     if res.status != "optimal":
         raise RuntimeError(f"unexpected LP status {res.status}")
     eps = -res.objective
-    if eps > tol:
+    if eps > GC_TOL:
         if np.linalg.matrix_rank(D) < d:
-            return GcCertificate(verdict="degenerate", margin=eps, tol=tol)
+            return GcCertificate(verdict="degenerate", margin=eps)
         lam = res.x[:k] + eps
-        return GcCertificate(verdict="holds", margin=eps, tol=tol, hull_coeffs=lam)
-    if eps < -tol:
-        return GcCertificate(
-            verdict="fails",
-            margin=eps,
-            tol=tol,
-            separator=_separator_from_dual(res.dual, d),
-        )
-    return GcCertificate(verdict="degenerate", margin=eps, tol=tol)
+        return GcCertificate(verdict="holds", margin=eps, hull_coeffs=lam)
+    if eps < -GC_TOL:
+        return GcCertificate(verdict="fails", margin=eps, separator=_separator_from_dual(res.dual, d))
+    return GcCertificate(verdict="degenerate", margin=eps)
 
 
-def gc_check_2d(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
+def gc_check_2d(ds: DirectionSet) -> GcCertificate:
     """Planar oracle: the condition holds exactly when the largest angular gap
     between consecutive directions is below pi.  Witnesses come from elementary
     constructions, independent of the linear-programming path.
 
     The margin is an angle, pi minus the largest gap, while gc_check's margin
-    is the LP's least hull weight, so the two degenerate bands of width tol
+    is the LP's least hull weight, so the two degenerate bands of width GC_TOL
     differ: near the boundary one checker may call a set degenerate that the
     other decides.  They never reach opposite holds/fails verdicts."""
     if ds.d != 2:
@@ -174,13 +162,13 @@ def gc_check_2d(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
     max_gap = float(gaps[g])
     margin = math.pi - max_gap  # same sign convention as the LP: positive means holds
 
-    if max_gap > math.pi + tol:
+    if max_gap > math.pi + GC_TOL:
         start = ang[(g + 1) % k]
         mid = start + (_TWO_PI - max_gap) / 2.0
         sep = np.array([math.cos(mid), math.sin(mid)])
-        return GcCertificate(verdict="fails", margin=margin, tol=tol, separator=sep)
-    if max_gap >= math.pi - tol:
-        return GcCertificate(verdict="degenerate", margin=margin, tol=tol)
+        return GcCertificate(verdict="fails", margin=margin, separator=sep)
+    if max_gap >= math.pi - GC_TOL:
+        return GcCertificate(verdict="degenerate", margin=margin)
 
     # Holds: for each direction u_i, write -u_i as a nonnegative combination
     # a*u_p + b*u_q of the two directions whose wedge contains it, and
@@ -196,30 +184,29 @@ def gc_check_2d(ds: DirectionSet, tol: float = 1e-9) -> GcCertificate:
         lam[[i, lo, hi]] += np.array([1.0, a, b]) / (1.0 + a + b)
     hull = np.empty(k)
     hull[order] = lam / k
-    return GcCertificate(verdict="holds", margin=margin, tol=tol, hull_coeffs=hull)
+    return GcCertificate(verdict="holds", margin=margin, hull_coeffs=hull)
 
 
-def verify_certificate(ds: DirectionSet, cert: GcCertificate, tol: float | None = None) -> bool:
+def verify_certificate(ds: DirectionSet, cert: GcCertificate) -> bool:
     """Recheck a certificate against its direction set from scratch.
 
     A "holds" witness lambda sums the directions to the origin as a convex
-    combination, and the directions whose lambda exceeds tol must span R^d,
+    combination, and the directions whose lambda exceeds GC_TOL must span R^d,
     or the origin may lie on the hull's boundary.  The span test is the rank
     rule of gc_check's guard, written out: the least of the d singular values
     of those m directions must exceed max(m, d) * machine epsilon * the largest.
     """
-    tol = cert.tol if tol is None else tol
     if cert.verdict == "holds":
         lam = cert.hull_coeffs
         if lam is None or lam.shape != (ds.k,):
             return False
-        if np.any(lam < -tol):
+        if np.any(lam < -GC_TOL):
             return False
-        if abs(float(lam.sum()) - 1.0) > max(tol, 1e-9):
+        if abs(float(lam.sum()) - 1.0) > GC_TOL:
             return False
-        if float(np.linalg.norm(lam @ ds.dirs)) > max(tol, 1e-9):
+        if float(np.linalg.norm(lam @ ds.dirs)) > GC_TOL:
             return False
-        support = ds.dirs[lam > tol]
+        support = ds.dirs[lam > GC_TOL]
         if support.shape[0] < ds.d:
             return False
         sv = np.linalg.svd(support, compute_uv=False)
@@ -228,9 +215,9 @@ def verify_certificate(ds: DirectionSet, cert: GcCertificate, tol: float | None 
         n = cert.separator
         if n is None or n.shape != (ds.d,):
             return False
-        if abs(float(np.linalg.norm(n)) - 1.0) > max(tol, 1e-9):
+        if abs(float(np.linalg.norm(n)) - 1.0) > GC_TOL:
             return False
-        return float((ds.dirs @ n).min()) >= -tol
+        return float((ds.dirs @ n).min()) >= -GC_TOL
     return cert.hull_coeffs is None and cert.separator is None
 
 
@@ -245,8 +232,6 @@ def gc_probability(d: int, k: int) -> float:
 
 def _det_batch(M: np.ndarray) -> np.ndarray:
     m = M.shape[-1]
-    if m == 1:
-        return M[..., 0, 0]
     if m == 2:
         return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
     if m == 3:

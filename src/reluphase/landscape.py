@@ -99,12 +99,25 @@ def construct_zero_loss(
 
 @dataclass(frozen=True)
 class LandscapeAudit:
-    """Outcome of probing one weight state against one dataset."""
+    """Outcome of probing one weight state against one dataset.
 
-    verdict: str  # "global_min" | "not_critical" | "degenerate_zero_output"
+    The verdict follows from the measurements: a state whose output is zero
+    on every sample is degenerate; otherwise it is a global minimum when its
+    subgradient norm and its loss are both at most EPS_CRITICAL and
+    LOSS_TOLERANCE.
+    """
+
     grad_norm: float
     loss: float
     nonzero_output_witness: int | None
+
+    @property
+    def verdict(self) -> str:
+        if self.nonzero_output_witness is None:
+            return "degenerate_zero_output"
+        if self.grad_norm <= EPS_CRITICAL and self.loss <= LOSS_TOLERANCE:
+            return "global_min"
+        return "not_critical"
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,18 +139,9 @@ def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> Landsca
     F, _ = forward_batch(params, data.X)
     live_rows = np.flatnonzero(np.any(F != 0.0, axis=1))
     witness = int(live_rows[0]) if live_rows.size else None
-    grad_norm = weight_matrix_norm(subgradient(params, data))
-    loss = dataset_loss(params, data)
-    if witness is None:
-        verdict = "degenerate_zero_output"
-    elif grad_norm <= EPS_CRITICAL and loss <= LOSS_TOLERANCE:
-        verdict = "global_min"
-    else:
-        verdict = "not_critical"
     return LandscapeAudit(
-        verdict=verdict,
-        grad_norm=grad_norm,
-        loss=loss,
+        grad_norm=weight_matrix_norm(subgradient(params, data)),
+        loss=dataset_loss(params, data),
         nonzero_output_witness=witness,
     )
 

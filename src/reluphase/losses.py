@@ -26,7 +26,6 @@ __all__ = [
     "subgradient",
     "active_sets",
     "directional_derivative_fd",
-    "batch_loss_grad",
 ]
 
 

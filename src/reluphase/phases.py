@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DirectionSet, gc_check, gc_slack_batch
+from .geometry import DROP_TOL, GC_TOL, DirectionSet, gc_check, gc_slack_batch
 from .training import TrainResult
 
 __all__ = [
@@ -166,16 +166,38 @@ def monotonicity_step_threshold(r: float, bi: BoundInputs) -> float:
 
 @dataclass(frozen=True)
 class PhaseReport:
-    """Geometric-condition timeline for one class along a recorded run."""
+    """Geometric-condition timeline for one class along a recorded run.
+
+    The slow phase T1 is the snapshots where the condition fails and the fast
+    phase T2 those where it holds; first_hold is the time of the first hold,
+    and persistence the share of snapshots from there on that hold.
+    """
 
     class_label: int
     times: tuple[int, ...]
     gc_timeline: tuple[bool, ...]
-    first_hold: int | None
-    t1_size: int
-    t2_size: int
-    persistence: float | None
     sum_sq_loss_t2: float
+
+    def _first_index(self) -> int | None:
+        return self.gc_timeline.index(True) if True in self.gc_timeline else None
+
+    @property
+    def first_hold(self) -> int | None:
+        first = self._first_index()
+        return None if first is None else self.times[first]
+
+    @property
+    def t1_size(self) -> int:
+        return self.gc_timeline.count(False)
+
+    @property
+    def t2_size(self) -> int:
+        return self.gc_timeline.count(True)
+
+    @property
+    def persistence(self) -> float | None:
+        first = self._first_index()
+        return None if first is None else float(np.mean(self.gc_timeline[first:]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,39 +218,37 @@ class PhaseReport:
 _SLACK_ROUNDING = 1e-9
 
 
-def _lp_band(tol: float, k: int) -> float:
+def _lp_band(k: int) -> float:
     """Half-width of the slack band around zero in which the LP decides."""
-    q = 2.0 * k * tol
+    q = 2.0 * k * GC_TOL
     if q >= 0.5:
         return math.inf
     return 2.0 * math.asin(q / (1.0 - q)) + _SLACK_ROUNDING
 
 
-def _lp_holds(W: np.ndarray, owner_cols: np.ndarray, tol: float, drop_tol: float) -> bool:
+def _lp_holds(W: np.ndarray, owner_cols: np.ndarray) -> bool:
     try:
-        ds = DirectionSet.from_weight_matrix(W, columns=owner_cols, drop_tol=drop_tol)
+        ds = DirectionSet.from_weight_matrix(W, columns=owner_cols)
     except ValueError:
         return False
-    return gc_check(ds, tol=tol).verdict == "holds"
+    return gc_check(ds).verdict == "holds"
 
 
-def detect_phases(
-    result: TrainResult, class_label: int, tol: float = 1e-9, drop_tol: float = 1e-12
-) -> PhaseReport:
+def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
     """Geometric-condition timeline of the class's owner directions over every record.
 
     Each record's weight matrix is one snapshot; for a faithful phase split
     train with record_every=1.  The records are read, never changed.  A
     snapshot whose owner columns are all numerically zero, or whose verdict
     is degenerate, counts as not holding.  The verdict is gc_check's (the LP
-    with its certificate): "holds", with the given tol.
+    with its certificate): "holds", at GC_TOL.
 
     The whole timeline is judged at once from the signed slack of
     gc_slack_batch over the (T, k, d) stack of owner directions: a slack below
     -band holds, one above band fails.  gc_check runs only where that cannot
     stand in for the LP:
-      * snapshots with a column dropped (norm <= drop_tol) or a near-zero
-        subset normal (shared rays), whose slack is NaN;
+      * snapshots with a column of norm <= DROP_TOL or a near-zero subset
+        normal (shared rays), whose slack is NaN;
       * snapshots with |slack| <= band;
       * for d != 2, snapshots whose slack holds, since only the planar slack
         bounds the LP optimum;
@@ -236,9 +256,9 @@ def detect_phases(
     the timeline flips, first_hold among them.  If a check disagrees with a
     batch verdict, the whole timeline is recomputed through gc_check.
 
-    The band, for k owners: band = 2 asin(2 k tol / (1 - 2 k tol)) + 1e-9,
-    the last term covering rounding in the slack (everything goes to the LP
-    once 2 k tol >= 1/2).  A planar max gap pi - delta leaves the disc of
+    The band, for k owners and tol = GC_TOL: band = 2 asin(2 k tol / (1 - 2 k tol))
+    + 1e-9, the last term covering rounding in the slack (everything goes to
+    the LP once 2 k tol >= 1/2).  A planar max gap pi - delta leaves the disc of
     radius r = sin(delta / 2) inside the hull, and then the LP optimum is at
     least r / (k (1 + r)): the centroid c and the hull point -r c / |c| mix
     to zero with weight at least r / (k (|c| + r)) on every direction.  Below
@@ -255,37 +275,25 @@ def detect_phases(
     W = np.stack(snapshots)[:, :, owner_cols]
     T, d, k = W.shape
     norms = np.linalg.norm(W, axis=1)
-    kept = np.all(norms > drop_tol, axis=1)
+    kept = np.all(norms > DROP_TOL, axis=1)
     slack = np.full(T, np.nan)
     slack[kept] = gc_slack_batch(np.swapaxes(W[kept] / norms[kept, None, :], 1, 2))
-    band = _lp_band(tol, k)
+    band = _lp_band(k)
     flags = slack < -band
     decided = flags | (slack > band)
     if d != 2:
         decided &= ~flags
     for i in np.flatnonzero(~decided):
-        flags[i] = _lp_holds(snapshots[i], owner_cols, tol, drop_tol)
+        flags[i] = _lp_holds(snapshots[i], owner_cols)
     checks = np.concatenate(([0], np.flatnonzero(flags[1:] != flags[:-1]) + 1))
-    if any(
-        _lp_holds(snapshots[i], owner_cols, tol, drop_tol) != flags[i]
-        for i in checks
-        if decided[i]
-    ):
-        flags = np.array([_lp_holds(W_t, owner_cols, tol, drop_tol) for W_t in snapshots])
+    if any(_lp_holds(snapshots[i], owner_cols) != flags[i] for i in checks if decided[i]):
+        flags = np.array([_lp_holds(W_t, owner_cols) for W_t in snapshots])
 
-    times = tuple(rec.t for rec in result.records)
-    first_idx = int(np.argmax(flags)) if flags.any() else None
-    first_hold = times[first_idx] if first_idx is not None else None
-    persistence = float(flags[first_idx:].mean()) if first_idx is not None else None
     losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
     return PhaseReport(
         class_label=class_label,
-        times=times,
+        times=tuple(rec.t for rec in result.records),
         gc_timeline=tuple(bool(f) for f in flags),
-        first_hold=first_hold,
-        t1_size=int((~flags).sum()),
-        t2_size=int(flags.sum()),
-        persistence=persistence,
         sum_sq_loss_t2=float((losses[flags] ** 2).sum()),
     )
 

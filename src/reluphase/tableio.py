@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON output with a versioned schema registry.
+"""Deterministic CSV/JSON output with a schema registry.
 
 Every CSV the experiment commands emit is described here: fixed columns plus
 optional numbered column groups (for example neuron_norm_1..neuron_norm_k).
@@ -46,7 +46,6 @@ class ColumnGroup:
 @dataclass(frozen=True)
 class CsvSchema:
     name: str
-    version: int
     fixed: tuple[tuple[str, str], ...]
     groups: tuple[ColumnGroup, ...] = field(default_factory=tuple)
 
@@ -68,7 +67,6 @@ class CsvSchema:
 SCHEMAS: dict[str, CsvSchema] = {
     "trajectory": CsvSchema(
         name="trajectory",
-        version=1,
         fixed=(("t", "int"), ("loss", "float"), ("weight_norm", "float"), ("grad_norm", "float")),
         groups=(
             ColumnGroup("loss_class", "float"),
@@ -78,7 +76,6 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
     "width_runs": CsvSchema(
         name="width_runs",
-        version=1,
         fixed=(
             ("width", "int"),
             ("init", "str"),
@@ -92,7 +89,6 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
     "width_summary": CsvSchema(
         name="width_summary",
-        version=1,
         fixed=(
             ("width", "int"),
             ("init", "str"),
@@ -107,7 +103,6 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
     "angle_runs": CsvSchema(
         name="angle_runs",
-        version=1,
         fixed=(
             ("theta", "float"),
             ("run", "int"),
@@ -120,7 +115,6 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
     "angle_summary": CsvSchema(
         name="angle_summary",
-        version=1,
         fixed=(
             ("theta", "float"),
             ("runs", "int"),
@@ -134,7 +128,6 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
     "norm_runs": CsvSchema(
         name="norm_runs",
-        version=1,
         fixed=(
             ("run", "int"),
             ("seed", "int"),
@@ -146,12 +139,10 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
     "histogram": CsvSchema(
         name="histogram",
-        version=1,
         fixed=(("bin_lo", "float"), ("bin_hi", "float"), ("count", "int")),
     ),
     "gc_prob": CsvSchema(
         name="gc_prob",
-        version=1,
         fixed=(
             ("d", "int"),
             ("k", "int"),

@@ -38,6 +38,17 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.eye(2), np.array([1]))
 
+    def test_rejects_fractional_labels(self):
+        with pytest.raises(ValueError, match="labels must be integers, got 1.5"):
+            LabeledDataset(np.ones((2, 2)), [1.5, 2.7])
+        with pytest.raises(ValueError, match="labels must be integers, got nan"):
+            LabeledDataset(np.ones((2, 2)), [1.0, np.nan])
+
+    def test_accepts_integral_float_labels(self):
+        data = LabeledDataset(np.ones((2, 2)), [1.0, 2.0])
+        assert data.y.dtype.kind == "i"
+        assert data.labels == (1, 2)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):
             LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -215,8 +226,18 @@ class TestCsvRoundTrip:
             ("x1,x2,label\n1.0,2.0,1\n\n", "expected 3 cells, got 0"),
             ("x1,x2,label\n1.0,2.0,1,7\n", "expected 3 cells, got 4"),
             ("x1,x2,label\n", "no data rows"),
+            ("x1,x2,label\n1.0,2.0,1\n1.0,abc,2\n", ":3: could not convert string to float: 'abc'"),
+            ("x1,x2,label\n1.0,2.0,1.5\n", r":2: invalid literal for int\(\)"),
         ],
-        ids=["empty", "blank-header", "blank-row", "long-row", "header-only"],
+        ids=[
+            "empty",
+            "blank-header",
+            "blank-row",
+            "long-row",
+            "header-only",
+            "non-numeric-cell",
+            "fractional-label",
+        ],
     )
     def test_malformed_file_names_path(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

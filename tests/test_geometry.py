@@ -13,7 +13,7 @@ from reluphase import (
     gc_probability_mc,
     verify_certificate,
 )
-from reluphase.geometry import gc_holds_batch, gc_slack_batch
+from reluphase.geometry import GC_TOL, gc_holds_batch, gc_slack_batch
 
 
 def unit_rows(a):
@@ -35,14 +35,11 @@ class TestDirectionSet:
         W = np.array([[3.0, 0.0, 1e-15], [4.0, 2.0, 0.0]])
         ds = DirectionSet.from_weight_matrix(W)
         np.testing.assert_allclose(ds.dirs, [[0.6, 0.8], [0.0, 1.0]], atol=1e-12)
-        assert ds.source_indices == (0, 1)
-        assert ds.dropped == (2,)
 
     def test_from_weight_matrix_column_selection(self):
         W = np.array([[1.0, 5.0, -1.0], [0.0, 5.0, 0.0]])
         ds = DirectionSet.from_weight_matrix(W, columns=[0, 2])
         np.testing.assert_allclose(ds.dirs, [[1.0, 0.0], [-1.0, 0.0]], atol=1e-12)
-        assert ds.source_indices == (0, 2)
 
     def test_all_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -90,7 +87,7 @@ class TestGcCheck:
         cert = gc_check(DirectionSet(TRIPOD))
         lam = cert.hull_coeffs
         assert lam.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(lam >= cert.tol / 2)
+        assert np.all(lam >= GC_TOL / 2)
         np.testing.assert_allclose(lam @ TRIPOD, [0.0, 0.0], atol=1e-9)
 
 
@@ -155,22 +152,18 @@ class TestVerifyCertificate:
     def test_rejects_corrupted_hull_coefficients(self):
         ds = DirectionSet(TRIPOD)
         cert = gc_check(ds)
-        bad = GcCertificate(
-            verdict="holds", margin=cert.margin, tol=cert.tol, hull_coeffs=cert.hull_coeffs + 0.1
-        )
+        bad = GcCertificate(verdict="holds", margin=cert.margin, hull_coeffs=cert.hull_coeffs + 0.1)
         assert not verify_certificate(ds, bad)
 
     def test_rejects_corrupted_separator(self):
         ds = DirectionSet(QUARTER)
         cert = gc_check(ds)
-        bad = GcCertificate(
-            verdict="fails", margin=cert.margin, tol=cert.tol, separator=-cert.separator
-        )
+        bad = GcCertificate(verdict="fails", margin=cert.margin, separator=-cert.separator)
         assert not verify_certificate(ds, bad)
 
     def test_rejects_missing_witness(self):
         ds = DirectionSet(TRIPOD)
-        assert not verify_certificate(ds, GcCertificate(verdict="holds", margin=0.1, tol=1e-9))
+        assert not verify_certificate(ds, GcCertificate(verdict="holds", margin=0.1))
 
     @pytest.mark.parametrize(
         "dirs,lam",
@@ -184,14 +177,14 @@ class TestVerifyCertificate:
         # The weights sum the directions to the origin, but the weighted
         # directions span only a line: the origin is on the hull's boundary.
         ds = DirectionSet(np.array(dirs))
-        cert = GcCertificate(verdict="holds", margin=0.1, tol=1e-9, hull_coeffs=np.array(lam))
+        cert = GcCertificate(verdict="holds", margin=0.1, hull_coeffs=np.array(lam))
         assert not verify_certificate(ds, cert)
 
     def test_rejects_ill_conditioned_span(self):
         # A thin rhombus holds the origin inside for any eps > 0, with exact
         # weights 1/4.  At eps = 1e-17 its span falls below the conditioning
         # guard, where the LP's rank guard calls the set degenerate too.
-        cert = GcCertificate(verdict="holds", margin=0.0, tol=1e-9, hull_coeffs=np.full(4, 0.25))
+        cert = GcCertificate(verdict="holds", margin=0.0, hull_coeffs=np.full(4, 0.25))
         for eps, interior in ((1e-10, True), (1e-17, False)):
             ds = DirectionSet(unit_rows([[1.0, eps], [1.0, -eps], [-1.0, eps], [-1.0, -eps]]))
             assert verify_certificate(ds, cert) is interior
@@ -202,7 +195,7 @@ class TestVerifyCertificate:
         ds = DirectionSet(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
         cert = check(ds)
         assert cert.verdict == "holds"
-        assert np.all(cert.hull_coeffs > cert.tol)
+        assert np.all(cert.hull_coeffs > GC_TOL)
         assert verify_certificate(ds, cert)
 
     def test_degenerate_certificate_carries_no_witness(self):

@@ -5,6 +5,7 @@ from reluphase import (
     AnnulusDistribution,
     GridDatasetSpec,
     LabeledDataset,
+    LandscapeAudit,
     Rng,
     build_output_map,
     construct_zero_loss,
@@ -18,6 +19,7 @@ from reluphase import (
     subgradient,
     weight_matrix_norm,
 )
+from reluphase.landscape import EPS_CRITICAL, LOSS_TOLERANCE
 
 
 class TestRegularSimplex:
@@ -117,6 +119,27 @@ class TestConstructZeroLoss:
             construct_zero_loss(omap8, 1, 2, 1.0, biases=np.full(8, -0.1))
         with pytest.raises(ValueError, match="owns no hidden units"):
             construct_zero_loss(omap8, 5, 2, 1.0)
+
+
+class TestAuditVerdict:
+    """The verdict is read off the measurements, with inclusive thresholds."""
+
+    def test_at_both_thresholds_is_global_min(self):
+        assert LandscapeAudit(EPS_CRITICAL, LOSS_TOLERANCE, 0).verdict == "global_min"
+
+    @pytest.mark.parametrize(
+        "grad_norm, loss",
+        [
+            (np.nextafter(EPS_CRITICAL, 1.0), LOSS_TOLERANCE),
+            (EPS_CRITICAL, np.nextafter(LOSS_TOLERANCE, 1.0)),
+        ],
+        ids=["grad-one-ulp-above", "loss-one-ulp-above"],
+    )
+    def test_one_ulp_above_is_not_critical(self, grad_norm, loss):
+        assert LandscapeAudit(float(grad_norm), float(loss), 0).verdict == "not_critical"
+
+    def test_no_witness_is_degenerate_even_at_zero_loss(self):
+        assert LandscapeAudit(0.0, 0.0, None).verdict == "degenerate_zero_output"
 
 
 class TestCriticalPointAudit:

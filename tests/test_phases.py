@@ -257,29 +257,66 @@ class TestDetectPhases:
             detect_phases(res, 3)
 
 
-def lp_report(result, class_label, tol=1e-9, drop_tol=1e-12):
+def hand_report(timeline):
+    """A report for snapshots at t = 0, 5, 10, ..., so a time differs from its index."""
+    times = tuple(range(0, 5 * len(timeline), 5))
+    return phases.PhaseReport(class_label=1, times=times, gc_timeline=timeline, sum_sq_loss_t2=0.0)
+
+
+class TestPhaseReport:
+    """The phase sizes, first hold and persistence are read off the timeline."""
+
+    def test_no_hold(self):
+        report = hand_report((False, False, False))
+        assert report.first_hold is None
+        assert (report.t1_size, report.t2_size) == (3, 0)
+        assert report.persistence is None
+
+    def test_hold_at_first_snapshot(self):
+        report = hand_report((True, True, False))
+        assert report.first_hold == 0
+        assert (report.t1_size, report.t2_size) == (1, 2)
+        assert report.persistence == 2.0 / 3.0
+
+    def test_hold_that_lapses(self):
+        report = hand_report((False, True, False, True))
+        assert report.first_hold == 5
+        assert (report.t1_size, report.t2_size) == (2, 2)
+        assert report.persistence == 2.0 / 3.0
+
+    def test_json_keeps_every_key(self):
+        out = hand_report((False, True, False, True)).to_json_dict()
+        assert list(out) == [
+            "class_label",
+            "times",
+            "gc_timeline",
+            "first_hold",
+            "t1_size",
+            "t2_size",
+            "persistence",
+            "sum_sq_loss_t2",
+        ]
+        assert (out["first_hold"], out["t1_size"], out["t2_size"]) == (5, 2, 2)
+        assert out["persistence"] == 2.0 / 3.0
+
+
+def lp_report(result, class_label):
     """Reference: gc_check on every snapshot, the report built from that timeline."""
     cols = result.params.output.owner_columns(class_label)
     timeline = []
     for rec in result.records:
         try:
-            ds = DirectionSet.from_weight_matrix(rec.weights, columns=cols, drop_tol=drop_tol)
+            ds = DirectionSet.from_weight_matrix(rec.weights, columns=cols)
         except ValueError:
             timeline.append(False)
             continue
-        timeline.append(gc_check(ds, tol=tol).verdict == "holds")
+        timeline.append(gc_check(ds).verdict == "holds")
     flags = np.array(timeline, dtype=bool)
-    times = tuple(rec.t for rec in result.records)
-    first = int(np.argmax(flags)) if flags.any() else None
     losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
     return phases.PhaseReport(
         class_label=class_label,
-        times=times,
+        times=tuple(rec.t for rec in result.records),
         gc_timeline=tuple(timeline),
-        first_hold=None if first is None else times[first],
-        t1_size=int((~flags).sum()),
-        t2_size=int(flags.sum()),
-        persistence=None if first is None else float(flags[first:].mean()),
         sum_sq_loss_t2=float((losses[flags] ** 2).sum()),
     )
 
@@ -296,9 +333,9 @@ def lp_calls(monkeypatch):
     """Direction sets detect_phases hands to gc_check (lp_report's calls are not seen)."""
     seen = []
 
-    def recording(ds, tol=1e-9):
+    def recording(ds):
         seen.append(ds.dirs)
-        return gc_check(ds, tol=tol)
+        return gc_check(ds)
 
     monkeypatch.setattr(phases, "gc_check", recording)
     return seen
@@ -375,9 +412,9 @@ class TestBatchTimelineMatchesLp:
     def test_disagreeing_check_recomputes_the_whole_timeline(self, monkeypatch):
         calls = []
 
-        def never_holds(ds, tol=1e-9):
+        def never_holds(ds):
             calls.append(ds)
-            return GcCertificate(verdict="fails", margin=None, tol=tol)
+            return GcCertificate(verdict="fails", margin=None)
 
         monkeypatch.setattr(phases, "gc_check", never_holds)
         res = fabricated_result(clustered_then_spread(), [0.9, 0.4, 0.1])
