@@ -136,8 +136,8 @@ class GridDatasetSpec:
     angles: tuple[float, ...] = field(default_factory=_default_angles)
 
     def __post_init__(self):
-        if not (self.noise_std >= 0.0):
-            raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
 
     @property
     def points_per_class(self) -> int:
@@ -195,8 +195,8 @@ class AnnulusDistribution:
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-12:
             raise ValueError("basis columns must be orthonormal to 1e-12")
-        if not (0.0 < self.inner < self.outer):
-            raise ValueError(f"need 0 < inner < outer, got {self.inner}, {self.outer}")
+        if not (0.0 < self.inner < self.outer < math.inf):
+            raise ValueError(f"need 0 < inner < outer < inf, got {self.inner}, {self.outer}")
         basis.flags.writeable = False
         object.__setattr__(self, "basis", basis)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import NetworkParams, Rng, build_output_map, forward_batch, network_params
+from .core import NetworkParams, OutputMap, Rng, build_output_map, forward_batch, network_params
 from .datagen import (
     AnnulusDistribution,
     GridDatasetSpec,
@@ -137,7 +137,13 @@ def _build_config(cls, mapping: dict):
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}; accepted keys: {names}")
     kwargs = {f.name: _COERCERS[f.type](mapping[f.name], f.name) for f in fields(cls) if f.name in mapping}
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # The library type that owns the setting refused it, in its own words.
+        raise ConfigError(str(exc)) from exc
 
 
 def _config_snapshot(command: str, cfg) -> dict:
@@ -205,28 +211,22 @@ def initial_weights(init: str, d: int, width: int, rng: Rng) -> np.ndarray:
     return _INITS[init](d, width, rng)
 
 
-def _check_run_settings(cfg) -> None:
-    """The settings every training command shares: eta, max_iters and v."""
-    _require(math.isfinite(cfg.eta) and cfg.eta > 0.0, f"eta must be positive, got {cfg.eta}")
-    _require(cfg.max_iters >= 1, f"max_iters must be at least 1, got {cfg.max_iters}")
-    _require(math.isfinite(cfg.v) and cfg.v > 0.0, f"v must be positive, got {cfg.v}")
+def _require_even_width(width: int, key: str = "width") -> None:
+    """Two classes of at least two units each under the round-robin output map."""
+    _require(width >= 4 and width % 2 == 0, f"{key} must be even and at least 4, got {width}")
 
 
-def _check_biases(biases, width: int) -> None:
-    if biases is None:
-        return
-    if len(biases) != width:
-        raise ConfigError(f"biases must list one value per hidden unit ({width}), got {len(biases)}")
-    if any(b < 0.0 for b in biases):
-        raise ConfigError("biases must be nonnegative")
-    total = sum(biases)
-    if total != 0.0 and not (0.0 < total < 1.0):
-        raise ConfigError(f"nonzero biases must sum into (0, 1), got {total}")
+def _zero_weight_params(output: OutputMap, d: int, biases) -> NetworkParams:
+    """A run's params on zero weights: NetworkParams checks the biases against the output map."""
+    return NetworkParams(np.zeros((d, output.k)), np.zeros(output.k) if biases is None else biases, output)
 
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything needed to reproduce one training run; also the train command's config."""
+    """Everything needed to reproduce one training run; also the train command's config.
+
+    It checks itself by building what its run builds, so each rule has one owner.
+    """
 
     task: str = "planar-grid"
     width: int = 8
@@ -242,35 +242,32 @@ class RunSpec:
     biases: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _check_run_settings(self)
-        _require(self.width >= 2, f"width must be at least 2, got {self.width}")
-        _require(self.stop_loss >= 0.0, "stop_loss must be nonnegative")
-        _require(self.record_every >= 1, "record_every must be at least 1")
-        _check_biases(self.biases, self.width)
+        # A sweep records every run at record_every = max_iters.
+        _require(self.max_iters >= 1, f"max_iters must be at least 1, got {self.max_iters}")
         _require_known("task", self.task, _TASKS)
-        _check_init(self.init, _TASKS[self.task][1], self.width)
-        _require(
-            math.isfinite(self.noise_std) and self.noise_std >= 0.0,
-            f"noise_std must be finite and nonnegative, got {self.noise_std}",
-        )
+        d = _TASKS[self.task][1]
+        _check_init(self.init, d, self.width)
+        self.train_config()
+        _zero_weight_params(self.output_map(), d, self.biases)
+        GridDatasetSpec(noise_std=self.noise_std)
         if self.task == "subspace-pair":
-            _require(0.0 < self.theta <= math.pi / 2, f"theta must lie in (0, pi/2], got {self.theta}")
+            make_subspace_pair(self.theta)
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            eta=self.eta, max_iters=self.max_iters, stop_loss=self.stop_loss, record_every=self.record_every
+        )
+
+    def output_map(self) -> OutputMap:
+        return build_output_map(2, self.width, self.v)
 
 
 def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
     rng = Rng(spec.seed)
     data = build_task(spec.task, spec.theta, spec.noise_std, rng.child(1))
-    output = build_output_map(2, spec.width, spec.v)
     W0 = initial_weights(spec.init, data.dim, spec.width, rng.child(0))
-    biases = None if spec.biases is None else np.asarray(spec.biases, dtype=float)
-    params = network_params(W0, output, biases)
-    config = TrainConfig(
-        eta=spec.eta,
-        max_iters=spec.max_iters,
-        stop_loss=spec.stop_loss,
-        record_every=spec.record_every,
-    )
-    return train(params, data, config), data
+    params = network_params(W0, spec.output_map(), spec.biases)
+    return train(params, data, spec.train_config()), data
 
 
 def _run_worker(spec: RunSpec) -> tuple[int, int, bool, float, float, float]:
@@ -298,26 +295,20 @@ def map_runs(worker, specs, threads: int):
         return list(ex.map(worker, specs, chunksize=chunk))
 
 
-def _sweep_spec(cfg, r: int, **run) -> RunSpec:
-    """Run r of a sweep cell: seed seed_base + r, recording only the endpoints."""
-    return RunSpec(
-        v=cfg.v,
-        eta=cfg.eta,
-        max_iters=cfg.max_iters,
-        seed=cfg.seed_base + r,
-        record_every=cfg.max_iters,
-        **run,
-    )
+def _endpoint_spec(cfg, seed: int, **run) -> RunSpec:
+    """A run with cfg's v, eta and max_iters from the given seed, recording only the endpoints."""
+    return RunSpec(v=cfg.v, eta=cfg.eta, max_iters=cfg.max_iters, seed=seed, record_every=cfg.max_iters, **run)
 
 
-def _check_sweep(cfg, **run) -> None:
-    """runs, threads and the spec of run 0 of one cell, checked when a sweep config is built.
+def _check_sweep(cfg, cells) -> None:
+    """runs, threads and the spec of run 0 of every cell, checked when a sweep config is built.
 
-    The cells of a sweep differ only in settings the sweep checks itself.
+    The runs of one cell differ only in their seeds.
     """
     _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
     _worker_count(cfg.threads, cfg.runs)
-    _sweep_spec(cfg, 0, **run)
+    for run in cells:
+        _endpoint_spec(cfg, cfg.seed_base, **run)
 
 
 def _run_cell(cfg, **run):
@@ -325,7 +316,7 @@ def _run_cell(cfg, **run):
 
     Returns the per-run _run_worker tuples and _iteration_stats over them.
     """
-    specs = [_sweep_spec(cfg, r, **run) for r in range(cfg.runs)]
+    specs = [_endpoint_spec(cfg, cfg.seed_base + r, **run) for r in range(cfg.runs)]
     runs = map_runs(_run_worker, specs, cfg.threads)
     return runs, _iteration_stats([it for _, it, *_ in runs])
 
@@ -472,13 +463,16 @@ class SweepWidthConfig:
 
     def __post_init__(self):
         for w in self.widths:
-            _require(w >= 4 and w % 2 == 0, f"widths must be even and at least 4, got {w}")
+            _require_even_width(w, "widths")
         for init in self.inits:
             _require(
                 init in ("random", "halfspace"),
                 f"sweep-width inits must be 'random' or 'halfspace', got {init!r}",
             )
-        _check_sweep(self, task="planar-grid", width=self.widths[0], init=self.inits[0])
+        _check_sweep(self, [self.cell(w, init) for w in self.widths for init in self.inits])
+
+    def cell(self, width: int, init: str) -> dict:
+        return dict(task="planar-grid", width=width, init=init)
 
 
 def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
@@ -488,7 +482,7 @@ def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
     boxes = []
     for width in cfg.widths:
         for ci, init in enumerate(cfg.inits):
-            runs, (mean, std, med, q25, q75) = _run_cell(cfg, task="planar-grid", width=width, init=init)
+            runs, (mean, std, med, q25, q75) = _run_cell(cfg, **cfg.cell(width, init))
             for r, (seed, it, conv, floss, _, mnorm) in enumerate(runs):
                 run_rows.append([width, init, r, seed, it, conv, floss, mnorm])
             good = sorted(it for _, it, conv, *_ in runs if conv)
@@ -534,10 +528,8 @@ class SweepAngleConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _require(self.width >= 4 and self.width % 2 == 0, f"width must be even and at least 4, got {self.width}")
-        for theta in self.angles:
-            _require(0.0 < theta <= math.pi / 2, f"angles must lie in (0, pi/2], got {theta}")
-        _check_sweep(self, **self.cell(self.angles[0]))
+        _require_even_width(self.width)
+        _check_sweep(self, [self.cell(theta) for theta in self.angles])
 
     def cell(self, theta: float) -> dict:
         return dict(task="subspace-pair", width=self.width, init=self.init, theta=theta, noise_std=self.noise_std)
@@ -591,11 +583,14 @@ class NormHistConfig:
 
     def __post_init__(self):
         _require(self.bins >= 1, "bins must be at least 1")
-        _check_sweep(self, task="planar-grid", width=self.width, init=self.init)
+        _check_sweep(self, [self.cell()])
+
+    def cell(self) -> dict:
+        return dict(task="planar-grid", width=self.width, init=self.init)
 
 
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
-    runs, _ = _run_cell(cfg, task="planar-grid", width=cfg.width, init=cfg.init)
+    runs, _ = _run_cell(cfg, **cfg.cell())
     rows = [[r, seed, it, conv, fnorm, mnorm] for r, (seed, it, conv, _, fnorm, mnorm) in enumerate(runs)]
     _write_table(out, "norm_runs.csv", rows)
     max_norms = np.array([row[5] for row in rows])
@@ -743,29 +738,41 @@ class LandscapeAuditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_run_settings(self)
+        _require_even_width(self.width)
+        output = self.audit_spec(0).output_map()  # checks eta, max_iters and v
         _require(self.pairs >= 1, "pairs must be at least 1")
         _require(self.audit_runs >= 0, "audit_runs must be nonnegative")
         _require(self.samples_per_class >= 1, "samples_per_class must be at least 1")
         _require(self.subspace_dim >= 1, "subspace_dim must be at least 1")
-        _require(0.0 < self.data_min < self.data_max < math.inf, "need 0 < data_min < data_max < inf")
-        _require(self.width >= 4 and self.width % 2 == 0, f"width must be even and at least 4, got {self.width}")
+        self.annulus()
         _require(
             self.width // 2 > self.subspace_dim,
             f"the zero-loss construction needs more than subspace_dim ({self.subspace_dim}) "
             f"units per class, got width {self.width}",
         )
-        _check_biases(self.biases, self.width)
         _require(
             self.biases is None or sum(self.biases) != 0.0,
             "the weight-perturbation diagnostic needs nonzero biases",
         )
+        _zero_weight_params(output, 2, self.lipschitz_biases())
+
+    def annulus(self) -> AnnulusDistribution:
+        """The data range of the constructed minima."""
+        return AnnulusDistribution(np.eye(self.subspace_dim), self.data_min, self.data_max)
+
+    def audit_spec(self, r: int) -> RunSpec:
+        """Audited run r: a random-init planar run from seed + r."""
+        return _endpoint_spec(self, self.seed + r, width=self.width)
+
+    def lipschitz_biases(self) -> tuple[float, ...]:
+        """The biases of the Lipschitz diagnostic: the configured ones, else 0.4 / width each."""
+        return self.biases if self.biases is not None else (0.4 / self.width,) * self.width
 
 
 def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
     rng = Rng(cfg.seed)
     output = build_output_map(2, cfg.width, cfg.v)
-    dist = AnnulusDistribution(np.eye(cfg.subspace_dim), cfg.data_min, cfg.data_max)
+    dist = cfg.annulus()
 
     constructed = {}
     for label in (1, 2):
@@ -776,22 +783,12 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
 
     trained = []
     for r in range(cfg.audit_runs):
-        spec = RunSpec(
-            task="planar-grid",
-            width=cfg.width,
-            v=cfg.v,
-            eta=cfg.eta,
-            max_iters=cfg.max_iters,
-            init="random",
-            seed=cfg.seed + r,
-            record_every=cfg.max_iters,
-        )
+        spec = cfg.audit_spec(r)
         result, data = execute_run(spec)
         audit = critical_point_audit(result.params, data)
-        trained.append({"seed": cfg.seed + r, "stop_reason": result.stop_reason, **audit.to_json_dict()})
+        trained.append({"seed": spec.seed, "stop_reason": result.stop_reason, **audit.to_json_dict()})
 
-    biases = cfg.biases if cfg.biases is not None else tuple([0.4 / cfg.width] * cfg.width)
-    bias_arr = np.asarray(biases, dtype=float)
+    bias_arr = np.asarray(cfg.lipschitz_biases(), dtype=float)
     lip_data = grid_dataset_planar(GridDatasetSpec())
 
     def sampler(r: Rng) -> NetworkParams:

@@ -55,8 +55,8 @@ class TrainConfig:
             raise ValueError("max_iters must be nonnegative")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        if self.stop_loss < 0.0:
-            raise ValueError("stop_loss must be nonnegative")
+        if not (self.stop_loss >= 0.0):
+            raise ValueError(f"stop_loss must be nonnegative, got {self.stop_loss}")
 
 
 @dataclass

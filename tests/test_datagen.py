@@ -113,8 +113,9 @@ class TestGridDataset:
         assert 0.05 < delta.std() < 0.2
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            GridDatasetSpec(noise_std=-0.1)
+        for noise_std in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise_std must be finite and nonnegative"):
+                GridDatasetSpec(noise_std=noise_std)
 
 
 class TestAnnulus:
@@ -154,6 +155,12 @@ class TestAnnulus:
             AnnulusDistribution(basis=np.eye(2), inner=2.0, outer=1.0)
         with pytest.raises(ValueError):
             sample_annulus(self.dist(), 0, Rng(0))
+
+    @pytest.mark.parametrize("outer", [math.inf, math.nan])
+    def test_rejects_non_finite_outer(self, outer):
+        # an infinite annulus has no uniform density: its volume would be inf
+        with pytest.raises(ValueError, match="inner < outer < inf"):
+            AnnulusDistribution(basis=np.eye(2), inner=1.0, outer=outer)
 
 
 class TestInitializers:

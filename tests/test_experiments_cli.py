@@ -3,12 +3,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import reluphase
 from reluphase import Rng, build_output_map, network_params
 from reluphase import experiments
 from reluphase.cli import main
@@ -217,6 +220,40 @@ class TestWorkerCount:
         assert run_counter == []
 
 
+class TestProcessPool:
+    """map_runs with two worker processes writes the same bytes as one process."""
+
+    @pytest.mark.parametrize(
+        "command, mapping",
+        [
+            ("sweep-width", {"widths": [6, 8], "inits": ["random", "halfspace"], "runs": 3, "max_iters": 300}),
+            ("norm-hist", {"runs": 4, "bins": 3, "max_iters": 300, "width": 6}),
+        ],
+    )
+    def test_two_workers_match_one(self, tmp_path, monkeypatch, command, mapping):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = []
+
+        class RecordingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert run_command(command, {**mapping, "threads": 1}, str(serial)) == run_command(
+            command, {**mapping, "threads": 2}, str(pooled)
+        )
+        assert pools and set(pools) == {2}
+        names = sorted(os.listdir(serial))
+        assert names == sorted(os.listdir(pooled))
+        assert any(name.endswith(".csv") for name in names) and any(name.endswith(".svg") for name in names)
+        for name in names:
+            if name != "config.json":
+                assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+        assert json.loads((pooled / "config.json").read_text())["threads"] == 2
+
+
 @pytest.fixture
 def run_counter(monkeypatch):
     """Record every spec that reaches execute_run, without training."""
@@ -230,7 +267,8 @@ def run_counter(monkeypatch):
     return calls
 
 
-# Bad run settings, each rejected when its command's config is built.
+# Bad run settings, each rejected when its command's config is built, in the
+# words of the type that owns the rule.
 BAD_RUN_SETTINGS = [
     ("train", {"v": -1}, "v must be positive"),
     ("train", {"v": math.inf}, "v must be positive"),
@@ -247,7 +285,18 @@ BAD_RUN_SETTINGS = [
     ("sweep-angle", {"angles": [1.0], "runs": 1, "max_iters": 5, "noise_std": -1}, "noise_std must be"),
     ("train", {"task": "nope"}, "unknown task"),
     ("landscape-audit", {"subspace_dim": 4}, "zero-loss construction needs more than subspace_dim"),
-    ("landscape-audit", {"data_max": 1e400}, "data_max < inf"),
+    ("landscape-audit", {"data_max": 1e400}, "inner < outer < inf"),
+    ("train", {"width": 4, "biases": [0.1, 0.1]}, "biases must have shape"),
+    ("train", {"width": 2, "biases": [-0.1, 0.2]}, "biases must be finite and nonnegative"),
+    ("train", {"width": 4, "biases": [0.5] * 4}, "nonzero biases must sum into"),
+    ("train", {"noise_std": 1e400}, "noise_std must be finite and nonnegative"),
+    ("landscape-audit", {"biases": [0.05] * 3}, "biases must have shape"),
+    ("landscape-audit", {"biases": [-0.05] + [0.05] * 7}, "biases must be finite and nonnegative"),
+    ("landscape-audit", {"biases": [0.2] * 8}, "nonzero biases must sum into"),
+    ("landscape-audit", {"biases": [0.0] * 8}, "needs nonzero biases"),
+    ("train", {"stop_loss": math.nan}, "stop_loss must be nonnegative"),
+    ("train", {"record_every": 0}, "record_every must be at least 1"),
+    ("train", {"width": 1}, "output map needs k >= n"),
 ]
 
 
@@ -277,7 +326,7 @@ class TestRunSettingChecks:
 
     def test_bad_trailing_angle_starts_no_run(self, tmp_path, run_counter):
         mapping = {"angles": [0.5, 3.0], "runs": 2, "max_iters": 10}
-        with pytest.raises(ConfigError, match="angles must lie in"):
+        with pytest.raises(ConfigError, match="theta must lie in"):
             run_command("sweep-angle", mapping, str(tmp_path / "x"))
         assert run_counter == []
 
@@ -515,6 +564,40 @@ class TestCliMain:
         code = main(["train", "--out", str(tmp_path / "o"), "--runs", "5"])
         assert code == 2
         assert "no run count" in capsys.readouterr().err
+
+    def test_runs_and_threads_overrides_are_recorded(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": 5, "threads": 1, "max_iters": 50, "bins": 2, "width": 6}))
+        out = tmp_path / "nh"
+        argv = ["norm-hist", "--out", str(out), "--config", str(cfg), "--runs", "1", "--threads", "3"]
+        assert main(argv) == 0
+        snap = json.loads((out / "config.json").read_text())
+        assert (snap["runs"], snap["threads"]) == (1, 3)
+        assert validate_csv(out / "norm_runs.csv") == 1
+
+    @pytest.mark.parametrize(
+        "flag, message", [("--runs", "takes no run count"), ("--threads", "takes no thread count")]
+    )
+    def test_gc_prob_refuses_run_overrides(self, tmp_path, capsys, flag, message):
+        assert main(["gc-prob", "--out", str(tmp_path / "o"), flag, "2"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cells": [[2, 3]], "trials": 500}))
+        out = tmp_path / "gc"
+        src = os.path.dirname(os.path.dirname(reluphase.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "reluphase", "gc-prob", "--out", str(out), "--config", str(cfg)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "cells: 1" in proc.stdout
+        assert validate_csv(out / "gc_prob.csv") == 1
+        refused = argv[:3] + ["gc-prob", "--out", str(tmp_path / "o"), "--runs", "2"]
+        bad = subprocess.run(refused, capture_output=True, text=True, env=env, timeout=120)
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("config error: ") and "Traceback" not in bad.stderr
 
     def test_unknown_config_key_is_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -48,6 +48,8 @@ class TestTrainConfig:
             TrainConfig(eta=0.1, max_iters=1, record_every=0)
         with pytest.raises(ValueError):
             TrainConfig(eta=0.1, max_iters=1, stop_loss=-1e-9)
+        with pytest.raises(ValueError, match="stop_loss must be nonnegative, got nan"):
+            TrainConfig(eta=0.1, max_iters=1, stop_loss=float("nan"))
 
 
 class TestGdStep:
