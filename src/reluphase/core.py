@@ -44,6 +44,8 @@ class Rng:
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         self.stream = tuple(int(s) for s in stream)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.stream)
         self._gen = np.random.Generator(np.random.PCG64(seq))
@@ -201,11 +203,20 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return scores, pre
 
 
-def forward_arrays(W: np.ndarray, b: np.ndarray, values: np.ndarray, X: np.ndarray):
-    """Array-level forward pass, (F (N, n), H (N, k)), shared by forward_batch and the loss kernel."""
-    H = X @ W - b
-    F = np.maximum(H, 0.0) @ values.T
-    return F, H
+def forward_arrays(W: np.ndarray, b: np.ndarray, values: np.ndarray, X: np.ndarray, out=None):
+    """Array-level forward pass, (F (N, n), H (N, k)), shared by forward_batch and the loss kernel.
+
+    out, when given, is a triple of buffers (F (N, n), H (N, k), relu(H)
+    (N, k)) that the pass fills and returns instead of allocating.
+    """
+    F, H, A = (None, None, None) if out is None else out
+    H = np.matmul(X, W, out=H)
+    # x - (+0.0) is x for every float, so a bias of all +0.0 is skipped; a
+    # -0.0 bias still subtracts, since it turns -0.0 into +0.0.
+    if b.any() or np.signbit(b).any():
+        np.subtract(H, b, out=H)
+    A = np.maximum(H, 0.0, out=A)
+    return np.matmul(A, values.T, out=F), H
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

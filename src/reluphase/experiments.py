@@ -247,6 +247,7 @@ class RunSpec:
         _require_known("task", self.task, _TASKS)
         d = _TASKS[self.task][1]
         _check_init(self.init, d, self.width)
+        Rng(self.seed)
         self.train_config()
         _zero_weight_params(self.output_map(), d, self.biases)
         GridDatasetSpec(noise_std=self.noise_std)
@@ -611,6 +612,7 @@ class GcProbConfig:
 
     def __post_init__(self):
         _require(self.trials >= 1, f"trials must be at least 1, got {self.trials}")
+        Rng(self.seed)
         for d, k in self.cells:
             _require(d >= 1 and k >= 1, f"cells need d >= 1 and k >= 1, got ({d}, {k})")
 

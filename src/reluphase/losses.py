@@ -8,6 +8,14 @@ The subgradient follows the rule
 with both indicators strict, so samples sitting exactly on a hinge or ReLU
 boundary contribute nothing.  Dataset quantities are plain means over the
 samples; to restrict them to some classes, pass data.subset(labels).
+
+The array-level kernel batch_loss_grad takes an optional KernelWorkspace:
+the per-run invariants and preallocated buffers it fills with out= ufuncs,
+so a training run allocates no array per step.  Its fast paths are exact by
+construction: the owner gather and the label-score read are np.take calls
+whose indices are all in range; a bias of all +0.0 is not subtracted,
+since x - (+0.0) is x; and a class no sample is labelled against is
+skipped, since it adds no hinge term and no active flag.
 """
 from __future__ import annotations
 
@@ -29,48 +37,94 @@ __all__ = [
 ]
 
 
-def _hinge(F: np.ndarray, y0: np.ndarray):
-    """Hinge terms class by class: (losses (N,), strict flags (N, n), flag count (N,)).
+class _HingeWorkspace:
+    """The invariants and buffers of the class-by-class hinge for 0-based labels y0 of n classes.
+
+    per_sample_losses and active_sets build only this part; the kernel's
+    workspace adds the forward and gradient buffers.
+    """
+
+    def __init__(self, y0: np.ndarray, n: int):
+        N = y0.size
+        self.label_index = np.arange(N) * n + y0  # flat index of F[s, y0[s]]
+        # A class no sample is labelled against adds no hinge term, so it is
+        # skipped and its active column stays False.
+        masks = [(c, y0 != c) for c in range(n)]
+        self.others = [(c, other) for c, other in masks if other.any()]
+        self.active = np.zeros((N, n), dtype=bool)
+        self.slack, self.margin, self.hinge, self.losses, self.count = np.empty((5, N))
+
+
+class KernelWorkspace(_HingeWorkspace):
+    """The per-run invariants and buffers of the loss kernel for one (values, X, y0).
+
+    train builds one per run and passes it to every batch_loss_grad call, so
+    a call allocates nothing.  Each call overwrites the buffers: the losses
+    and grad it returns stay valid only until the next call.
+    """
+
+    def __init__(self, values: np.ndarray, X: np.ndarray, y0: np.ndarray):
+        (N, d), (n, k) = X.shape, values.shape
+        super().__init__(y0, n)
+        self.owner = values.argmax(axis=0)  # 0-based owner class of each unit
+        self.two_v = 2.0 * values.max()
+        self.XT = X.T
+        self.F, self.table = np.empty((N, n)), np.empty((N, n))
+        self.H, self.relu, self.coef = np.empty((N, k)), np.empty((N, k)), np.empty((N, k))
+        self.live = np.empty((N, k), dtype=bool)
+        self.grad = np.empty((d, k))
+
+
+def _hinge(F: np.ndarray, ws: _HingeWorkspace):
+    """Hinge terms class by class into ws: (losses (N,), strict flags (N, n), flag count (N,)).
 
     Class c has margin m_c = 1 - f_y + F[:, c].  For c != y it adds
     max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN) and
     is active when m_c > 0.
     """
-    N, n = F.shape
-    slack = 1.0 - F[np.arange(N), y0]
-    losses = np.zeros(N)
-    count = np.zeros(N)
-    active = np.empty((N, n), dtype=bool)
-    for c in range(n):
-        margin = slack + F[:, c]
-        other = y0 != c
-        np.add(losses, np.maximum(margin, 0.0), out=losses, where=other)
+    slack, margin, hinge, losses, count, active = ws.slack, ws.margin, ws.hinge, ws.losses, ws.count, ws.active
+    # Every index is in range, so mode="clip" never acts; unlike the default
+    # mode, it lets np.take write into out without an intermediate copy.
+    np.take(F, ws.label_index, out=slack, mode="clip")
+    np.subtract(1.0, slack, out=slack)
+    losses.fill(0.0)
+    count.fill(0.0)
+    for c, other in ws.others:
+        np.add(slack, F[:, c], out=margin)
+        np.add(losses, np.maximum(margin, 0.0, out=hinge), out=losses, where=other)
         flag = np.greater(margin, 0.0, out=active[:, c])
         flag &= other
         count += flag
     return losses, active, count
 
 
-def batch_loss_grad(W, b, values, X, y0, rows):
+def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None):
     """Mean loss and mean subgradient over the given sample rows.
 
     Array-level workhorse shared by the public ops and the training loop so
     both follow bit-identical arithmetic.  y0 holds 0-based labels and rows
-    distinct sample indices; values is an OutputMap's matrix.
+    distinct sample indices; values is an OutputMap's matrix.  ws is a
+    workspace built from the same values, X and y0; without one, the call
+    builds its own.  The returned losses, and over every row the returned
+    grad, are ws's buffers.
     """
-    F, H = forward_arrays(W, b, values, X)
-    losses, active, count = _hinge(F, y0)
+    if ws is None:
+        ws = KernelWorkspace(values, X, y0)
+    F, H = forward_arrays(W, b, values, X, out=(ws.F, ws.H, ws.relu))
+    losses, active, count = _hinge(F, ws)
     # Column j of values is +v on its owner class o_j and -v on every other
     # class, so the coefficient sum_i active_i (V[y, j] - V[i, j]) of x in
     # d/dw_j equals 2v (count [o_j = y] - active[o_j]); table[:, c] holds it
     # for the units that class c owns.
-    table = np.negative(active, dtype=float)
-    table[np.arange(y0.size), y0] = count
-    table *= 2.0 * values.max()
-    coef = table[:, values.argmax(axis=0)]
-    coef *= H > 0.0
+    table = np.negative(active, dtype=float, out=ws.table)
+    table.ravel()[ws.label_index] = count
+    table *= ws.two_v
+    coef = np.take(table, ws.owner, axis=1, out=ws.coef, mode="clip")
+    coef *= np.greater(H, 0.0, out=ws.live)
     if rows.size == y0.size:
-        return float(losses.mean()), losses, -(X.T @ coef) / rows.size
+        grad = np.negative(np.matmul(ws.XT, coef, out=ws.grad), out=ws.grad)
+        grad /= rows.size
+        return float(losses.mean()), losses, grad
     return float(losses[rows].mean()), losses, -(X[rows].T @ coef[rows]) / rows.size
 
 
@@ -82,7 +136,7 @@ def sample_loss(params: NetworkParams, x: np.ndarray, y: int) -> float:
 
 def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
     F, _ = forward_batch(params, data.X)
-    losses, _, _ = _hinge(F, data.y - 1)
+    losses, _, _ = _hinge(F, _HingeWorkspace(data.y - 1, params.n))
     return losses
 
 
@@ -108,7 +162,7 @@ class ActiveSets:
 
 def active_sets(params: NetworkParams, data: LabeledDataset) -> ActiveSets:
     F, H = forward_batch(params, data.X)
-    _, margin, _ = _hinge(F, data.y - 1)
+    _, margin, _ = _hinge(F, _HingeWorkspace(data.y - 1, params.n))
     return ActiveSets(margin=margin, relu=H > 0.0)
 
 

@@ -7,6 +7,10 @@ reported as such instead of looping.  A run whose loss, subgradient or
 weight norm turns non-finite stops at the last finite iterate with stop
 reason "nonfinite" and is flagged diverged.  Biases and the output map are
 never updated.  The matrix norm used throughout is the sum of column norms.
+
+A run builds one loss-kernel workspace and passes it to every
+batch_loss_grad call; each call overwrites the losses and gradient of the
+one before, so a non-finite stop evaluates the last finite iterate again.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .core import NetworkParams
 from .datagen import LabeledDataset
-from .losses import batch_loss_grad, subgradient
+from .losses import KernelWorkspace, batch_loss_grad, subgradient
 
 __all__ = [
     "TrainConfig",
@@ -124,6 +128,8 @@ def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:
 def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> TrainResult:
     rows = np.arange(data.n_samples)
     class_rows = {label: data.indices_for(label) for label in data.labels}
+    # A class that holds every sample reads its losses through a view, not a copy.
+    class_rows = {c: idx if idx.size < data.n_samples else slice(None) for c, idx in class_rows.items()}
 
     silent = _check_activation(params, data)
     if silent:
@@ -133,15 +139,18 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
             RuntimeWarning,
         )
 
-    # glibc's malloc serves each block at or above its mmap threshold (128 KiB
-    # at start-up) with a fresh mmap, so every N x k temporary of a wide run
-    # (880 x 24 float64 is 169 KB) would fault in new pages on each kernel
-    # call.  Freeing an mmapped block raises the threshold to its size, so one
-    # 2 MiB block allocated and freed here keeps those temporaries on the heap.
+    # The kernel owns its buffers and no longer needs this line; it stays for
+    # later work in the same process.  glibc's malloc serves each block at or
+    # above its mmap threshold (128 KiB at start-up) with a fresh mmap that
+    # faults in new pages, and freeing an mmapped block raises the threshold
+    # to its size.  One 2 MiB block allocated and freed here raises it up
+    # front for the large temporaries of later work, such as gc-prob's Monte
+    # Carlo batches after a landscape-audit's trained runs.
     np.empty(1 << 18)
     W = np.array(params.weights, dtype=float, copy=True)
     b, values = params.biases, params.output.values
     X, y0 = data.X, data.y - 1
+    ws = KernelWorkspace(values, X, y0)
 
     records: list[TrajectoryRecord] = []
     max_norm = 0.0
@@ -149,14 +158,18 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
     # as the "nonfinite" stop reason, so numpy's warnings are silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for t in itertools.count():
-            state = batch_loss_grad(W, b, values, X, y0, rows), np.linalg.norm(W, axis=0)
-            (loss, losses, grad), col_norms = state
+            loss, losses, grad = batch_loss_grad(W, b, values, X, y0, rows, ws)
+            col_norms = np.linalg.norm(W, axis=0)
             norm = float(col_norms.sum())
             if not (np.isfinite(loss) and np.isfinite(norm) and np.all(np.isfinite(grad))):
                 if t == 0:
                     raise RuntimeError("non-finite loss, gradient or weight norm at the initial weights")
-                # Stop at the last iterate whose loss, gradient and norm were finite.
-                t, W, ((loss, losses, grad), col_norms) = t - 1, previous_W, previous_state
+                # Stop at the last iterate whose loss, gradient and norm were
+                # finite.  This call overwrote the workspace that held its
+                # losses and gradient, so they are computed again; the kernel
+                # is deterministic, so they are the same bytes.
+                t, W, col_norms = t - 1, previous_W, previous_norms
+                loss, losses, grad = batch_loss_grad(W, b, values, X, y0, rows, ws)
                 stop_reason = "nonfinite"
             else:
                 max_norm = max(max_norm, norm)
@@ -183,7 +196,7 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
                 )
             if stop_reason is not None:
                 break
-            previous_W, previous_state = W, state
+            previous_W, previous_norms = W, col_norms
             W = W - config.eta * grad
 
     return TrainResult(

@@ -23,6 +23,11 @@ class TestRng:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(Rng(7).uniform(10), Rng(7).uniform(10))
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+            Rng(seed)
+
     def test_different_seeds_differ(self):
         assert not np.array_equal(Rng(0).normal(8), Rng(1).normal(8))
 

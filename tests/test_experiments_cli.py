@@ -297,6 +297,13 @@ BAD_RUN_SETTINGS = [
     ("train", {"stop_loss": math.nan}, "stop_loss must be nonnegative"),
     ("train", {"record_every": 0}, "record_every must be at least 1"),
     ("train", {"width": 1}, "output map needs k >= n"),
+    ("train", {"seed": -1}, "seed must be nonnegative, got -1"),
+    ("sweep-width", {"seed_base": -2}, "seed must be nonnegative, got -2"),
+    ("sweep-angle", {"seed_base": -1}, "seed must be nonnegative"),
+    ("norm-hist", {"seed_base": -1}, "seed must be nonnegative"),
+    ("gc-prob", {"seed": -3}, "seed must be nonnegative, got -3"),
+    ("trace-dynamics", {"seed": -1}, "seed must be nonnegative"),
+    ("landscape-audit", {"seed": -1, "audit_runs": 0}, "seed must be nonnegative"),
 ]
 
 
@@ -541,6 +548,13 @@ class TestCliMain:
         assert main(["gc-prob", "--out", str(out2), "--config", str(cfg), "--seed", "7"]) == 0
         snap = json.loads((out2 / "config.json").read_text())
         assert snap["seed"] == 7
+
+    @pytest.mark.parametrize("command, seed", [("train", "-1"), ("gc-prob", "-3"), ("sweep-width", "-2")])
+    def test_negative_seed_override_is_exit_2(self, tmp_path, capsys, command, seed):
+        assert main([command, "--out", str(tmp_path / "o"), "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: seed must be nonnegative, got {seed}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from reluphase import (
     LabeledDataset,
+    OutputMap,
     Rng,
     active_sets,
     build_output_map,
@@ -17,7 +19,7 @@ from reluphase import (
 )
 from reluphase.core import forward_arrays
 from reluphase.experiments import build_task, initial_weights
-from reluphase.losses import batch_loss_grad
+from reluphase.losses import KernelWorkspace, batch_loss_grad
 
 
 def brute_force_grad(params, data, classes=None):
@@ -157,10 +159,12 @@ def reference_margins(F, y0):
 def reference_batch_loss_grad(W, b, values, X, y0, rows):
     """The loss kernel before the owner-table form, kept as a byte-level oracle.
 
-    It builds every margin, sums the hinge over classes, and forms the
-    coefficients as count * V[y, :] - active @ V.
+    It shares no code with the kernel: it runs its own forward pass, builds
+    every margin, sums the hinge over classes, and forms the coefficients as
+    count * V[y, :] - active @ V.
     """
-    F, H = forward_arrays(W, b, values, X)
+    H = X @ W - b
+    F = np.maximum(H, 0.0) @ values.T
     margins = reference_margins(F, y0)
     losses = np.maximum(margins, 0.0).sum(axis=1)
     active = margins > 0.0
@@ -172,10 +176,10 @@ def reference_batch_loss_grad(W, b, values, X, y0, rows):
     return float(losses[rows].mean()), losses, grad
 
 
-def assert_kernel_matches(W, b, values, X, y0, rows, grad_atol=None):
+def assert_kernel_matches(W, b, values, X, y0, rows, grad_atol=None, ws=None):
     """Byte-equal loss, losses and grad; with grad_atol, grad within that bound."""
     want = reference_batch_loss_grad(W, b, values, X, y0, rows)
-    got = batch_loss_grad(W, b, values, X, y0, rows)
+    got = batch_loss_grad(W, b, values, X, y0, rows, ws)
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     assert got[1].tobytes() == want[1].tobytes()
     if grad_atol is None:
@@ -186,34 +190,91 @@ def assert_kernel_matches(W, b, values, X, y0, rows, grad_atol=None):
 
 
 def check_trajectory(W, b, values, X, y0, rows, steps, eta, grad_atol=None):
-    """Compare the kernels at every iterate of a descent run driven by the reference."""
+    """Compare the kernels at every iterate of a descent run driven by the reference.
+
+    One workspace serves every step, as in train.
+    """
+    ws = KernelWorkspace(values, X, y0)
     for _ in range(steps):
-        _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, grad_atol)
+        _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, grad_atol, ws)
         W = W - eta * grad
 
 
-def task_arrays(task, width, bias=0.0, classes=None, seed=0):
+def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None):
+    """A task's arrays; rows selects the classes, keep drops the other samples from the data."""
     rng = Rng(seed)
     data = build_task(task, math.pi / 3, 0.0, rng.child(1))
     W = initial_weights("random", data.dim, width, rng.child(0))
+    if keep is not None:
+        data = data.subset(keep)
     rows = np.arange(data.n_samples) if classes is None else np.flatnonzero(np.isin(data.y, classes))
     return W, np.full(width, bias), build_output_map(2, width, 0.5).values, data.X, data.y - 1, rows
 
 
 @pytest.mark.parametrize(
-    "task, width, bias, classes",
+    "task, width, bias, classes, keep",
     [
-        ("planar-grid", 6, 0.0, None),
-        ("planar-grid", 14, 0.0, None),
-        ("planar-grid", 24, 0.0, None),
-        ("subspace-pair", 8, 0.0, None),
-        ("planar-grid", 8, 0.05, None),
-        ("subspace-pair", 8, 0.0, (2,)),
+        ("planar-grid", 6, 0.0, None, None),
+        ("planar-grid", 14, 0.0, None, None),
+        ("planar-grid", 24, 0.0, None, None),
+        ("subspace-pair", 8, 0.0, None, None),
+        ("planar-grid", 8, 0.05, None, None),
+        ("planar-grid", 24, -0.0, None, None),
+        ("subspace-pair", 8, 0.05, None, None),
+        ("subspace-pair", 8, -0.0, None, None),
+        ("subspace-pair", 8, 0.0, (2,), None),
+        ("subspace-pair", 8, 0.0, None, (2,)),
     ],
-    ids=["planar-k6", "planar-k14", "planar-k24", "subspace-k8", "planar-k8-biased", "subspace-k8-class2"],
+    ids=[
+        "planar-k6",
+        "planar-k14",
+        "planar-k24",
+        "subspace-k8",
+        "planar-k8-biased",
+        "planar-k24-negzero-bias",
+        "subspace-k8-biased",
+        "subspace-k8-negzero-bias",
+        "subspace-k8-class2",
+        "subspace-k8-class2-data",
+    ],
 )
-def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes):
-    check_trajectory(*task_arrays(task, width, bias, classes), steps=150, eta=0.1)
+def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes, keep):
+    check_trajectory(*task_arrays(task, width, bias, classes, keep=keep), steps=150, eta=0.1)
+
+
+@pytest.mark.parametrize("bias", [0.0, -0.0, 0.05])
+def test_forward_arrays_matches_inline_forward_bytes(bias):
+    # Products that underflow below the least subnormal make X @ W -0.0 in
+    # column 1; a -0.0 bias must turn those entries into +0.0, a +0.0 bias
+    # must leave them alone.
+    W, _, values, X, _, _ = task_arrays("planar-grid", 6)
+    W[:, 1] = 1e-200
+    X = -1e-200 * np.abs(X)
+    b = np.full(6, bias)
+    XW = X @ W
+    assert np.all((XW[:, 1] == 0.0) & np.signbit(XW[:, 1]))
+    F, H = forward_arrays(W, b, values, X)
+    buffers = (np.empty_like(F), np.empty_like(H), np.empty_like(H))
+    F_out, H_out = forward_arrays(W, b, values, X, out=buffers)
+    want_H = X @ W - b
+    want_F = np.maximum(want_H, 0.0) @ values.T
+    for got_F, got_H in ((F, H), (F_out, H_out)):
+        assert got_H.tobytes() == want_H.tobytes()
+        assert got_F.tobytes() == want_F.tobytes()
+    assert F_out is buffers[0] and H_out is buffers[1]
+
+
+def test_kernel_call_with_workspace_allocates_no_n_by_k_array():
+    W, b, values, X, y0, rows = task_arrays("planar-grid", 24)
+    ws = KernelWorkspace(values, X, y0)
+    batch_loss_grad(W, b, values, X, y0, rows, ws)
+    tracemalloc.start()
+    try:
+        batch_loss_grad(W, b, values, X, y0, rows, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.shape[0] * 24 * 8
 
 
 @pytest.mark.parametrize("bias", [0.0, 0.05])
@@ -250,6 +311,19 @@ def test_kernel_multiclass_power_of_two_v_matches_reference_bytes(n):
     check_trajectory(*multiclass_arrays(n, 0.5), steps=100, eta=0.05)
 
 
+def test_kernel_non_round_robin_owners_match_reference_bytes():
+    W, b, _, X, y0, rows = multiclass_arrays(3, 0.5, k=4)
+    values = OutputMap(owner=np.array([2, 1, 3, 1]), v=0.5).values
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05)
+
+
+def test_kernel_data_missing_a_class_matches_reference_bytes():
+    # Classes 1 and 3 of three: class 2 owns units but labels no sample.
+    W, b, values, X, y0, _ = multiclass_arrays(3, 0.5)
+    keep = np.flatnonzero(y0 != 1)
+    check_trajectory(W, b, values, X[keep], y0[keep], np.arange(keep.size), steps=100, eta=0.05)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("v", [0.6, 0.1])
 def test_kernel_multiclass_other_v_within_rounding(n, v):
@@ -260,23 +334,46 @@ def test_kernel_multiclass_other_v_within_rounding(n, v):
     check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, grad_atol=atol)
 
 
-def test_kernel_nonfinite_weights_match_reference():
+def check_nonfinite_weights(reuse):
     # inf weights make inf - inf scores; a NaN margin must reach the loss.
+    # A reused workspace first serves a finite call.
     W, b, values, X, y0, rows = task_arrays("planar-grid", 6)
+    ws = KernelWorkspace(values, X, y0) if reuse else None
+    if reuse:
+        assert_kernel_matches(W, b, values, X, y0, rows, ws=ws)
     W[0, :2] = np.inf
     with np.errstate(invalid="ignore", over="ignore"):
         want = reference_batch_loss_grad(W, b, values, X, y0, rows)
-        got = batch_loss_grad(W, b, values, X, y0, rows)
+        got = batch_loss_grad(W, b, values, X, y0, rows, ws)
     assert np.isnan(want[0]) and np.isnan(got[0])
     np.testing.assert_array_equal(got[1], want[1])
     np.testing.assert_array_equal(got[2], want[2])
 
 
-def test_loss_helpers_match_reference_bytes():
+def test_kernel_nonfinite_weights_match_reference():
+    check_nonfinite_weights(reuse=False)
+
+
+def test_kernel_nonfinite_weights_match_reference_after_a_finite_call_on_the_workspace():
+    check_nonfinite_weights(reuse=True)
+
+
+def check_loss_helpers(labels):
     W, b, values, X, y0, rows = multiclass_arrays(3, 0.6, seed=8)
+    keep = np.flatnonzero(np.isin(y0, labels))
+    X, y0, rows = X[keep], y0[keep], np.arange(keep.size)
     params = network_params(W, build_output_map(3, 7, 0.6), b)
     data = LabeledDataset(X, y0 + 1)
     _, losses, _ = reference_batch_loss_grad(W, b, values, X, y0, rows)
     assert per_sample_losses(params, data).tobytes() == losses.tobytes()
-    F, _ = forward_arrays(W, b, values, X)
+    F = np.maximum(X @ W - b, 0.0) @ values.T
     np.testing.assert_array_equal(active_sets(params, data).margin, reference_margins(F, y0) > 0.0)
+
+
+def test_loss_helpers_match_reference_bytes():
+    check_loss_helpers((0, 1, 2))
+
+
+def test_loss_helpers_on_one_class_data_match_reference_bytes():
+    # Classes 1 and 3 are skipped; their active columns must read False.
+    check_loss_helpers((1,))

@@ -142,21 +142,32 @@ class TestStopReasons:
     def test_nonfinite_ends_on_previous_iterate_off_the_record_cadence(self, monkeypatch):
         # The kernel reports an inf loss at t = 5, so the run ends on t = 4,
         # which the cadence of 3 did not record: it is appended, by reference.
-        seen = []
+        # The t = 5 call overwrote the workspace, so the kernel runs once more
+        # on the t = 4 weights, and the record holds that call's values.
+        seen, results = [], []
 
         def kernel(W, *rest):
             seen.append(W)
             loss, losses, grad = batch_loss_grad(W, *rest)
+            results.append((loss, losses.copy(), grad.copy()))
             return (np.inf if len(seen) == 6 else loss), losses, grad
 
         monkeypatch.setattr(training, "batch_loss_grad", kernel)
-        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
+        data = LabeledDataset(np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([1, 2]))
+        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.1]])
         cfg = TrainConfig(eta=0.01, max_iters=100, record_every=3)
-        res = train(params, single_point(), cfg)
+        res = train(params, data, cfg)
         assert res.stop_reason == "nonfinite"
         assert [rec.t for rec in res.records] == [0, 3, 4]
-        assert res.records[-1].weights is seen[4]
+        assert len(seen) == 7 and seen[6] is seen[4]
+        last = res.records[-1]
+        assert last.weights is seen[4]
         np.testing.assert_array_equal(res.params.weights, seen[4])
+        loss, losses, grad = results[4]
+        assert last.loss == loss and last.grad_norm == weight_matrix_norm(grad)
+        assert last.loss_per_class == {1: losses[0], 2: losses[1]}
+        # The t = 5 call's values differ, so reading its buffers would show.
+        assert results[5][0] != loss and not np.array_equal(results[5][1], losses)
 
     def test_nonfinite_start_raises(self):
         # The first score is already inf: no finite iterate exists to stop at.
@@ -165,6 +176,43 @@ class TestStopReasons:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="initial weights"):
                 train(params, data, TrainConfig(eta=0.1, max_iters=10))
+
+
+class TestKernelCalls:
+    """train calls the module-level kernel name once per evaluation, on every row."""
+
+    def record_calls(self, monkeypatch):
+        calls = []
+
+        def kernel(*args):
+            calls.append(args)
+            return batch_loss_grad(*args)
+
+        monkeypatch.setattr(training, "batch_loss_grad", kernel)
+        return calls
+
+    def test_one_call_per_iteration(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        data = single_point()
+        res = train(one_unit_per_class([[0.1, 0.0], [0.0, 0.0]]), data, TrainConfig(eta=0.1, max_iters=50))
+        assert res.converged_at == 2
+        assert len(calls) == 3
+        workspaces = {id(args[6]) for args in calls}
+        assert len(workspaces) == 1
+        for W, b, values, X, y0, rows, *_ in calls:
+            assert W.shape == (2, 2) and b.shape == (2,) and values.shape == (2, 2)
+            assert X is data.X and len(y0) == len(rows) == data.n_samples
+
+    def test_nonfinite_stop_adds_one_call(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        params = one_unit_per_class([[0.1, 0.1], [0.0, 0.0]])
+        data = LabeledDataset(np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([1, 2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train(params, data, TrainConfig(eta=1e308, max_iters=10))
+        assert res.stop_reason == "nonfinite"
+        assert len(calls) == res.records[-1].t + 3
+        assert all(len(args[5]) == data.n_samples for args in calls)
+        assert calls[-1][0] is calls[-3][0]
 
 
 class TestRecording:
