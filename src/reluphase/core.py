@@ -22,9 +22,6 @@ __all__ = [
     "forward",
     "forward_batch",
     "forward_binary",
-    "predict",
-    "predict_batch",
-    "predict_binary",
 ]
 
 
@@ -224,17 +221,6 @@ def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.
     return forward_arrays(params.weights, params.biases, params.output.values, np.asarray(X, dtype=float))
 
 
-def predict(params: NetworkParams, x: np.ndarray) -> int:
-    """Predicted label 1..n; ties resolve to the lowest class index."""
-    scores, _ = forward(params, x)
-    return int(np.argmax(scores)) + 1
-
-
-def predict_batch(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    F, _ = forward_batch(params, X)
-    return np.argmax(F, axis=1) + 1
-
-
 def forward_binary(params: NetworkParams, x: np.ndarray) -> float:
     """Two-class scalar score: sum of class-1-owned activations minus class-2-owned.
 
@@ -247,8 +233,3 @@ def forward_binary(params: NetworkParams, x: np.ndarray) -> float:
     act = np.maximum(pre, 0.0)
     own1 = params.output.owner == 1
     return float(act[own1].sum() - act[~own1].sum())
-
-
-def predict_binary(params: NetworkParams, x: np.ndarray) -> int:
-    """Label by the sign of the scalar score; a score of exactly 0 -> class 2."""
-    return 1 if forward_binary(params, x) > 0.0 else 2

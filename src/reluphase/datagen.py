@@ -5,7 +5,6 @@ its Rng; generators that need no randomness take none.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -26,8 +25,6 @@ __all__ = [
     "init_halfspace",
     "init_three_rays",
     "kelvin",
-    "dataset_to_csv",
-    "dataset_from_csv",
 ]
 
 
@@ -274,34 +271,3 @@ def kelvin(x: np.ndarray) -> np.ndarray:
     if np.any(nsq == 0.0):
         raise ValueError("inversion is undefined at the origin")
     return x / nsq[:, None]
-
-
-def dataset_to_csv(path, data: LabeledDataset) -> None:
-    """Write columns x1..xd, label; floats use repr for exact round-trip."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(data.dim)] + ["label"])
-        for row, label in zip(data.X, data.y):
-            writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
-
-
-def dataset_from_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path} is empty")
-        if not header or header[-1] != "label" or any(h != f"x{i + 1}" for i, h in enumerate(header[:-1])):
-            raise ValueError(f"{path}: unexpected dataset header: {header}")
-        X, y = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                X.append([float(v) for v in row[:-1]])
-                y.append(int(row[-1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if not y:
-        raise ValueError(f"{path} has a header but no data rows")
-    return LabeledDataset(X, y)

@@ -271,13 +271,34 @@ def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:
     return train(params, data, spec.train_config()), data
 
 
-def _run_worker(spec: RunSpec) -> tuple[int, int, bool, float, float, float]:
-    """seed, iterations (-1 unless converged), converged, final loss, final and max weight norm."""
+@dataclass(frozen=True)
+class RunSummary:
+    """What a sweep reads of one trained run."""
+
+    seed: int
+    converged_at: int | None
+    final_loss: float
+    final_norm: float
+    max_norm: float
+
+    @classmethod
+    def of(cls, seed: int, result: TrainResult) -> "RunSummary":
+        last = result.records[-1]
+        return cls(seed, result.converged_at, float(last.loss), last.weight_norm, result.max_weight_norm)
+
+    @property
+    def converged(self) -> bool:
+        return self.converged_at is not None
+
+    @property
+    def iterations(self) -> int:
+        """The iteration count a runs CSV writes: converged_at, or -1 for a run that did not converge."""
+        return -1 if self.converged_at is None else self.converged_at
+
+
+def _run_worker(spec: RunSpec) -> RunSummary:
     result, _ = execute_run(spec)
-    converged = result.stop_reason == "converged"
-    iters = result.converged_at if converged else -1
-    last = result.records[-1]
-    return (spec.seed, int(iters), converged, float(last.loss), last.weight_norm, result.max_weight_norm)
+    return RunSummary.of(spec.seed, result)
 
 
 def _worker_count(threads: int, n_specs: int) -> int:
@@ -312,14 +333,10 @@ def _check_sweep(cfg, cells) -> None:
         _endpoint_spec(cfg, cfg.seed_base, **run)
 
 
-def _run_cell(cfg, **run):
-    """Train cfg.runs seeded runs of one sweep cell.
-
-    Returns the per-run _run_worker tuples and _iteration_stats over them.
-    """
+def _run_cell(cfg, **run) -> list[RunSummary]:
+    """Train cfg.runs seeded runs of one sweep cell, in seed order."""
     specs = [_endpoint_spec(cfg, cfg.seed_base + r, **run) for r in range(cfg.runs)]
-    runs = map_runs(_run_worker, specs, cfg.threads)
-    return runs, _iteration_stats([it for _, it, *_ in runs])
+    return map_runs(_run_worker, specs, cfg.threads)
 
 
 def rho_at(params: NetworkParams, thetas: np.ndarray) -> np.ndarray:
@@ -344,9 +361,9 @@ def _percentiles(values: np.ndarray) -> tuple[float, float, float]:
     return float(q25), float(med), float(q75)
 
 
-def _iteration_stats(iters: list[int]) -> tuple[float, float, float, float, float]:
-    """mean, std, median, q25, q75 over converged iteration counts."""
-    arr = np.array([i for i in iters if i >= 0], dtype=float)
+def _iteration_stats(runs: list[RunSummary]) -> tuple[float, float, float, float, float]:
+    """mean, std, median, q25, q75 over the converged runs' iteration counts."""
+    arr = np.array([s.converged_at for s in runs if s.converged], dtype=float)
     if arr.size == 0:
         return (-1.0, -1.0, -1.0, -1.0, -1.0)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -483,10 +500,11 @@ def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
     boxes = []
     for width in cfg.widths:
         for ci, init in enumerate(cfg.inits):
-            runs, (mean, std, med, q25, q75) = _run_cell(cfg, **cfg.cell(width, init))
-            for r, (seed, it, conv, floss, _, mnorm) in enumerate(runs):
-                run_rows.append([width, init, r, seed, it, conv, floss, mnorm])
-            good = sorted(it for _, it, conv, *_ in runs if conv)
+            runs = _run_cell(cfg, **cfg.cell(width, init))
+            mean, std, med, q25, q75 = _iteration_stats(runs)
+            for r, s in enumerate(runs):
+                run_rows.append([width, init, r, s.seed, s.iterations, s.converged, s.final_loss, s.max_norm])
+            good = sorted(s.converged_at for s in runs if s.converged)
             summary_rows.append([width, init, cfg.runs, len(good), mean, std, med, q25, q75])
             means[init].append(mean)
             if good:
@@ -541,10 +559,11 @@ def cmd_sweep_angle(cfg: SweepAngleConfig, out: str) -> dict:
     summary_rows = []
     mean_by_angle = []
     for theta in cfg.angles:
-        runs, stats = _run_cell(cfg, **cfg.cell(theta))
-        for r, (seed, it, conv, floss, _, mnorm) in enumerate(runs):
-            run_rows.append([theta, r, seed, it, conv, floss, mnorm])
-        converged = sum(1 for _, _, conv, *_ in runs if conv)
+        runs = _run_cell(cfg, **cfg.cell(theta))
+        stats = _iteration_stats(runs)
+        for r, s in enumerate(runs):
+            run_rows.append([theta, r, s.seed, s.iterations, s.converged, s.final_loss, s.max_norm])
+        converged = sum(s.converged for s in runs)
         summary_rows.append([theta, cfg.runs, converged, *stats])
         mean_by_angle.append(stats[0])
     _write_table(out, "angle_runs.csv", run_rows)
@@ -591,10 +610,10 @@ class NormHistConfig:
 
 
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
-    runs, _ = _run_cell(cfg, **cfg.cell())
-    rows = [[r, seed, it, conv, fnorm, mnorm] for r, (seed, it, conv, _, fnorm, mnorm) in enumerate(runs)]
+    runs = _run_cell(cfg, **cfg.cell())
+    rows = [[r, s.seed, s.iterations, s.converged, s.final_norm, s.max_norm] for r, s in enumerate(runs)]
     _write_table(out, "norm_runs.csv", rows)
-    max_norms = np.array([row[5] for row in rows])
+    max_norms = np.array([s.max_norm for s in runs])
     counts, edges = np.histogram(max_norms, bins=cfg.bins)
     _write_histogram(out, "norm_hist", edges, counts, "largest weight norm per run", "max weight norm")
     return {"max_norm_overall": float(max_norms.max()), "mean_max_norm": float(max_norms.mean())}

@@ -44,9 +44,8 @@ _TWO_PI = 2.0 * math.pi
 # d, so a normal above this norm keeps the rounding of normalized dots below
 # 1e-10.
 _NEAR_ZERO_NORMAL = 1e-4
-# gc_holds_batch counts a dot within this of zero as lying on the hemisphere.
-_HOLDS_TOL = 1e-12
-# Direction sets per gc_holds_batch call in gc_probability_mc.
+# Direction sets per gc_slack_batch call in gc_probability_mc.  Rng.normal
+# pairs its uniforms within one call, so the chunk size fixes every estimate.
 _MC_CHUNK = 32768
 
 
@@ -261,43 +260,7 @@ def _max_gap(dirs: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.max(axis=1), wrap)
 
 
-def _subset_dots(dirs: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized common normal of the subset's directions in each set of a
-    (T, k, d) stack, and its dot with every direction of the set."""
-    normal = _null_vectors(dirs[:, subset, :])
-    return normal, np.einsum("tkd,td->tk", dirs, normal)
-
-
-def gc_holds_batch(dirs: np.ndarray) -> np.ndarray:
-    """Vectorized exact check for a (T, k, d) stack of unit-direction sets.
-
-    Exact for directions in general position (an almost-sure event for the
-    samplers here): a covering closed hemisphere, when one exists, can be
-    taken orthogonal to some d-1 of the directions, so testing every such
-    subset normal in both orientations decides the condition.
-    """
-    if dirs.ndim != 3:
-        raise ValueError("need a (T, k, d) array")
-    T, k, d = dirs.shape
-    if k <= d:
-        return np.zeros(T, dtype=bool)
-    if d == 1:
-        x = dirs[:, :, 0]
-        return np.any(x > 0.0, axis=1) & np.any(x < 0.0, axis=1)
-    if d == 2:
-        return _max_gap(dirs) < math.pi
-    holds = np.ones(T, dtype=bool)
-    for subset in combinations(range(k), d - 1):
-        live = np.flatnonzero(holds)
-        if live.size == 0:
-            break
-        _, dots = _subset_dots(dirs[live], subset)
-        covered = np.all(dots >= -_HOLDS_TOL, axis=1) | np.all(dots <= _HOLDS_TOL, axis=1)
-        holds[live[covered]] = False
-    return holds
-
-
-def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
+def gc_slack_batch(dirs: np.ndarray, *, sign_only: bool = False) -> np.ndarray:
     """Signed slack of the geometric condition for a (T, k, d) stack of
     unit-direction sets: negative where the origin is strictly inside the
     hull of the directions, positive where a closed hemisphere holds them all.
@@ -309,8 +272,13 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
     covering hemisphere, when one exists, can be taken orthogonal to d-1
     independent directions.  Sets with k <= d never satisfy the condition and
     get +inf.  Where a subset normal has norm at most _NEAR_ZERO_NORMAL
-    (shared or nearly shared rays) the normalized dots are not accurate, and
-    the slack is NaN.
+    (nearly dependent subset directions, such as shared or opposite rays)
+    the normalized dots are not accurate, and the slack is NaN.
+
+    With sign_only, a d >= 3 set leaves the subset loop as soon as its
+    running slack is positive or NaN, and keeps that partial value.  Only
+    `slack < 0` is then meaningful, and it is exact: later subsets could
+    only raise a positive slack or keep a NaN.
     """
     if dirs.ndim != 3:
         raise ValueError("need a (T, k, d) array")
@@ -323,22 +291,34 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
     if d == 2:
         return _max_gap(dirs) - math.pi
     slack = np.full(T, -np.inf)
+    live = slice(None)
     for subset in combinations(range(k), d - 1):
-        normal, dots = _subset_dots(dirs, subset)
+        if sign_only:
+            keep = slack <= 0.0  # False for a positive or NaN slack
+            if not keep.any():
+                break
+            # While no set has left, the sets are a view of dirs, not a copy.
+            live = slice(None) if keep.all() else np.flatnonzero(keep)
+        sets = dirs[live]
+        normal = _null_vectors(sets[:, subset, :])
+        dots = np.einsum("tkd,td->tk", sets, normal)
         size = np.linalg.norm(normal, axis=1)
         others = np.delete(dots, subset, axis=1)
         side = np.maximum(others.min(axis=1), -others.max(axis=1))
         near_zero = size <= _NEAR_ZERO_NORMAL
-        slack = np.maximum(slack, side / np.where(near_zero, 1.0, size))
-        slack[near_zero] = np.nan
+        part = np.maximum(slack[live], side / np.where(near_zero, 1.0, size))
+        part[near_zero] = np.nan
+        slack[live] = part
     return slack
 
 
 def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, float]:
     """Monte Carlo estimate and its standard error over `trials` direction sets.
 
-    Directions are normalized Gaussian draws; each set is judged by the
-    vectorized exact checker, which agrees with gc_check almost surely.
+    Directions are normalized Gaussian draws, judged in batches of
+    _MC_CHUNK sets by the sign of gc_slack_batch in its sign_only mode,
+    which agrees with gc_check almost surely.  A set whose slack is NaN,
+    with a subset normal too short to trust, is judged by gc_check itself.
     """
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
@@ -351,7 +331,11 @@ def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, flo
         raw = rng.normal((t, k, d))
         norms = np.linalg.norm(raw, axis=2)
         norms[norms == 0.0] = 1.0
-        count += int(gc_holds_batch(raw / norms[:, :, None]).sum())
+        raw /= norms[:, :, None]
+        slack = gc_slack_batch(raw, sign_only=True)
+        count += int((slack < 0.0).sum())
+        for s in np.flatnonzero(np.isnan(slack)):
+            count += gc_check(DirectionSet.from_weight_matrix(raw[s].T)).verdict == "holds"
         done += t
     est = count / trials
     return est, math.sqrt(est * (1.0 - est) / trials)

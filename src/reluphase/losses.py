@@ -19,20 +19,15 @@ skipped, since it adds no hinge term and no active flag.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import NetworkParams, forward, forward_arrays, forward_batch
+from .core import NetworkParams, forward_arrays, forward_batch
 from .datagen import LabeledDataset
 
 __all__ = [
-    "ActiveSets",
-    "sample_loss",
     "per_sample_losses",
     "dataset_loss",
     "subgradient",
-    "active_sets",
     "directional_derivative_fd",
 ]
 
@@ -40,8 +35,8 @@ __all__ = [
 class _HingeWorkspace:
     """The invariants and buffers of the class-by-class hinge for 0-based labels y0 of n classes.
 
-    per_sample_losses and active_sets build only this part; the kernel's
-    workspace adds the forward and gradient buffers.
+    per_sample_losses builds only this part; the kernel's workspace adds
+    the forward and gradient buffers.
     """
 
     def __init__(self, y0: np.ndarray, n: int):
@@ -128,12 +123,6 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     return float(losses[rows].mean()), losses, -(X[rows].T @ coef[rows]) / rows.size
 
 
-def sample_loss(params: NetworkParams, x: np.ndarray, y: int) -> float:
-    scores, _ = forward(params, x)
-    others = np.delete(scores, y - 1)
-    return float(np.maximum(0.0, 1.0 - scores[y - 1] + others).sum())
-
-
 def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
     F, _ = forward_batch(params, data.X)
     losses, _, _ = _hinge(F, _HingeWorkspace(data.y - 1, params.n))
@@ -150,20 +139,6 @@ def subgradient(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
         params.weights, params.biases, params.output.values, data.X, data.y - 1, np.arange(data.n_samples)
     )
     return grad
-
-
-@dataclass(frozen=True)
-class ActiveSets:
-    """Strict activity indicators: margin[s, i] marks hinge pairs, relu[s, j] live units."""
-
-    margin: np.ndarray  # (N, n) bool, diagonal class i = y_s always False
-    relu: np.ndarray  # (N, k) bool
-
-
-def active_sets(params: NetworkParams, data: LabeledDataset) -> ActiveSets:
-    F, H = forward_batch(params, data.X)
-    _, margin, _ = _hinge(F, _HingeWorkspace(data.y - 1, params.n))
-    return ActiveSets(margin=margin, relu=H > 0.0)
 
 
 def directional_derivative_fd(

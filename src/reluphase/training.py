@@ -30,7 +30,6 @@ __all__ = [
     "TrainResult",
     "gd_step",
     "train",
-    "iterations_to_convergence",
     "weight_matrix_norm",
 ]
 
@@ -139,14 +138,6 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
             RuntimeWarning,
         )
 
-    # The kernel owns its buffers and no longer needs this line; it stays for
-    # later work in the same process.  glibc's malloc serves each block at or
-    # above its mmap threshold (128 KiB at start-up) with a fresh mmap that
-    # faults in new pages, and freeing an mmapped block raises the threshold
-    # to its size.  One 2 MiB block allocated and freed here raises it up
-    # front for the large temporaries of later work, such as gc-prob's Monte
-    # Carlo batches after a landscape-audit's trained runs.
-    np.empty(1 << 18)
     W = np.array(params.weights, dtype=float, copy=True)
     b, values = params.biases, params.output.values
     X, y0 = data.X, data.y - 1
@@ -207,11 +198,3 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
         config=config,
         data_labels=data.labels,
     )
-
-
-def iterations_to_convergence(records: list[TrajectoryRecord], threshold: float = 0.0) -> int | None:
-    """First recorded iteration whose objective is at or below the threshold."""
-    for rec in records:
-        if rec.loss <= threshold:
-            return rec.t
-    return None

@@ -10,9 +10,6 @@ from reluphase import (
     forward_batch,
     forward_binary,
     network_params,
-    predict,
-    predict_batch,
-    predict_binary,
 )
 
 
@@ -177,14 +174,10 @@ class TestForward:
             scores, pre = forward(p, X[s])
             np.testing.assert_allclose(F[s], scores, atol=1e-12)
             np.testing.assert_allclose(H[s], pre, atol=1e-12)
-        np.testing.assert_array_equal(predict_batch(p, X), [predict(p, x) for x in X])
 
     def test_relu_kills_negative_preactivations(self):
         scores, _ = forward(self.params, np.array([-1.0, 0.0]))
         np.testing.assert_array_equal(scores, [0.0, 0.0])
-
-    def test_predict_tie_breaks_low_index(self):
-        assert predict(self.params, np.array([-1.0, 0.0])) == 1
 
     def test_binary_score_consistent_with_scores(self):
         rng = Rng(8)
@@ -194,10 +187,9 @@ class TestForward:
             expect = (scores[0] - scores[1]) / (2.0 * 0.5)
             np.testing.assert_allclose(forward_binary(p, x), expect, atol=1e-12)
 
-    def test_binary_zero_score_predicts_class_two(self):
+    def test_binary_score_of_zero_weights_is_zero(self):
         p = network_params(np.zeros((2, 2)), self.map)
         assert forward_binary(p, np.array([1.0, 1.0])) == 0.0
-        assert predict_binary(p, np.array([1.0, 1.0])) == 2
 
     def test_binary_requires_two_classes(self):
         p = network_params(np.ones((2, 3)), build_output_map(3, 3, 1.0))

@@ -8,8 +8,6 @@ from reluphase import (
     GridDatasetSpec,
     LabeledDataset,
     Rng,
-    dataset_from_csv,
-    dataset_to_csv,
     grid_dataset,
     grid_dataset_planar,
     init_halfspace,
@@ -208,47 +206,3 @@ class TestKelvin:
         with pytest.raises(ValueError, match="origin"):
             kelvin(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
-
-class TestCsvRoundTrip:
-    def test_exact_round_trip(self, tmp_path):
-        rng = Rng(17)
-        data = sample_annulus(AnnulusDistribution(basis=np.eye(3), inner=0.7, outer=1.9), 40, rng)
-        path = tmp_path / "data.csv"
-        dataset_to_csv(path, data)
-        back = dataset_from_csv(path)
-        np.testing.assert_array_equal(back.X, data.X)
-        np.testing.assert_array_equal(back.y, data.y)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,label\n1.0,2.0,1\n")
-        with pytest.raises(ValueError, match="header"):
-            dataset_from_csv(path)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("", "is empty"),
-            ("\n1.0,2.0,1\n", "unexpected dataset header"),
-            ("x1,x2,label\n1.0,2.0,1\n\n", "expected 3 cells, got 0"),
-            ("x1,x2,label\n1.0,2.0,1,7\n", "expected 3 cells, got 4"),
-            ("x1,x2,label\n", "no data rows"),
-            ("x1,x2,label\n1.0,2.0,1\n1.0,abc,2\n", ":3: could not convert string to float: 'abc'"),
-            ("x1,x2,label\n1.0,2.0,1.5\n", r":2: invalid literal for int\(\)"),
-        ],
-        ids=[
-            "empty",
-            "blank-header",
-            "blank-row",
-            "long-row",
-            "header-only",
-            "non-numeric-cell",
-            "fractional-label",
-        ],
-    )
-    def test_malformed_file_names_path(self, tmp_path, text, message):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=message) as info:
-            dataset_from_csv(path)
-        assert str(path) in str(info.value)

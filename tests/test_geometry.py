@@ -13,7 +13,7 @@ from reluphase import (
     gc_probability_mc,
     verify_certificate,
 )
-from reluphase.geometry import GC_TOL, gc_holds_batch, gc_slack_batch
+from reluphase.geometry import _MC_CHUNK, GC_TOL, gc_slack_batch
 
 
 def unit_rows(a):
@@ -237,7 +237,7 @@ class TestBatchChecker:
             for k in (d + 1, d + 3):
                 dirs = rng.normal((40, k, d))
                 dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-                got = gc_holds_batch(dirs)
+                got = gc_slack_batch(dirs, sign_only=True) < 0.0
                 assert np.array_equal(gc_slack_batch(dirs) < 0.0, got), (d, k)
                 for t in range(40):
                     if d == 1:
@@ -250,7 +250,7 @@ class TestBatchChecker:
         rng = Rng(5)
         dirs = rng.normal((10, 3, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        assert not gc_holds_batch(dirs).any()
+        assert np.all(gc_slack_batch(dirs, sign_only=True) == np.inf)
         assert np.all(gc_slack_batch(dirs) == np.inf)
 
     def test_slack_magnitudes(self):
@@ -264,6 +264,56 @@ class TestBatchChecker:
         # a shared ray gives a zero subset normal: the slack is undefined
         shared = unit_rows([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 1.0]])
         assert np.isnan(gc_slack_batch(shared[None])[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_sign_only_agrees_with_full_slack(self, d):
+        rng = Rng(40 + d)
+        for k in range(1, d + 5):
+            dirs = unit_rows(rng.normal((300 * k, d))).reshape(300, k, d)
+            full = gc_slack_batch(dirs)
+            assert np.array_equal(gc_slack_batch(dirs, sign_only=True) < 0.0, full < 0.0), (d, k)
+
+    def test_sign_only_agrees_on_shared_rays(self):
+        rng = Rng(9)
+        for d, k in ((3, 5), (4, 7)):
+            dirs = unit_rows(rng.normal((200 * k, d))).reshape(200, k, d)
+            dirs[::2, k - 1] = dirs[::2, k - 2]
+            full = gc_slack_batch(dirs)
+            assert np.isnan(full[::2]).all()
+            assert np.array_equal(gc_slack_batch(dirs, sign_only=True) < 0.0, full < 0.0), (d, k)
+
+    def test_sign_only_leaves_a_set_once_its_slack_is_positive(self):
+        # Subset (0, 1) has normal e2, and every other direction has y > 0,
+        # so the slack is positive after the first subset; the shared ray of
+        # directions 3 and 4, the last subset, would make it NaN.
+        ray = unit_rows([[0.3, 0.8, 0.1]])[0]
+        dirs = np.stack([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], unit_rows([[-0.5, 0.5, -0.2]])[0], ray, ray])[None]
+        assert np.isnan(gc_slack_batch(dirs)[0])
+        early = gc_slack_batch(dirs, sign_only=True)[0]
+        assert 0.0 < early < np.inf
+
+    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
+    def test_sign_only_agrees_on_the_mc_draws(self, d, k):
+        raw = Rng(0).normal((_MC_CHUNK, k, d))
+        dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+        holds = gc_slack_batch(dirs, sign_only=True) < 0.0
+        assert np.array_equal(holds, gc_slack_batch(dirs) < 0.0)
+        est, _ = gc_probability_mc(d, k, _MC_CHUNK, Rng(0))
+        assert est * _MC_CHUNK == holds.sum()
+
+    def test_mc_judges_a_nan_slack_by_the_lp(self):
+        # One (3, 5) set of this draw has two nearly opposite directions: the
+        # normal of that pair is too short, so the slack is NaN, but the LP
+        # decides that the condition holds.
+        trials = 30000
+        raw = Rng(8000).child(0).normal((trials, 5, 3))
+        dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+        slack = gc_slack_batch(dirs, sign_only=True)
+        undecided = np.flatnonzero(np.isnan(slack))
+        assert undecided.size == 1
+        assert gc_check(DirectionSet(dirs[undecided[0]])).verdict == "holds"
+        est, _ = gc_probability_mc(3, 5, trials, Rng(8000).child(0))
+        assert est * trials == (slack < 0.0).sum() + 1
 
     def test_mc_estimate_near_closed_form(self):
         est, se = gc_probability_mc(2, 3, 20000, Rng(0))

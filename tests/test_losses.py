@@ -8,18 +8,17 @@ from reluphase import (
     LabeledDataset,
     OutputMap,
     Rng,
-    active_sets,
     build_output_map,
     dataset_loss,
     directional_derivative_fd,
+    forward,
     network_params,
     per_sample_losses,
-    sample_loss,
     subgradient,
 )
 from reluphase.core import forward_arrays
 from reluphase.experiments import build_task, initial_weights
-from reluphase.losses import KernelWorkspace, batch_loss_grad
+from reluphase.losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
 
 
 def brute_force_grad(params, data, classes=None):
@@ -137,15 +136,11 @@ def test_directional_derivative_shape_check():
         directional_derivative_fd(params, data, np.ones(3), h=1e-6)
 
 
-def test_active_sets_flags():
-    params, data = random_instance(5)
-    acts = active_sets(params, data)
-    assert acts.margin.shape == (data.n_samples, params.n)
-    assert acts.relu.shape == (data.n_samples, params.k)
-    rows = np.arange(data.n_samples)
-    assert not acts.margin[rows, data.y - 1].any()  # own class never active against itself
-    H = data.X @ params.weights - params.biases
-    np.testing.assert_array_equal(acts.relu, H > 0.0)
+def sample_loss(params, x, y):
+    """Hinge loss of one sample through core.forward, the per-sample oracle for per_sample_losses."""
+    scores, _ = forward(params, x)
+    others = np.delete(scores, y - 1)
+    return float(np.maximum(0.0, 1.0 - scores[y - 1] + others).sum())
 
 
 def reference_margins(F, y0):
@@ -367,7 +362,8 @@ def check_loss_helpers(labels):
     _, losses, _ = reference_batch_loss_grad(W, b, values, X, y0, rows)
     assert per_sample_losses(params, data).tobytes() == losses.tobytes()
     F = np.maximum(X @ W - b, 0.0) @ values.T
-    np.testing.assert_array_equal(active_sets(params, data).margin, reference_margins(F, y0) > 0.0)
+    _, active, _ = _hinge(F, _HingeWorkspace(y0, 3))
+    np.testing.assert_array_equal(active, reference_margins(F, y0) > 0.0)
 
 
 def test_loss_helpers_match_reference_bytes():

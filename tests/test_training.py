@@ -13,7 +13,6 @@ from reluphase import (
     gd_step,
     grid_dataset_planar,
     init_random,
-    iterations_to_convergence,
     network_params,
     train,
     weight_matrix_norm,
@@ -267,16 +266,3 @@ class TestBiasMode:
         res = train(params, data, TrainConfig(eta=0.05, max_iters=200))
         assert res.records[-1].loss < res.records[0].loss
         np.testing.assert_array_equal(res.params.biases, biases)
-
-
-class TestIterationsToConvergence:
-    def test_reads_records(self):
-        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        res = train(params, single_point(), TrainConfig(eta=0.1, max_iters=50))
-        assert iterations_to_convergence(res.records) == 2
-        assert iterations_to_convergence(res.records, threshold=10.0) == 0
-
-    def test_none_when_never_reached(self):
-        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
-        res = train(params, single_point(), TrainConfig(eta=0.01, max_iters=3))
-        assert iterations_to_convergence(res.records) is None
