@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 import reluphase
-from reluphase import Rng, build_output_map, network_params
+from reluphase import LabeledDataset, Rng, TrainConfig, build_output_map, network_params, train
 from reluphase import experiments
 from reluphase.cli import main
 from reluphase.experiments import (
     COMMANDS,
     ConfigError,
     RunSpec,
+    RunSummary,
     _build_config,
     _config_snapshot,
+    _iteration_stats,
     _worker_count,
     build_task,
     execute_run,
@@ -197,6 +199,41 @@ class TestRhoCurve:
         params3 = network_params(np.ones((3, 2)), build_output_map(2, 2, 0.5))
         with pytest.raises(ValueError, match="planar"):
             rho_at(params3, np.array([0.0]))
+
+
+class TestRunSummary:
+    """What a sweep reads of a trained run: the runs CSV's iteration count and the cell statistics."""
+
+    @staticmethod
+    def one_point_run(eta, max_iters):
+        # binary net, k = 2, v = 1, one class-1 sample at (1, 0)
+        params = network_params(np.array([[0.1, 0.0], [0.0, 0.0]]), build_output_map(2, 2, 1.0))
+        data = LabeledDataset(np.array([[1.0, 0.0]]), np.array([1]))
+        return train(params, data, TrainConfig(eta=eta, max_iters=max_iters))
+
+    def test_reads_converged_at(self):
+        result = self.one_point_run(eta=0.1, max_iters=50)
+        summary = RunSummary.of(7, result)
+        assert summary.seed == 7
+        assert summary.converged and summary.converged_at == summary.iterations == 2
+        assert summary.final_loss == result.records[-1].loss == 0.0
+        assert summary.final_norm == result.records[-1].weight_norm
+        assert summary.max_norm == result.max_weight_norm
+
+    def test_never_converged_reads_minus_one(self):
+        summary = RunSummary.of(0, self.one_point_run(eta=0.01, max_iters=3))
+        assert not summary.converged
+        assert summary.converged_at is None
+        assert summary.iterations == -1
+        assert summary.final_loss > 0.0
+
+    def test_iteration_stats_read_converged_runs_only(self):
+        runs = [RunSummary(s, at, 0.0, 1.0, 1.0) for s, at in enumerate([4, None, 6, None])]
+        mean, std, med, q25, q75 = _iteration_stats(runs)
+        assert (mean, med, q25, q75) == (5.0, 5.0, 4.5, 5.5)
+        assert std == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert _iteration_stats(runs[1:2]) == (-1.0,) * 5
+        assert _iteration_stats(runs[:1]) == (4.0, 0.0, 4.0, 4.0, 4.0)
 
 
 class TestWorkerCount:

@@ -12,6 +12,7 @@ from reluphase import (
     dataset_loss,
     directional_derivative_fd,
     forward,
+    forward_batch,
     network_params,
     per_sample_losses,
     subgradient,
@@ -134,6 +135,21 @@ def test_directional_derivative_shape_check():
     params, data = random_instance(2)
     with pytest.raises(ValueError):
         directional_derivative_fd(params, data, np.ones(3), h=1e-6)
+
+
+def test_hinge_flags():
+    params, data = random_instance(5)
+    y0 = data.y - 1
+    F, _ = forward_batch(params, data.X)
+    losses, active, count = _hinge(F, _HingeWorkspace(y0, params.n))
+    rows = np.arange(data.n_samples)
+    assert active.shape == (data.n_samples, params.n)
+    assert not active[rows, y0].any()  # own class never active against itself
+    margin = 1.0 - F[rows, y0][:, None] + F
+    margin[rows, y0] = 0.0
+    np.testing.assert_array_equal(active, margin > 0.0)
+    np.testing.assert_array_equal(count, active.sum(axis=1))
+    np.testing.assert_allclose(losses, np.maximum(margin, 0.0).sum(axis=1), rtol=1e-14, atol=0.0)
 
 
 def sample_loss(params, x, y):

@@ -138,6 +138,20 @@ class TestCsvValidation:
         with pytest.raises(SchemaError, match="empty"):
             validate_csv(path)
 
+    def test_bad_cell_names_path_and_line(self, tmp_path):
+        path = self.corrupt(tmp_path, lambda ls: [ls[0], ls[1], ls[1].replace("true", "yes")])
+        with pytest.raises(SchemaError, match="bool cells must be") as info:
+            validate_csv(path)
+        assert str(info.value).startswith(f"{path}:3: ")
+
+    def test_blank_row_detected(self, tmp_path):
+        path = self.corrupt(tmp_path, lambda ls: [ls[0], ls[1], ""])
+        with pytest.raises(SchemaError, match=":3: expected 7 cells, got 0"):
+            validate_csv(path)
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        assert validate_csv(self.corrupt(tmp_path, lambda ls: ls[:1])) == 0
+
     def test_explicit_schema_overrides_name(self, tmp_path):
         path = tmp_path / "anything.csv"
         write_csv(path, SCHEMAS["histogram"], [[0.0, 1.0, 5]])
