@@ -220,6 +220,18 @@ def verify_certificate(ds: DirectionSet, cert: GcCertificate) -> bool:
     return cert.hull_coeffs is None and cert.separator is None
 
 
+def _lp_holds(W: np.ndarray, columns=None, check=None) -> bool:
+    """Whether the LP verdict on the chosen columns of W is "holds"; a set
+    with no column longer than DROP_TOL does not hold.  The verdict is
+    check's, gc_check unless a caller passes the gc_check it has bound, so
+    that a wrapper or stand-in installed in the caller's module is used."""
+    try:
+        ds = DirectionSet.from_weight_matrix(W, columns)
+    except ValueError:
+        return False
+    return (check or gc_check)(ds).verdict == "holds"
+
+
 def gc_probability(d: int, k: int) -> float:
     """Closed-form probability that k symmetric random directions in R^d satisfy
     the condition: 2^(1-k) * sum_{j=d}^{k-1} C(k-1, j).  Exact big-int arithmetic."""
@@ -260,7 +272,7 @@ def _max_gap(dirs: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.max(axis=1), wrap)
 
 
-def gc_slack_batch(dirs: np.ndarray, *, sign_only: bool = False) -> np.ndarray:
+def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
     """Signed slack of the geometric condition for a (T, k, d) stack of
     unit-direction sets: negative where the origin is strictly inside the
     hull of the directions, positive where a closed hemisphere holds them all.
@@ -275,10 +287,11 @@ def gc_slack_batch(dirs: np.ndarray, *, sign_only: bool = False) -> np.ndarray:
     (nearly dependent subset directions, such as shared or opposite rays)
     the normalized dots are not accurate, and the slack is NaN.
 
-    With sign_only, a d >= 3 set leaves the subset loop as soon as its
-    running slack is positive or NaN, and keeps that partial value.  Only
-    `slack < 0` is then meaningful, and it is exact: later subsets could
-    only raise a positive slack or keep a NaN.
+    A d >= 3 set leaves the subset loop as soon as its running slack is
+    positive or NaN, since later subsets could only raise a positive slack or
+    keep a NaN.  A negative slack or a NaN is therefore the same as over every
+    subset, while a positive slack is a lower bound: the largest value over
+    the subsets taken so far, some of which may lie beyond a near-zero normal.
     """
     if dirs.ndim != 3:
         raise ValueError("need a (T, k, d) array")
@@ -293,12 +306,11 @@ def gc_slack_batch(dirs: np.ndarray, *, sign_only: bool = False) -> np.ndarray:
     slack = np.full(T, -np.inf)
     live = slice(None)
     for subset in combinations(range(k), d - 1):
-        if sign_only:
-            keep = slack <= 0.0  # False for a positive or NaN slack
-            if not keep.any():
-                break
-            # While no set has left, the sets are a view of dirs, not a copy.
-            live = slice(None) if keep.all() else np.flatnonzero(keep)
+        keep = slack <= 0.0  # False for a positive or NaN slack
+        if not keep.any():
+            break
+        # While no set has left, the sets are a view of dirs, not a copy.
+        live = slice(None) if keep.all() else np.flatnonzero(keep)
         sets = dirs[live]
         normal = _null_vectors(sets[:, subset, :])
         dots = np.einsum("tkd,td->tk", sets, normal)
@@ -316,9 +328,10 @@ def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, flo
     """Monte Carlo estimate and its standard error over `trials` direction sets.
 
     Directions are normalized Gaussian draws, judged in batches of
-    _MC_CHUNK sets by the sign of gc_slack_batch in its sign_only mode,
-    which agrees with gc_check almost surely.  A set whose slack is NaN,
-    with a subset normal too short to trust, is judged by gc_check itself.
+    _MC_CHUNK sets by the sign of gc_slack_batch, which agrees with gc_check
+    almost surely.  A set whose slack is NaN, with a subset normal too short
+    to trust, is judged by gc_check itself, and an all-zero draw, with no
+    direction, does not hold.
     """
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
@@ -332,10 +345,9 @@ def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, flo
         norms = np.linalg.norm(raw, axis=2)
         norms[norms == 0.0] = 1.0
         raw /= norms[:, :, None]
-        slack = gc_slack_batch(raw, sign_only=True)
+        slack = gc_slack_batch(raw)
         count += int((slack < 0.0).sum())
-        for s in np.flatnonzero(np.isnan(slack)):
-            count += gc_check(DirectionSet.from_weight_matrix(raw[s].T)).verdict == "holds"
+        count += sum(_lp_holds(raw[s].T) for s in np.flatnonzero(np.isnan(slack)))
         done += t
     est = count / trials
     return est, math.sqrt(est * (1.0 - est) / trials)

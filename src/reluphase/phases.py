@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DROP_TOL, GC_TOL, DirectionSet, gc_check, gc_slack_batch
+from .geometry import DROP_TOL, GC_TOL, _lp_holds, gc_check, gc_slack_batch
 from .training import TrainResult
 
 __all__ = [
@@ -226,14 +226,6 @@ def _lp_band(k: int) -> float:
     return 2.0 * math.asin(q / (1.0 - q)) + _SLACK_ROUNDING
 
 
-def _lp_holds(W: np.ndarray, owner_cols: np.ndarray) -> bool:
-    try:
-        ds = DirectionSet.from_weight_matrix(W, columns=owner_cols)
-    except ValueError:
-        return False
-    return gc_check(ds).verdict == "holds"
-
-
 def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
     """Geometric-condition timeline of the class's owner directions over every record.
 
@@ -245,10 +237,13 @@ def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
 
     The whole timeline is judged at once from the signed slack of
     gc_slack_batch over the (T, k, d) stack of owner directions: a slack below
-    -band holds, one above band fails.  gc_check runs only where that cannot
-    stand in for the LP:
+    -band holds, one above band fails.  Of a positive slack only `> band` is
+    read.  For d >= 3 gc_slack_batch returns a lower bound of it, which still
+    exhibits a covering hemisphere when above band and goes to the LP
+    otherwise, so the verdict is the same.  gc_check runs only where the
+    slack cannot stand in for the LP:
       * snapshots with a column of norm <= DROP_TOL or a near-zero subset
-        normal (shared rays), whose slack is NaN;
+        normal (shared rays) before any positive subset, whose slack is NaN;
       * snapshots with |slack| <= band;
       * for d != 2, snapshots whose slack holds, since only the planar slack
         bounds the LP optimum;
@@ -283,11 +278,15 @@ def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
     decided = flags | (slack > band)
     if d != 2:
         decided &= ~flags
+
+    def lp_holds(i: int) -> bool:
+        return _lp_holds(snapshots[i], owner_cols, gc_check)
+
     for i in np.flatnonzero(~decided):
-        flags[i] = _lp_holds(snapshots[i], owner_cols)
+        flags[i] = lp_holds(i)
     checks = np.concatenate(([0], np.flatnonzero(flags[1:] != flags[:-1]) + 1))
-    if any(_lp_holds(snapshots[i], owner_cols) != flags[i] for i in checks if decided[i]):
-        flags = np.array([_lp_holds(W_t, owner_cols) for W_t in snapshots])
+    if any(lp_holds(i) != flags[i] for i in checks if decided[i]):
+        flags = np.array([lp_holds(i) for i in range(T)])
 
     losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
     return PhaseReport(

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from reluphase import (
     gc_probability_mc,
     verify_certificate,
 )
-from reluphase.geometry import _MC_CHUNK, GC_TOL, gc_slack_batch
+from reluphase.geometry import (
+    _MC_CHUNK,
+    _NEAR_ZERO_NORMAL,
+    GC_TOL,
+    _lp_holds,
+    _null_vectors,
+    gc_slack_batch,
+)
 
 
 def unit_rows(a):
@@ -230,6 +238,40 @@ class TestProbability:
             gc_probability(2, 0)
 
 
+def full_slack(dirs):
+    """gc_slack_batch's slack over every subset, without leaving the loop
+    early: the reference for the pruned loop (d >= 3, k > d)."""
+    T, k, d = dirs.shape
+    slack = np.full(T, -np.inf)
+    for subset in combinations(range(k), d - 1):
+        normal = _null_vectors(dirs[:, subset, :])
+        dots = np.einsum("tkd,td->tk", dirs, normal)
+        size = np.linalg.norm(normal, axis=1)
+        others = np.delete(dots, subset, axis=1)
+        side = np.maximum(others.min(axis=1), -others.max(axis=1))
+        near_zero = size <= _NEAR_ZERO_NORMAL
+        slack = np.maximum(slack, side / np.where(near_zero, 1.0, size))
+        slack[near_zero] = np.nan
+    return slack
+
+
+def assert_prunes_exactly(dirs):
+    """Negative slacks and NaNs equal the full slack's; a positive slack is
+    a lower bound of it, or the full slack is NaN from a later subset."""
+    got = gc_slack_batch(dirs)
+    T, k, d = dirs.shape
+    if d < 3 or k <= d:
+        return got
+    full = full_slack(dirs)
+    assert np.array_equal(got < 0.0, full < 0.0)
+    neg = got < 0.0
+    assert np.array_equal(got[neg], full[neg])
+    assert np.all(np.isnan(full[np.isnan(got)]))
+    pos = got > 0.0
+    assert np.all((got[pos] <= full[pos]) | np.isnan(full[pos]))
+    return got
+
+
 class TestBatchChecker:
     def test_matches_lp_verdicts(self):
         rng = Rng(31)
@@ -237,8 +279,7 @@ class TestBatchChecker:
             for k in (d + 1, d + 3):
                 dirs = rng.normal((40, k, d))
                 dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-                got = gc_slack_batch(dirs, sign_only=True) < 0.0
-                assert np.array_equal(gc_slack_batch(dirs) < 0.0, got), (d, k)
+                got = assert_prunes_exactly(dirs) < 0.0
                 for t in range(40):
                     if d == 1:
                         expect = bool(np.any(dirs[t, :, 0] > 0) and np.any(dirs[t, :, 0] < 0))
@@ -250,7 +291,6 @@ class TestBatchChecker:
         rng = Rng(5)
         dirs = rng.normal((10, 3, 3))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-        assert np.all(gc_slack_batch(dirs, sign_only=True) == np.inf)
         assert np.all(gc_slack_batch(dirs) == np.inf)
 
     def test_slack_magnitudes(self):
@@ -266,40 +306,36 @@ class TestBatchChecker:
         assert np.isnan(gc_slack_batch(shared[None])[0])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    def test_sign_only_agrees_with_full_slack(self, d):
+    def test_pruned_slack_agrees_with_full_slack(self, d):
         rng = Rng(40 + d)
         for k in range(1, d + 5):
             dirs = unit_rows(rng.normal((300 * k, d))).reshape(300, k, d)
-            full = gc_slack_batch(dirs)
-            assert np.array_equal(gc_slack_batch(dirs, sign_only=True) < 0.0, full < 0.0), (d, k)
+            assert_prunes_exactly(dirs)
 
-    def test_sign_only_agrees_on_shared_rays(self):
+    def test_pruned_slack_agrees_on_shared_rays(self):
         rng = Rng(9)
         for d, k in ((3, 5), (4, 7)):
             dirs = unit_rows(rng.normal((200 * k, d))).reshape(200, k, d)
             dirs[::2, k - 1] = dirs[::2, k - 2]
-            full = gc_slack_batch(dirs)
-            assert np.isnan(full[::2]).all()
-            assert np.array_equal(gc_slack_batch(dirs, sign_only=True) < 0.0, full < 0.0), (d, k)
+            assert np.isnan(full_slack(dirs)[::2]).all()
+            assert_prunes_exactly(dirs)
 
-    def test_sign_only_leaves_a_set_once_its_slack_is_positive(self):
+    def test_a_set_leaves_once_its_slack_is_positive(self):
         # Subset (0, 1) has normal e2, and every other direction has y > 0,
         # so the slack is positive after the first subset; the shared ray of
         # directions 3 and 4, the last subset, would make it NaN.
         ray = unit_rows([[0.3, 0.8, 0.1]])[0]
         dirs = np.stack([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], unit_rows([[-0.5, 0.5, -0.2]])[0], ray, ray])[None]
-        assert np.isnan(gc_slack_batch(dirs)[0])
-        early = gc_slack_batch(dirs, sign_only=True)[0]
-        assert 0.0 < early < np.inf
+        assert np.isnan(full_slack(dirs)[0])
+        assert 0.0 < assert_prunes_exactly(dirs)[0] < np.inf
 
     @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
-    def test_sign_only_agrees_on_the_mc_draws(self, d, k):
+    def test_pruned_slack_agrees_on_the_mc_draws(self, d, k):
         raw = Rng(0).normal((_MC_CHUNK, k, d))
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        holds = gc_slack_batch(dirs, sign_only=True) < 0.0
-        assert np.array_equal(holds, gc_slack_batch(dirs) < 0.0)
+        holds = assert_prunes_exactly(dirs) < 0.0
         est, _ = gc_probability_mc(d, k, _MC_CHUNK, Rng(0))
-        assert est * _MC_CHUNK == holds.sum()
+        assert est == holds.sum() / _MC_CHUNK
 
     def test_mc_judges_a_nan_slack_by_the_lp(self):
         # One (3, 5) set of this draw has two nearly opposite directions: the
@@ -308,12 +344,18 @@ class TestBatchChecker:
         trials = 30000
         raw = Rng(8000).child(0).normal((trials, 5, 3))
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        slack = gc_slack_batch(dirs, sign_only=True)
+        slack = gc_slack_batch(dirs)
         undecided = np.flatnonzero(np.isnan(slack))
         assert undecided.size == 1
         assert gc_check(DirectionSet(dirs[undecided[0]])).verdict == "holds"
         est, _ = gc_probability_mc(3, 5, trials, Rng(8000).child(0))
-        assert est * trials == (slack < 0.0).sum() + 1
+        assert est == ((slack < 0.0).sum() + 1) / trials
+
+    def test_lp_fallback_reads_zero_columns_as_not_holding(self):
+        assert _lp_holds(np.zeros((3, 5))) is False
+        tetra = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+        assert _lp_holds(tetra) is True
+        assert _lp_holds(np.column_stack([tetra, np.zeros(3)]), [0, 1, 2, 4]) is False
 
     def test_mc_estimate_near_closed_form(self):
         est, se = gc_probability_mc(2, 3, 20000, Rng(0))
