@@ -204,7 +204,9 @@ def forward_arrays(W: np.ndarray, b: np.ndarray, values: np.ndarray, X: np.ndarr
     """Array-level forward pass, (F (N, n), H (N, k)), shared by forward_batch and the loss kernel.
 
     out, when given, is a triple of buffers (F (N, n), H (N, k), relu(H)
-    (N, k)) that the pass fills and returns instead of allocating.
+    (N, k)) that the pass fills and returns instead of allocating.  W may
+    stack m matrices as (m, d, k); F and H then gain the same leading axis,
+    and every slice is computed as the pass on its own matrix would be.
     """
     F, H, A = (None, None, None) if out is None else out
     H = np.matmul(X, W, out=H)

@@ -13,9 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NetworkParams, OutputMap, Rng, forward_batch
+from .core import NetworkParams, OutputMap, Rng, forward_arrays, network_params
 from .datagen import LabeledDataset
-from .losses import dataset_loss, subgradient
+from .losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
+# Not called here: bench/tracing.py hooks reluphase.landscape.dataset_loss and
+# reports its calls as a per-layer metric, so the name stays bound.
+from .losses import dataset_loss  # noqa: F401
 from .training import weight_matrix_norm
 
 __all__ = [
@@ -35,6 +38,11 @@ LOSS_TOLERANCE = 1e-8
 # sampled pair counts as coincident and is skipped.
 _LIPSCHITZ_BINS = 32
 _SKIP_TOL = 1e-14
+# Pairs per lipschitz_estimate chunk.  At landscape-audit's defaults (880
+# samples, 8 units) its largest buffers, the (32, 880, 8) pre-activations and
+# activations, take 1.7 MiB each.  32-pair chunks were no faster and raised
+# landscape-mc's peak RSS by 2 MiB.
+_LIPSCHITZ_CHUNK = 16
 
 
 def regular_simplex_vertices(d: int) -> np.ndarray:
@@ -135,15 +143,16 @@ def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> Landsca
 
     A network that outputs exactly zero on every sample is flat but useless;
     that case is reported separately so it is never mistaken for optimality.
+    The witness, the subgradient norm and the loss all come from one loss
+    kernel call, so they are the values dataset_loss, subgradient and
+    forward_batch give, bit for bit.
     """
-    F, _ = forward_batch(params, data.X)
-    live_rows = np.flatnonzero(np.any(F != 0.0, axis=1))
+    W, b, values, y0 = params.weights, params.biases, params.output.values, data.y - 1
+    ws = KernelWorkspace(values, data.X, y0)
+    loss, _, grad = batch_loss_grad(W, b, values, data.X, y0, np.arange(data.n_samples), ws)
+    live_rows = np.flatnonzero(np.any(ws.F != 0.0, axis=1))
     witness = int(live_rows[0]) if live_rows.size else None
-    return LandscapeAudit(
-        grad_norm=weight_matrix_norm(subgradient(params, data)),
-        loss=dataset_loss(params, data),
-        nonzero_output_witness=witness,
-    )
+    return LandscapeAudit(grad_norm=weight_matrix_norm(grad), loss=loss, nonzero_output_witness=witness)
 
 
 @dataclass(frozen=True)
@@ -167,35 +176,65 @@ class LipschitzReport:
 
 
 def lipschitz_estimate(
-    sampler: Callable[[Rng], NetworkParams],
+    sampler: Callable[[Rng], np.ndarray],
+    output: OutputMap,
+    biases: np.ndarray,
     data: LabeledDataset,
     pairs: int,
     rng: Rng,
 ) -> LipschitzReport:
     """Empirical modulus max |l(W1) - l(W2)| / |W1 - W2| over sampled weight pairs.
 
+    sampler draws one (d, k) weight matrix from rng; each pair is two
+    consecutive draws, scored as network_params(W, output, biases) on data.
     Only bias-mode states are accepted: without biases the loss is positively
     homogeneous and the ratio is unbounded, so the diagnostic would be
     meaningless there.  Pairs closer than _SKIP_TOL in weight norm are skipped.
+
+    The pairs are scored in chunks: one forward pass over the chunk's stacked
+    matrices and one hinge over its tiled labels.  Every slice runs the
+    per-matrix arithmetic of dataset_loss, so each ratio, and the report, is
+    the one pair-by-pair scoring gives, bit for bit, whatever the chunk size.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
+    (N, d), k, n = data.X.shape, output.k, output.n
+    params = network_params(np.zeros((d, k)), output, biases)  # checks the biases
+    if params.mode != "bias":
+        raise ValueError("lipschitz_estimate refuses no-bias states: the no-bias loss has no finite modulus")
+    b, values, y0 = params.biases, output.values, data.y - 1
+
+    def draw() -> np.ndarray:
+        W = np.asarray(sampler(rng), dtype=float)
+        if W.shape != (d, k):
+            raise ValueError(f"sampled weights must have shape {(d, k)}, got {W.shape}")
+        if not np.all(np.isfinite(W)):
+            raise ValueError("weights must be finite")
+        return W
+
+    m = min(pairs, _LIPSCHITZ_CHUNK)
+    stack = np.empty((2 * m, d, k))
+    F, H, A = np.empty((2 * m, N, n)), np.empty((2 * m, N, k)), np.empty((2 * m, N, k))
+    ws = _HingeWorkspace(np.tile(y0, 2 * m), n)
+    gaps = np.empty(m)
     ratios = np.empty(pairs)
     used = 0
-    skipped = 0
-    for _ in range(pairs):
-        p1 = sampler(rng)
-        p2 = sampler(rng)
-        if p1.mode != "bias" or p2.mode != "bias":
-            raise ValueError(
-                "lipschitz_estimate refuses no-bias states: the no-bias loss has no finite modulus"
-            )
-        gap = weight_matrix_norm(p1.weights - p2.weights)
-        if gap < _SKIP_TOL:
-            skipped += 1
-            continue
-        ratios[used] = abs(dataset_loss(p1, data) - dataset_loss(p2, data)) / gap
-        used += 1
+    for start in range(0, pairs, m):
+        c = min(m, pairs - start)
+        if c < m:  # the last, partial chunk
+            ws = _HingeWorkspace(np.tile(y0, 2 * c), n)
+        for i in range(c):
+            W1, W2 = draw(), draw()
+            stack[2 * i], stack[2 * i + 1] = W1, W2
+            gaps[i] = weight_matrix_norm(W1 - W2)
+        scores, _ = forward_arrays(stack[: 2 * c], b, values, data.X, out=(F[: 2 * c], H[: 2 * c], A[: 2 * c]))
+        losses, _, _ = _hinge(scores.reshape(2 * c * N, n), ws)
+        means = losses.reshape(2 * c, N).mean(axis=1)
+        kept = gaps[:c] >= _SKIP_TOL
+        chunk = np.abs(means[0::2] - means[1::2])[kept] / gaps[:c][kept]
+        ratios[used : used + chunk.size] = chunk
+        used += chunk.size
+    skipped = pairs - used
     if used == 0:
         raise ValueError("every sampled pair was coincident; nothing to estimate")
     ratios = ratios[:used]

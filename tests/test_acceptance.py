@@ -514,15 +514,12 @@ def test_criterion_11_lipschitz_ceiling():
     data = grid_dataset_planar(GridDatasetSpec())
 
     def sampler(r: Rng):
-        return network_params(r.normal((2, 8)), output, bias_arr)
+        return r.normal((2, 8))
 
-    report = lipschitz_estimate(sampler, data, 10_000, Rng(0).child(99))
-
-    def bare(r: Rng):
-        return network_params(r.normal((2, 8)), output)
+    report = lipschitz_estimate(sampler, output, bias_arr, data, 10_000, Rng(0).child(99))
 
     with pytest.raises(ValueError, match="no-bias"):
-        lipschitz_estimate(bare, data, 4, Rng(1))
+        lipschitz_estimate(sampler, output, np.zeros(8), data, 4, Rng(1))
     ok = (
         math.isfinite(report.max_ratio)
         and report.pairs_used == 10_000

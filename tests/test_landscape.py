@@ -11,6 +11,7 @@ from reluphase import (
     construct_zero_loss,
     critical_point_audit,
     dataset_loss,
+    forward_batch,
     grid_dataset_planar,
     lipschitz_estimate,
     network_params,
@@ -19,7 +20,8 @@ from reluphase import (
     subgradient,
     weight_matrix_norm,
 )
-from reluphase.landscape import EPS_CRITICAL, LOSS_TOLERANCE
+from reluphase import landscape
+from reluphase.landscape import EPS_CRITICAL, LOSS_TOLERANCE, LipschitzReport
 
 
 class TestRegularSimplex:
@@ -159,12 +161,37 @@ class TestCriticalPointAudit:
         assert audit.grad_norm == 0.0
         assert audit.nonzero_output_witness is None
 
+    def test_live_units_with_zero_scores_are_degenerate(self):
+        # Each class owns two units with the same weights, so the units fire
+        # but every score sums to exactly zero: the output, not H, decides.
+        omap = build_output_map(2, 4, 0.5)
+        W = np.tile([[1.0], [0.5]], (1, 4))
+        audit = critical_point_audit(network_params(W, omap), annulus_data(2, 1))
+        assert audit.verdict == "degenerate_zero_output"
+        assert audit.loss == 1.0
+
     def test_random_state_not_critical(self):
         omap = build_output_map(2, 8, 0.5)
         params = network_params(Rng(1).normal((2, 8)), omap)
         audit = critical_point_audit(params, annulus_data(2, 1))
         assert audit.verdict == "not_critical"
         assert audit.grad_norm > 1e-3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_equals_the_three_pass_definition(self, seed, n):
+        # One kernel call gives the values forward_batch, subgradient and
+        # dataset_loss give, bit for bit.
+        omap = build_output_map(n, 3 * n, 0.5)
+        rng = Rng(seed)
+        params = network_params(rng.normal((2, omap.k)), omap, np.full(omap.k, 0.6 / omap.k))
+        data = LabeledDataset(2.0 * rng.normal((90, 2)), np.arange(90) % n + 1)
+        audit = critical_point_audit(params, data)
+        F, _ = forward_batch(params, data.X)
+        live = np.flatnonzero(np.any(F != 0.0, axis=1))
+        assert audit.nonzero_output_witness == int(live[0])
+        assert audit.grad_norm == weight_matrix_norm(subgradient(params, data))
+        assert audit.loss == dataset_loss(params, data)
 
     def test_json_dict_round_trip(self):
         omap = build_output_map(2, 8, 0.5)
@@ -181,12 +208,39 @@ class TestCriticalPointAudit:
         }
 
 
-class TestLipschitzEstimate:
-    def sampler(self, omap, scale=1.0):
-        biases = np.full(omap.k, 0.4 / omap.k)
+def pairwise_lipschitz(sampler, omap, biases, data, pairs, rng):
+    """Reference: the estimate scored pair by pair, two dataset_loss calls per pair."""
+    ratios, skipped = [], 0
+    for _ in range(pairs):
+        p1 = network_params(sampler(rng), omap, biases)
+        p2 = network_params(sampler(rng), omap, biases)
+        gap = weight_matrix_norm(p1.weights - p2.weights)
+        if gap < landscape._SKIP_TOL:
+            skipped += 1
+            continue
+        ratios.append(abs(dataset_loss(p1, data) - dataset_loss(p2, data)) / gap)
+    ratios = np.array(ratios)
+    counts, edges = np.histogram(ratios, bins=landscape._LIPSCHITZ_BINS)
+    return LipschitzReport(
+        max_ratio=float(ratios.max()),
+        mean_ratio=float(ratios.mean()),
+        pairs_used=ratios.size,
+        skipped=skipped,
+        hist_counts=tuple(int(c) for c in counts),
+        hist_edges=tuple(float(e) for e in edges),
+    )
 
+
+CHUNK = landscape._LIPSCHITZ_CHUNK
+
+
+class TestLipschitzEstimate:
+    def biases(self, omap):
+        return np.full(omap.k, 0.4 / omap.k)
+
+    def sampler(self, omap, scale=1.0):
         def draw(rng):
-            return network_params(scale * rng.normal((2, omap.k)), omap, biases)
+            return scale * rng.normal((2, omap.k))
 
         return draw
 
@@ -195,17 +249,21 @@ class TestLipschitzEstimate:
 
     def test_no_bias_refused(self):
         omap = build_output_map(2, 4, 0.5)
+        calls = []
 
         def bare(rng):
-            return network_params(rng.normal((2, 4)), omap)
+            calls.append(1)
+            return rng.normal((2, 4))
 
-        with pytest.raises(ValueError, match="no-bias"):
-            lipschitz_estimate(bare, self.data(), 5, Rng(0))
+        for biases in (np.zeros(4), None):
+            with pytest.raises(ValueError, match="no-bias"):
+                lipschitz_estimate(bare, omap, biases, self.data(), 5, Rng(0))
+        assert calls == []
 
     def test_deterministic_and_consistent(self):
         omap = build_output_map(2, 4, 0.5)
-        r1 = lipschitz_estimate(self.sampler(omap), self.data(), 200, Rng(9))
-        r2 = lipschitz_estimate(self.sampler(omap), self.data(), 200, Rng(9))
+        r1 = lipschitz_estimate(self.sampler(omap), omap, self.biases(omap), self.data(), 200, Rng(9))
+        r2 = lipschitz_estimate(self.sampler(omap), omap, self.biases(omap), self.data(), 200, Rng(9))
         assert r1 == r2
         assert r1.pairs_used == 200
         assert r1.skipped == 0
@@ -214,37 +272,70 @@ class TestLipschitzEstimate:
         assert 0.0 < r1.mean_ratio <= r1.max_ratio
         assert np.isfinite(r1.max_ratio)
 
-    def test_ratio_definition_on_two_point_check(self):
-        # the max ratio is achievable by some concrete pair: resample and
-        # verify the reported maximum matches a direct evaluation
-        omap = build_output_map(2, 4, 0.5)
-        data = self.data()
+    @pytest.mark.parametrize("pairs", [1, CHUNK - 1, CHUNK, CHUNK + 1, 1250])
+    def test_ratio_definition_on_two_point_check(self, pairs):
+        # Chunking is exact: every ratio, so the max, the mean and the
+        # histogram, equals the pair-by-pair scoring on the same draws.
+        omap = build_output_map(2, 8, 0.5)
+        data = grid_dataset_planar(GridDatasetSpec())
+        args = (self.sampler(omap), omap, self.biases(omap), data, pairs)
+        report = lipschitz_estimate(*args, Rng(3))
+        assert report == pairwise_lipschitz(*args, Rng(3))
+        assert report.pairs_used == pairs
+
+    def test_skipped_pairs_match_pairwise_reference(self):
+        # Every third pair is coincident; it is counted as skipped and the
+        # ratios of the other pairs keep their order.
+        omap = build_output_map(3, 9, 0.5)
+        data = annulus_data(2, 2)
+        fixed = np.ones((2, 9))
         draws = []
 
-        def recording(rng):
-            p = self.sampler(omap)(rng)
-            draws.append(p)
-            return p
+        def mixed(rng):
+            draws.append(1)
+            pair = (len(draws) - 1) // 2
+            return fixed if pair % 3 == 0 else rng.normal((2, 9))
 
-        report = lipschitz_estimate(recording, data, 50, Rng(3))
-        best = 0.0
-        for i in range(0, len(draws), 2):
-            p1, p2 = draws[i], draws[i + 1]
-            gap = weight_matrix_norm(p1.weights - p2.weights)
-            best = max(best, abs(dataset_loss(p1, data) - dataset_loss(p2, data)) / gap)
-        assert report.max_ratio == pytest.approx(best, rel=1e-12)
+        report = lipschitz_estimate(mixed, omap, self.biases(omap), data, 2 * CHUNK + 5, Rng(4))
+        draws.clear()
+        assert report == pairwise_lipschitz(mixed, omap, self.biases(omap), data, 2 * CHUNK + 5, Rng(4))
+        assert report.skipped == (2 * CHUNK + 5 + 2) // 3
+
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch):
+        omap = build_output_map(2, 8, 0.5)
+        args = (self.sampler(omap, scale=2.0), omap, self.biases(omap), self.data(), 2 * CHUNK + 7)
+        reports = []
+        for chunk in (1, 3, CHUNK):
+            monkeypatch.setattr(landscape, "_LIPSCHITZ_CHUNK", chunk)
+            reports.append(lipschitz_estimate(*args, Rng(5)))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_coincident_pairs_rejected(self):
         omap = build_output_map(2, 4, 0.5)
-        fixed = network_params(np.ones((2, 4)), omap, np.full(4, 0.1))
 
         def constant(rng):
-            return fixed
+            return np.ones((2, 4))
 
         with pytest.raises(ValueError, match="coincident"):
-            lipschitz_estimate(constant, self.data(), 5, Rng(0))
+            lipschitz_estimate(constant, omap, np.full(4, 0.1), self.data(), 5, Rng(0))
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            (np.array([[1.0, np.nan, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), "finite"),
+            (np.array([[1.0, np.inf, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), "finite"),
+            (np.ones((2, 5)), "shape"),
+            (np.ones((3, 4)), "shape"),
+            (np.ones(4), "shape"),
+        ],
+        ids=["nan", "inf", "wrong-k", "wrong-d", "vector"],
+    )
+    def test_bad_sampled_weights_refused(self, weights, match):
+        omap = build_output_map(2, 4, 0.5)
+        with pytest.raises(ValueError, match=match):
+            lipschitz_estimate(lambda rng: weights, omap, self.biases(omap), self.data(), 5, Rng(0))
 
     def test_pairs_validated(self):
         omap = build_output_map(2, 4, 0.5)
         with pytest.raises(ValueError):
-            lipschitz_estimate(self.sampler(omap), self.data(), 0, Rng(0))
+            lipschitz_estimate(self.sampler(omap), omap, self.biases(omap), self.data(), 0, Rng(0))
