@@ -67,14 +67,20 @@ class Rng:
             shape = tuple(int(s) for s in size)
             count = int(np.prod(shape)) if shape else 1
         pairs = (count + 1) // 2
-        # 1 - U keeps u1 in (0, 1] so the log stays finite.
-        u1 = 1.0 - self._gen.random(pairs)
-        u2 = self._gen.random(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
+        # 1 - U keeps u1 in (0, 1] so the log stays finite.  u1 is turned
+        # into the radius and u2 into the angle in place.
+        radius = self._gen.random(pairs)
+        np.subtract(1.0, radius, out=radius)
+        np.log(radius, out=radius)
+        np.multiply(radius, -2.0, out=radius)
+        np.sqrt(radius, out=radius)
+        angle = self._gen.random(pairs)
+        np.multiply(angle, 2.0 * np.pi, out=angle)
         z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
+        np.cos(angle, out=z[0::2])
+        np.sin(angle, out=z[1::2])
+        z[0::2] *= radius
+        z[1::2] *= radius
         out = z[:count].reshape(shape)
         return float(out) if size is None else out
 

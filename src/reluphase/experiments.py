@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -312,6 +311,10 @@ def map_runs(worker, specs, threads: int):
     workers = _worker_count(threads, len(specs))
     if workers <= 1:
         return [worker(s) for s in specs]
+    # Imported here, not at the top: the pool's module costs every command
+    # start-up time, and only a run on more than one worker needs it.
+    from concurrent.futures.process import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(specs) // (4 * workers))
         return list(ex.map(worker, specs, chunksize=chunk))
@@ -400,7 +403,7 @@ def _trajectory_rows(result: TrainResult, class_count: int, reports: dict[int, P
     for i, rec in enumerate(result.records):
         row = [rec.t, rec.loss, rec.weight_norm, rec.grad_norm]
         row += [rec.loss_per_class[c] for c in range(1, class_count + 1)]
-        row += list(rec.neuron_norms)
+        row += rec.neuron_norms.tolist()
         row += [timeline[i] for timeline in timelines]
         rows.append(row)
     return rows
@@ -427,7 +430,7 @@ def _result_json(result: TrainResult, reports: dict[int, PhaseReport]) -> dict:
                 "t": rec.t,
                 "loss": rec.loss,
                 "loss_per_class": {str(k): v for k, v in sorted(rec.loss_per_class.items())},
-                "neuron_norms": list(rec.neuron_norms),
+                "neuron_norms": rec.neuron_norms.tolist(),
                 "weight_norm": rec.weight_norm,
                 "grad_norm": rec.grad_norm,
                 "gc_flags": {str(c): rep.gc_timeline[i] for c, rep in reports.items()},

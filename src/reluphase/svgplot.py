@@ -7,7 +7,6 @@ bytes.  Wide numeric ranges are handled with simple 1-2-5 tick selection.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -18,6 +17,11 @@ _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 # Canvas size of the framed charts, and the side of a square dynamics frame.
 _WIDTH, _HEIGHT = 640, 430
 _FRAME_SIZE = 460
+
+
+def _escape(text: str) -> str:
+    """XML character data: & < > as entities (the text xml.sax.saxutils.escape gives)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -86,7 +90,7 @@ class _Canvas:
         r = f' transform="rotate({_fmt(rotate)} {_fmt(x)} {_fmt(y)})"' if rotate is not None else ""
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" {_FONT} font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{color}"{r}>{escape(str(s))}</text>'
+            f'text-anchor="{anchor}" fill="{color}"{r}>{_escape(str(s))}</text>'
         )
 
     def render(self) -> str:

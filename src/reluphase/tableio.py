@@ -2,16 +2,22 @@
 
 Every CSV the experiment commands emit is described here: fixed columns plus
 optional numbered column groups (for example neuron_norm_1..neuron_norm_k).
-Floats are written with repr, which round-trips exactly; booleans are
-"true"/"false"; JSON is sorted-key, indent-2, NaN-free.  Re-running a command
-with the same config and seed therefore reproduces every output byte.
+Each column kind has one cell codec, a writer and a parser, and write_csv and
+validate_csv pick every column's codec once per file.  Floats are written
+with repr, which round-trips exactly; booleans are "true"/"false".
+
+JSON is sorted-key, indent-2 and NaN-free: write_json walks the object once
+and writes the text json.dump would give for it after numpy values, tuples
+and non-finite floats are turned into plain JSON values, flushing to the file
+every few thousand pieces.  Re-running a command with the same config and
+seed therefore reproduces every output byte.
 """
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -23,7 +29,6 @@ __all__ = [
     "schema_for_file",
     "write_csv",
     "validate_csv",
-    "to_jsonable",
     "write_json",
 ]
 
@@ -179,50 +184,67 @@ def schema_for_file(path) -> CsvSchema:
     return SCHEMAS[_BASENAME_TO_SCHEMA[base]]
 
 
-def _format_cell(value, kind: str) -> str:
-    if kind == "int":
-        if isinstance(value, bool) or int(value) != value:
-            raise SchemaError(f"expected an integer, got {value!r}")
-        return str(int(value))
-    if kind == "float":
-        value = float(value)
-        if not math.isfinite(value):
-            raise SchemaError(f"refusing to write non-finite float {value!r}")
-        return repr(value)
-    if kind == "bool":
-        if not isinstance(value, (bool, np.bool_)):
-            raise SchemaError(f"expected a bool, got {value!r}")
-        return "true" if value else "false"
-    if kind == "str":
-        return str(value)
-    raise SchemaError(f"unknown column kind {kind!r}")
+def _write_int(value) -> str:
+    if isinstance(value, bool) or int(value) != value:
+        raise SchemaError(f"expected an integer, got {value!r}")
+    return str(int(value))
 
 
-def _parse_cell(cell: str, kind: str):
-    if kind == "int":
-        return int(cell)
-    if kind == "float":
-        value = float(cell)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite float {cell!r}")
-        return value
-    if kind == "bool":
-        if cell not in ("true", "false"):
-            raise ValueError(f"bool cells must be 'true' or 'false', got {cell!r}")
-        return cell == "true"
-    return cell
+def _write_float(value) -> str:
+    value = float(value)
+    if not math.isfinite(value):
+        raise SchemaError(f"refusing to write non-finite float {value!r}")
+    return repr(value)
+
+
+def _write_bool(value) -> str:
+    if not isinstance(value, (bool, np.bool_)):
+        raise SchemaError(f"expected a bool, got {value!r}")
+    return "true" if value else "false"
+
+
+def _parse_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite float {cell!r}")
+    return value
+
+
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(f"bool cells must be 'true' or 'false', got {cell!r}")
+    return cell == "true"
+
+
+# Column kind -> (writer, parser).  A writer turns a value into its cell text
+# and raises SchemaError; a parser reads a cell back and raises ValueError.
+_CELL_CODECS = {
+    "int": (_write_int, int),
+    "float": (_write_float, _parse_float),
+    "bool": (_write_bool, _parse_bool),
+    "str": (str, str),
+}
+
+
+def _column_codecs(schema: CsvSchema, group_sizes: dict[str, int] | None) -> list[tuple]:
+    """Each column's (writer, parser), picked once per file."""
+    try:
+        return [_CELL_CODECS[kind] for kind in schema.kinds(group_sizes)]
+    except KeyError as exc:
+        raise SchemaError(f"unknown column kind {exc.args[0]!r}") from None
 
 
 def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None = None) -> None:
     header = schema.header(group_sizes)
-    kinds = schema.kinds(group_sizes)
+    writers = [writer for writer, _ in _column_codecs(schema, group_sizes)]
+    width = len(writers)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            if len(row) != len(kinds):
-                raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {len(kinds)}")
-            writer.writerow([_format_cell(v, k) for v, k in zip(row, kinds)])
+            if len(row) != width:
+                raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {width}")
+            writer.writerow([f(v) for f, v in zip(writers, row)])
 
 
 def _infer_group_sizes(schema: CsvSchema, header: list[str]) -> dict[str, int]:
@@ -253,40 +275,114 @@ def validate_csv(path, schema: CsvSchema | None = None) -> int:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path} is empty") from None
-        sizes = _infer_group_sizes(schema, header)
-        kinds = schema.kinds(sizes)
+        parsers = [parser for _, parser in _column_codecs(schema, _infer_group_sizes(schema, header))]
+        width = len(parsers)
         count = 0
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(kinds):
-                raise SchemaError(f"{path}:{lineno}: expected {len(kinds)} cells, got {len(row)}")
-            for cell, kind in zip(row, kinds):
-                try:
-                    _parse_cell(cell, kind)
-                except ValueError as exc:
-                    raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            if len(row) != width:
+                raise SchemaError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+            try:
+                [f(cell) for f, cell in zip(parsers, row)]
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
             count += 1
     return count
 
 
-def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays and non-finite floats (-> None)."""
+def _json_float(value) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _json_bool(value) -> str:
+    return "true" if value else "false"
+
+
+# JSON text of a scalar, by exact type; _json_scalar handles subclasses.
+_JSON_SCALARS = {
+    str: _encode_str,
+    float: _json_float,
+    int: int.__repr__,
+    bool: _json_bool,
+    type(None): lambda value: "null",
+    np.float64: _json_float,
+    np.int64: lambda value: int.__repr__(int(value)),
+    np.bool_: _json_bool,
+}
+
+# write_json hands its pieces to the file once this many are pending, so a
+# long trajectory is never held as text all at once.
+_FLUSH_PIECES = 4096
+
+
+def _json_scalar(value):
+    """JSON text of a scalar; None for a container; TypeError for anything else."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    if isinstance(value, (dict, list, tuple, np.ndarray)):
+        return None
+    if isinstance(value, (bool, np.bool_)):
+        return _json_bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _json_float(float(value))
+    if isinstance(value, str):
+        return _encode_str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_json(obj, newline: str, parts: list, fh) -> None:
+    """Append the JSON text of container obj to parts; newline is "\\n" plus the indent of obj's line."""
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    return obj
+        by_key = {str(k): v for k, v in obj.items()}
+        keys = sorted(by_key)
+        values = [by_key[k] for k in keys]
+        heads = [_encode_str(k) + ": " for k in keys]
+        opener, closer = "{", "}"
+    else:
+        values = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+        heads = None
+        opener, closer = "[", "]"
+    if not values:
+        parts.append(opener + closer)
+        return
+    inner = newline + "  "
+    texts = [_json_scalar(v) for v in values]
+    if None not in texts:
+        if heads is not None:
+            texts = [h + t for h, t in zip(heads, texts)]
+        parts.append(opener + inner + ("," + inner).join(texts) + newline + closer)
+        return
+    parts.append(opener)
+    separator = inner
+    for i, (value, text) in enumerate(zip(values, texts)):
+        parts.append(separator if heads is None else separator + heads[i])
+        separator = "," + inner
+        if text is None:
+            _emit_json(value, inner, parts, fh)
+        else:
+            parts.append(text)
+    parts.append(newline + closer)
+    if len(parts) >= _FLUSH_PIECES:
+        fh.write("".join(parts))
+        parts.clear()
 
 
 def write_json(path, obj) -> None:
+    """Write obj as sorted-key, indent-2 JSON plus a newline, in one walk.
+
+    The text is that of ``json.dump(..., sort_keys=True, indent=2,
+    allow_nan=False)`` applied to obj with every key turned into str, tuples
+    and arrays into lists, numpy scalars into Python ones and non-finite
+    floats into null.  Any other object raises TypeError.
+    """
+    parts: list[str] = []
     with open(path, "w") as fh:
-        json.dump(to_jsonable(obj), fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        text = _json_scalar(obj)
+        if text is None:
+            _emit_json(obj, "\n", parts, fh)
+        else:
+            parts.append(text)
+        parts.append("\n")
+        fh.write("".join(parts))

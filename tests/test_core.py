@@ -65,6 +65,30 @@ class TestRng:
         b = Rng(5).normal(4)[:3]
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("size", [None, 1, 3, 8, (3,), (2, 8), (7, 3), (2, 3, 4), (30000, 8, 4)])
+    def test_in_place_transform_matches_reference(self, size):
+        # (30000, 8, 4) is one gc-prob Monte Carlo batch at d=4, k=8.
+        def reference_normal(rng, size):
+            count = 1 if size is None else int(np.prod(size))
+            pairs = (count + 1) // 2
+            u1 = 1.0 - rng._gen.random(pairs)
+            u2 = rng._gen.random(pairs)
+            radius = np.sqrt(-2.0 * np.log(u1))
+            angle = 2.0 * np.pi * u2
+            z = np.empty(2 * pairs)
+            z[0::2] = radius * np.cos(angle)
+            z[1::2] = radius * np.sin(angle)
+            out = z[:count].reshape(() if size is None else size)
+            return float(out) if size is None else out
+
+        ours, ref = Rng(17), Rng(17)
+        for _ in range(2):  # a second draw checks the stream position too
+            a, b = ours.normal(size), reference_normal(ref, size)
+            if size is None:
+                assert isinstance(a, float) and a == b
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
 
 class TestOutputMap:
     def test_round_robin_owners(self):

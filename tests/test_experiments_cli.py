@@ -1,3 +1,4 @@
+import concurrent.futures.process
 import csv
 import json
 import math
@@ -271,12 +272,13 @@ class TestProcessPool:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         pools = []
 
-        class RecordingPool(experiments.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        # map_runs imports the pool class when it needs one.
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         assert run_command(command, {**mapping, "threads": 1}, str(serial)) == run_command(
             command, {**mapping, "threads": 2}, str(pooled)

@@ -72,3 +72,16 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_network_and_process_modules_out():
+    # Every command pays for the library's imports; these only cost time.
+    code = "import sys, reluphase.experiments, reluphase.cli; print(sorted(m for m in {} if m in sys.modules))"
+    unwanted = ["urllib.request", "ssl", "http.client", "email", "concurrent.futures.process"]
+    src = os.path.dirname(os.path.dirname(reluphase.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code.format(unwanted)], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

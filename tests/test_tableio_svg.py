@@ -1,20 +1,46 @@
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
+from reluphase import experiments, svgplot
 from reluphase.svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
 from reluphase.tableio import (
     SCHEMAS,
+    CsvSchema,
     SchemaError,
     schema_for_file,
-    to_jsonable,
     validate_csv,
     write_csv,
     write_json,
 )
+
+
+def to_jsonable(obj):
+    """Oracle: recursively convert numpy scalars/arrays and non-finite floats (-> None)."""
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        return value if math.isfinite(value) else None
+    return obj
+
+
+def reference_json(obj) -> str:
+    """The text write_json must produce: to_jsonable, then json's sorted indent-2 encoder."""
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 class TestSchemas:
@@ -89,6 +115,42 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="integer"):
             write_csv(path, SCHEMAS["norm_runs"], [[0.5, 7, 12, True, 1.0, 1.0]])
 
+    def test_numpy_cells(self, tmp_path):
+        path = tmp_path / "norm_runs.csv"
+        rows = [
+            [np.int64(0), 7, 2.0, np.bool_(True), np.float64(0.25), np.float32(1.5)],
+            [1, np.int32(8), 3, np.bool_(False), 0.5, 1.0],
+        ]
+        write_csv(path, SCHEMAS["norm_runs"], rows)
+        lines = path.read_text().splitlines()
+        assert lines[1:] == ["0,7,2,true,0.25,1.5", "1,8,3,false,0.5,1.0"]
+        assert validate_csv(path) == 2
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False)])
+    def test_int_kind_rejects_python_bool(self, tmp_path, value):
+        path = tmp_path / "norm_runs.csv"
+        if isinstance(value, bool):
+            with pytest.raises(SchemaError, match="expected an integer, got True"):
+                write_csv(path, SCHEMAS["norm_runs"], [[value, 7, 12, True, 1.0, 1.0]])
+        else:  # numpy bools are integral, as they always were
+            write_csv(path, SCHEMAS["norm_runs"], [[value, 7, 12, True, 1.0, 1.0]])
+            assert path.read_text().splitlines()[1].startswith("0,7,")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("inf"), np.float32("nan")])
+    def test_every_non_finite_float_refused(self, tmp_path, value):
+        path = tmp_path / "norm_runs.csv"
+        with pytest.raises(SchemaError, match="refusing to write non-finite float"):
+            write_csv(path, SCHEMAS["norm_runs"], [[0, 7, 12, True, 1.0, 1.0], [1, 8, 12, True, 1.0, value]])
+
+    def test_unknown_kind_refused(self, tmp_path):
+        schema = CsvSchema(name="odd", fixed=(("a", "int"), ("z", "complex")))
+        path = tmp_path / "odd.csv"
+        with pytest.raises(SchemaError, match="unknown column kind 'complex'"):
+            write_csv(path, schema, [[1, 2]])
+        path.write_text("a,z\n1,2\n")
+        with pytest.raises(SchemaError, match="unknown column kind 'complex'"):
+            validate_csv(path, schema)
+
 
 class TestCsvValidation:
     def corrupt(self, tmp_path, mutate):
@@ -149,6 +211,22 @@ class TestCsvValidation:
         with pytest.raises(SchemaError, match=":3: expected 7 cells, got 0"):
             validate_csv(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("0,", "0.5,", "invalid literal for int"),
+            ("0.9", "inf", "non-finite float 'inf'"),
+            ("0.9", "nan", "non-finite float 'nan'"),
+            ("1.5", "-inf", "non-finite float '-inf'"),
+            ("true", "True", "bool cells must be"),
+        ],
+    )
+    def test_bad_cell_error_names_its_line(self, tmp_path, old, new, message):
+        path = self.corrupt(tmp_path, lambda ls: [ls[0], ls[1], ls[1], ls[1].replace(old, new, 1), ls[1]])
+        with pytest.raises(SchemaError, match=message) as info:
+            validate_csv(path)
+        assert str(info.value).startswith(f"{path}:4: ")
+
     def test_header_only_has_no_rows(self, tmp_path):
         assert validate_csv(self.corrupt(tmp_path, lambda ls: ls[:1])) == 0
 
@@ -190,8 +268,102 @@ class TestJson:
         assert back["nested"][0] == 1.5
         assert back["nested"][1]["deep"] is None
 
-    def test_to_jsonable_tuple_becomes_list(self):
+    def test_to_jsonable_tuple_becomes_list(self, tmp_path):
         assert to_jsonable((1, 2)) == [1, 2]
+        path = tmp_path / "t.json"
+        write_json(path, {"pair": (1, 2)})
+        assert json.loads(path.read_text()) == {"pair": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [{}, [[]], ()], "d": {"e": {"f": []}}},
+            (1, (2.5, "x"), [(), {"k": (None,)}]),
+            {"i": np.int64(-3), "i32": np.int32(7), "u8": np.uint8(255), "f": np.float64(0.1), "f32": np.float32(1.1)},
+            {"b": [np.bool_(True), np.bool_(False), True, False], "none": None},
+            {"arr": np.arange(6).reshape(2, 3), "farr": np.array([0.5, np.nan, -np.inf]), "empty": np.zeros((0,))},
+            {"boolarr": np.array([True, False]), "strs": np.array(["a", "b"])},
+            [math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf")],
+            [0.0, -0.0, 1e-320, 1e308, 1 / 3, 2**53 + 1, -(10**30)],
+            {1: "int key", 2.5: "float key", None: "none key", True: "bool key", (1, 2): "tuple key"},
+            {"10": 0, "9": 1, "a": 2, "B": 3, "": 4},
+            {1: "int key first", "1": "str key last", "x": {2.0: "float", "2.0": "str"}},
+            {"non-ascii": "\u00e9\u4e2d\U0001f600", "esc": "tab\tquote\"back\\slash\n\x00", "caf\u00e9": 1},
+            "top-level string",
+            3.5,
+            None,
+            [[[1.0, 2.0], [3.0]], [{"x": [1, {"y": [2.0, 3.0]}]}]],
+        ],
+        ids=[
+            "empty-dict",
+            "empty-list",
+            "empty-tuple",
+            "nested-empties",
+            "tuples",
+            "numpy-numbers",
+            "bools-and-none",
+            "arrays",
+            "bool-and-str-arrays",
+            "non-finite",
+            "float-and-int-edges",
+            "non-str-keys",
+            "key-order",
+            "colliding-keys",
+            "strings",
+            "top-str",
+            "top-float",
+            "top-none",
+            "deep-mixed",
+        ],
+    )
+    def test_matches_reference_encoder(self, tmp_path, payload):
+        path = tmp_path / "x.json"
+        write_json(path, payload)
+        assert path.read_text() == reference_json(payload)
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, 1j, b"bytes", {"deep": [1, {"x": object()}]}])
+    def test_unknown_object_raises_type_error(self, tmp_path, bad):
+        with pytest.raises(TypeError) as expected:
+            reference_json(bad)
+        with pytest.raises(TypeError) as got:
+            write_json(tmp_path / "x.json", bad)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("flush_every", [1, 7, 4096])
+    def test_long_payload_written_in_flushes(self, tmp_path, monkeypatch, flush_every):
+        monkeypatch.setattr("reluphase.tableio._FLUSH_PIECES", flush_every)
+        payload = {
+            "records": [
+                {"t": t, "norms": [t / 7.0, math.nan], "flags": {"1": t % 2 == 0}, "nested": [{"a": []}]}
+                for t in range(3000)
+            ]
+        }
+        path = tmp_path / "x.json"
+        write_json(path, payload)
+        assert path.read_text() == reference_json(payload)
+
+    def test_every_command_json_matches_reference(self, tmp_path, monkeypatch):
+        from test_exports import TINY_CONFIGS
+
+        written = []
+
+        def recording_write_json(path, obj):
+            write_json(path, obj)
+            written.append((path, reference_json(obj)))
+
+        monkeypatch.setattr(experiments, "write_json", recording_write_json)
+        for name, cfg in TINY_CONFIGS.items():
+            experiments.run_command(name, cfg, str(tmp_path / name))
+        names = {os.path.relpath(path, tmp_path) for path, _ in written}
+        for command in TINY_CONFIGS:
+            assert os.path.join(command, "config.json") in names
+        assert len(names) > len(TINY_CONFIGS)
+        for path, expected in written:
+            with open(path) as fh:
+                assert fh.read() == expected, path
 
 
 def assert_valid_svg(text):
@@ -243,6 +415,16 @@ class TestCharts:
     def test_histogram_edges_mismatch(self):
         with pytest.raises(ValueError):
             histogram_chart([0.0, 1.0], [1, 2], "bad", "x")
+
+    def test_title_markup_escaped_as_before(self):
+        title = 'a & b <c> "q" \'r\' &amp;'
+        svg = line_chart([("s & <t>", [0, 1], [0.0, 1.0])], title, "x<1", "y>0")
+        assert f">{escape(title)}</text>" in svg
+        assert ">a &amp; b &lt;c&gt; \"q\" 'r' &amp;amp;</text>" in svg
+        texts = [el.text for el in assert_valid_svg(svg).iter() if el.tag.endswith("text")]
+        assert title in texts and "x<1" in texts and "y>0" in texts
+        for text in ["", "plain", "&&<<>>", "]]>", "\u00e9 & \u4e2d"]:
+            assert svgplot._escape(text) == escape(text)
 
     def test_dynamics_frame(self):
         angles = np.linspace(0.0, 2 * math.pi, 32)
