@@ -289,26 +289,6 @@ def validate_csv(path, schema: CsvSchema | None = None) -> int:
     return count
 
 
-def _json_float(value) -> str:
-    return float.__repr__(value) if math.isfinite(value) else "null"
-
-
-def _json_bool(value) -> str:
-    return "true" if value else "false"
-
-
-# JSON text of a scalar, by exact type; _json_scalar handles subclasses.
-_JSON_SCALARS = {
-    str: _encode_str,
-    float: _json_float,
-    int: int.__repr__,
-    bool: _json_bool,
-    type(None): lambda value: "null",
-    np.float64: _json_float,
-    np.int64: lambda value: int.__repr__(int(value)),
-    np.bool_: _json_bool,
-}
-
 # write_json hands its pieces to the file once this many are pending, so a
 # long trajectory is never held as text all at once.
 _FLUSH_PIECES = 4096
@@ -316,19 +296,19 @@ _FLUSH_PIECES = 4096
 
 def _json_scalar(value):
     """JSON text of a scalar; None for a container; TypeError for anything else."""
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    if isinstance(value, (dict, list, tuple, np.ndarray)):
-        return None
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return float.__repr__(value) if math.isfinite(value) else "null"
     if isinstance(value, (bool, np.bool_)):
-        return _json_bool(value)
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return int.__repr__(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _json_float(float(value))
     if isinstance(value, str):
         return _encode_str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (dict, list, tuple, np.ndarray)):
+        return None
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -341,24 +321,19 @@ def _emit_json(obj, newline: str, parts: list, fh) -> None:
         heads = [_encode_str(k) + ": " for k in keys]
         opener, closer = "{", "}"
     else:
-        values = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+        values = obj.tolist() if isinstance(obj, np.ndarray) else obj
         heads = None
         opener, closer = "[", "]"
     if not values:
         parts.append(opener + closer)
         return
     inner = newline + "  "
-    texts = [_json_scalar(v) for v in values]
-    if None not in texts:
-        if heads is not None:
-            texts = [h + t for h, t in zip(heads, texts)]
-        parts.append(opener + inner + ("," + inner).join(texts) + newline + closer)
-        return
     parts.append(opener)
     separator = inner
-    for i, (value, text) in enumerate(zip(values, texts)):
+    for i, value in enumerate(values):
         parts.append(separator if heads is None else separator + heads[i])
         separator = "," + inner
+        text = _json_scalar(value)
         if text is None:
             _emit_json(value, inner, parts, fh)
         else:
