@@ -206,27 +206,41 @@ def forward(params: NetworkParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return scores, pre
 
 
-def forward_arrays(W: np.ndarray, b: np.ndarray, values: np.ndarray, X: np.ndarray, out=None):
+def bias_term(b: np.ndarray, N: int) -> np.ndarray | None:
+    """The term forward_arrays subtracts from the (N, k) pre-activations for biases b.
+
+    x - (+0.0) is x for every float, so a bias of all +0.0 gives no term;
+    any other bias, a -0.0 one included (it turns -0.0 into +0.0), gives
+    b tiled to (N, k), which numpy subtracts in one flat loop rather than
+    one loop of length k per row.
+    """
+    if not (b.any() or np.signbit(b).any()):
+        return None
+    return np.tile(b, (N, 1))
+
+
+def forward_arrays(W: np.ndarray, bias: np.ndarray | None, values: np.ndarray, X: np.ndarray, out=None):
     """Array-level forward pass, (F (N, n), H (N, k)), shared by forward_batch and the loss kernel.
 
+    bias is the term bias_term builds for X's N rows, or None for no term.
     out, when given, is a triple of buffers (F (N, n), H (N, k), relu(H)
     (N, k)) that the pass fills and returns instead of allocating.  W may
     stack m matrices as (m, d, k); F and H then gain the same leading axis,
-    and every slice is computed as the pass on its own matrix would be.
+    the (N, k) bias broadcasts over it, and every slice is computed as the
+    pass on its own matrix would be.
     """
     F, H, A = (None, None, None) if out is None else out
     H = np.matmul(X, W, out=H)
-    # x - (+0.0) is x for every float, so a bias of all +0.0 is skipped; a
-    # -0.0 bias still subtracts, since it turns -0.0 into +0.0.
-    if b.any() or np.signbit(b).any():
-        np.subtract(H, b, out=H)
+    if bias is not None:
+        np.subtract(H, bias, out=H)
     A = np.maximum(H, 0.0, out=A)
     return np.matmul(A, values.T, out=F), H
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched scores and pre-activations: (F (N, n), H (N, k))."""
-    return forward_arrays(params.weights, params.biases, params.output.values, np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    return forward_arrays(params.weights, bias_term(params.biases, X.shape[0]), params.output.values, X)
 
 
 def forward_binary(params: NetworkParams, x: np.ndarray) -> float:

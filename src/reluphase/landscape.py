@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NetworkParams, OutputMap, Rng, forward_arrays, network_params
+from .core import NetworkParams, OutputMap, Rng, bias_term, forward_arrays, network_params
 from .datagen import LabeledDataset
 from .losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
 # Not called here: bench/tracing.py hooks reluphase.landscape.dataset_loss and
@@ -148,7 +148,7 @@ def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> Landsca
     forward_batch give, bit for bit.
     """
     W, b, values, y0 = params.weights, params.biases, params.output.values, data.y - 1
-    ws = KernelWorkspace(values, data.X, y0)
+    ws = KernelWorkspace(values, data.X, y0, b)
     loss, _, grad = batch_loss_grad(W, b, values, data.X, y0, np.arange(data.n_samples), ws)
     live_rows = np.flatnonzero(np.any(ws.F != 0.0, axis=1))
     witness = int(live_rows[0]) if live_rows.size else None
@@ -192,9 +192,10 @@ def lipschitz_estimate(
     meaningless there.  Pairs closer than _SKIP_TOL in weight norm are skipped.
 
     The pairs are scored in chunks: one forward pass over the chunk's stacked
-    matrices and one hinge over its tiled labels.  Every slice runs the
-    per-matrix arithmetic of dataset_loss, so each ratio, and the report, is
-    the one pair-by-pair scoring gives, bit for bit, whatever the chunk size.
+    matrices, with the bias term built once per call, and one hinge over its
+    tiled labels.  Every slice runs the per-matrix arithmetic of
+    dataset_loss, so each ratio, and the report, is the one pair-by-pair
+    scoring gives, bit for bit, whatever the chunk size.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
@@ -202,7 +203,7 @@ def lipschitz_estimate(
     params = network_params(np.zeros((d, k)), output, biases)  # checks the biases
     if params.mode != "bias":
         raise ValueError("lipschitz_estimate refuses no-bias states: the no-bias loss has no finite modulus")
-    b, values, y0 = params.biases, output.values, data.y - 1
+    bias, values, y0 = bias_term(params.biases, N), output.values, data.y - 1
 
     def draw() -> np.ndarray:
         W = np.asarray(sampler(rng), dtype=float)
@@ -227,7 +228,7 @@ def lipschitz_estimate(
             W1, W2 = draw(), draw()
             stack[2 * i], stack[2 * i + 1] = W1, W2
             gaps[i] = weight_matrix_norm(W1 - W2)
-        scores, _ = forward_arrays(stack[: 2 * c], b, values, data.X, out=(F[: 2 * c], H[: 2 * c], A[: 2 * c]))
+        scores, _ = forward_arrays(stack[: 2 * c], bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], A[: 2 * c]))
         losses, _, _ = _hinge(scores.reshape(2 * c * N, n), ws)
         means = losses.reshape(2 * c, N).mean(axis=1)
         kept = gaps[:c] >= _SKIP_TOL

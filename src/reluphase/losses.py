@@ -11,17 +11,22 @@ samples; to restrict them to some classes, pass data.subset(labels).
 
 The array-level kernel batch_loss_grad takes an optional KernelWorkspace:
 the per-run invariants and preallocated buffers it fills with out= ufuncs,
-so a training run allocates no array per step.  Its fast paths are exact by
-construction: the owner gather and the label-score read are np.take calls
-whose indices are all in range; a bias of all +0.0 is not subtracted,
-since x - (+0.0) is x; and a class no sample is labelled against is
-skipped, since it adds no hinge term and no active flag.
+so a training run allocates no array per step.  What is fixed for a run is
+decided once, when the workspace is built: the bias term (none for a bias
+of all +0.0, since x - (+0.0) is x, else the bias tiled to (N, k)), and
+each class's y0 != c mask, stored as None when it covers every sample, so
+the hinge adds that class without a where= mask.  A class no sample is
+labelled against is skipped, since it adds no hinge term and no active
+flag.  The other fast paths are exact by construction too: the owner
+gather and the label-score read are np.take calls whose indices are all in
+range, and the loss is np.add.reduce(losses) / N, the sum and division
+np.mean makes.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import NetworkParams, forward_arrays, forward_batch
+from .core import NetworkParams, bias_term, forward_arrays, forward_batch
 from .datagen import LabeledDataset
 
 __all__ = [
@@ -43,24 +48,27 @@ class _HingeWorkspace:
         N = y0.size
         self.label_index = np.arange(N) * n + y0  # flat index of F[s, y0[s]]
         # A class no sample is labelled against adds no hinge term, so it is
-        # skipped and its active column stays False.
+        # skipped and its active column stays False.  A mask that covers
+        # every sample is stored as None: it masks nothing.
         masks = [(c, y0 != c) for c in range(n)]
-        self.others = [(c, other) for c, other in masks if other.any()]
+        self.others = [(c, None if other.all() else other) for c, other in masks if other.any()]
         self.active = np.zeros((N, n), dtype=bool)
         self.slack, self.margin, self.hinge, self.losses, self.count = np.empty((5, N))
 
 
 class KernelWorkspace(_HingeWorkspace):
-    """The per-run invariants and buffers of the loss kernel for one (values, X, y0).
+    """The per-run invariants and buffers of the loss kernel for one (values, X, y0, b).
 
     train builds one per run and passes it to every batch_loss_grad call, so
-    a call allocates nothing.  Each call overwrites the buffers: the losses
-    and grad it returns stay valid only until the next call.
+    a call allocates nothing.  The bias term is built here, once, by
+    core.bias_term.  Each call overwrites the buffers: the losses and grad
+    it returns stay valid only until the next call.
     """
 
-    def __init__(self, values: np.ndarray, X: np.ndarray, y0: np.ndarray):
+    def __init__(self, values: np.ndarray, X: np.ndarray, y0: np.ndarray, b: np.ndarray):
         (N, d), (n, k) = X.shape, values.shape
         super().__init__(y0, n)
+        self.bias = bias_term(b, N)
         self.owner = values.argmax(axis=0)  # 0-based owner class of each unit
         self.two_v = 2.0 * values.max()
         self.XT = X.T
@@ -75,7 +83,8 @@ def _hinge(F: np.ndarray, ws: _HingeWorkspace):
 
     Class c has margin m_c = 1 - f_y + F[:, c].  For c != y it adds
     max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN) and
-    is active when m_c > 0.
+    is active when m_c > 0.  A class whose mask is None is against every
+    sample, so it is added without a where= mask and its flags are kept whole.
     """
     slack, margin, hinge, losses, count, active = ws.slack, ws.margin, ws.hinge, ws.losses, ws.count, ws.active
     # Every index is in range, so mode="clip" never acts; unlike the default
@@ -86,9 +95,13 @@ def _hinge(F: np.ndarray, ws: _HingeWorkspace):
     count.fill(0.0)
     for c, other in ws.others:
         np.add(slack, F[:, c], out=margin)
-        np.add(losses, np.maximum(margin, 0.0, out=hinge), out=losses, where=other)
+        np.maximum(margin, 0.0, out=hinge)
         flag = np.greater(margin, 0.0, out=active[:, c])
-        flag &= other
+        if other is None:
+            np.add(losses, hinge, out=losses)
+        else:
+            np.add(losses, hinge, out=losses, where=other)
+            flag &= other
         count += flag
     return losses, active, count
 
@@ -99,13 +112,13 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     Array-level workhorse shared by the public ops and the training loop so
     both follow bit-identical arithmetic.  y0 holds 0-based labels and rows
     distinct sample indices; values is an OutputMap's matrix.  ws is a
-    workspace built from the same values, X and y0; without one, the call
-    builds its own.  The returned losses, and over every row the returned
-    grad, are ws's buffers.
+    workspace built from the same values, X, y0 and b, whose bias term the
+    call subtracts; without one, the call builds its own.  The returned
+    losses, and over every row the returned grad, are ws's buffers.
     """
     if ws is None:
-        ws = KernelWorkspace(values, X, y0)
-    F, H = forward_arrays(W, b, values, X, out=(ws.F, ws.H, ws.relu))
+        ws = KernelWorkspace(values, X, y0, b)
+    F, H = forward_arrays(W, ws.bias, values, X, out=(ws.F, ws.H, ws.relu))
     losses, active, count = _hinge(F, ws)
     # Column j of values is +v on its owner class o_j and -v on every other
     # class, so the coefficient sum_i active_i (V[y, j] - V[i, j]) of x in
@@ -119,7 +132,7 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     if rows.size == y0.size:
         grad = np.negative(np.matmul(ws.XT, coef, out=ws.grad), out=ws.grad)
         grad /= rows.size
-        return float(losses.mean()), losses, grad
+        return float(np.add.reduce(losses) / rows.size), losses, grad
     return float(losses[rows].mean()), losses, -(X[rows].T @ coef[rows]) / rows.size
 
 

@@ -15,6 +15,7 @@ one before, so a non-finite stop evaluates the last finite iterate again.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,9 +38,14 @@ __all__ = [
 R_MAX = 1e3
 
 
+def _column_norms(W: np.ndarray) -> np.ndarray:
+    """Euclidean column norms: np.linalg.norm(W, axis=0)'s formula for real W, bit for bit."""
+    return np.sqrt(np.add.reduce(W * W, axis=0))
+
+
 def weight_matrix_norm(W: np.ndarray) -> float:
     """Sum of Euclidean column norms, the matrix size measure used everywhere here."""
-    return float(np.linalg.norm(W, axis=0).sum())
+    return float(_column_norms(W).sum())
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,7 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
     W = np.array(params.weights, dtype=float, copy=True)
     b, values = params.biases, params.output.values
     X, y0 = data.X, data.y - 1
-    ws = KernelWorkspace(values, X, y0)
+    ws = KernelWorkspace(values, X, y0, b)
 
     records: list[TrajectoryRecord] = []
     max_norm = 0.0
@@ -150,9 +156,9 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
     with np.errstate(over="ignore", invalid="ignore"):
         for t in itertools.count():
             loss, losses, grad = batch_loss_grad(W, b, values, X, y0, rows, ws)
-            col_norms = np.linalg.norm(W, axis=0)
+            col_norms = _column_norms(W)
             norm = float(col_norms.sum())
-            if not (np.isfinite(loss) and np.isfinite(norm) and np.all(np.isfinite(grad))):
+            if not (math.isfinite(loss) and math.isfinite(norm) and np.isfinite(grad).all()):
                 if t == 0:
                     raise RuntimeError("non-finite loss, gradient or weight norm at the initial weights")
                 # Stop at the last iterate whose loss, gradient and norm were

@@ -17,7 +17,7 @@ from reluphase import (
     per_sample_losses,
     subgradient,
 )
-from reluphase.core import forward_arrays
+from reluphase.core import bias_term, forward_arrays
 from reluphase.experiments import build_task, initial_weights
 from reluphase.losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
 
@@ -205,7 +205,7 @@ def check_trajectory(W, b, values, X, y0, rows, steps, eta, grad_atol=None):
 
     One workspace serves every step, as in train.
     """
-    ws = KernelWorkspace(values, X, y0)
+    ws = KernelWorkspace(values, X, y0, b)
     for _ in range(steps):
         _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, grad_atol, ws)
         W = W - eta * grad
@@ -264,9 +264,11 @@ def test_forward_arrays_matches_inline_forward_bytes(bias):
     b = np.full(6, bias)
     XW = X @ W
     assert np.all((XW[:, 1] == 0.0) & np.signbit(XW[:, 1]))
-    F, H = forward_arrays(W, b, values, X)
+    term = bias_term(b, X.shape[0])
+    assert (term is None) == (math.copysign(1.0, bias) > 0.0 and bias == 0.0)
+    F, H = forward_arrays(W, term, values, X)
     buffers = (np.empty_like(F), np.empty_like(H), np.empty_like(H))
-    F_out, H_out = forward_arrays(W, b, values, X, out=buffers)
+    F_out, H_out = forward_arrays(W, term, values, X, out=buffers)
     want_H = X @ W - b
     want_F = np.maximum(want_H, 0.0) @ values.T
     for got_F, got_H in ((F, H), (F_out, H_out)):
@@ -275,9 +277,55 @@ def test_forward_arrays_matches_inline_forward_bytes(bias):
     assert F_out is buffers[0] and H_out is buffers[1]
 
 
+@pytest.mark.parametrize("bias", [0.0, -0.0, 0.05], ids=["plus-zero", "minus-zero", "positive"])
+def test_workspace_bias_term_matches_reference_bytes(bias):
+    # The workspace decides the bias term once: none for +0.0, a tile of b
+    # for -0.0 (which turns -0.0 into +0.0) and for a positive bias.
+    W, b, values, X, y0, rows = task_arrays("subspace-pair", 8, bias)
+    ws = KernelWorkspace(values, X, y0, b)
+    if math.copysign(1.0, bias) > 0.0 and bias == 0.0:
+        assert ws.bias is None
+    else:
+        assert ws.bias.tobytes() == np.tile(b, (X.shape[0], 1)).tobytes()
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
+
+
+def test_all_true_mask_next_to_mixed_masks_matches_reference_bytes():
+    # Three classes over subspace-pair data, which labels classes 1 and 2
+    # only: every sample is against class 3, so its mask is stored as None,
+    # while classes 1 and 2 keep their mixed masks.
+    W, b, _, X, y0, rows = task_arrays("subspace-pair", 6, 0.05)
+    values = build_output_map(3, 6, 0.5).values
+    ws = KernelWorkspace(values, X, y0, b)
+    assert [c for c, _ in ws.others] == [0, 1, 2] and ws.others[2][1] is None
+    for c, other in ws.others[:2]:
+        assert other.tobytes() == (y0 != c).tobytes() and not other.all()
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
+
+
+@pytest.mark.parametrize("task, bias", [("planar-grid", 0.0), ("planar-grid", 0.05), ("subspace-pair", 0.05)])
+def test_workspace_rows_subset_matches_reference_bytes(task, bias):
+    # Every third sample: the losses, masks and bias term cover every row,
+    # and the loss and gradient read the subset.
+    W, b, values, X, y0, _ = task_arrays(task, 8, bias)
+    check_trajectory(W, b, values, X, y0, np.arange(0, X.shape[0], 3), steps=100, eta=0.1)
+
+
+def test_forward_arrays_stack_with_tiled_bias_matches_unstacked_bytes():
+    # The (N, k) bias term broadcasts over a (m, d, k) stack of matrices.
+    _, b, values, X, _, _ = task_arrays("planar-grid", 8, 0.05)
+    stack = Rng(3).normal((5, 2, 8))
+    term = bias_term(b, X.shape[0])
+    F, H = forward_arrays(stack, term, values, X)
+    for i in range(5):
+        F_i, H_i = forward_arrays(stack[i], term, values, X)
+        assert H[i].tobytes() == H_i.tobytes() == (X @ stack[i] - b).tobytes()
+        assert F[i].tobytes() == F_i.tobytes()
+
+
 def test_kernel_call_with_workspace_allocates_no_n_by_k_array():
     W, b, values, X, y0, rows = task_arrays("planar-grid", 24)
-    ws = KernelWorkspace(values, X, y0)
+    ws = KernelWorkspace(values, X, y0, b)
     batch_loss_grad(W, b, values, X, y0, rows, ws)
     tracemalloc.start()
     try:
@@ -303,7 +351,7 @@ def test_kernel_at_kinks_matches_reference_bytes():
     values = build_output_map(2, 2, 0.5).values
     X = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [-1.0, 0.5]])
     y0 = np.array([0, 0, 0, 1, 1, 0, 1])
-    F, H = forward_arrays(W, np.zeros(2), values, X)
+    F, H = forward_arrays(W, None, values, X)
     margins = reference_margins(F, y0)
     assert np.any(H == 0.0) and margins[0, 1] == 0.0
     for rows in (np.arange(7), np.array([0, 2, 5])):
@@ -349,7 +397,7 @@ def check_nonfinite_weights(reuse):
     # inf weights make inf - inf scores; a NaN margin must reach the loss.
     # A reused workspace first serves a finite call.
     W, b, values, X, y0, rows = task_arrays("planar-grid", 6)
-    ws = KernelWorkspace(values, X, y0) if reuse else None
+    ws = KernelWorkspace(values, X, y0, b) if reuse else None
     if reuse:
         assert_kernel_matches(W, b, values, X, y0, rows, ws=ws)
     W[0, :2] = np.inf

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from reluphase import training
+from reluphase.experiments import RunSpec, execute_run
 from reluphase.losses import batch_loss_grad
 from reluphase.training import R_MAX
 from reluphase import (
@@ -32,6 +35,14 @@ class TestWeightMatrixNorm:
     def test_sums_column_norms(self):
         assert weight_matrix_norm(np.array([[3.0, 0.0], [4.0, 0.0]])) == 5.0
         assert weight_matrix_norm(np.zeros((3, 2))) == 0.0
+
+    def test_column_norms_equal_linalg_norm_bytes(self):
+        W = Rng(5).normal((3, 6))
+        W[:, 1], W[:, 2], W[0, 3], W[0, 4], W[1, 5] = 0.0, -0.0, 1e-310, 1e200, np.inf
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(W, axis=0)
+            assert training._column_norms(W).tobytes() == want.tobytes()
+            assert weight_matrix_norm(W) == float(want.sum())
 
 
 class TestTrainConfig:
@@ -168,6 +179,47 @@ class TestStopReasons:
         # The t = 5 call's values differ, so reading its buffers would show.
         assert results[5][0] != loss and not np.array_equal(results[5][1], losses)
 
+    @pytest.mark.parametrize("bad", ["nan-loss", "nan-grad", "inf-grad"])
+    def test_each_nonfinite_value_stops_the_run(self, monkeypatch, bad):
+        # The kernel's t = 3 call returns one non-finite value, the others
+        # finite: any one of them ends the run on t = 2.
+        calls = []
+
+        def kernel(W, *rest):
+            calls.append(W)
+            loss, losses, grad = batch_loss_grad(W, *rest)
+            if len(calls) == 4:
+                if bad == "nan-loss":
+                    loss = float("nan")
+                else:
+                    grad = grad.copy()
+                    grad[1, 0] = np.nan if bad == "nan-grad" else -np.inf
+            return loss, losses, grad
+
+        monkeypatch.setattr(training, "batch_loss_grad", kernel)
+        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
+        res = train(params, single_point(), TrainConfig(eta=0.01, max_iters=100))
+        assert res.stop_reason == "nonfinite" and res.records[-1].t == 2
+        assert res.records[-1].weights is calls[2] is calls[4]
+
+    @pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
+    def test_huge_step_stops_nonfinite_where_the_unfused_checks_do(self, task):
+        # The stop rule written with np.linalg.norm and np.all(np.isfinite)
+        # on a kernel without a workspace: the run must stop at the iterate
+        # before the first one those checks refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res, data = execute_run(RunSpec(task=task, eta=1e306, max_iters=50))
+            W, p = res.records[0].weights, res.params
+            args = (p.biases, p.output.values, data.X, data.y - 1, np.arange(data.n_samples))
+            for t in itertools.count():
+                loss, _, grad = batch_loss_grad(W, *args)
+                norm = float(np.linalg.norm(W, axis=0).sum())
+                if not (np.isfinite(loss) and np.isfinite(norm) and np.all(np.isfinite(grad))):
+                    break
+                W = W - 1e306 * grad
+        assert t >= 1
+        assert res.stop_reason == "nonfinite" and res.records[-1].t == t - 1
+
     def test_nonfinite_start_raises(self):
         # The first score is already inf: no finite iterate exists to stop at.
         params = one_unit_per_class([[1e308, 0.1], [0.0, 0.0]])
@@ -223,6 +275,18 @@ class TestRecording:
         assert res.converged_at == 20
         assert times == [0, 3, 6, 9, 12, 15, 18, 20]
         assert len(times) == len(set(times))
+
+    def test_recorded_neuron_norms_equal_linalg_norm_bytes(self):
+        # Column 2 is zero and column 3 is -0.0; neither unit ever fires.
+        W = init_random(2, 6, Rng(4))
+        W[:, 2], W[:, 3] = 0.0, -0.0
+        spec = GridDatasetSpec(radii=(1.0, 1.5), angles=tuple(np.linspace(0.1, 3.0, 9)))
+        params = network_params(W, build_output_map(2, 6, 0.5))
+        res = train(params, grid_dataset_planar(spec), TrainConfig(eta=0.05, max_iters=30))
+        assert np.signbit(res.records[0].weights[:, 3]).all() and len(res.records) > 1
+        for rec in res.records:
+            assert rec.neuron_norms.tobytes() == np.linalg.norm(rec.weights, axis=0).tobytes()
+            assert rec.neuron_norms[2] == rec.neuron_norms[3] == 0.0
 
     def test_record_fields(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
