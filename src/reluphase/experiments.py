@@ -37,7 +37,7 @@ from .geometry import gc_probability, gc_probability_mc
 from .landscape import construct_zero_loss, critical_point_audit, lipschitz_estimate
 from .phases import PhaseReport, detect_phases
 from .svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
-from .tableio import schema_for_file, validate_csv, write_csv, write_json
+from .tableio import SCHEMAS, schema_for_file, validate_csv, write_csv, write_json, write_records_json
 from .training import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -374,12 +374,13 @@ def _iteration_stats(runs: list[RunSummary]) -> tuple[float, float, float, float
     return (float(arr.mean()), std, med, q25, q75)
 
 
-def _write_table(out: str, filename: str, rows, group_sizes=None) -> None:
-    """Write a CSV under the schema registered to its file name, then re-read it against that schema."""
+def _write_table(out: str, filename: str, rows, group_sizes=None) -> list[list[str]]:
+    """Write a CSV under the schema registered to its file name, re-read it against that schema, return its cells."""
     path = os.path.join(out, filename)
     schema = schema_for_file(filename)
-    write_csv(path, schema, rows, group_sizes=group_sizes)
+    cells = write_csv(path, schema, rows, group_sizes=group_sizes)
     validate_csv(path, schema)
+    return cells
 
 
 def _write_svg(out: str, filename: str, svg: str) -> None:
@@ -399,45 +400,22 @@ def _write_histogram(out: str, name: str, edges, counts, title: str, x_label: st
 
 def _trajectory_rows(result: TrainResult, class_count: int, reports: dict[int, PhaseReport]):
     timelines = [rep.gc_timeline for rep in reports.values()]
-    rows = []
     for i, rec in enumerate(result.records):
         row = [rec.t, rec.loss, rec.weight_norm, rec.grad_norm]
         row += [rec.loss_per_class[c] for c in range(1, class_count + 1)]
         row += rec.neuron_norms.tolist()
         row += [timeline[i] for timeline in timelines]
-        rows.append(row)
-    return rows
+        yield row
 
 
 def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseReport]):
+    """Write trajectory.csv; returns its cell texts and column group sizes."""
     labels = result.data_labels
     class_count = len(labels)
     if set(labels) != set(range(1, class_count + 1)):
         raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
     sizes = {"loss_class": class_count, "neuron_norm": result.params.k, "gc_class": len(reports)}
-    _write_table(out, "trajectory.csv", _trajectory_rows(result, class_count, reports), group_sizes=sizes)
-
-
-def _result_json(result: TrainResult, reports: dict[int, PhaseReport]) -> dict:
-    return {
-        "stop_reason": result.stop_reason,
-        "converged_at": result.converged_at,
-        "max_weight_norm": result.max_weight_norm,
-        "diverged": result.diverged,
-        "trained_classes": list(result.data_labels),
-        "records": [
-            {
-                "t": rec.t,
-                "loss": rec.loss,
-                "loss_per_class": {str(k): v for k, v in sorted(rec.loss_per_class.items())},
-                "neuron_norms": rec.neuron_norms.tolist(),
-                "weight_norm": rec.weight_norm,
-                "grad_norm": rec.grad_norm,
-                "gc_flags": {str(c): rep.gc_timeline[i] for c, rep in reports.items()},
-            }
-            for i, rec in enumerate(result.records)
-        ],
-    }
+    return _write_table(out, "trajectory.csv", _trajectory_rows(result, class_count, reports), group_sizes=sizes), sizes
 
 
 def cmd_train(cfg: RunSpec, out: str) -> dict:
@@ -445,8 +423,15 @@ def cmd_train(cfg: RunSpec, out: str) -> dict:
     reports = {c: detect_phases(result, c) for c in data.labels}
     audits = {c: critical_point_audit(result.params, data.subset([c])) for c in data.labels}
 
-    _write_trajectory(out, result, reports)
-    write_json(os.path.join(out, "trajectory.json"), _result_json(result, reports))
+    cells, sizes = _write_trajectory(out, result, reports)
+    head = {
+        "stop_reason": result.stop_reason,
+        "converged_at": result.converged_at,
+        "max_weight_norm": result.max_weight_norm,
+        "diverged": result.diverged,
+        "trained_classes": list(result.data_labels),
+    }
+    write_records_json(os.path.join(out, "trajectory.json"), head, SCHEMAS["trajectory"], cells, sizes)
     write_json(
         os.path.join(out, "phase_report.json"),
         {f"class_{c}": rep.to_json_dict() for c, rep in reports.items()},

@@ -9,12 +9,16 @@ with repr, which round-trips exactly; booleans are "true"/"false".
 JSON is sorted-key, indent-2 and NaN-free: write_json walks the object once
 and writes the text json.dump would give for it after numpy values, tuples
 and non-finite floats are turned into plain JSON values, flushing to the file
-every few thousand pieces.  Re-running a command with the same config and
-seed therefore reproduces every output byte.
+every few thousand pieces.  write_records_json renders the records of
+trajectory.json from the cell texts write_csv returns for trajectory.csv,
+one repr per float: a finite float's, an int's or a bool's cell text is
+already its JSON text.  Re-running a command with the same config and seed
+therefore reproduces every output byte.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -30,6 +34,7 @@ __all__ = [
     "write_csv",
     "validate_csv",
     "write_json",
+    "write_records_json",
 ]
 
 
@@ -39,10 +44,12 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnGroup:
-    """Run of numbered columns <prefix>_1..<prefix>_m, m >= 0 per file."""
+    """Run of numbered columns <prefix>_1..<prefix>_m, m >= 0 per file, and its key in a JSON record."""
 
     prefix: str
     kind: str
+    json_key: str
+    json_object: bool
 
     def name(self, index: int) -> str:
         return f"{self.prefix}_{index}"
@@ -74,9 +81,9 @@ SCHEMAS: dict[str, CsvSchema] = {
         name="trajectory",
         fixed=(("t", "int"), ("loss", "float"), ("weight_norm", "float"), ("grad_norm", "float")),
         groups=(
-            ColumnGroup("loss_class", "float"),
-            ColumnGroup("neuron_norm", "float"),
-            ColumnGroup("gc_class", "bool"),
+            ColumnGroup("loss_class", "float", "loss_per_class", json_object=True),
+            ColumnGroup("neuron_norm", "float", "neuron_norms", json_object=False),
+            ColumnGroup("gc_class", "bool", "gc_flags", json_object=True),
         ),
     ),
     "width_runs": CsvSchema(
@@ -185,9 +192,12 @@ def schema_for_file(path) -> CsvSchema:
 
 
 def _write_int(value) -> str:
-    if isinstance(value, bool) or int(value) != value:
-        raise SchemaError(f"expected an integer, got {value!r}")
-    return str(int(value))
+    try:
+        if not isinstance(value, bool) and int(value) == value:
+            return str(int(value))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"expected an integer, got {value!r}")
 
 
 def _write_float(value) -> str:
@@ -234,17 +244,21 @@ def _column_codecs(schema: CsvSchema, group_sizes: dict[str, int] | None) -> lis
         raise SchemaError(f"unknown column kind {exc.args[0]!r}") from None
 
 
-def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None = None) -> None:
+def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None = None) -> list[list[str]]:
+    """Write the header and rows; returns each row's cell texts, as written."""
     header = schema.header(group_sizes)
     writers = [writer for writer, _ in _column_codecs(schema, group_sizes)]
     width = len(writers)
+    cells = []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             if len(row) != width:
                 raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {width}")
-            writer.writerow([f(v) for f, v in zip(writers, row)])
+            cells.append([f(v) for f, v in zip(writers, row)])
+            writer.writerow(cells[-1])
+    return cells
 
 
 def _infer_group_sizes(schema: CsvSchema, header: list[str]) -> dict[str, int]:
@@ -313,7 +327,11 @@ def _json_scalar(value):
 
 
 def _emit_json(obj, newline: str, parts: list, fh) -> None:
-    """Append the JSON text of container obj to parts; newline is "\\n" plus the indent of obj's line."""
+    """Append the JSON text of obj to parts; newline is "\\n" plus the indent of obj's line."""
+    text = _json_scalar(obj)
+    if text is not None:
+        parts.append(text)
+        return
     if isinstance(obj, dict):
         by_key = {str(k): v for k, v in obj.items()}
         keys = sorted(by_key)
@@ -333,11 +351,7 @@ def _emit_json(obj, newline: str, parts: list, fh) -> None:
     for i, value in enumerate(values):
         parts.append(separator if heads is None else separator + heads[i])
         separator = "," + inner
-        text = _json_scalar(value)
-        if text is None:
-            _emit_json(value, inner, parts, fh)
-        else:
-            parts.append(text)
+        _emit_json(value, inner, parts, fh)
     parts.append(newline + closer)
     if len(parts) >= _FLUSH_PIECES:
         fh.write("".join(parts))
@@ -354,10 +368,45 @@ def write_json(path, obj) -> None:
     """
     parts: list[str] = []
     with open(path, "w") as fh:
-        text = _json_scalar(obj)
-        if text is None:
-            _emit_json(obj, "\n", parts, fh)
-        else:
-            parts.append(text)
+        _emit_json(obj, "\n", parts, fh)
         parts.append("\n")
         fh.write("".join(parts))
+
+
+def _record_template(schema: CsvSchema, group_sizes: dict[str, int] | None) -> str:
+    """str.format text of one record at the records list's indent, whose field {i} is a row's cell i."""
+    refs = ("{%d}" % i for i in range(len(schema.kinds(group_sizes))))
+    record = {name: next(refs) for name, _ in schema.fixed}
+    for g in schema.groups:
+        items = [next(refs) for _ in range((group_sizes or {}).get(g.prefix, 0))]
+        record[g.json_key] = {i + 1: ref for i, ref in enumerate(items)} if g.json_object else items
+    parts: list[str] = []
+    buffer = io.StringIO()
+    _emit_json(record, "\n    ", parts, buffer)
+    # Each field is emitted as the string "{i}": double every brace, then
+    # drop the quotes around the fields.  No schema key holds a brace.
+    text = (buffer.getvalue() + "".join(parts)).replace("{", "{{").replace("}", "}}")
+    return text.replace('"{{', "{").replace('}}"', "}")
+
+
+def write_records_json(path, head: dict, schema: CsvSchema, cells, group_sizes: dict[str, int] | None = None) -> None:
+    """Write head plus "records", one object per row of cells, as write_json writes it.
+
+    cells are write_csv's texts for rows under schema and group_sizes: a finite float's, an int's or a bool's text is
+    its JSON text, so no value is formatted again.  A record holds each fixed column under its name and each column
+    group under its json_key, as a list or, with json_object, as an object keyed "1".."m".
+    """
+    template = _record_template(schema, group_sizes)
+    with open(path, "w") as fh:
+        for n, key in enumerate(sorted([*head, "records"])):
+            fh.write(("," if n else "{") + "\n  " + _encode_str(key) + ": ")
+            if key != "records":
+                parts: list[str] = []
+                _emit_json(head[key], "\n  ", parts, fh)
+                fh.write("".join(parts))
+                continue
+            # One record at a time: the file's buffer holds the pending text.
+            for i, row in enumerate(cells):
+                fh.write(("," if i else "[") + "\n    " + template.format(*row))
+            fh.write("\n  ]" if cells else "[]")
+        fh.write("\n}\n")

@@ -133,8 +133,8 @@ def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:
 def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> TrainResult:
     rows = np.arange(data.n_samples)
     class_rows = {label: data.indices_for(label) for label in data.labels}
-    # A class that holds every sample reads its losses through a view, not a copy.
-    class_rows = {c: idx if idx.size < data.n_samples else slice(None) for c, idx in class_rows.items()}
+    # A class that holds every sample records the run's loss, np.add.reduce(losses) / N, which is losses.mean().
+    class_rows = {c: idx if idx.size < data.n_samples else None for c, idx in class_rows.items()}
 
     silent = _check_activation(params, data)
     if silent:
@@ -184,7 +184,9 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
                     TrajectoryRecord(
                         t=t,
                         loss=loss,
-                        loss_per_class={c: float(losses[idx].mean()) for c, idx in class_rows.items()},
+                        loss_per_class={
+                            c: loss if idx is None else float(losses[idx].mean()) for c, idx in class_rows.items()
+                        },
                         neuron_norms=col_norms,
                         grad_norm=weight_matrix_norm(grad),
                         # The loop rebinds W each step and never writes into it.

@@ -539,6 +539,7 @@ class TestRunCommand:
         for f in frames:
             assert (out / f"frame_t{f['t']:05d}.svg").exists()
         assert validate_csv(out / "trajectory.csv") == 26
+        assert not (out / "trajectory.json").exists()
         assert summary["stop_reason"] == "max_iters"
         assert isinstance(summary["final_covered"], bool)
 

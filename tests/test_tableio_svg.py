@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
-from reluphase import experiments, svgplot
+from reluphase import Rng, experiments, svgplot
 from reluphase.svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
 from reluphase.tableio import (
     SCHEMAS,
@@ -17,6 +17,7 @@ from reluphase.tableio import (
     validate_csv,
     write_csv,
     write_json,
+    write_records_json,
 )
 
 
@@ -121,10 +122,17 @@ class TestCsvRoundTrip:
             [np.int64(0), 7, 2.0, np.bool_(True), np.float64(0.25), np.float32(1.5)],
             [1, np.int32(8), 3, np.bool_(False), 0.5, 1.0],
         ]
-        write_csv(path, SCHEMAS["norm_runs"], rows)
+        cells = write_csv(path, SCHEMAS["norm_runs"], rows)
         lines = path.read_text().splitlines()
         assert lines[1:] == ["0,7,2,true,0.25,1.5", "1,8,3,false,0.5,1.0"]
+        assert [",".join(row) for row in cells] == lines[1:]
         assert validate_csv(path) == 2
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, np.float64("-inf"), "x", None])
+    def test_int_kind_refuses_with_schema_error(self, tmp_path, value):
+        path = tmp_path / "norm_runs.csv"
+        with pytest.raises(SchemaError, match="expected an integer"):
+            write_csv(path, SCHEMAS["norm_runs"], [[0, value, 12, True, 1.0, 1.0]])
 
     @pytest.mark.parametrize("value", [True, np.bool_(False)])
     def test_int_kind_rejects_python_bool(self, tmp_path, value):
@@ -364,6 +372,139 @@ class TestJson:
         for path, expected in written:
             with open(path) as fh:
                 assert fh.read() == expected, path
+
+
+def result_json(result, reports) -> dict:
+    """Oracle: the trajectory.json object the train command once passed to write_json."""
+    return {
+        "stop_reason": result.stop_reason,
+        "converged_at": result.converged_at,
+        "max_weight_norm": result.max_weight_norm,
+        "diverged": result.diverged,
+        "trained_classes": list(result.data_labels),
+        "records": [
+            {
+                "t": rec.t,
+                "loss": rec.loss,
+                "loss_per_class": {str(k): v for k, v in sorted(rec.loss_per_class.items())},
+                "neuron_norms": rec.neuron_norms.tolist(),
+                "weight_norm": rec.weight_norm,
+                "grad_norm": rec.grad_norm,
+                "gc_flags": {str(c): rep.gc_timeline[i] for c, rep in reports.items()},
+            }
+            for i, rec in enumerate(result.records)
+        ],
+    }
+
+
+class TestRecordsJson:
+    HEAD = {"stop_reason": "converged", "converged_at": None, "max_weight_norm": np.float64(2.5), "diverged": False}
+
+    @staticmethod
+    def rows(count, classes, k, flags):
+        floats = [0.0, -0.0, 1e-320, 1e308, 1 / 3, 0.1, 2.0**-60, 123456.789]
+        for t in range(count):
+            row = [t] + [floats[(t + j) % len(floats)] for j in range(3 + classes + k)]
+            yield row + [(t + j) % 3 == 0 for j in range(flags)]
+
+    @pytest.mark.parametrize(
+        "count, classes, k, flags",
+        [(5, 12, 3, 11), (3, 1, 0, 1), (4, 2, 8, 0), (2, 0, 0, 0), (0, 2, 3, 2), (1, 1, 24, 1)],
+        ids=["ten-plus-classes", "no-neurons", "no-flags", "only-fixed", "no-records", "one-record"],
+    )
+    def test_matches_the_dict_a_record_was_built_from(self, tmp_path, count, classes, k, flags):
+        sizes = {"loss_class": classes, "neuron_norm": k, "gc_class": flags}
+        head = {**self.HEAD, "trained_classes": list(range(1, classes + 1))}
+        schema = SCHEMAS["trajectory"]
+        cells = write_csv(tmp_path / "trajectory.csv", schema, self.rows(count, classes, k, flags), sizes)
+        write_records_json(tmp_path / "trajectory.json", head, schema, cells, sizes)
+        records = []
+        for row in self.rows(count, classes, k, flags):
+            losses, norms, marks = row[4 : 4 + classes], row[4 + classes : 4 + classes + k], row[4 + classes + k :]
+            records.append(
+                {
+                    "t": row[0],
+                    "loss": row[1],
+                    "weight_norm": row[2],
+                    "grad_norm": row[3],
+                    "loss_per_class": {i + 1: v for i, v in enumerate(losses)},
+                    "neuron_norms": norms,
+                    "gc_flags": {i + 1: v for i, v in enumerate(marks)},
+                }
+            )
+        text = (tmp_path / "trajectory.json").read_text()
+        assert text == reference_json({**head, "records": records})
+        if classes >= 10 and count:
+            first = json.loads(text)["records"][0]
+            assert list(first["loss_per_class"])[:4] == ["1", "10", "11", "12"]
+            assert list(first["gc_flags"])[:4] == ["1", "10", "11", "2"]
+
+
+class TestTrajectoryJson:
+    """trajectory.json, rendered from trajectory.csv's cells, against the dict the train command used to write."""
+
+    def run_train(self, monkeypatch, tmp_path, mapping, execute=None):
+        execute = execute or experiments.execute_run
+        results = []
+
+        def recording(spec):
+            result, data = execute(spec)
+            results.append(result)
+            return result, data
+
+        monkeypatch.setattr(experiments, "execute_run", recording)
+        out = tmp_path / "train"
+        experiments.run_command("train", mapping, str(out))
+        (result,) = results
+        reports = {c: experiments.detect_phases(result, c) for c in result.data_labels}
+        return (out / "trajectory.json").read_text(), reference_json(result_json(result, reports)), result
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"width": 6, "max_iters": 300},
+            {"width": 8, "max_iters": 300, "seed": 5},
+            {"width": 14, "seed": 4},
+            {"width": 24, "seed": 5},
+            {"task": "subspace-pair", "width": 8, "max_iters": 200, "seed": 2},
+        ],
+        ids=["planar-6", "planar-8", "planar-14", "planar-24", "subspace-pair"],
+    )
+    def test_train_matches_oracle(self, monkeypatch, tmp_path, mapping):
+        text, expected, result = self.run_train(monkeypatch, tmp_path, mapping)
+        assert text == expected
+        assert len(result.records) > 1
+
+    def test_divergent_train_matches_oracle(self, monkeypatch, tmp_path):
+        text, expected, result = self.run_train(monkeypatch, tmp_path, {"eta": 1e306, "max_iters": 50})
+        assert result.stop_reason == "nonfinite"
+        assert text == expected
+
+    def test_dead_start_matches_oracle(self, monkeypatch, tmp_path):
+        def dead_start(spec):
+            data = experiments.build_task(spec.task, spec.theta, spec.noise_std, Rng(spec.seed).child(1))
+            params = experiments.network_params(np.zeros((data.dim, spec.width)), spec.output_map(), spec.biases)
+            with pytest.warns(RuntimeWarning, match="cannot start learning"):
+                return experiments.train(params, data, spec.train_config()), data
+
+        text, expected, result = self.run_train(monkeypatch, tmp_path, {"width": 6}, dead_start)
+        assert result.stop_reason == "dead_start" and len(result.records) == 1
+        assert text == expected
+
+    def test_nan_record_fails_in_csv_writer_and_leaves_no_json(self, monkeypatch, tmp_path):
+        original = experiments.execute_run
+
+        def nan_record(spec):
+            result, data = original(spec)
+            result.records[2].grad_norm = math.nan
+            return result, data
+
+        monkeypatch.setattr(experiments, "execute_run", nan_record)
+        out = tmp_path / "train"
+        with pytest.raises(SchemaError, match="refusing to write non-finite float nan"):
+            experiments.run_command("train", {"width": 6, "max_iters": 20}, str(out))
+        assert (out / "trajectory.csv").exists()
+        assert not (out / "trajectory.json").exists()
 
 
 def assert_valid_svg(text):

@@ -288,6 +288,19 @@ class TestRecording:
             assert rec.neuron_norms.tobytes() == np.linalg.norm(rec.weights, axis=0).tobytes()
             assert rec.neuron_norms[2] == rec.neuron_norms[3] == 0.0
 
+    @pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
+    def test_recorded_class_losses_equal_masked_mean_bytes(self, task):
+        # planar-grid holds one class, whose loss is the run's loss; subspace-pair two.
+        result, data = execute_run(RunSpec(task=task, width=8, seed=3, max_iters=40))
+        params = result.params
+        rows = np.arange(data.n_samples)
+        assert len(data.labels) == (1 if task == "planar-grid" else 2) and len(result.records) > 1
+        for rec in result.records:
+            _, losses, _ = batch_loss_grad(rec.weights, params.biases, params.output.values, data.X, data.y - 1, rows)
+            for c in data.labels:
+                expected = float(losses[data.indices_for(c)].mean())
+                assert rec.loss_per_class[c].hex() == expected.hex()
+
     def test_record_fields(self):
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
         cfg = TrainConfig(eta=0.1, max_iters=50)
