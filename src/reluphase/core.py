@@ -57,32 +57,38 @@ class Rng:
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normal draws via Box-Muller pairs (C-order fill)."""
-        if size is None:
-            shape: tuple[int, ...] = ()
-            count = 1
-        elif np.isscalar(size):
-            shape = (int(size),)
-            count = int(size)
-        else:
-            shape = tuple(int(s) for s in size)
-            count = int(np.prod(shape)) if shape else 1
-        pairs = (count + 1) // 2
+        out = self.normal_draws(1, () if size is None else size)[0]
+        return float(out) if size is None else out
+
+    def normal_draws(self, count: int, shape) -> np.ndarray:
+        """What count successive normal(shape) calls return, stacked as (count, *shape).
+
+        The numbers are the same bit for bit, and the generator ends in the
+        same state: each call draws its radius uniforms and then its angle
+        uniforms, so the count calls' uniforms are one stream, taken here in
+        one call and transformed in place.
+        """
+        shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
+        size = math.prod(shape)
+        pairs = (size + 1) // 2
+        u = self._gen.random(count * 2 * pairs).reshape(count, 2, pairs)
+        radius, angle = u[:, 0], u[:, 1]
         # 1 - U keeps u1 in (0, 1] so the log stays finite.  u1 is turned
         # into the radius and u2 into the angle in place.
-        radius = self._gen.random(pairs)
         np.subtract(1.0, radius, out=radius)
         np.log(radius, out=radius)
         np.multiply(radius, -2.0, out=radius)
         np.sqrt(radius, out=radius)
-        angle = self._gen.random(pairs)
         np.multiply(angle, 2.0 * np.pi, out=angle)
-        z = np.empty(2 * pairs)
-        np.cos(angle, out=z[0::2])
-        np.sin(angle, out=z[1::2])
-        z[0::2] *= radius
-        z[1::2] *= radius
-        out = z[:count].reshape(shape)
-        return float(out) if size is None else out
+        cos, sin = np.cos(angle), np.sin(angle)
+        cos *= radius
+        sin *= radius
+        # The numbers overwrite the uniforms they came from, so the largest
+        # temporary is half the draw, as with separate radius and angle draws.
+        z = u.reshape(count, 2 * pairs)
+        z[:, 0::2] = cos
+        z[:, 1::2] = sin
+        return z[:, :size].reshape((count, *shape))
 
 
 def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:

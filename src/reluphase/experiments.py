@@ -800,8 +800,8 @@ def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
     bias_arr = np.asarray(cfg.lipschitz_biases(), dtype=float)
     lip_data = grid_dataset_planar(GridDatasetSpec())
 
-    def sampler(r: Rng) -> np.ndarray:
-        return r.normal((2, cfg.width))
+    def sampler(r: Rng, m: int) -> np.ndarray:
+        return r.normal_draws(m, (2, cfg.width))
 
     report = lipschitz_estimate(sampler, output, bias_arr, lip_data, cfg.pairs, rng.child(99))
     _write_histogram(

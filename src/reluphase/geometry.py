@@ -254,22 +254,34 @@ def _det_batch(M: np.ndarray) -> np.ndarray:
     return np.linalg.det(M)
 
 
-def _null_vectors(sub: np.ndarray) -> np.ndarray:
-    """Common orthogonal vector of d-1 directions in R^d, by cofactor expansion."""
-    T, m, d = sub.shape
-    out = np.empty((T, d))
-    for c in range(d):
-        minor = np.delete(sub, c, axis=2)
-        out[:, c] = (-1.0) ** c * _det_batch(minor)
-    return out
-
-
 def _max_gap(dirs: np.ndarray) -> np.ndarray:
     """Largest angular gap between consecutive directions of each planar set in a (T, k, 2) stack."""
     ang = np.sort(np.arctan2(dirs[:, :, 1], dirs[:, :, 0]), axis=1)
     gaps = np.diff(ang, axis=1)
     wrap = ang[:, 0] + _TWO_PI - ang[:, -1]
     return np.maximum(gaps.max(axis=1), wrap)
+
+
+def _subset_slack(sets: np.ndarray, subset, other, minors) -> np.ndarray:
+    """Each set's slack over one subset of d-1 directions in a (T, k, d)
+    stack: max(min dot, -max dot) over the other directions' dots with the
+    subset's unit normal, or NaN where that normal's norm is at most
+    _NEAR_ZERO_NORMAL.  The normal is the subset's common orthogonal vector
+    by cofactor expansion; minors[c] lists the columns of the c-th minor.
+    Its temporaries are freed on return, before gc_slack_batch compacts the
+    stack, which keeps the call's peak memory down."""
+    sub = sets[:, subset, :]
+    normal = np.empty((sets.shape[0], len(minors)))
+    for c, cols in enumerate(minors):
+        normal[:, c] = (-1.0) ** c * _det_batch(sub[:, :, cols])
+    dots = np.einsum("tkd,td->tk", sets, normal)
+    size = np.sqrt(np.add.reduce(normal * normal, axis=1))
+    rest = dots[:, other]
+    side = np.maximum(rest.min(axis=1), -rest.max(axis=1))
+    near_zero = size <= _NEAR_ZERO_NORMAL
+    side /= np.where(near_zero, 1.0, size)
+    side[near_zero] = np.nan
+    return side
 
 
 def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
@@ -303,24 +315,25 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
         return np.maximum(x.min(axis=1), -x.max(axis=1))
     if d == 2:
         return _max_gap(dirs) - math.pi
-    slack = np.full(T, -np.inf)
-    live = slice(None)
-    for subset in combinations(range(k), d - 1):
-        keep = slack <= 0.0  # False for a positive or NaN slack
-        if not keep.any():
-            break
-        # While no set has left, the sets are a view of dirs, not a copy.
-        live = slice(None) if keep.all() else np.flatnonzero(keep)
-        sets = dirs[live]
-        normal = _null_vectors(sets[:, subset, :])
-        dots = np.einsum("tkd,td->tk", sets, normal)
-        size = np.linalg.norm(normal, axis=1)
-        others = np.delete(dots, subset, axis=1)
-        side = np.maximum(others.min(axis=1), -others.max(axis=1))
-        near_zero = size <= _NEAR_ZERO_NORMAL
-        part = np.maximum(slack[live], side / np.where(near_zero, 1.0, size))
-        part[near_zero] = np.nan
-        slack[live] = part
+    # Index tables, built once per call: each subset's directions, the other
+    # directions, and the d - 1 columns of each cofactor minor.
+    subsets = list(combinations(range(k), d - 1))
+    others = [[j for j in range(k) if j not in subset] for subset in subsets]
+    minors = [[j for j in range(d) if j != c] for c in range(d)]
+    slack = np.empty(T)
+    # The live sets, their rows in dirs and their running slacks.  While no
+    # set has left, the sets are dirs itself, not a copy.
+    sets, rows, running = dirs, np.arange(T), np.full(T, -np.inf)
+    for subset, other in zip(subsets, others):
+        running = np.maximum(running, _subset_slack(sets, subset, other, minors))
+        stay = running <= 0.0  # False for a positive or NaN slack
+        if not stay.all():
+            gone = ~stay
+            slack[rows[gone]] = running[gone]
+            sets, rows, running = sets[stay], rows[stay], running[stay]
+            if not rows.size:
+                break
+    slack[rows] = running
     return slack
 
 

@@ -176,7 +176,7 @@ class LipschitzReport:
 
 
 def lipschitz_estimate(
-    sampler: Callable[[Rng], np.ndarray],
+    sampler: Callable[[Rng, int], np.ndarray],
     output: OutputMap,
     biases: np.ndarray,
     data: LabeledDataset,
@@ -185,8 +185,11 @@ def lipschitz_estimate(
 ) -> LipschitzReport:
     """Empirical modulus max |l(W1) - l(W2)| / |W1 - W2| over sampled weight pairs.
 
-    sampler draws one (d, k) weight matrix from rng; each pair is two
-    consecutive draws, scored as network_params(W, output, biases) on data.
+    sampler(rng, count) draws count (d, k) weight matrices as one
+    (count, d, k) array; each pair is two consecutive draws, scored as
+    network_params(W, output, biases) on data.  It is called once per chunk
+    with twice the chunk's pairs, so its draws must not depend on how the
+    pairs are chunked, as Rng.normal_draws's do not.
     Only bias-mode states are accepted: without biases the loss is positively
     homogeneous and the ratio is unbounded, so the diagnostic would be
     meaningless there.  Pairs closer than _SKIP_TOL in weight norm are skipped.
@@ -205,34 +208,28 @@ def lipschitz_estimate(
         raise ValueError("lipschitz_estimate refuses no-bias states: the no-bias loss has no finite modulus")
     bias, values, y0 = bias_term(params.biases, N), output.values, data.y - 1
 
-    def draw() -> np.ndarray:
-        W = np.asarray(sampler(rng), dtype=float)
-        if W.shape != (d, k):
-            raise ValueError(f"sampled weights must have shape {(d, k)}, got {W.shape}")
-        if not np.all(np.isfinite(W)):
-            raise ValueError("weights must be finite")
-        return W
-
     m = min(pairs, _LIPSCHITZ_CHUNK)
-    stack = np.empty((2 * m, d, k))
     F, H, A = np.empty((2 * m, N, n)), np.empty((2 * m, N, k)), np.empty((2 * m, N, k))
     ws = _HingeWorkspace(np.tile(y0, 2 * m), n)
-    gaps = np.empty(m)
     ratios = np.empty(pairs)
     used = 0
     for start in range(0, pairs, m):
         c = min(m, pairs - start)
         if c < m:  # the last, partial chunk
             ws = _HingeWorkspace(np.tile(y0, 2 * c), n)
-        for i in range(c):
-            W1, W2 = draw(), draw()
-            stack[2 * i], stack[2 * i + 1] = W1, W2
-            gaps[i] = weight_matrix_norm(W1 - W2)
-        scores, _ = forward_arrays(stack[: 2 * c], bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], A[: 2 * c]))
+        stack = np.ascontiguousarray(sampler(rng, 2 * c), dtype=float)
+        if stack.shape != (2 * c, d, k):
+            raise ValueError(f"sampled weights must have shape {(2 * c, d, k)}, got {stack.shape}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("weights must be finite")
+        # Each pair's weight_matrix_norm(W1 - W2), the sum of its column norms.
+        diff = stack[0::2] - stack[1::2]
+        gaps = np.sqrt(np.add.reduce(diff * diff, axis=1)).sum(axis=1)
+        scores, _ = forward_arrays(stack, bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], A[: 2 * c]))
         losses, _, _ = _hinge(scores.reshape(2 * c * N, n), ws)
         means = losses.reshape(2 * c, N).mean(axis=1)
-        kept = gaps[:c] >= _SKIP_TOL
-        chunk = np.abs(means[0::2] - means[1::2])[kept] / gaps[:c][kept]
+        kept = gaps >= _SKIP_TOL
+        chunk = np.abs(means[0::2] - means[1::2])[kept] / gaps[kept]
         ratios[used : used + chunk.size] = chunk
         used += chunk.size
     skipped = pairs - used

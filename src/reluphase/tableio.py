@@ -201,10 +201,18 @@ def _write_int(value) -> str:
 
 
 def _write_float(value) -> str:
-    value = float(value)
-    if not math.isfinite(value):
-        raise SchemaError(f"refusing to write non-finite float {value!r}")
-    return repr(value)
+    # float() would also read a str, bytes or a bool; a float, Python's or
+    # numpy's, skips that check, since trajectory.csv writes tens of
+    # thousands of them.
+    if not isinstance(value, float) and isinstance(value, (str, bytes, bool, np.bool_)):
+        raise SchemaError(f"expected a float, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"expected a float, got {value!r}") from None
+    if not math.isfinite(number):
+        raise SchemaError(f"refusing to write non-finite float {number!r}")
+    return repr(number)
 
 
 def _write_bool(value) -> str:

@@ -513,8 +513,8 @@ def test_criterion_11_lipschitz_ceiling():
     bias_arr = np.full(8, 0.4 / 8)
     data = grid_dataset_planar(GridDatasetSpec())
 
-    def sampler(r: Rng):
-        return r.normal((2, 8))
+    def sampler(r: Rng, count: int):
+        return r.normal_draws(count, (2, 8))
 
     report = lipschitz_estimate(sampler, output, bias_arr, data, 10_000, Rng(0).child(99))
 

@@ -13,6 +13,21 @@ from reluphase import (
 )
 
 
+def reference_normal(rng, size):
+    """Box-Muller written out on rng's uniforms, one normal(size) call."""
+    count = 1 if size is None else int(np.prod(size))
+    pairs = (count + 1) // 2
+    u1 = 1.0 - rng._gen.random(pairs)
+    u2 = rng._gen.random(pairs)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    out = z[:count].reshape(() if size is None else size)
+    return float(out) if size is None else out
+
+
 class TestRng:
     def test_same_seed_same_draws(self):
         a = Rng(7).normal((3, 4))
@@ -68,19 +83,6 @@ class TestRng:
     @pytest.mark.parametrize("size", [None, 1, 3, 8, (3,), (2, 8), (7, 3), (2, 3, 4), (30000, 8, 4)])
     def test_in_place_transform_matches_reference(self, size):
         # (30000, 8, 4) is one gc-prob Monte Carlo batch at d=4, k=8.
-        def reference_normal(rng, size):
-            count = 1 if size is None else int(np.prod(size))
-            pairs = (count + 1) // 2
-            u1 = 1.0 - rng._gen.random(pairs)
-            u2 = rng._gen.random(pairs)
-            radius = np.sqrt(-2.0 * np.log(u1))
-            angle = 2.0 * np.pi * u2
-            z = np.empty(2 * pairs)
-            z[0::2] = radius * np.cos(angle)
-            z[1::2] = radius * np.sin(angle)
-            out = z[:count].reshape(() if size is None else size)
-            return float(out) if size is None else out
-
         ours, ref = Rng(17), Rng(17)
         for _ in range(2):  # a second draw checks the stream position too
             a, b = ours.normal(size), reference_normal(ref, size)
@@ -88,6 +90,31 @@ class TestRng:
                 assert isinstance(a, float) and a == b
             else:
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "count, shape",
+        [(1, (2, 8)), (32, (2, 8)), (2500, (2, 8)), (5, (7, 3)), (9, (2, 3, 3)), (4, 5), (3, ()), (1, (30000, 8, 4))],
+        ids=["one", "chunk", "landscape-audit", "odd", "odd-3d", "int-shape", "scalars", "mc-batch"],
+    )
+    def test_normal_draws_equal_successive_normal_calls(self, count, shape):
+        # Odd prod(shape) leaves each call's last pair half used; the stack
+        # must hold exactly what count calls return, and leave the stream
+        # where they leave it.
+        ours, ref = Rng(23), Rng(23)
+        got = ours.normal_draws(count, shape)
+        size = None if shape == () else shape
+        expect = np.stack([np.asarray(reference_normal(ref, size)) for _ in range(count)])
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        assert ours.uniform() == ref.uniform()
+
+    def test_normal_draws_leave_the_stream_where_normal_calls_do(self):
+        for count, shape in ((7, (2, 5)), (6, (2, 8))):
+            batched, calls = Rng(4), Rng(4)
+            batched.normal_draws(count, shape)
+            for _ in range(count):
+                calls.normal(shape)
+            assert batched.uniform() == calls.uniform()
+            assert batched.normal(3).tobytes() == calls.normal(3).tobytes()
 
 
 class TestOutputMap:

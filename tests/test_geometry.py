@@ -18,8 +18,9 @@ from reluphase.geometry import (
     _MC_CHUNK,
     _NEAR_ZERO_NORMAL,
     GC_TOL,
+    _det_batch,
     _lp_holds,
-    _null_vectors,
+    _max_gap,
     gc_slack_batch,
 )
 
@@ -238,13 +239,57 @@ class TestProbability:
             gc_probability(2, 0)
 
 
+def null_vectors_by_delete(sub):
+    """Common orthogonal vector of d-1 directions in R^d, by cofactor
+    expansion, each minor cut out with np.delete."""
+    T, m, d = sub.shape
+    out = np.empty((T, d))
+    for c in range(d):
+        minor = np.delete(sub, c, axis=2)
+        out[:, c] = (-1.0) ** c * _det_batch(minor)
+    return out
+
+
+def pruned_slack(dirs):
+    """The pruned slack loop written with np.delete and a fresh gather of the
+    live sets on every subset: the reference that gc_slack_batch's index
+    tables and compacted stack must equal bit for bit, NaNs and positive
+    lower bounds included."""
+    T, k, d = dirs.shape
+    if k <= d:
+        return np.full(T, np.inf)
+    if d == 1:
+        x = dirs[:, :, 0]
+        return np.maximum(x.min(axis=1), -x.max(axis=1))
+    if d == 2:
+        return _max_gap(dirs) - math.pi
+    slack = np.full(T, -np.inf)
+    live = slice(None)
+    for subset in combinations(range(k), d - 1):
+        keep = slack <= 0.0
+        if not keep.any():
+            break
+        live = slice(None) if keep.all() else np.flatnonzero(keep)
+        sets = dirs[live]
+        normal = null_vectors_by_delete(sets[:, subset, :])
+        dots = np.einsum("tkd,td->tk", sets, normal)
+        size = np.linalg.norm(normal, axis=1)
+        others = np.delete(dots, subset, axis=1)
+        side = np.maximum(others.min(axis=1), -others.max(axis=1))
+        near_zero = size <= _NEAR_ZERO_NORMAL
+        part = np.maximum(slack[live], side / np.where(near_zero, 1.0, size))
+        part[near_zero] = np.nan
+        slack[live] = part
+    return slack
+
+
 def full_slack(dirs):
     """gc_slack_batch's slack over every subset, without leaving the loop
     early: the reference for the pruned loop (d >= 3, k > d)."""
     T, k, d = dirs.shape
     slack = np.full(T, -np.inf)
     for subset in combinations(range(k), d - 1):
-        normal = _null_vectors(dirs[:, subset, :])
+        normal = null_vectors_by_delete(dirs[:, subset, :])
         dots = np.einsum("tkd,td->tk", dirs, normal)
         size = np.linalg.norm(normal, axis=1)
         others = np.delete(dots, subset, axis=1)
@@ -256,9 +301,11 @@ def full_slack(dirs):
 
 
 def assert_prunes_exactly(dirs):
-    """Negative slacks and NaNs equal the full slack's; a positive slack is
-    a lower bound of it, or the full slack is NaN from a later subset."""
+    """The slack equals pruned_slack's bit for bit.  Negative slacks and NaNs
+    equal the full slack's; a positive slack is a lower bound of it, or the
+    full slack is NaN from a later subset."""
     got = gc_slack_batch(dirs)
+    assert np.array_equal(got, pruned_slack(dirs), equal_nan=True)
     T, k, d = dirs.shape
     if d < 3 or k <= d:
         return got
@@ -336,6 +383,32 @@ class TestBatchChecker:
         holds = assert_prunes_exactly(dirs) < 0.0
         est, _ = gc_probability_mc(d, k, _MC_CHUNK, Rng(0))
         assert est == holds.sum() / _MC_CHUNK
+
+    @pytest.mark.parametrize("cell", range(4))
+    def test_slack_equals_pruned_reference_on_default_gc_prob_draws(self, cell):
+        # The first Monte Carlo batch of each default gc-prob cell (seed 0).
+        d, k = ((2, 3), (2, 4), (3, 5), (4, 8))[cell]
+        raw = Rng(0).child(cell).normal((_MC_CHUNK, k, d))
+        assert_prunes_exactly(raw / np.linalg.norm(raw, axis=2, keepdims=True))
+
+    def test_slack_equals_pruned_reference_where_sets_leave_mid_loop(self):
+        # Shared rays and nearly opposite pairs give near-zero subset normals
+        # at different subsets, so sets leave the loop at many points, some
+        # with a NaN slack and some with a positive lower bound.
+        rng = Rng(12)
+        raw = rng.normal((6000, 8, 4))
+        raw[0::3, 7] = raw[0::3, 2]
+        raw[1::4, 5] = -raw[1::4, 1] + 1e-7 * rng.normal((1500, 4))
+        raw[2::5, 6] = raw[2::5, 0]
+        dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+        got = assert_prunes_exactly(dirs)
+        full = full_slack(dirs)
+        nan = np.isnan(got)
+        assert nan.sum() > 100 and (got < 0.0).sum() > 100
+        # Positive slacks that stopped short of the full maximum, or of a
+        # later NaN, left the loop early.
+        early = (got > 0.0) & ~(got == full)
+        assert early.sum() > 100
 
     def test_mc_judges_a_nan_slack_by_the_lp(self):
         # One (3, 5) set of this draw has two nearly opposite directions: the

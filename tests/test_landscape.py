@@ -209,11 +209,12 @@ class TestCriticalPointAudit:
 
 
 def pairwise_lipschitz(sampler, omap, biases, data, pairs, rng):
-    """Reference: the estimate scored pair by pair, two dataset_loss calls per pair."""
+    """Reference: the estimate scored pair by pair, one matrix per sampler
+    call and two dataset_loss calls per pair."""
     ratios, skipped = [], 0
     for _ in range(pairs):
-        p1 = network_params(sampler(rng), omap, biases)
-        p2 = network_params(sampler(rng), omap, biases)
+        p1 = network_params(sampler(rng, 1)[0], omap, biases)
+        p2 = network_params(sampler(rng, 1)[0], omap, biases)
         gap = weight_matrix_norm(p1.weights - p2.weights)
         if gap < landscape._SKIP_TOL:
             skipped += 1
@@ -239,8 +240,8 @@ class TestLipschitzEstimate:
         return np.full(omap.k, 0.4 / omap.k)
 
     def sampler(self, omap, scale=1.0):
-        def draw(rng):
-            return scale * rng.normal((2, omap.k))
+        def draw(rng, count):
+            return scale * rng.normal_draws(count, (2, omap.k))
 
         return draw
 
@@ -251,9 +252,9 @@ class TestLipschitzEstimate:
         omap = build_output_map(2, 4, 0.5)
         calls = []
 
-        def bare(rng):
+        def bare(rng, count):
             calls.append(1)
-            return rng.normal((2, 4))
+            return rng.normal_draws(count, (2, 4))
 
         for biases in (np.zeros(4), None):
             with pytest.raises(ValueError, match="no-bias"):
@@ -291,10 +292,14 @@ class TestLipschitzEstimate:
         fixed = np.ones((2, 9))
         draws = []
 
-        def mixed(rng):
-            draws.append(1)
-            pair = (len(draws) - 1) // 2
-            return fixed if pair % 3 == 0 else rng.normal((2, 9))
+        def mixed(rng, count):
+            # Indexed by the global draw, whatever the chunk.
+            out = np.empty((count, 2, 9))
+            for i in range(count):
+                draws.append(1)
+                pair = (len(draws) - 1) // 2
+                out[i] = fixed if pair % 3 == 0 else rng.normal((2, 9))
+            return out
 
         report = lipschitz_estimate(mixed, omap, self.biases(omap), data, 2 * CHUNK + 5, Rng(4))
         draws.clear()
@@ -310,11 +315,38 @@ class TestLipschitzEstimate:
             reports.append(lipschitz_estimate(*args, Rng(5)))
         assert reports[0] == reports[1] == reports[2]
 
+    def test_sampler_called_once_per_chunk(self):
+        omap = build_output_map(2, 4, 0.5)
+        counts = []
+
+        def counted(rng, count):
+            counts.append(count)
+            return rng.normal_draws(count, (2, 4))
+
+        lipschitz_estimate(counted, omap, self.biases(omap), self.data(), 2 * CHUNK + 7, Rng(6))
+        assert counts == [2 * CHUNK, 2 * CHUNK, 14]
+
+    def test_bad_weights_in_a_later_chunk_refused(self):
+        # The checks run on every chunk, not only the first.
+        omap = build_output_map(2, 4, 0.5)
+        calls = []
+
+        def late_nan(rng, count):
+            calls.append(count)
+            out = rng.normal_draws(count, (2, 4))
+            if len(calls) == 2:
+                out[-1, 1, 3] = np.nan
+            return out
+
+        with pytest.raises(ValueError, match="finite"):
+            lipschitz_estimate(late_nan, omap, self.biases(omap), self.data(), 2 * CHUNK, Rng(6))
+        assert calls == [2 * CHUNK, 2 * CHUNK]
+
     def test_coincident_pairs_rejected(self):
         omap = build_output_map(2, 4, 0.5)
 
-        def constant(rng):
-            return np.ones((2, 4))
+        def constant(rng, count):
+            return np.ones((count, 2, 4))
 
         with pytest.raises(ValueError, match="coincident"):
             lipschitz_estimate(constant, omap, np.full(4, 0.1), self.data(), 5, Rng(0))
@@ -333,7 +365,9 @@ class TestLipschitzEstimate:
     def test_bad_sampled_weights_refused(self, weights, match):
         omap = build_output_map(2, 4, 0.5)
         with pytest.raises(ValueError, match=match):
-            lipschitz_estimate(lambda rng: weights, omap, self.biases(omap), self.data(), 5, Rng(0))
+            lipschitz_estimate(
+                lambda rng, count: np.stack([weights] * count), omap, self.biases(omap), self.data(), 5, Rng(0)
+            )
 
     def test_pairs_validated(self):
         omap = build_output_map(2, 4, 0.5)

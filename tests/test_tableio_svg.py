@@ -150,6 +150,23 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="refusing to write non-finite float"):
             write_csv(path, SCHEMAS["norm_runs"], [[0, 7, 12, True, 1.0, 1.0], [1, 8, 12, True, 1.0, value]])
 
+    @pytest.mark.parametrize(
+        "value", ["1.5", "abc", b"1.5", True, np.bool_(False), None, [1.0], 10**400, object()]
+    )
+    def test_float_kind_refuses_with_schema_error(self, tmp_path, value):
+        # A cell's text is also trajectory.json's text, so a str that float()
+        # reads must not turn into a JSON number.
+        path = tmp_path / "norm_runs.csv"
+        with pytest.raises(SchemaError, match="expected a float"):
+            write_csv(path, SCHEMAS["norm_runs"], [[0, 7, 12, True, 1.0, value]])
+        assert not path.read_text().splitlines()[1:]
+
+    def test_float_kind_accepts_ints_and_numpy_floats(self, tmp_path):
+        path = tmp_path / "norm_runs.csv"
+        rows = [[0, 7, 12, True, 3, np.int64(-2)], [1, 8, 12, True, np.float32(0.1), np.float64(-0.0)]]
+        cells = write_csv(path, SCHEMAS["norm_runs"], rows)
+        assert [row[4:] for row in cells] == [["3.0", "-2.0"], ["0.10000000149011612", "-0.0"]]
+
     def test_unknown_kind_refused(self, tmp_path):
         schema = CsvSchema(name="odd", fixed=(("a", "int"), ("z", "complex")))
         path = tmp_path / "odd.csv"
