@@ -148,13 +148,8 @@ def _polar_grid(radii, angles) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
-def grid_dataset(pair: SubspacePair, spec: GridDatasetSpec, rng: Rng | None = None) -> LabeledDataset:
-    """Both classes' polar grids embedded in R^4 through the subspace pair."""
-    planar = _polar_grid(spec.radii, spec.angles)
-    X1 = planar @ pair.basis(1).T
-    X2 = planar @ pair.basis(2).T
-    X = np.vstack([X1, X2])
-    y = np.concatenate([np.ones(len(X1), dtype=int), np.full(len(X2), 2, dtype=int)])
+def _jittered(X: np.ndarray, y: np.ndarray, spec: GridDatasetSpec, rng: Rng | None) -> LabeledDataset:
+    """The grid dataset (X, y), with spec's Gaussian jitter drawn from rng added to X when noise_std > 0."""
     if spec.noise_std > 0.0:
         if rng is None:
             raise ValueError("noise_std > 0 requires an Rng")
@@ -162,14 +157,20 @@ def grid_dataset(pair: SubspacePair, spec: GridDatasetSpec, rng: Rng | None = No
     return LabeledDataset(X, y)
 
 
+def grid_dataset(pair: SubspacePair, spec: GridDatasetSpec, rng: Rng | None = None) -> LabeledDataset:
+    """Both classes' polar grids embedded in R^4 through the subspace pair."""
+    planar = _polar_grid(spec.radii, spec.angles)
+    X1 = planar @ pair.basis(1).T
+    X2 = planar @ pair.basis(2).T
+    X = np.vstack([X1, X2])
+    y = np.concatenate([np.ones(len(X1), dtype=int), np.full(len(X2), 2, dtype=int)])
+    return _jittered(X, y, spec, rng)
+
+
 def grid_dataset_planar(spec: GridDatasetSpec, label: int = 1, rng: Rng | None = None) -> LabeledDataset:
     """One class's polar grid in its own 2-d coordinates (no embedding)."""
     X = _polar_grid(spec.radii, spec.angles)
-    if spec.noise_std > 0.0:
-        if rng is None:
-            raise ValueError("noise_std > 0 requires an Rng")
-        X = X + spec.noise_std * rng.normal(X.shape)
-    return LabeledDataset(X, np.full(len(X), int(label), dtype=int))
+    return _jittered(X, np.full(len(X), int(label), dtype=int), spec, rng)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .datagen import (
     make_subspace_pair,
     sample_annulus,
 )
-from .geometry import gc_probability, gc_probability_mc
+from .geometry import DROP_TOL, gc_probability, gc_probability_mc
 from .landscape import construct_zero_loss, critical_point_audit, lipschitz_estimate
 from .phases import PhaseReport, detect_phases
 from .svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
@@ -325,14 +325,22 @@ def _endpoint_spec(cfg, seed: int, **run) -> RunSpec:
     return RunSpec(v=cfg.v, eta=cfg.eta, max_iters=cfg.max_iters, seed=seed, record_every=cfg.max_iters, **run)
 
 
-def _check_sweep(cfg, cells) -> None:
-    """runs, threads and the spec of run 0 of every cell, checked when a sweep config is built.
+def _require_distinct(keys, what: str) -> None:
+    for i, key in enumerate(keys):
+        _require(key not in keys[:i], f"{what} must be distinct, got {key!r} more than once")
 
-    The runs of one cell differ only in their seeds.
+
+def _check_sweep(cfg) -> None:
+    """Distinct cells, runs, threads and the spec of run 0 of every cell, checked when a sweep config is built.
+
+    A sweep config's cells() lists its grid once, as (key, run settings) per
+    cell; the runs of one cell differ only in their seeds.
     """
+    cells = cfg.cells()
+    _require_distinct([key for key, _ in cells], "sweep cells")
     _require(cfg.runs >= 1, f"runs must be at least 1, got {cfg.runs}")
     _worker_count(cfg.threads, cfg.runs)
-    for run in cells:
+    for _, run in cells:
         _endpoint_spec(cfg, cfg.seed_base, **run)
 
 
@@ -359,18 +367,13 @@ def rho_curve(params: NetworkParams, samples: int = 512) -> tuple[np.ndarray, np
     return thetas, rho_at(params, thetas)
 
 
-def _percentiles(values: np.ndarray) -> tuple[float, float, float]:
-    q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-    return float(q25), float(med), float(q75)
-
-
 def _iteration_stats(runs: list[RunSummary]) -> tuple[float, float, float, float, float]:
     """mean, std, median, q25, q75 over the converged runs' iteration counts."""
     arr = np.array([s.converged_at for s in runs if s.converged], dtype=float)
     if arr.size == 0:
         return (-1.0, -1.0, -1.0, -1.0, -1.0)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    q25, med, q75 = _percentiles(arr)
+    q25, med, q75 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
     return (float(arr.mean()), std, med, q25, q75)
 
 
@@ -380,6 +383,28 @@ def _write_table(out: str, filename: str, rows, group_sizes=None) -> list[list[s
     schema = schema_for_file(filename)
     cells = write_csv(path, schema, rows, group_sizes=group_sizes)
     validate_csv(path, schema)
+    return cells
+
+
+def _run_columns(r: int, s: RunSummary) -> list:
+    """The run columns of run r's row in a runs table."""
+    return [r, s.seed, s.iterations, s.converged]
+
+
+def _sweep_tables(out: str, name: str, cfg) -> list[tuple[tuple, list[RunSummary], tuple]]:
+    """Train every cell of a sweep and write <name>_runs.csv and <name>_summary.csv.
+
+    Returns each cell's (key, runs, _iteration_stats(runs)), in cells() order.
+    """
+    cells, run_rows, summary_rows = [], [], []
+    for key, run in cfg.cells():
+        runs = _run_cell(cfg, **run)
+        stats = _iteration_stats(runs)
+        cells.append((key, runs, stats))
+        run_rows += [[*key, *_run_columns(r, s), s.final_loss, s.max_norm] for r, s in enumerate(runs)]
+        summary_rows.append([*key, cfg.runs, sum(s.converged for s in runs), *stats])
+    _write_table(out, f"{name}_runs.csv", run_rows)
+    _write_table(out, f"{name}_summary.csv", summary_rows)
     return cells
 
 
@@ -475,32 +500,20 @@ class SweepWidthConfig:
                 init in ("random", "halfspace"),
                 f"sweep-width inits must be 'random' or 'halfspace', got {init!r}",
             )
-        _check_sweep(self, [self.cell(w, init) for w in self.widths for init in self.inits])
+        _check_sweep(self)
 
-    def cell(self, width: int, init: str) -> dict:
-        return dict(task="planar-grid", width=width, init=init)
+    def cells(self) -> list[tuple[tuple, dict]]:
+        return [((w, init), dict(task="planar-grid", width=w, init=init)) for w in self.widths for init in self.inits]
 
 
 def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
-    run_rows = []
-    summary_rows = []
     means: dict[str, list[float]] = {init: [] for init in cfg.inits}
     boxes = []
-    for width in cfg.widths:
-        for ci, init in enumerate(cfg.inits):
-            runs = _run_cell(cfg, **cfg.cell(width, init))
-            mean, std, med, q25, q75 = _iteration_stats(runs)
-            for r, s in enumerate(runs):
-                run_rows.append([width, init, r, s.seed, s.iterations, s.converged, s.final_loss, s.max_norm])
-            good = sorted(s.converged_at for s in runs if s.converged)
-            summary_rows.append([width, init, cfg.runs, len(good), mean, std, med, q25, q75])
-            means[init].append(mean)
-            if good:
-                boxes.append(
-                    (f"{width} {init}", (float(good[0]), q25, med, q75, float(good[-1])), ci)
-                )
-    _write_table(out, "width_runs.csv", run_rows)
-    _write_table(out, "width_summary.csv", summary_rows)
+    for (width, init), runs, (mean, _, med, q25, q75) in _sweep_tables(out, "width", cfg):
+        means[init].append(mean)
+        good = sorted(s.converged_at for s in runs if s.converged)
+        if good:
+            boxes.append((f"{width} {init}", (float(good[0]), q25, med, q75, float(good[-1])), cfg.inits.index(init)))
     if boxes:
         svg = box_chart(boxes, "iterations to zero loss by width and init", "iterations")
         _write_svg(out, "width_box.svg", svg)
@@ -536,41 +549,27 @@ class SweepAngleConfig:
 
     def __post_init__(self):
         _require_even_width(self.width)
-        _check_sweep(self, [self.cell(theta) for theta in self.angles])
+        _check_sweep(self)
 
-    def cell(self, theta: float) -> dict:
-        return dict(task="subspace-pair", width=self.width, init=self.init, theta=theta, noise_std=self.noise_std)
+    def cells(self) -> list[tuple[tuple, dict]]:
+        run = dict(task="subspace-pair", width=self.width, init=self.init, noise_std=self.noise_std)
+        return [((theta,), dict(run, theta=theta)) for theta in self.angles]
 
 
 def cmd_sweep_angle(cfg: SweepAngleConfig, out: str) -> dict:
-    run_rows = []
-    summary_rows = []
-    mean_by_angle = []
-    for theta in cfg.angles:
-        runs = _run_cell(cfg, **cfg.cell(theta))
-        stats = _iteration_stats(runs)
-        for r, s in enumerate(runs):
-            run_rows.append([theta, r, s.seed, s.iterations, s.converged, s.final_loss, s.max_norm])
-        converged = sum(s.converged for s in runs)
-        summary_rows.append([theta, cfg.runs, converged, *stats])
-        mean_by_angle.append(stats[0])
-    _write_table(out, "angle_runs.csv", run_rows)
-    _write_table(out, "angle_summary.csv", summary_rows)
+    # One list per statistic, one entry per angle.
+    mean, _, _, q25, q75 = map(list, zip(*(stats for _, _, stats in _sweep_tables(out, "angle", cfg))))
     _write_svg(
         out,
         "angle_sweep.svg",
         line_chart(
-            [
-                ("mean", list(cfg.angles), mean_by_angle),
-                ("q25", list(cfg.angles), [row[6] for row in summary_rows]),
-                ("q75", list(cfg.angles), [row[7] for row in summary_rows]),
-            ],
+            [("mean", list(cfg.angles), mean), ("q25", list(cfg.angles), q25), ("q75", list(cfg.angles), q75)],
             "iterations to zero loss vs subspace angle",
             "principal angle (radians)",
             "iterations",
         ),
     )
-    return {"angles": list(cfg.angles), "mean_iterations": mean_by_angle}
+    return {"angles": list(cfg.angles), "mean_iterations": mean}
 
 
 # ---------------------------------------------------------------------------
@@ -591,16 +590,16 @@ class NormHistConfig:
 
     def __post_init__(self):
         _require(self.bins >= 1, "bins must be at least 1")
-        _check_sweep(self, [self.cell()])
+        _check_sweep(self)
 
-    def cell(self) -> dict:
-        return dict(task="planar-grid", width=self.width, init=self.init)
+    def cells(self) -> list[tuple[tuple, dict]]:
+        return [((), dict(task="planar-grid", width=self.width, init=self.init))]
 
 
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
-    runs = _run_cell(cfg, **cfg.cell())
-    rows = [[r, s.seed, s.iterations, s.converged, s.final_norm, s.max_norm] for r, s in enumerate(runs)]
-    _write_table(out, "norm_runs.csv", rows)
+    [(_, run)] = cfg.cells()
+    runs = _run_cell(cfg, **run)
+    _write_table(out, "norm_runs.csv", [[*_run_columns(r, s), s.final_norm, s.max_norm] for r, s in enumerate(runs)])
     max_norms = np.array([s.max_norm for s in runs])
     counts, edges = np.histogram(max_norms, bins=cfg.bins)
     _write_histogram(out, "norm_hist", edges, counts, "largest weight norm per run", "max weight norm")
@@ -622,6 +621,7 @@ class GcProbConfig:
         Rng(self.seed)
         for d, k in self.cells:
             _require(d >= 1 and k >= 1, f"cells need d >= 1 and k >= 1, got ({d}, {k})")
+        _require_distinct(self.cells, "cells")
 
 
 def cmd_gc_prob(cfg: GcProbConfig, out: str) -> dict:
@@ -685,7 +685,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
         params_t = result.params.with_weights(W)
         pos = W[:, owner == 1]
         norms = np.linalg.norm(pos, axis=0)
-        live = norms > 1e-12
+        live = norms > DROP_TOL
         pos_dirs = (pos[:, live] / norms[live]).T
         neg = W[:, owner == 2].T
         angles, rho = rho_curve(params_t, cfg.rho_samples)

@@ -76,6 +76,24 @@ class CsvSchema:
         return kinds
 
 
+# Column runs the sweep schemas share: a cell's key columns, a run's columns
+# and its endpoint columns in a runs table, and a cell's iteration statistics
+# in a summary table.
+_WIDTH_KEY = (("width", "int"), ("init", "str"))
+_ANGLE_KEY = (("theta", "float"),)
+_RUN_COLUMNS = (("run", "int"), ("seed", "int"), ("iterations", "int"), ("converged", "bool"))
+_FINAL_LOSS = ("final_loss", "float")
+_MAX_NORM = ("max_weight_norm", "float")
+_ITERATION_STATS = (
+    ("runs", "int"),
+    ("converged", "int"),
+    ("mean_iterations", "float"),
+    ("std_iterations", "float"),
+    ("median_iterations", "float"),
+    ("q25_iterations", "float"),
+    ("q75_iterations", "float"),
+)
+
 SCHEMAS: dict[str, CsvSchema] = {
     "trajectory": CsvSchema(
         name="trajectory",
@@ -86,69 +104,11 @@ SCHEMAS: dict[str, CsvSchema] = {
             ColumnGroup("gc_class", "bool", "gc_flags", json_object=True),
         ),
     ),
-    "width_runs": CsvSchema(
-        name="width_runs",
-        fixed=(
-            ("width", "int"),
-            ("init", "str"),
-            ("run", "int"),
-            ("seed", "int"),
-            ("iterations", "int"),
-            ("converged", "bool"),
-            ("final_loss", "float"),
-            ("max_weight_norm", "float"),
-        ),
-    ),
-    "width_summary": CsvSchema(
-        name="width_summary",
-        fixed=(
-            ("width", "int"),
-            ("init", "str"),
-            ("runs", "int"),
-            ("converged", "int"),
-            ("mean_iterations", "float"),
-            ("std_iterations", "float"),
-            ("median_iterations", "float"),
-            ("q25_iterations", "float"),
-            ("q75_iterations", "float"),
-        ),
-    ),
-    "angle_runs": CsvSchema(
-        name="angle_runs",
-        fixed=(
-            ("theta", "float"),
-            ("run", "int"),
-            ("seed", "int"),
-            ("iterations", "int"),
-            ("converged", "bool"),
-            ("final_loss", "float"),
-            ("max_weight_norm", "float"),
-        ),
-    ),
-    "angle_summary": CsvSchema(
-        name="angle_summary",
-        fixed=(
-            ("theta", "float"),
-            ("runs", "int"),
-            ("converged", "int"),
-            ("mean_iterations", "float"),
-            ("std_iterations", "float"),
-            ("median_iterations", "float"),
-            ("q25_iterations", "float"),
-            ("q75_iterations", "float"),
-        ),
-    ),
-    "norm_runs": CsvSchema(
-        name="norm_runs",
-        fixed=(
-            ("run", "int"),
-            ("seed", "int"),
-            ("iterations", "int"),
-            ("converged", "bool"),
-            ("final_weight_norm", "float"),
-            ("max_weight_norm", "float"),
-        ),
-    ),
+    "width_runs": CsvSchema("width_runs", (*_WIDTH_KEY, *_RUN_COLUMNS, _FINAL_LOSS, _MAX_NORM)),
+    "width_summary": CsvSchema("width_summary", (*_WIDTH_KEY, *_ITERATION_STATS)),
+    "angle_runs": CsvSchema("angle_runs", (*_ANGLE_KEY, *_RUN_COLUMNS, _FINAL_LOSS, _MAX_NORM)),
+    "angle_summary": CsvSchema("angle_summary", (*_ANGLE_KEY, *_ITERATION_STATS)),
+    "norm_runs": CsvSchema("norm_runs", (*_RUN_COLUMNS, ("final_weight_norm", "float"), _MAX_NORM)),
     "histogram": CsvSchema(
         name="histogram",
         fixed=(("bin_lo", "float"), ("bin_hi", "float"), ("count", "int")),
@@ -168,17 +128,12 @@ SCHEMAS: dict[str, CsvSchema] = {
     ),
 }
 
-# Which schema a file follows, by basename.
+# Which schema a file follows, by basename: <name>.csv follows the schema
+# of that name, and both histogram files follow "histogram".
 _BASENAME_TO_SCHEMA = {
-    "trajectory.csv": "trajectory",
-    "width_runs.csv": "width_runs",
-    "width_summary.csv": "width_summary",
-    "angle_runs.csv": "angle_runs",
-    "angle_summary.csv": "angle_summary",
-    "norm_runs.csv": "norm_runs",
+    **{f"{name}.csv": name for name in SCHEMAS if name != "histogram"},
     "norm_hist.csv": "histogram",
     "lipschitz_hist.csv": "histogram",
-    "gc_prob.csv": "gc_prob",
 }
 
 

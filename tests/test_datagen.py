@@ -103,12 +103,16 @@ class TestGridDataset:
 
     def test_noise_needs_rng(self):
         spec = GridDatasetSpec(noise_std=0.1)
-        with pytest.raises(ValueError, match="Rng"):
-            grid_dataset(make_subspace_pair(1.0), spec)
-        noisy = grid_dataset(make_subspace_pair(1.0), spec, Rng(0))
-        clean = grid_dataset(make_subspace_pair(1.0), GridDatasetSpec())
-        delta = noisy.X - clean.X
-        assert 0.05 < delta.std() < 0.2
+        for build in (lambda spec, rng=None: grid_dataset(make_subspace_pair(1.0), spec, rng), grid_dataset_planar):
+            with pytest.raises(ValueError, match="noise_std > 0 requires an Rng"):
+                build(spec)
+            noisy = build(spec, rng=Rng(0))
+            clean = build(GridDatasetSpec())
+            delta = noisy.X - clean.X
+            assert 0.05 < delta.std() < 0.2
+            # one draw of the grid's shape, scaled and added
+            assert np.array_equal(noisy.X, clean.X + 0.1 * Rng(0).normal(clean.X.shape))
+            assert np.array_equal(noisy.y, clean.y)
 
     def test_negative_noise_rejected(self):
         for noise_std in (-0.1, math.inf, math.nan):

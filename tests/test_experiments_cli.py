@@ -123,6 +123,20 @@ class TestConfigFromFields:
         for f in fields(cls):
             assert repr(f.name) in message, f.name
 
+    def test_sweep_cells_list_each_grid_entry_once_in_order(self):
+        cfg = _build_config(COMMANDS["sweep-width"][0], {"widths": [8, 6], "inits": ["halfspace", "random"]})
+        assert cfg.cells() == [
+            ((w, init), {"task": "planar-grid", "width": w, "init": init})
+            for w in (8, 6)
+            for init in ("halfspace", "random")
+        ]
+        cfg = _build_config(COMMANDS["sweep-angle"][0], {"angles": [1.0, 0.5], "width": 6, "noise_std": 0.1})
+        run = {"task": "subspace-pair", "width": 6, "init": "random", "noise_std": 0.1}
+        assert cfg.cells() == [((1.0,), {**run, "theta": 1.0}), ((0.5,), {**run, "theta": 0.5})]
+        assert _build_config(COMMANDS["norm-hist"][0], {"width": 6}).cells() == [
+            ((), {"task": "planar-grid", "width": 6, "init": "random"})
+        ]
+
     def test_readme_lists_each_commands_fields(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as fh:
@@ -266,6 +280,7 @@ class TestProcessPool:
         [
             ("sweep-width", {"widths": [6, 8], "inits": ["random", "halfspace"], "runs": 3, "max_iters": 300}),
             ("norm-hist", {"runs": 4, "bins": 3, "max_iters": 300, "width": 6}),
+            ("sweep-angle", {"angles": [1.5, 0.8], "runs": 3, "max_iters": 700}),
         ],
     )
     def test_two_workers_match_one(self, tmp_path, monkeypatch, command, mapping):
@@ -375,6 +390,35 @@ class TestRunSettingChecks:
         with pytest.raises(ConfigError, match="theta must lie in"):
             run_command("sweep-angle", mapping, str(tmp_path / "x"))
         assert run_counter == []
+
+    @pytest.mark.parametrize(
+        "command, mapping, message",
+        [
+            ("sweep-width", {"widths": [6, 8, 6]}, "sweep cells must be distinct, got (6, 'random') more than once"),
+            (
+                "sweep-width",
+                {"widths": [6], "inits": ["random", "random"]},
+                "sweep cells must be distinct, got (6, 'random') more than once",
+            ),
+            (
+                "sweep-width",
+                {"inits": ["halfspace", "random", "halfspace"]},
+                "sweep cells must be distinct, got (6, 'halfspace') more than once",
+            ),
+            ("sweep-angle", {"angles": [0.5, 1.0, 0.5]}, "sweep cells must be distinct, got (0.5,) more than once"),
+            ("gc-prob", {"cells": [[2, 3], [2, 3]]}, "cells must be distinct, got (2, 3) more than once"),
+        ],
+    )
+    def test_repeated_grid_entry_starts_no_run(self, tmp_path, monkeypatch, run_counter, command, mapping, message):
+        def no_monte_carlo(*args):
+            raise AssertionError("gc-prob started before its config was fully checked")
+
+        monkeypatch.setattr(experiments, "gc_probability_mc", no_monte_carlo)
+        with pytest.raises(ConfigError) as info:
+            run_command(command, mapping, str(tmp_path / "x"))
+        assert str(info.value) == message
+        assert run_counter == []
+        assert not (tmp_path / "x").exists()
 
 
 class TestRunCommand:
@@ -502,6 +546,40 @@ class TestRunCommand:
         with open(out / "width_runs.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["seed"], r["converged"]) for r in rows] == [("0", "false"), ("1", "false")]
+
+    @pytest.mark.parametrize(
+        "command, mapping, headers",
+        [
+            (
+                "sweep-width",
+                {"widths": [6], "inits": ["random"]},
+                {
+                    "width_runs.csv": "width,init,run,seed,iterations,converged,final_loss,max_weight_norm",
+                    "width_summary.csv": "width,init,runs,converged,mean_iterations,std_iterations,"
+                    "median_iterations,q25_iterations,q75_iterations",
+                },
+            ),
+            (
+                "sweep-angle",
+                {"angles": [1.0]},
+                {
+                    "angle_runs.csv": "theta,run,seed,iterations,converged,final_loss,max_weight_norm",
+                    "angle_summary.csv": "theta,runs,converged,mean_iterations,std_iterations,"
+                    "median_iterations,q25_iterations,q75_iterations",
+                },
+            ),
+            (
+                "norm-hist",
+                {"bins": 1},
+                {"norm_runs.csv": "run,seed,iterations,converged,final_weight_norm,max_weight_norm"},
+            ),
+        ],
+    )
+    def test_sweep_csv_header_rows(self, tmp_path, command, mapping, headers):
+        out = tmp_path / "o"
+        run_command(command, {**mapping, "runs": 1, "max_iters": 1}, str(out))
+        for name, header in headers.items():
+            assert (out / name).read_bytes().split(b"\r\n")[0] == header.encode(), name
 
     def test_sweep_width_zero_runs(self, tmp_path):
         with pytest.raises(ConfigError, match="runs"):
