@@ -386,6 +386,12 @@ def _write_table(out: str, filename: str, rows, group_sizes=None) -> list[list[s
     return cells
 
 
+def _charted(stats: list[float]) -> list[float]:
+    """One sweep statistic per cell for a line chart: the -1 of a cell with no
+    converged run becomes NaN, which line_chart leaves out of the line."""
+    return [math.nan if v == -1.0 else v for v in stats]
+
+
 def _run_columns(r: int, s: RunSummary) -> list:
     """The run columns of run r's row in a runs table."""
     return [r, s.seed, s.iterations, s.converged]
@@ -521,7 +527,7 @@ def cmd_sweep_width(cfg: SweepWidthConfig, out: str) -> dict:
         out,
         "width_means.svg",
         line_chart(
-            [(init, list(cfg.widths), means[init]) for init in cfg.inits],
+            [(init, list(cfg.widths), _charted(means[init])) for init in cfg.inits],
             "mean iterations to zero loss",
             "total hidden units",
             "iterations",
@@ -563,7 +569,7 @@ def cmd_sweep_angle(cfg: SweepAngleConfig, out: str) -> dict:
         out,
         "angle_sweep.svg",
         line_chart(
-            [("mean", list(cfg.angles), mean), ("q25", list(cfg.angles), q25), ("q75", list(cfg.angles), q75)],
+            [(label, list(cfg.angles), _charted(ys)) for label, ys in (("mean", mean), ("q25", q25), ("q75", q75))],
             "iterations to zero loss vs subspace angle",
             "principal angle (radians)",
             "iterations",

@@ -262,26 +262,42 @@ def _max_gap(dirs: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.max(axis=1), wrap)
 
 
-def _subset_slack(sets: np.ndarray, subset, other, minors) -> np.ndarray:
-    """Each set's slack over one subset of d-1 directions in a (T, k, d)
-    stack: max(min dot, -max dot) over the other directions' dots with the
-    subset's unit normal, or NaN where that normal's norm is at most
-    _NEAR_ZERO_NORMAL.  The normal is the subset's common orthogonal vector
-    by cofactor expansion; minors[c] lists the columns of the c-th minor.
-    Its temporaries are freed on return, before gc_slack_batch compacts the
-    stack, which keeps the call's peak memory down."""
-    sub = sets[:, subset, :]
-    normal = np.empty((sets.shape[0], len(minors)))
-    for c, cols in enumerate(minors):
-        normal[:, c] = (-1.0) ** c * _det_batch(sub[:, :, cols])
-    dots = np.einsum("tkd,td->tk", sets, normal)
-    size = np.sqrt(np.add.reduce(normal * normal, axis=1))
-    rest = dots[:, other]
-    side = np.maximum(rest.min(axis=1), -rest.max(axis=1))
-    near_zero = size <= _NEAR_ZERO_NORMAL
-    side /= np.where(near_zero, 1.0, size)
-    side[near_zero] = np.nan
-    return side
+def _two_lane_sum(terms: list) -> np.ndarray:
+    """Sum of d >= 2 rows in the order np.einsum gives a contiguous reduction
+    axis of fewer than 8 doubles on numpy 2.4: even and odd terms in two
+    lanes, then lane 0 + lane 1, (p0 + p2) + p1 for d = 3 and (p0 + p2) +
+    (p1 + p3) for d = 4.  A left-to-right sum differs from einsum's in the
+    last bit of about 39% of (30000, 8, 4) dots.  The terms are fresh rows
+    and are summed in place."""
+    lanes = terms[0], terms[1]
+    for i in range(2, len(terms)):
+        lanes[i % 2][...] += terms[i]
+    return lanes[0] + lanes[1]
+
+
+def _subset_normal(x: list, subset: tuple, d: int) -> list:
+    """The d rows of the cofactor normal of the subset's directions, the
+    common orthogonal vector of its d - 1 directions: component c is
+    (-1)^c times the minor without column c, with _det_batch's products in
+    _det_batch's order.  x[j][c] is component c of direction j over the live
+    sets, one contiguous row."""
+    if d == 3:
+        a, b = (x[j] for j in subset)
+        return [a[1] * b[2] - a[2] * b[1], -(a[0] * b[2] - a[2] * b[0]), a[0] * b[1] - a[1] * b[0]]
+    if d == 4:
+        # The six 2x2 minors of the last two directions, shared by the four
+        # 3x3 cofactors.
+        a, b, e = (x[j] for j in subset)
+        minor = {(p, q): b[p] * e[q] - b[q] * e[p] for p, q in combinations(range(4), 2)}
+        normal = []
+        for c in range(4):
+            c0, c1, c2 = (j for j in range(4) if j != c)
+            det = a[c0] * minor[c1, c2] - a[c1] * minor[c0, c2] + a[c2] * minor[c0, c1]
+            normal.append(-det if c % 2 else det)
+        return normal
+    # d >= 5: each minor is gathered as an (m, d-1, d-1) block for np.linalg.det.
+    sub = np.stack([np.stack(x[j]) for j in subset]).transpose(2, 0, 1)
+    return [(-1.0) ** c * _det_batch(np.delete(sub, c, axis=2)) for c in range(d)]
 
 
 def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
@@ -304,6 +320,16 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
     keep a NaN.  A negative slack or a NaN is therefore the same as over every
     subset, while a positive slack is a lower bound: the largest value over
     the subsets taken so far, some of which may lie beyond a near-zero normal.
+
+    The d >= 3 loop runs on one component-major copy of the stack, a
+    C-contiguous (k, d, T) array, so each component of each direction over
+    the live sets is one contiguous row, and departed sets are compacted out
+    of every row in place.  Its memory is that copy plus a fixed number of
+    (T,) rows (at most 20 for d = 3 and 4), whatever the input's layout.  The
+    dots and the normal's length are summed in numpy's order for d < 8
+    (_two_lane_sum; the squares left to right, as np.add.reduce sums a short
+    axis), so the slacks equal those of a loop on np.einsum and
+    np.linalg.norm over a C-ordered stack bit for bit.
     """
     if dirs.ndim != 3:
         raise ValueError("need a (T, k, d) array")
@@ -315,24 +341,44 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
         return np.maximum(x.min(axis=1), -x.max(axis=1))
     if d == 2:
         return _max_gap(dirs) - math.pi
-    # Index tables, built once per call: each subset's directions, the other
-    # directions, and the d - 1 columns of each cofactor minor.
-    subsets = list(combinations(range(k), d - 1))
-    others = [[j for j in range(k) if j not in subset] for subset in subsets]
-    minors = [[j for j in range(d) if j != c] for c in range(d)]
+    stack = np.ascontiguousarray(np.moveaxis(dirs, 0, 2))
     slack = np.empty(T)
-    # The live sets, their rows in dirs and their running slacks.  While no
-    # set has left, the sets are dirs itself, not a copy.
-    sets, rows, running = dirs, np.arange(T), np.full(T, -np.inf)
-    for subset, other in zip(subsets, others):
-        running = np.maximum(running, _subset_slack(sets, subset, other, minors))
+    # The live sets' rows in dirs and their running slacks.  The first
+    # rows.size columns of stack hold the live sets, and x[j][c] is the row
+    # of component c of direction j over them.
+    rows, running = np.arange(T), np.full(T, -np.inf)
+    x = [list(block) for block in stack]
+    for subset in combinations(range(k), d - 1):
+        normal = _subset_normal(x, subset, d)
+        dots = (_two_lane_sum([x[j][c] * normal[c] for c in range(d)]) for j in range(k) if j not in subset)
+        lo = next(dots)
+        hi = lo.copy()
+        for dot in dots:
+            np.minimum(lo, dot, out=lo)
+            np.maximum(hi, dot, out=hi)
+        side = np.maximum(lo, np.negative(hi, out=hi), out=lo)
+        size = normal[0] * normal[0]
+        for c in range(1, d):
+            size += normal[c] * normal[c]
+        del normal, dots, hi, lo
+        np.sqrt(size, out=size)
+        near_zero = size <= _NEAR_ZERO_NORMAL
+        size[near_zero] = 1.0
+        side /= size
+        side[near_zero] = np.nan
+        np.maximum(running, side, out=running)
+        del side, size
         stay = running <= 0.0  # False for a positive or NaN slack
         if not stay.all():
             gone = ~stay
             slack[rows[gone]] = running[gone]
-            sets, rows, running = sets[stay], rows[stay], running[stay]
-            if not rows.size:
+            keep = np.flatnonzero(stay)
+            rows, running = rows[keep], running[keep]
+            if not keep.size:
                 break
+            for row in stack.reshape(k * d, T):
+                row[: keep.size] = row[keep]
+            x = [list(block) for block in stack[:, :, : keep.size]]
     slack[rows] = running
     return slack
 

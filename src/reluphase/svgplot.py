@@ -139,19 +139,21 @@ def _pad(lo: float, hi: float) -> tuple[float, float]:
 
 
 def line_chart(series, title: str, x_label: str, y_label: str) -> str:
-    """series: iterable of (label, xs, ys)."""
+    """series: iterable of (label, xs, ys).  A point whose y is NaN is left
+    out of its line and of the y range; the x axis still spans its x."""
     series = [(str(lbl), np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for lbl, xs, ys in series]
     if not series or all(xs.size == 0 for _, xs, _ in series):
         raise ValueError("line chart needs at least one non-empty series")
     xlo = min(xs.min() for _, xs, _ in series if xs.size)
     xhi = max(xs.max() for _, xs, _ in series if xs.size)
-    ylo = min(ys.min() for _, _, ys in series if ys.size)
-    yhi = max(ys.max() for _, _, ys in series if ys.size)
+    known = [ys[~np.isnan(ys)] for _, _, ys in series]
+    ylo = min((ys.min() for ys in known if ys.size), default=0.0)
+    yhi = max((ys.max() for ys in known if ys.size), default=0.0)
     canvas = _Canvas(_WIDTH, _HEIGHT)
     frame = _Frame(canvas, _pad(xlo, xhi), _pad(min(ylo, 0.0) if ylo > 0 else ylo, yhi), title, x_label, y_label)
     for i, (lbl, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        canvas.polyline([(frame.px(x), frame.py(y)) for x, y in zip(xs, ys)], color)
+        canvas.polyline([(frame.px(x), frame.py(y)) for x, y in zip(xs, ys) if not math.isnan(y)], color)
         yleg = 40 + 14 * i
         canvas.line(frame.right - 120, yleg, frame.right - 100, yleg, color=color, width=2)
         canvas.text(frame.right - 94, yleg + 3.5, lbl, size=10, anchor="start")

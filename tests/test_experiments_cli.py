@@ -511,6 +511,23 @@ class TestRunCommand:
         assert (out / "width_means.svg").exists()
         assert not (out / "width_box.svg").exists()
 
+    def test_sweep_charts_leave_cells_without_convergence_out(self, tmp_path):
+        # At seed_base 3 no halfspace run converges within 300 iterations,
+        # and some random runs do at both widths.
+        mapping = {"widths": [6, 10], "inits": ["halfspace", "random"], "runs": 4, "max_iters": 300, "seed_base": 3}
+        out = tmp_path / "sw"
+        summary = run_command("sweep-width", mapping, str(out))
+        assert summary["means"]["halfspace"] == [-1.0, -1.0]
+        assert all(m > 0 for m in summary["means"]["random"])
+        lines = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"', (out / "width_means.svg").read_text())
+        # Only the random init (the second colour) draws a line, through both widths.
+        assert [(len(points.split()), colour) for points, colour in lines] == [(2, "#d62728")]
+        out = tmp_path / "sa"
+        summary = run_command("sweep-angle", {"angles": [0.5, 1.0], "runs": 1, "max_iters": 1}, str(out))
+        assert summary["mean_iterations"] == [-1.0, -1.0]
+        svg = (out / "angle_sweep.svg").read_text()
+        assert "<polyline" not in svg and ">q75</text>" in svg
+
     @pytest.mark.parametrize("eta", [1e306, 1e200], ids=["loss-overflows", "norm-overflows"])
     def test_train_divergent_run_ends_cleanly(self, tmp_path, eta):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -376,13 +377,50 @@ class TestBatchChecker:
         assert np.isnan(full_slack(dirs)[0])
         assert 0.0 < assert_prunes_exactly(dirs)[0] < np.inf
 
-    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
+    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8), (4, 12)])
     def test_pruned_slack_agrees_on_the_mc_draws(self, d, k):
         raw = Rng(0).normal((_MC_CHUNK, k, d))
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
         holds = assert_prunes_exactly(dirs) < 0.0
         est, _ = gc_probability_mc(d, k, _MC_CHUNK, Rng(0))
         assert est == holds.sum() / _MC_CHUNK
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_empty_and_one_set_stacks(self, d):
+        rng = Rng(70 + d)
+        for k in range(1, d + 4):
+            for T in (0, 1):
+                dirs = unit_rows(rng.normal((max(T * k, 1), d)))[: T * k].reshape(T, k, d)
+                got = assert_prunes_exactly(dirs)
+                assert got.shape == (T,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8), (5, 7)])
+    def test_a_strided_view_gives_the_slack_of_its_contiguous_copy(self, d, k):
+        # detect_phases passes np.swapaxes of a (T, d, k) stack.  np.einsum
+        # sums a strided reduction axis left to right, so pruned_slack of the
+        # view itself may differ in the last bit; gc_slack_batch copies every
+        # stack into one layout and so reads the same bits from either.
+        raw = Rng(80 + d).normal((2000, d, k))
+        view = np.swapaxes(raw / np.linalg.norm(raw, axis=1, keepdims=True), 1, 2)
+        assert not view.flags.c_contiguous
+        copy = np.ascontiguousarray(view)
+        got = gc_slack_batch(view)
+        assert np.array_equal(got, assert_prunes_exactly(copy), equal_nan=True)
+        assert np.array_equal(got < 0.0, pruned_slack(view) < 0.0)
+
+    def test_peak_memory_is_one_component_major_copy_and_a_few_rows(self):
+        # gc_slack_batch's docstring: one (k, d, T) copy of the stack plus at
+        # most 20 (T,) rows for d = 3 and 4.
+        T, k, d = 30000, 8, 4
+        raw = Rng(0).normal((T, k, d))
+        dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+        tracemalloc.start()
+        try:
+            gc_slack_batch(dirs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dirs.nbytes + 20 * T * 8
 
     @pytest.mark.parametrize("cell", range(4))
     def test_slack_equals_pruned_reference_on_default_gc_prob_draws(self, cell):

@@ -549,6 +549,16 @@ class TestCharts:
         assert_valid_svg(svg)
         assert "two series" in svg
 
+    def test_line_chart_leaves_nan_points_out(self):
+        gap = line_chart([("a", [0, 1, 2], [1.0, math.nan, 3.0]), ("b", [0, 2], [2.0, 2.0])], "t", "x", "y")
+        assert gap == line_chart([("a", [0, 2], [1.0, 3.0]), ("b", [0, 2], [2.0, 2.0])], "t", "x", "y")
+        assert "nan" not in gap
+        # With no known y the frame, its x ticks and the legend are still drawn.
+        blank = line_chart([("a", [6, 10], [math.nan, math.nan])], "t", "x", "y")
+        assert_valid_svg(blank)
+        assert "<polyline" not in blank and "nan" not in blank
+        assert ">10</text>" in blank and ">a</text>" in blank
+
     def test_line_chart_empty_rejected(self):
         with pytest.raises(ValueError):
             line_chart([], "t", "x", "y")
