@@ -8,6 +8,7 @@ output map V stay fixed for the lifetime of a model.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,10 @@ class Rng:
     sampling algorithm is pinned down in-repo and cannot drift with library
     internals: draw u1 in (0, 1], u2 in [0, 1), set r = sqrt(-2 ln u1) and
     emit r*cos(2 pi u2), r*sin(2 pi u2).
+
+    normal_blocks(rows, shape, block) yields what normal((rows, *shape))
+    returns in blocks of at most block rows, bit for bit, so a large draw
+    can be used in bounded memory without changing a number.
 
     Child streams are derived through SeedSequence spawn keys, so
     ``Rng(seed).child(i)`` is reproducible and independent of how many draws
@@ -68,27 +73,76 @@ class Rng:
         uniforms, so the count calls' uniforms are one stream, taken here in
         one call and transformed in place.
         """
-        shape = (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
+        shape = _shape(shape)
         size = math.prod(shape)
         pairs = (size + 1) // 2
         u = self._gen.random(count * 2 * pairs).reshape(count, 2, pairs)
-        radius, angle = u[:, 0], u[:, 1]
-        # 1 - U keeps u1 in (0, 1] so the log stays finite.  u1 is turned
-        # into the radius and u2 into the angle in place.
-        np.subtract(1.0, radius, out=radius)
-        np.log(radius, out=radius)
-        np.multiply(radius, -2.0, out=radius)
-        np.sqrt(radius, out=radius)
-        np.multiply(angle, 2.0 * np.pi, out=angle)
-        cos, sin = np.cos(angle), np.sin(angle)
-        cos *= radius
-        sin *= radius
-        # The numbers overwrite the uniforms they came from, so the largest
-        # temporary is half the draw, as with separate radius and angle draws.
-        z = u.reshape(count, 2 * pairs)
-        z[:, 0::2] = cos
-        z[:, 1::2] = sin
-        return z[:, :size].reshape((count, *shape))
+        return _box_muller(u)[:, :size].reshape((count, *shape))
+
+    def normal_blocks(self, rows: int, shape, block: int):
+        """What normal((rows, *shape)) returns, as successive (b, *shape) blocks of at most block rows.
+
+        The numbers are the same bit for bit, and the generator moves at
+        once to the state that call leaves, so other draws may be made
+        while the blocks are read.  A block's pairs p0..p1 take their
+        radius uniforms at offset p0 and their angle uniforms at offset
+        pairs + p0 of the one call's stream, read by a copy of the starting
+        state advanced to each offset; a pair that straddles two blocks is
+        drawn for both.  The memory is one block and its Box-Muller
+        temporaries, whatever rows is.
+        """
+        shape = _shape(shape)
+        rows, block = int(rows), int(block)
+        if block < 1:
+            raise ValueError(f"block must be positive, got {block}")
+        pairs = (rows * math.prod(shape) + 1) // 2
+        reader = copy.deepcopy(self._gen)
+        self._gen.bit_generator.advance(2 * pairs)
+        return _normal_blocks(reader, rows, shape, pairs, block)
+
+
+def _shape(shape) -> tuple[int, ...]:
+    return (int(shape),) if np.isscalar(shape) else tuple(int(s) for s in shape)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """The Box-Muller numbers of a (..., 2, pairs) array of uniforms, radius
+    uniforms then angle uniforms, as (..., 2 * pairs) pairs r*cos, r*sin.
+
+    1 - U keeps u1 in (0, 1] so the log stays finite.  u1 is turned into the
+    radius and u2 into the angle in place, and the numbers overwrite the
+    uniforms they came from, so the largest temporary is half of u.
+    """
+    radius, angle = u[..., 0, :], u[..., 1, :]
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    cos, sin = np.cos(angle), np.sin(angle)
+    cos *= radius
+    sin *= radius
+    z = u.reshape(*u.shape[:-2], 2 * u.shape[-1])
+    z[..., 0::2] = cos
+    z[..., 1::2] = sin
+    return z
+
+
+def _normal_blocks(reader: np.random.Generator, rows: int, shape: tuple, pairs: int, block: int):
+    """Rng.normal_blocks's blocks, drawn by reader from its starting state."""
+    size = math.prod(shape)
+    start = reader.bit_generator.state
+    for r0 in range(0, rows, block):
+        r1 = min(rows, r0 + block)
+        lo, hi = r0 * size, r1 * size
+        p0, p1 = lo // 2, (hi + 1) // 2
+        u = np.empty((2, p1 - p0))
+        reader.bit_generator.state = start
+        reader.bit_generator.advance(p0)
+        reader.random(out=u[0])
+        reader.bit_generator.advance(pairs - (p1 - p0))
+        reader.random(out=u[1])
+        yield _box_muller(u)[lo - 2 * p0 : hi - 2 * p0].reshape((r1 - r0, *shape))
 
 
 def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:

@@ -39,9 +39,9 @@ LOSS_TOLERANCE = 1e-8
 _LIPSCHITZ_BINS = 32
 _SKIP_TOL = 1e-14
 # Pairs per lipschitz_estimate chunk.  At landscape-audit's defaults (880
-# samples, 8 units) its largest buffers, the (32, 880, 8) pre-activations and
-# activations, take 1.7 MiB each.  32-pair chunks were no faster and raised
-# landscape-mc's peak RSS by 2 MiB.
+# samples, 8 units) its largest buffer, the (32, 880, 8) pre-activations,
+# which the ReLU overwrites in place, takes 1.7 MiB.  32-pair chunks were no
+# faster and raised landscape-mc's peak RSS by 2 MiB.
 _LIPSCHITZ_CHUNK = 16
 
 
@@ -209,7 +209,7 @@ def lipschitz_estimate(
     bias, values, y0 = bias_term(params.biases, N), output.values, data.y - 1
 
     m = min(pairs, _LIPSCHITZ_CHUNK)
-    F, H, A = np.empty((2 * m, N, n)), np.empty((2 * m, N, k)), np.empty((2 * m, N, k))
+    F, H = np.empty((2 * m, N, n)), np.empty((2 * m, N, k))
     ws = _HingeWorkspace(np.tile(y0, 2 * m), n)
     ratios = np.empty(pairs)
     used = 0
@@ -225,7 +225,8 @@ def lipschitz_estimate(
         # Each pair's weight_matrix_norm(W1 - W2), the sum of its column norms.
         diff = stack[0::2] - stack[1::2]
         gaps = np.sqrt(np.add.reduce(diff * diff, axis=1)).sum(axis=1)
-        scores, _ = forward_arrays(stack, bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], A[: 2 * c]))
+        # The ReLU overwrites the pre-activations, which no ratio reads.
+        scores, _ = forward_arrays(stack, bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], H[: 2 * c]))
         losses, _, _ = _hinge(scores.reshape(2 * c * N, n), ws)
         means = losses.reshape(2 * c, N).mean(axis=1)
         kept = gaps >= _SKIP_TOL

@@ -17,6 +17,8 @@ _FONT = 'font-family="Helvetica, Arial, sans-serif"'
 # Canvas size of the framed charts, and the side of a square dynamics frame.
 _WIDTH, _HEIGHT = 640, 430
 _FRAME_SIZE = 460
+# Radius of the dot line_chart draws for a series with one known point.
+_DOT_RADIUS = 3.0
 
 
 def _escape(text: str) -> str:
@@ -140,7 +142,8 @@ def _pad(lo: float, hi: float) -> tuple[float, float]:
 
 def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     """series: iterable of (label, xs, ys).  A point whose y is NaN is left
-    out of its line and of the y range; the x axis still spans its x."""
+    out of its line and of the y range; the x axis still spans its x.  A
+    series with one known point, which no line can show, draws it as a dot."""
     series = [(str(lbl), np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)) for lbl, xs, ys in series]
     if not series or all(xs.size == 0 for _, xs, _ in series):
         raise ValueError("line chart needs at least one non-empty series")
@@ -153,7 +156,11 @@ def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     frame = _Frame(canvas, _pad(xlo, xhi), _pad(min(ylo, 0.0) if ylo > 0 else ylo, yhi), title, x_label, y_label)
     for i, (lbl, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        canvas.polyline([(frame.px(x), frame.py(y)) for x, y in zip(xs, ys) if not math.isnan(y)], color)
+        pts = [(frame.px(x), frame.py(y)) for x, y in zip(xs, ys) if not math.isnan(y)]
+        if len(pts) == 1:
+            canvas.circle(*pts[0], _DOT_RADIUS, fill=color)
+        else:
+            canvas.polyline(pts, color)
         yleg = 40 + 14 * i
         canvas.line(frame.right - 120, yleg, frame.right - 100, yleg, color=color, width=2)
         canvas.text(frame.right - 94, yleg + 3.5, lbl, size=10, anchor="start")

@@ -116,6 +116,39 @@ class TestRng:
             assert batched.uniform() == calls.uniform()
             assert batched.normal(3).tobytes() == calls.normal(3).tobytes()
 
+    @pytest.mark.parametrize("shape", [(5, 3), (8, 4), (3,), ()], ids=["odd-row", "mc-row", "row-3", "scalars"])
+    @pytest.mark.parametrize("block", [1, 3, 7, 50], ids=["1", "3", "rows", "past-rows"])
+    def test_normal_blocks_concatenate_to_one_normal_call(self, shape, block):
+        # An odd row size puts a Box-Muller pair across the boundary of two
+        # blocks; the blocks must still hold exactly what one call returns,
+        # and leave the stream where that call leaves it.
+        rows = 7
+        ours, ref = Rng(29), Rng(29)
+        blocks = list(ours.normal_blocks(rows, shape, block))
+        expect = reference_normal(ref, (rows, *shape))
+        assert [b.shape[0] for b in blocks] == [min(block, rows - r) for r in range(0, rows, block)]
+        got = np.concatenate(blocks)
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+        assert ours.uniform() == ref.uniform()
+
+    def test_normal_blocks_of_one_mc_chunk(self):
+        # One gc-prob Monte Carlo chunk at d=4, k=8, in its 4096-set blocks.
+        ours, ref = Rng(17), Rng(17)
+        got = np.concatenate(list(ours.normal_blocks(30000, (8, 4), 4096)))
+        assert got.tobytes() == reference_normal(ref, (30000, 8, 4)).tobytes()
+        assert ours.uniform() == ref.uniform()
+
+    def test_normal_blocks_move_the_stream_before_any_block_is_read(self):
+        ours, calls = Rng(31), Rng(31)
+        blocks = ours.normal_blocks(9, (5, 3), 4)
+        calls.normal((9, 5, 3))
+        assert ours.normal(3).tobytes() == calls.normal(3).tobytes()
+        assert np.concatenate(list(blocks)).tobytes() == Rng(31).normal((9, 5, 3)).tobytes()
+
+    def test_normal_blocks_reject_an_empty_block(self):
+        with pytest.raises(ValueError, match="block must be positive"):
+            Rng(0).normal_blocks(4, (2,), 0)
+
 
 class TestOutputMap:
     def test_round_robin_owners(self):

@@ -16,6 +16,7 @@ from reluphase import (
     verify_certificate,
 )
 from reluphase.geometry import (
+    _MC_BLOCK,
     _MC_CHUNK,
     _NEAR_ZERO_NORMAL,
     GC_TOL,
@@ -461,6 +462,38 @@ class TestBatchChecker:
         assert gc_check(DirectionSet(dirs[undecided[0]])).verdict == "holds"
         est, _ = gc_probability_mc(3, 5, trials, Rng(8000).child(0))
         assert est == ((slack < 0.0).sum() + 1) / trials
+
+    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
+    def test_mc_estimate_equals_an_unblocked_reference(self, d, k):
+        # A full chunk and a partial one, each drawn by one normal call and
+        # judged whole, against the loop that reads them in blocks.
+        trials, rng, count = _MC_CHUNK + 1001, Rng(40 + d), 0
+        for done in range(0, trials, _MC_CHUNK):
+            raw = rng.normal((min(_MC_CHUNK, trials - done), k, d))
+            norms = np.linalg.norm(raw, axis=2, keepdims=True)
+            dirs = raw / np.where(norms == 0.0, 1.0, norms)
+            slack = gc_slack_batch(dirs)
+            count += (slack < 0.0).sum() + sum(_lp_holds(dirs[s].T) for s in np.flatnonzero(np.isnan(slack)))
+        ours = Rng(40 + d)
+        est, _ = gc_probability_mc(d, k, trials, ours)
+        assert est == count / trials
+        assert ours.uniform() == rng.uniform()
+
+    def test_mc_peak_memory_is_a_few_blocks(self):
+        # gc_probability_mc's docstring: at (k, d) = (8, 4) the peak is
+        # below three (_MC_BLOCK, k, d) blocks, whatever trials is.  The
+        # unblocked loop peaked near 20 MiB here, 2.8 copies of the whole
+        # (30000, 8, 4) draw.  A first call also allocates what it imports
+        # and caches, about 0.7 MiB, so a short call runs first.
+        d, k = 4, 8
+        gc_probability_mc(d, k, 100, Rng(1))
+        tracemalloc.start()
+        try:
+            gc_probability_mc(d, k, 30000, Rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * _MC_BLOCK * k * d * 8
 
     def test_lp_fallback_reads_zero_columns_as_not_holding(self):
         assert _lp_holds(np.zeros((3, 5))) is False

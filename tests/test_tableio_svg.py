@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -558,6 +559,20 @@ class TestCharts:
         assert_valid_svg(blank)
         assert "<polyline" not in blank and "nan" not in blank
         assert ">10</text>" in blank and ">a</text>" in blank
+
+    def test_line_chart_draws_a_lone_point_as_a_dot(self):
+        # One known point makes no line, so it gets a dot in its colour; a
+        # series with two points keeps its line and gets none.
+        svg = line_chart([("a", [6, 10], [math.nan, 4.0]), ("b", [6, 10], [2.0, 3.0])], "t", "x", "y")
+        assert_valid_svg(svg)
+        dots = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="3" fill="([^"]*)"', svg)
+        lines = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"', svg)
+        assert [colour for _, _, colour in dots] == [svgplot.PALETTE[0]]
+        assert [(len(points.split()), colour) for points, colour in lines] == [(2, svgplot.PALETTE[1])]
+        # The dot sits where the line's vertex for that point would.
+        alone = line_chart([("a", [6, 10], [1.0, 4.0]), ("b", [6, 10], [2.0, 3.0])], "t", "x", "y")
+        vertex = re.search(r'<polyline points="([^"]*)"', alone).group(1).split()[1]
+        assert ",".join(dots[0][:2]) == vertex
 
     def test_line_chart_empty_rejected(self):
         with pytest.raises(ValueError):
