@@ -34,22 +34,23 @@ def _load_config(path: str | None) -> dict:
     return loaded
 
 
+# Each override flag, the config keys it may set (the first one the command has wins), its error's noun and help.
+_OVERRIDES = (
+    ("seed", ("seed", "seed_base"), "seed", "override the config seed"),
+    ("runs", ("runs",), "run count", "override the run count"),
+    ("threads", ("threads",), "thread count", "worker processes for sweeps"),
+)
+
+
 def _apply_overrides(command: str, mapping: dict, args: argparse.Namespace) -> dict:
     keys = {f.name for f in fields(COMMANDS[command][0])}
     out = dict(mapping)
-    if args.seed is not None:
-        key = "seed" if "seed" in keys else "seed_base" if "seed_base" in keys else None
-        if key is None:
-            raise ConfigError(f"command {command!r} takes no seed")
-        out[key] = args.seed
-    if args.runs is not None:
-        if "runs" not in keys:
-            raise ConfigError(f"command {command!r} takes no run count")
-        out["runs"] = args.runs
-    if args.threads is not None:
-        if "threads" not in keys:
-            raise ConfigError(f"command {command!r} takes no thread count")
-        out["threads"] = args.threads
+    for flag, candidates, noun, _ in _OVERRIDES:
+        if getattr(args, flag) is not None:
+            key = next((key for key in candidates if key in keys), None)
+            if key is None:
+                raise ConfigError(f"command {command!r} takes no {noun}")
+            out[key] = getattr(args, flag)
     return out
 
 
@@ -63,9 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--runs", type=int, default=None, help="override the run count")
-        p.add_argument("--threads", type=int, default=None, help="worker processes for sweeps")
+        for flag, _, _, help_text in _OVERRIDES:
+            p.add_argument(f"--{flag}", type=int, default=None, help=help_text)
     return parser
 
 

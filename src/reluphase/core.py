@@ -29,15 +29,9 @@ __all__ = [
 class Rng:
     """Deterministic random source with named child streams.
 
-    Uniforms come straight from a PCG64 generator.  Gaussians are produced
-    by an explicit Box-Muller transform on those uniforms so the exact
-    sampling algorithm is pinned down in-repo and cannot drift with library
-    internals: draw u1 in (0, 1], u2 in [0, 1), set r = sqrt(-2 ln u1) and
-    emit r*cos(2 pi u2), r*sin(2 pi u2).
-
-    normal_blocks(rows, shape, block) yields what normal((rows, *shape))
-    returns in blocks of at most block rows, bit for bit, so a large draw
-    can be used in bounded memory without changing a number.
+    Uniforms come straight from a PCG64 generator.  Gaussians come from an
+    in-repo Box-Muller transform on those uniforms, so the exact sampling
+    algorithm cannot drift with library internals.
 
     Child streams are derived through SeedSequence spawn keys, so
     ``Rng(seed).child(i)`` is reproducible and independent of how many draws

@@ -33,7 +33,7 @@ from .datagen import (
     make_subspace_pair,
     sample_annulus,
 )
-from .geometry import DROP_TOL, gc_probability, gc_probability_mc
+from .geometry import DirectionSet, gc_probability, gc_probability_mc
 from .landscape import construct_zero_loss, critical_point_audit, lipschitz_estimate
 from .phases import PhaseReport, detect_phases
 from .svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
@@ -162,20 +162,9 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _planar_grid(spec: GridDatasetSpec, theta: float, rng: Rng | None) -> LabeledDataset:
-    return grid_dataset_planar(spec, label=1, rng=rng)
-
-
-def _subspace_pair(spec: GridDatasetSpec, theta: float, rng: Rng | None) -> LabeledDataset:
-    return grid_dataset(make_subspace_pair(theta), spec, rng=rng)
-
-
-# Task name -> (dataset builder, input dimension).  The planar grid holds
-# class 1 only; a run trains on every class its dataset holds.
-_TASKS = {
-    "planar-grid": (_planar_grid, 2),
-    "subspace-pair": (_subspace_pair, 4),
-}
+# Task name -> input dimension.  The planar grid holds class 1 only; a run
+# trains on every class its dataset holds.
+_TASKS = {"planar-grid": 2, "subspace-pair": 4}
 
 # Init name -> weight initializer (d, width, rng).
 _INITS = {
@@ -201,8 +190,10 @@ def _check_init(init: str, d: int, width: int) -> None:
 def build_task(task: str, theta: float, noise_std: float, rng: Rng | None) -> LabeledDataset:
     """planar-grid: one class's polar grid in R^2.  subspace-pair: both classes in R^4."""
     _require_known("task", task, _TASKS)
-    build, _ = _TASKS[task]
-    return build(GridDatasetSpec(noise_std=noise_std), theta, rng)
+    spec = GridDatasetSpec(noise_std=noise_std)
+    if task == "planar-grid":
+        return grid_dataset_planar(spec, label=1, rng=rng)
+    return grid_dataset(make_subspace_pair(theta), spec, rng=rng)
 
 
 def initial_weights(init: str, d: int, width: int, rng: Rng) -> np.ndarray:
@@ -244,7 +235,7 @@ class RunSpec:
         # A sweep records every run at record_every = max_iters.
         _require(self.max_iters >= 1, f"max_iters must be at least 1, got {self.max_iters}")
         _require_known("task", self.task, _TASKS)
-        d = _TASKS[self.task][1]
+        d = _TASKS[self.task]
         _check_init(self.init, d, self.width)
         Rng(self.seed)
         self.train_config()
@@ -689,10 +680,8 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
         idx = t_to_index[t]
         W = result.records[idx].weights
         params_t = result.params.with_weights(W)
-        pos = W[:, owner == 1]
-        norms = np.linalg.norm(pos, axis=0)
-        live = norms > DROP_TOL
-        pos_dirs = (pos[:, live] / norms[live]).T
+        norms = np.linalg.norm(W[:, owner == 1], axis=0)
+        pos_dirs = DirectionSet.from_weight_matrix(W, np.flatnonzero(owner == 1)).dirs
         neg = W[:, owner == 2].T
         angles, rho = rho_curve(params_t, cfg.rho_samples)
         covered = bool(np.all(rho_at(params_t, sample_angles) >= sample_targets - 1e-12))

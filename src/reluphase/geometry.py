@@ -44,13 +44,9 @@ _TWO_PI = 2.0 * math.pi
 # d, so a normal above this norm keeps the rounding of normalized dots below
 # 1e-10.
 _NEAR_ZERO_NORMAL = 1e-4
-# Direction sets per Monte Carlo chunk in gc_probability_mc, each chunk one
-# Rng.normal draw.  Rng.normal pairs its uniforms within one call, so the
-# chunk size fixes which numbers every estimate is drawn from.
+# Rng.normal pairs its uniforms within one call, so the chunk size fixes
+# which numbers every estimate is drawn from.
 _MC_CHUNK = 32768
-# Direction sets normalized, checked and judged at a time: each chunk's
-# draw is read in blocks of this many sets (Rng.normal_blocks, the same
-# bits), so the block bounds the memory, 1 MiB of draws at (k, d) = (8, 4).
 # 8192-set blocks left landscape-mc's peak RSS 3.5 MiB higher, and 2048-set
 # blocks no lower.
 _MC_BLOCK = 4096

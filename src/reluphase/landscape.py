@@ -19,7 +19,7 @@ from .losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
 # Not called here: bench/tracing.py hooks reluphase.landscape.dataset_loss and
 # reports its calls as a per-layer metric, so the name stays bound.
 from .losses import dataset_loss  # noqa: F401
-from .training import weight_matrix_norm
+from .training import _column_norms, weight_matrix_norm
 
 __all__ = [
     "LandscapeAudit",
@@ -223,8 +223,7 @@ def lipschitz_estimate(
         if not np.all(np.isfinite(stack)):
             raise ValueError("weights must be finite")
         # Each pair's weight_matrix_norm(W1 - W2), the sum of its column norms.
-        diff = stack[0::2] - stack[1::2]
-        gaps = np.sqrt(np.add.reduce(diff * diff, axis=1)).sum(axis=1)
+        gaps = _column_norms(stack[0::2] - stack[1::2]).sum(axis=1)
         # The ReLU overwrites the pre-activations, which no ratio reads.
         scores, _ = forward_arrays(stack, bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], H[: 2 * c]))
         losses, _, _ = _hinge(scores.reshape(2 * c * N, n), ws)

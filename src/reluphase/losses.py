@@ -8,19 +8,6 @@ The subgradient follows the rule
 with both indicators strict, so samples sitting exactly on a hinge or ReLU
 boundary contribute nothing.  Dataset quantities are plain means over the
 samples; to restrict them to some classes, pass data.subset(labels).
-
-The array-level kernel batch_loss_grad takes an optional KernelWorkspace:
-the per-run invariants and preallocated buffers it fills with out= ufuncs,
-so a training run allocates no array per step.  What is fixed for a run is
-decided once, when the workspace is built: the bias term (none for a bias
-of all +0.0, since x - (+0.0) is x, else the bias tiled to (N, k)), and
-each class's y0 != c mask, stored as None when it covers every sample, so
-the hinge adds that class without a where= mask.  A class no sample is
-labelled against is skipped, since it adds no hinge term and no active
-flag.  The other fast paths are exact by construction too: the owner
-gather and the label-score read are np.take calls whose indices are all in
-range, and the loss is np.add.reduce(losses) / N, the sum and division
-np.mean makes.
 """
 from __future__ import annotations
 
@@ -85,6 +72,8 @@ def _hinge(F: np.ndarray, ws: _HingeWorkspace):
     max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN) and
     is active when m_c > 0.  A class whose mask is None is against every
     sample, so it is added without a where= mask and its flags are kept whole.
+    The class-order loss sum is numpy's row sum for n < 8; from n = 8 numpy
+    sums pairwise, so the last bits can differ.
     """
     slack, margin, hinge, losses, count, active = ws.slack, ws.margin, ws.hinge, ws.losses, ws.count, ws.active
     # Every index is in range, so mode="clip" never acts; unlike the default
@@ -123,7 +112,9 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     # Column j of values is +v on its owner class o_j and -v on every other
     # class, so the coefficient sum_i active_i (V[y, j] - V[i, j]) of x in
     # d/dw_j equals 2v (count [o_j = y] - active[o_j]); table[:, c] holds it
-    # for the units that class c owns.
+    # for the units that class c owns.  That is the sum of the +-v entries
+    # bit for bit for n = 2 at any v, and for any n when v is a power of two;
+    # for other v it can differ in the last bits.
     table = np.negative(active, dtype=float, out=ws.table)
     table.ravel()[ws.label_index] = count
     table *= ws.two_v
@@ -132,6 +123,7 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     if rows.size == y0.size:
         grad = np.negative(np.matmul(ws.XT, coef, out=ws.grad), out=ws.grad)
         grad /= rows.size
+        # The sum and division np.mean makes.
         return float(np.add.reduce(losses) / rows.size), losses, grad
     return float(losses[rows].mean()), losses, -(X[rows].T @ coef[rows]) / rows.size
 

@@ -2,18 +2,9 @@
 
 Every CSV the experiment commands emit is described here: fixed columns plus
 optional numbered column groups (for example neuron_norm_1..neuron_norm_k).
-Each column kind has one cell codec, a writer and a parser, and write_csv and
-validate_csv pick every column's codec once per file.  Floats are written
-with repr, which round-trips exactly; booleans are "true"/"false".
-
-JSON is sorted-key, indent-2 and NaN-free: write_json walks the object once
-and writes the text json.dump would give for it after numpy values, tuples
-and non-finite floats are turned into plain JSON values, flushing to the file
-every few thousand pieces.  write_records_json renders the records of
-trajectory.json from the cell texts write_csv returns for trajectory.csv,
-one repr per float: a finite float's, an int's or a bool's cell text is
-already its JSON text.  Re-running a command with the same config and seed
-therefore reproduces every output byte.
+Floats are written with repr, which round-trips exactly; booleans are
+"true"/"false".  JSON is sorted-key, indent-2 and NaN-free.  Re-running a
+command with the same config and seed therefore reproduces every output byte.
 """
 from __future__ import annotations
 

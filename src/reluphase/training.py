@@ -7,10 +7,6 @@ reported as such instead of looping.  A run whose loss, subgradient or
 weight norm turns non-finite stops at the last finite iterate with stop
 reason "nonfinite" and is flagged diverged.  Biases and the output map are
 never updated.  The matrix norm used throughout is the sum of column norms.
-
-A run builds one loss-kernel workspace and passes it to every
-batch_loss_grad call; each call overwrites the losses and gradient of the
-one before, so a non-finite stop evaluates the last finite iterate again.
 """
 from __future__ import annotations
 
@@ -23,13 +19,12 @@ import numpy as np
 
 from .core import NetworkParams
 from .datagen import LabeledDataset
-from .losses import KernelWorkspace, batch_loss_grad, subgradient
+from .losses import KernelWorkspace, batch_loss_grad
 
 __all__ = [
     "TrainConfig",
     "TrajectoryRecord",
     "TrainResult",
-    "gd_step",
     "train",
     "weight_matrix_norm",
 ]
@@ -39,8 +34,8 @@ R_MAX = 1e3
 
 
 def _column_norms(W: np.ndarray) -> np.ndarray:
-    """Euclidean column norms: np.linalg.norm(W, axis=0)'s formula for real W, bit for bit."""
-    return np.sqrt(np.add.reduce(W * W, axis=0))
+    """Column norms of W or of a stack of matrices: np.linalg.norm(W, axis=-2)'s formula, bit for bit."""
+    return np.sqrt(np.add.reduce(W * W, axis=-2))
 
 
 def weight_matrix_norm(W: np.ndarray) -> float:
@@ -107,14 +102,6 @@ class TrainResult:
     def diverged(self) -> bool:
         """A non-finite stop, or a weight norm that exceeded R_MAX along the way."""
         return self.stop_reason == "nonfinite" or self.max_weight_norm > R_MAX
-
-
-def gd_step(params: NetworkParams, data: LabeledDataset, eta: float) -> NetworkParams:
-    """One descent step W - eta * subgradient; eta = 0 returns the state unchanged."""
-    if not (np.isfinite(eta) and eta >= 0.0):
-        raise ValueError(f"step size must be finite and nonnegative, got {eta}")
-    grad = subgradient(params, data)
-    return params.with_weights(params.weights - eta * grad)
 
 
 def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:

@@ -148,6 +148,13 @@ class TestConfigFromFields:
             listed[name] = re.findall(r"`([a-z_]+)`", re.sub(r"\([^)]*\)", "", body))
         assert listed == {name: [f.name for f in fields(cls)] for name, (cls, _) in COMMANDS.items()}
 
+    def test_readme_tour_names_each_public_name(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            tour = fh.read().split("## Library tour", 1)[1].split("\n## ", 1)[0]
+        named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", tour))))
+        assert sorted(set(reluphase.__all__) - named) == []
+
 
 class TestTaskBuilders:
     def test_binary_output_map(self):

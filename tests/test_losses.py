@@ -255,17 +255,20 @@ def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes, k
 
 @pytest.mark.parametrize("bias", [0.0, -0.0, 0.05])
 def test_forward_arrays_matches_inline_forward_bytes(bias):
-    # Products that underflow below the least subnormal make X @ W -0.0 in
-    # column 1; a -0.0 bias must turn those entries into +0.0, a +0.0 bias
-    # must leave them alone.
+    # Products that underflow below the least subnormal are -0.0 in column 1.
+    # Whether X @ W keeps that sign depends on the BLAS kernel, so the bias
+    # rule is checked on pre-activations built elementwise, -0.0 on every
+    # kernel: a -0.0 bias must turn those entries into +0.0, and a +0.0
+    # bias, which gives no term, must leave them alone.
     W, _, values, X, _, _ = task_arrays("planar-grid", 6)
     W[:, 1] = 1e-200
     X = -1e-200 * np.abs(X)
     b = np.full(6, bias)
-    XW = X @ W
-    assert np.all((XW[:, 1] == 0.0) & np.signbit(XW[:, 1]))
+    pre = X[:, :1] * W[:1] + X[:, 1:] * W[1:]
+    assert np.all((pre[:, 1] == 0.0) & np.signbit(pre[:, 1]))
     term = bias_term(b, X.shape[0])
     assert (term is None) == (math.copysign(1.0, bias) > 0.0 and bias == 0.0)
+    assert (pre if term is None else pre - term).tobytes() == (pre - b).tobytes()
     F, H = forward_arrays(W, term, values, X)
     buffers = (np.empty_like(F), np.empty_like(H), np.empty_like(H))
     F_out, H_out = forward_arrays(W, term, values, X, out=buffers)
