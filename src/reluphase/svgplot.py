@@ -67,11 +67,12 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{_fmt(width)}"{d}/>'
         )
 
-    def polyline(self, pts, color, width=1.5, dash=None):
-        if len(pts) == 0:
+    def polyline(self, xs, ys, color, width=1.5, dash=None):
+        if len(xs) == 0:
             return
         d = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+        # Each point is "_fmt(x),_fmt(y)", all in one join.
+        coords = " ".join(map("{:.6g},{:.6g}".format, map(float, xs), map(float, ys)))
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="{_fmt(width)}"{d}/>'
         )
@@ -156,11 +157,13 @@ def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     frame = _Frame(canvas, _pad(xlo, xhi), _pad(min(ylo, 0.0) if ylo > 0 else ylo, yhi), title, x_label, y_label)
     for i, (lbl, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = [(frame.px(x), frame.py(y)) for x, y in zip(xs, ys) if not math.isnan(y)]
-        if len(pts) == 1:
-            canvas.circle(*pts[0], _DOT_RADIUS, fill=color)
+        # frame.px and frame.py map a whole array with the same float operations as a point.
+        shown = ~np.isnan(ys)
+        px, py = frame.px(xs[shown]), frame.py(ys[shown])
+        if px.size == 1:
+            canvas.circle(px[0], py[0], _DOT_RADIUS, fill=color)
         else:
-            canvas.polyline(pts, color)
+            canvas.polyline(px.tolist(), py.tolist(), color)
         yleg = 40 + 14 * i
         canvas.line(frame.right - 120, yleg, frame.right - 100, yleg, color=color, width=2)
         canvas.text(frame.right - 94, yleg + 3.5, lbl, size=10, anchor="start")
@@ -235,8 +238,8 @@ def dynamics_frame(points, pos_dirs, neg_weights, rho_angles, rho_values, title:
     if rho_values.size:
         closed_a = np.append(rho_angles, rho_angles[0])
         closed_r = np.append(rho_values, rho_values[0])
-        pts = [P(r * math.cos(a), r * math.sin(a)) for a, r in zip(closed_a, closed_r)]
-        canvas.polyline(pts, color="#d62728", width=1.5, dash="5,3")
+        xs, ys = zip(*(P(r * math.cos(a), r * math.sin(a)) for a, r in zip(closed_a, closed_r)))
+        canvas.polyline(xs, ys, color="#d62728", width=1.5, dash="5,3")
     for x, y in points:
         px, py = P(x, y)
         canvas.circle(px, py, 1.6, fill="#1f77b4")

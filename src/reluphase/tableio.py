@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -147,10 +148,7 @@ def _write_int(value) -> str:
 
 
 def _write_float(value) -> str:
-    # float() would also read a str, bytes or a bool; a float, Python's or
-    # numpy's, skips that check, since trajectory.csv writes tens of
-    # thousands of them.
-    if not isinstance(value, float) and isinstance(value, (str, bytes, bool, np.bool_)):
+    if isinstance(value, (str, bytes, bool, np.bool_)):
         raise SchemaError(f"expected a float, got {value!r}")
     try:
         number = float(value)
@@ -167,7 +165,17 @@ def _write_bool(value) -> str:
     return "true" if value else "false"
 
 
+def _parse_int(cell: str) -> int:
+    value = int(cell)
+    if str(value) != cell:
+        raise ValueError(f"int cells must be written as {value}, got {cell!r}")
+    return value
+
+
 def _parse_float(cell: str) -> float:
+    # float() also reads "1_0" and surrounding whitespace, which repr never writes.
+    if "_" in cell or any(map(str.isspace, cell)):
+        raise ValueError(f"float cells hold no whitespace or '_', got {cell!r}")
     value = float(cell)
     if not math.isfinite(value):
         raise ValueError(f"non-finite float {cell!r}")
@@ -183,35 +191,96 @@ def _parse_bool(cell: str) -> bool:
 # Column kind -> (writer, parser).  A writer turns a value into its cell text
 # and raises SchemaError; a parser reads a cell back and raises ValueError.
 _CELL_CODECS = {
-    "int": (_write_int, int),
+    "int": (_write_int, _parse_int),
     "float": (_write_float, _parse_float),
     "bool": (_write_bool, _parse_bool),
     "str": (str, str),
 }
 
-
 def _column_codecs(schema: CsvSchema, group_sizes: dict[str, int] | None) -> list[tuple]:
-    """Each column's (writer, parser), picked once per file."""
+    """Each column's (kind, writer, parser), picked once per file."""
     try:
-        return [_CELL_CODECS[kind] for kind in schema.kinds(group_sizes)]
+        return [(kind, *_CELL_CODECS[kind]) for kind in schema.kinds(group_sizes)]
     except KeyError as exc:
         raise SchemaError(f"unknown column kind {exc.args[0]!r}") from None
 
 
-def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None = None) -> list[list[str]]:
-    """Write the header and rows; returns each row's cell texts, as written."""
-    header = schema.header(group_sizes)
-    writers = [writer for writer, _ in _column_codecs(schema, group_sizes)]
-    width = len(writers)
+def _float64_values(column) -> np.ndarray | None:
+    """A column as a float64 array, if it is one or holds only float64 cells; otherwise None."""
+    if isinstance(column, np.ndarray):
+        return column if column.dtype == np.float64 and column.ndim == 1 else None
+    return np.array(column, dtype=np.float64) if set(map(type, column)) <= {float, np.float64} else None
+
+
+def _write_column(kind: str, writer, column, texts_by_bits: dict) -> list[str] | None:
+    """The texts of one column, or None if its writer refuses a cell.
+
+    A column of float64 values is checked for finiteness at once and shares
+    its texts with an earlier column of the same bits.
+    """
+    values = _float64_values(column) if kind == "float" else None
+    if values is None:
+        try:
+            return list(map(writer, column))
+        except SchemaError:
+            return None
+    if not np.isfinite(values).all():
+        return None
+    bits = values.tobytes()
+    if bits not in texts_by_bits:
+        texts_by_bits[bits] = list(map(float.__repr__, values.tolist()))
+    return texts_by_bits[bits]
+
+
+def _row_texts(schema: CsvSchema, writers: list, rows) -> list[list[str]]:
+    """Each row's cell texts, made row by row; raises SchemaError at the first refused row, at its leftmost cell."""
     cells = []
+    for row in rows:
+        if len(row) != len(writers):
+            raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {len(writers)}")
+        cells.append([f(v) for f, v in zip(writers, row)])
+    return cells
+
+
+def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None = None) -> list[list[str]]:
+    """Write the header and rows; returns each row's cell texts, as written.
+
+    rows is an iterable of rows, or a dict that maps each header name, in
+    order, to its column (a sequence or a 1-d array).  Every cell is checked,
+    a column at a time, before the file is opened, so a refused table writes
+    nothing.
+    """
+    header = schema.header(group_sizes)
+    codecs = _column_codecs(schema, group_sizes)
+    if isinstance(rows, dict):
+        if list(rows) != header:
+            raise SchemaError(f"columns {list(rows)} are not the header {header} of schema {schema.name}")
+        columns = list(rows.values())
+        if len(set(map(len, columns))) > 1:
+            raise SchemaError(f"columns of unequal lengths {[len(c) for c in columns]} for schema {schema.name}")
+        rows = zip(*columns)
+    else:
+        rows = list(rows)
+        # No rows: every column is empty.  A row of the wrong length: no columns.
+        columns = (list(zip(*rows)) or [()] * len(codecs)) if set(map(len, rows)) <= {len(codecs)} else None
+    texts = None
+    if columns is not None:
+        texts_by_bits: dict[bytes, list[str]] = {}
+        texts = [_write_column(kind, writer, column, texts_by_bits) for (kind, writer, _), column in zip(codecs, columns)]
+    if texts is None or None in texts:
+        # A row or a cell is refused: name the first, in row order.
+        cells = _row_texts(schema, [writer for _, writer, _ in codecs], rows)
+    else:
+        cells = list(map(list, zip(*texts)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            if len(row) != width:
-                raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {width}")
-            cells.append([f(v) for f, v in zip(writers, row)])
-            writer.writerow(cells[-1])
+        if any(kind == "str" for kind, _, _ in codecs):
+            writer.writerows(cells)
+        else:
+            # csv quotes no int, float or bool text, so each row is its cells
+            # joined by commas.
+            fh.writelines(",".join(row) + "\r\n" for row in cells)
     return cells
 
 
@@ -234,6 +303,38 @@ def _infer_group_sizes(schema: CsvSchema, header: list[str]) -> dict[str, int]:
     return sizes
 
 
+def _column_parses(kind: str, column: tuple) -> bool:
+    """Whether every cell of a column passes its kind's parser, checked for the whole column at once."""
+    try:
+        if kind == "int":
+            return tuple(map(str, map(int, column))) == column
+        if kind == "float":
+            text = "".join(column)
+            # _parse_float's rule for all cells at once: no "_" and no whitespace.
+            return "_" not in text and text.split() == [text] and all(map(math.isfinite, map(float, column)))
+        if kind == "bool":
+            return set(column) <= {"true", "false"}
+    except ValueError:
+        return False
+    return True
+
+
+def _check_rows(path, lineno: int, parsers: list, rows: list) -> None:
+    """Parse rows cell by cell, the first on line lineno; raises SchemaError at the first bad row, at its leftmost bad cell."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if len(row) != len(parsers):
+            raise SchemaError(f"{path}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
+        try:
+            [f(cell) for f, cell in zip(parsers, row)]
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+
+
+# validate_csv reads and checks this many rows at a time, so it never holds a
+# whole file; blocks of 256 rows raised a planar train's peak RSS by 0.5 MiB.
+_VALIDATE_ROWS = 64
+
+
 def validate_csv(path, schema: CsvSchema | None = None) -> int:
     """Check a file against its schema; returns the number of data rows."""
     schema = schema or schema_for_file(path)
@@ -243,17 +344,13 @@ def validate_csv(path, schema: CsvSchema | None = None) -> int:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path} is empty") from None
-        parsers = [parser for _, parser in _column_codecs(schema, _infer_group_sizes(schema, header))]
-        width = len(parsers)
+        codecs = _column_codecs(schema, _infer_group_sizes(schema, header))
+        kinds = [kind for kind, _, _ in codecs]
         count = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise SchemaError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
-            try:
-                [f(cell) for f, cell in zip(parsers, row)]
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            count += 1
+        while rows := list(itertools.islice(reader, _VALIDATE_ROWS)):
+            if not (set(map(len, rows)) == {len(kinds)} and all(map(_column_parses, kinds, zip(*rows)))):
+                _check_rows(path, count + 2, [parser for _, _, parser in codecs], rows)
+            count += len(rows)
     return count
 
 
@@ -300,13 +397,19 @@ def _emit_json(obj, newline: str, parts: list, fh) -> None:
         parts.append(opener + closer)
         return
     inner = newline + "  "
-    parts.append(opener)
-    separator = inner
-    for i, value in enumerate(values):
-        parts.append(separator if heads is None else separator + heads[i])
-        separator = "," + inner
-        _emit_json(value, inner, parts, fh)
-    parts.append(newline + closer)
+    types = set(map(type, values)) if heads is None else None
+    if types == {int} or types == {bool}:
+        # A list of ints or of bools, such as a phase timeline, in one join.
+        texts = map(int.__repr__, values) if types == {int} else ["true" if v else "false" for v in values]
+        parts.append(opener + inner + ("," + inner).join(texts) + newline + closer)
+    else:
+        parts.append(opener)
+        separator = inner
+        for i, value in enumerate(values):
+            parts.append(separator if heads is None else separator + heads[i])
+            separator = "," + inner
+            _emit_json(value, inner, parts, fh)
+        parts.append(newline + closer)
     if len(parts) >= _FLUSH_PIECES:
         fh.write("".join(parts))
         parts.clear()

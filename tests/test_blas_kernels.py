@@ -1,0 +1,129 @@
+"""Semantic results across OpenBLAS kernels.
+
+Bytes repeat for one numpy and BLAS build running one BLAS kernel: the loss
+kernel's matrix products go through BLAS, and kernels differ in FMA use and
+summation order, so trajectory digits differ in their last places.  What must
+hold under every kernel is what the lab reports: stop reasons,
+``converged_at``, ``first_hold``, sweep statistics and gc-prob estimates.
+Each kernel runs in a child process whose environment alone sets
+``OPENBLAS_CORETYPE``, which a DYNAMIC_ARCH OpenBLAS reads once at load.
+"""
+import csv
+import ctypes
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import reluphase
+from reluphase.experiments import run_command
+
+# Candidate kernels, newest first.  A CPU that cannot run one makes OpenBLAS
+# fall back to another, which the child reports.
+KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")
+_CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_",
+    "scipy_openblas_get_corename",
+    "openblas_get_corename64_",
+    "openblas_get_corename",
+)
+
+_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_blas_kernels import blas_corename, semantic_results
+print(json.dumps({"kernel": blas_corename(), "results": semantic_results(sys.argv[2])}))
+"""
+
+
+def blas_corename() -> str | None:
+    """The OpenBLAS kernel this process runs, or None if no loaded library reports one."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in _CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def _table(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def semantic_results(out: str) -> dict:
+    """What a tiny train, a two-cell width sweep and a gc-prob run report, without trajectory digits."""
+    train = run_command("train", {"seed": 7}, os.path.join(out, "train"))
+    run_command(
+        "sweep-width",
+        {"widths": [10, 14], "inits": ["random"], "runs": 2, "max_iters": 600},
+        os.path.join(out, "sweep"),
+    )
+    run_command("gc-prob", {"cells": [[2, 3], [3, 5]], "trials": 2000}, os.path.join(out, "gc"))
+    with open(os.path.join(out, "train", "phase_report.json")) as fh:
+        timelines = {c: rep["gc_timeline"] for c, rep in json.load(fh).items()}
+    gc_rows = _table(os.path.join(out, "gc", "gc_prob.csv"))
+    return {
+        "train": {key: train[key] for key in ("stop_reason", "converged_at", "first_hold")},
+        "gc_timelines": timelines,
+        "sweep_summary": _table(os.path.join(out, "sweep", "width_summary.csv")),
+        "gc_prob": [row[:3] + row[4:6] for row in gc_rows],
+    }
+
+
+def _dynamic_openblas() -> str | None:
+    """Why OPENBLAS_CORETYPE picks no kernel for numpy's BLAS, or None when it does."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy reports no BLAS build configuration"
+    config = blas.get("openblas configuration", "")
+    if "openblas" not in blas.get("name", "").lower() or "DYNAMIC_ARCH" not in config:
+        return f"numpy's BLAS is {blas.get('name')!r} ({config or 'no OpenBLAS configuration'}), not an OpenBLAS DYNAMIC_ARCH build"
+    if blas_corename() is None:
+        return "the loaded OpenBLAS reports no kernel name"
+    return None
+
+
+def test_semantic_results_hold_under_every_kernel(tmp_path):
+    reason = _dynamic_openblas()
+    if reason:
+        pytest.skip(reason)
+    src = os.path.dirname(os.path.dirname(reluphase.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    children = {}
+    for kernel in KERNELS:
+        env = dict(
+            os.environ,
+            OPENBLAS_CORETYPE=kernel,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        children[kernel] = subprocess.Popen(
+            [sys.executable, "-c", _CHILD, tests, str(tmp_path / kernel)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    expected = semantic_results(str(tmp_path / "in-process"))
+    ran = {}
+    for kernel, child in children.items():
+        stdout, stderr = child.communicate(timeout=120)
+        assert child.returncode == 0, stderr
+        report = json.loads(stdout)
+        if report["kernel"] == kernel:
+            ran[kernel] = report["results"]
+    if len(ran) < 2:
+        pytest.skip(f"this CPU runs {sorted(ran) or 'none'} of the kernels {KERNELS}")
+    for kernel, results in ran.items():
+        assert results == expected, kernel

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -160,7 +162,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "norm_runs.csv"
         with pytest.raises(SchemaError, match="expected a float"):
             write_csv(path, SCHEMAS["norm_runs"], [[0, 7, 12, True, 1.0, value]])
-        assert not path.read_text().splitlines()[1:]
+        assert not path.exists()
 
     def test_float_kind_accepts_ints_and_numpy_floats(self, tmp_path):
         path = tmp_path / "norm_runs.csv"
@@ -176,6 +178,191 @@ class TestCsvRoundTrip:
         path.write_text("a,z\n1,2\n")
         with pytest.raises(SchemaError, match="unknown column kind 'complex'"):
             validate_csv(path, schema)
+
+
+def oracle_cell(kind: str, value) -> str:
+    """Oracle: one cell's text under the per-cell rules of the row-by-row writer."""
+    if kind == "int":
+        try:
+            if not isinstance(value, bool) and int(value) == value:
+                return str(int(value))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise SchemaError(f"expected an integer, got {value!r}")
+    if kind == "float":
+        if not isinstance(value, float) and isinstance(value, (str, bytes, bool, np.bool_)):
+            raise SchemaError(f"expected a float, got {value!r}")
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"expected a float, got {value!r}") from None
+        if not math.isfinite(number):
+            raise SchemaError(f"refusing to write non-finite float {number!r}")
+        return repr(number)
+    if kind == "bool":
+        if not isinstance(value, (bool, np.bool_)):
+            raise SchemaError(f"expected a bool, got {value!r}")
+        return "true" if value else "false"
+    return str(value)
+
+
+def oracle_csv(schema, rows, sizes=None) -> tuple[str, list[list[str]]]:
+    """Oracle: the file text and cells of csv.writer fed row by row with oracle_cell's texts."""
+    kinds = schema.kinds(sizes)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(schema.header(sizes))
+    cells = []
+    for row in rows:
+        if len(row) != len(kinds):
+            raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {len(kinds)}")
+        cells.append([oracle_cell(kind, v) for kind, v in zip(kinds, row)])
+        writer.writerow(cells[-1])
+    return buffer.getvalue(), cells
+
+
+def assert_write_csv_matches_oracle(path, schema, table, sizes=None):
+    """write_csv's file and cells for a table (rows, or a dict of columns) equal the oracle's for its rows,
+    or both refuse with one message and write_csv writes nothing."""
+    rows = list(zip(*table.values())) if isinstance(table, dict) else table
+    try:
+        expected = oracle_csv(schema, rows, sizes)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            write_csv(path, schema, table, sizes)
+        assert str(got.value) == str(exc)
+        assert not os.path.exists(path)
+        return None
+    cells = write_csv(path, schema, table, sizes)
+    with open(path, newline="") as fh:
+        assert (fh.read(), cells) == expected
+    return cells
+
+
+# Edge values for each column kind: every one is written (or refused) by the
+# per-cell rules, whatever the column it sits in.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, 2.0**53 + 2, 1 / 3, 1e308, 123456.789]
+EDGE_INTS = [0, -1, 7, 2**63, -(2**70), np.int64(-3), np.int32(12), np.uint8(255), 4.0, np.float64(-2.0), np.bool_(True)]
+EDGE_STRS = ["random", "", "a,b", 'say "hi"', "two\nlines", " padded ", "caf\u00e9"]
+REFUSED = {"int": [math.nan, 0.5, "3"], "float": [math.nan, -math.inf, "0.5"], "bool": [1, None, "true"]}
+
+
+class TestWriteCsvOracle:
+    """write_csv, a column at a time, against csv.writer fed row by row under the per-cell rules."""
+
+    @staticmethod
+    def random_column(rng, kind: str, count: int) -> list:
+        pick = lambda pool: [pool[i] for i in rng.integers(0, len(pool), count)]  # noqa: E731
+        if kind == "int":
+            return pick(EDGE_INTS)
+        if kind == "bool":
+            return pick([True, False, np.bool_(True), np.bool_(False)])
+        if kind == "str":
+            return pick(EDGE_STRS)
+        style = rng.integers(0, 4)
+        if style == 0:  # a float64 array
+            return rng.standard_normal(count) * 10.0 ** rng.integers(-8, 17, count)
+        if style == 1:  # Python floats, edge values among them
+            return pick(EDGE_FLOATS + (rng.standard_normal(8) * 1e3).tolist())
+        if style == 2:  # a float32 array, whose float64 texts are longer
+            return rng.standard_normal(count).astype(np.float32)
+        return pick(EDGE_FLOATS + [3, np.int64(-2), np.float32(0.1), np.float16(0.5), 2**80])
+
+    @staticmethod
+    def random_sizes(rng, schema) -> dict[str, int]:
+        return {g.prefix: int(rng.integers(0, 5)) for g in schema.groups}
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_random_tables_match_oracle(self, tmp_path, name):
+        schema = SCHEMAS[name]
+        rng = np.random.default_rng(sorted(SCHEMAS).index(name))
+        for trial in range(12):
+            sizes = self.random_sizes(rng, schema)
+            count = int(rng.integers(0, 40))
+            columns = [self.random_column(rng, kind, count) for kind in schema.kinds(sizes)]
+            floats = [i for i, kind in enumerate(schema.kinds(sizes)) if kind == "float"]
+            if len(floats) >= 2 and trial % 2:  # a column with an earlier column's bits, or all its values but a sign
+                a, b = floats[0], floats[-1]
+                columns[b] = list(columns[a])
+                if trial % 4 == 3 and count:
+                    columns[a][0], columns[b][0] = 0.0, -0.0
+            if trial % 3 == 2 and count:  # refused cells at random places: the first in row order is named
+                kinds = schema.kinds(sizes)
+                for _ in range(int(rng.integers(1, 4))):
+                    col = int(rng.integers(0, len(kinds)))
+                    if kinds[col] != "str":
+                        bad = REFUSED[kinds[col]][int(rng.integers(0, 3))]
+                        if not isinstance(bad, float):  # a float64 array would convert a str
+                            columns[col] = list(columns[col])
+                        columns[col][int(rng.integers(0, count))] = bad
+            rows = [list(row) for row in zip(*columns)]
+            path = tmp_path / f"{name}_{trial}.csv"
+            if assert_write_csv_matches_oracle(path, schema, rows, sizes) is not None:
+                assert validate_csv(path, schema) == count
+            by_name = dict(zip(schema.header(sizes), columns))
+            assert_write_csv_matches_oracle(tmp_path / f"{name}_{trial}_columns.csv", schema, by_name, sizes)
+
+    def test_equal_values_with_other_bits_get_their_own_texts(self, tmp_path):
+        rows = [[0, 1, 2, True, 0.0, -0.0], [1, 2, 3, False, -0.0, 0.0], [2, 3, 4, True, 1.5, 1.5]]
+        cells = assert_write_csv_matches_oracle(tmp_path / "norm_runs.csv", SCHEMAS["norm_runs"], rows)
+        assert [row[4:] for row in cells] == [["0.0", "-0.0"], ["-0.0", "0.0"], ["1.5", "1.5"]]
+
+    @pytest.mark.parametrize(
+        "bad, cell",
+        [
+            (math.nan, (3, 4)),
+            (np.float64("inf"), (0, 5)),
+            ("1.5", (2, 4)),
+            (None, (1, 5)),
+            (b"2", (4, 4)),
+            (True, (4, 5)),
+            (1.5, (2, 0)),
+            (math.inf, (3, 2)),
+            ("yes", (1, 3)),
+        ],
+        ids=["nan-in-float64", "inf-in-float64", "str-in-floats", "none-in-floats", "bytes", "bool-in-floats",
+             "float-in-ints", "inf-in-ints", "str-in-bools"],
+    )
+    def test_refusal_matches_oracle(self, tmp_path, bad, cell):
+        rng = np.random.default_rng(5)
+        schema = SCHEMAS["norm_runs"]
+        columns = [list(range(6)), list(range(7, 13)), list(range(6)), [True] * 6,
+                   rng.standard_normal(6), rng.standard_normal(6).tolist()]
+        row, col = cell
+        if not isinstance(bad, float):  # a str, bytes, None or bool sits in a list column
+            columns[col] = list(columns[col])
+        columns[col][row] = bad
+        rows = [list(r) for r in zip(*columns)]
+        assert_write_csv_matches_oracle(tmp_path / "norm_runs.csv", schema, rows)
+        assert_write_csv_matches_oracle(tmp_path / "norm_runs.csv", schema, dict(zip(schema.header(), columns)))
+        # A second refused cell in an earlier row, but a later column, is the one named.
+        if row and col < 5:
+            columns[5][row - 1] = math.nan
+            rows = [list(r) for r in zip(*columns)]
+            with pytest.raises(SchemaError, match="refusing to write non-finite float nan"):
+                write_csv(tmp_path / "norm_runs.csv", schema, rows)
+            assert_write_csv_matches_oracle(tmp_path / "norm_runs.csv", schema, rows)
+
+    def test_row_length_refusal_keeps_row_order(self, tmp_path):
+        schema = SCHEMAS["histogram"]
+        good = [0.0, 1.0, 3]
+        for rows in ([good, [0.0, 1.0], [math.nan, 1.0, 2]], [good, [math.nan, 1.0, 2], [0.0, 1.0]]):
+            assert_write_csv_matches_oracle(tmp_path / "histogram.csv", schema, rows)
+
+    def test_columns_must_name_the_header_and_match_in_length(self, tmp_path):
+        schema = SCHEMAS["histogram"]
+        path = tmp_path / "histogram.csv"
+        with pytest.raises(SchemaError, match=r"columns \['bin_hi', 'bin_lo', 'count'\] are not the header"):
+            write_csv(path, schema, {"bin_hi": [1.0], "bin_lo": [0.0], "count": [1]})
+        with pytest.raises(SchemaError, match=r"columns of unequal lengths \[2, 1, 1\]"):
+            write_csv(path, schema, {"bin_lo": np.zeros(2), "bin_hi": [1.0], "count": [1]})
+        assert not path.exists()
+
+    def test_rows_may_be_any_iterable_of_sequences(self, tmp_path):
+        schema = SCHEMAS["histogram"]
+        rows = [(0.0, 0.5, 2), (0.5, 1.0, np.int64(3))]
+        cells = write_csv(tmp_path / "histogram.csv", schema, iter(rows))
+        assert cells == oracle_csv(schema, rows)[1] == [["0.0", "0.5", "2"], ["0.5", "1.0", "3"]]
 
 
 class TestCsvValidation:
@@ -261,6 +448,110 @@ class TestCsvValidation:
         write_csv(path, SCHEMAS["histogram"], [[0.0, 1.0, 5]])
         assert validate_csv(path, SCHEMAS["histogram"]) == 1
 
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            (4, " 1.5", "float cells hold no whitespace or '_', got ' 1.5'"),
+            (4, "1.5 ", "float cells hold no whitespace or '_', got '1.5 '"),
+            (5, "1_5.0", "float cells hold no whitespace or '_', got '1_5.0'"),
+            (5, "1.5\u00a0", "float cells hold no whitespace or '_', got '1.5\\xa0'"),
+            (0, "1_0", "int cells must be written as 10, got '1_0'"),
+            (1, "+1", "int cells must be written as 1, got '+1'"),
+            (2, " 12 ", "int cells must be written as 12, got ' 12 '"),
+            (2, "012", "int cells must be written as 12, got '012'"),
+            (0, "-0", "int cells must be written as 0, got '-0'"),
+        ],
+    )
+    def test_refuses_cells_the_writer_never_writes(self, tmp_path, column, text, message):
+        path = tmp_path / "norm_runs.csv"
+        write_csv(path, SCHEMAS["norm_runs"], [[r, 7 + r, 12, True, 1.5, 2.5] for r in range(3)])
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = text
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as info:
+            validate_csv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+
+def oracle_validate(path, schema) -> int:
+    """Oracle: validate_csv's verdict, parsing row by row and cell by cell."""
+
+    def parse(kind, cell):
+        if kind == "int" and str(int(cell)) != cell:
+            raise ValueError(f"int cells must be written as {int(cell)}, got {cell!r}")
+        if kind == "float":
+            if re.search(r"[\s_]", cell):
+                raise ValueError(f"float cells hold no whitespace or '_', got {cell!r}")
+            if not math.isfinite(float(cell)):
+                raise ValueError(f"non-finite float {cell!r}")
+        if kind == "bool" and cell not in ("true", "false"):
+            raise ValueError(f"bool cells must be 'true' or 'false', got {cell!r}")
+
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    kinds = schema.kinds(header_group_sizes(schema, header))
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(kinds):
+            raise SchemaError(f"{path}:{lineno}: expected {len(kinds)} cells, got {len(row)}")
+        for kind, cell in zip(kinds, row):
+            try:
+                parse(kind, cell)
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+    return len(rows)
+
+
+def header_group_sizes(schema, header) -> dict[str, int]:
+    """The group sizes a trajectory header spells out."""
+    return {g.prefix: sum(name.startswith(g.prefix + "_") for name in header) for g in schema.groups}
+
+
+def schema_text(schema, sizes, cells) -> str:
+    """A CSV file's text: the header row, then the cells."""
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows([schema.header(sizes), *cells])
+    return buffer.getvalue()
+
+
+CELL_TEXTS = {
+    "int": ["3", "-4", "0", "+1", "1_0", " 12 ", "012", "-0", "1.0", "", "\u0661", "99999999999999999999"],
+    "float": ["1.5", "-0.0", "5e-324", "1e+16", " 1.5", "1.5 ", "1_5.0", "inf", "-nan", "oops", "", "1e400", "\t2.0"],
+    "bool": ["true", "false", "True", "", " true"],
+}
+
+
+class TestValidateCsvOracle:
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_corrupted_files_match_oracle(self, tmp_path, monkeypatch, block):
+        """Random cells of a trajectory file replaced, read in blocks of rows: the verdict is the row-by-row one."""
+        monkeypatch.setattr("reluphase.tableio._VALIDATE_ROWS", block)
+        schema = SCHEMAS["trajectory"]
+        sizes = {"loss_class": 2, "neuron_norm": 3, "gc_class": 1}
+        kinds = schema.kinds(sizes)
+        rng = np.random.default_rng(block)
+        rows = [[t, *rng.standard_normal(8).tolist(), bool(t % 2)] for t in range(10)]
+        path = tmp_path / "trajectory.csv"
+        for trial in range(60):
+            cells = write_csv(path, schema, rows, sizes)
+            for _ in range(int(rng.integers(0, 4))):
+                r, c = int(rng.integers(0, len(cells))), int(rng.integers(0, len(kinds)))
+                pool = CELL_TEXTS[kinds[c]]
+                cells[r][c] = pool[int(rng.integers(0, len(pool)))]
+            if trial % 10 == 9:  # a row with a cell too many or too few
+                r = int(rng.integers(0, len(cells)))
+                cells[r] = cells[r][:-1] if trial % 20 == 9 else cells[r] + ["1"]
+            path.write_text(schema_text(schema, sizes, cells))
+            try:
+                expected = oracle_validate(path, schema)
+            except SchemaError as exc:
+                with pytest.raises(SchemaError) as got:
+                    validate_csv(path)
+                assert str(got.value) == str(exc)
+            else:
+                assert validate_csv(path) == expected == len(rows)
+
 
 class TestJson:
     def test_sorted_and_deterministic(self, tmp_path):
@@ -322,6 +613,15 @@ class TestJson:
             3.5,
             None,
             [[[1.0, 2.0], [3.0]], [{"x": [1, {"y": [2.0, 3.0]}]}]],
+            {
+                "times": list(range(40)),
+                "timeline": [t % 3 == 0 for t in range(40)],
+                "one": [7],
+                "lone_flag": [False],
+                "mixed": [1, True, 0, False],
+                "deep": {"t": (3, -4, 2**70), "lists": [[1, 2], [True], (False, True)]},
+                "numpy": [np.int64(1), 2, np.bool_(True)],
+            },
         ],
         ids=[
             "empty-dict",
@@ -343,6 +643,7 @@ class TestJson:
             "top-float",
             "top-none",
             "deep-mixed",
+            "int-and-bool-lists",
         ],
     )
     def test_matches_reference_encoder(self, tmp_path, payload):
@@ -458,8 +759,45 @@ class TestRecordsJson:
             assert list(first["gc_flags"])[:4] == ["1", "10", "11", "2"]
 
 
+def loss_curve_oracle(result) -> str:
+    """Oracle: the loss curve's points, each mapped and formatted on its own as line_chart once did."""
+    xs = np.array([rec.t for rec in result.records], dtype=float)
+    ys = np.array([rec.loss for rec in result.records], dtype=float)
+    ylo, yhi = ys.min(), ys.max()
+    frame = svgplot._Frame(
+        svgplot._Canvas(640, 430), svgplot._pad(xs.min(), xs.max()),
+        svgplot._pad(min(ylo, 0.0) if ylo > 0 else ylo, yhi), "", "", "",
+    )
+    return " ".join(f"{svgplot._fmt(frame.px(x))},{svgplot._fmt(frame.py(y))}" for x, y in zip(xs, ys))
+
+
+def assert_train_outputs_match_oracles(out, result, reports):
+    """trajectory.csv against a row-by-row rendering of the records, loss_curve.svg's points
+    against per-point formatting, and phase_report.json against the reference encoder."""
+    rows = [
+        [rec.t, rec.loss, rec.weight_norm, rec.grad_norm]
+        + [rec.loss_per_class[c] for c in result.data_labels]
+        + rec.neuron_norms.tolist()
+        + [rep.gc_timeline[i] for rep in reports.values()]
+        for i, rec in enumerate(result.records)
+    ]
+    sizes = {"loss_class": len(result.data_labels), "neuron_norm": result.params.k, "gc_class": len(reports)}
+    with open(out / "trajectory.csv", newline="") as fh:
+        assert fh.read() == oracle_csv(SCHEMAS["trajectory"], rows, sizes)[0]
+    svg = (out / "loss_curve.svg").read_text()
+    points = loss_curve_oracle(result)
+    if len(result.records) == 1:
+        cx, cy = points.split(",")
+        assert f'<circle cx="{cx}" cy="{cy}" r="3"' in svg and "<polyline" not in svg
+    else:
+        assert re.findall(r'<polyline points="([^"]*)"', svg) == [points]
+    phase_report = {f"class_{c}": rep.to_json_dict() for c, rep in reports.items()}
+    assert (out / "phase_report.json").read_text() == reference_json(phase_report)
+
+
 class TestTrajectoryJson:
-    """trajectory.json, rendered from trajectory.csv's cells, against the dict the train command used to write."""
+    """trajectory.json, rendered from trajectory.csv's cells, against the dict the train command used to write;
+    and trajectory.csv, loss_curve.svg and phase_report.json against their oracles."""
 
     def run_train(self, monkeypatch, tmp_path, mapping, execute=None):
         execute = execute or experiments.execute_run
@@ -475,6 +813,7 @@ class TestTrajectoryJson:
         experiments.run_command("train", mapping, str(out))
         (result,) = results
         reports = {c: experiments.detect_phases(result, c) for c in result.data_labels}
+        assert_train_outputs_match_oracles(out, result, reports)
         return (out / "trajectory.json").read_text(), reference_json(result_json(result, reports)), result
 
     @pytest.mark.parametrize(
@@ -521,7 +860,7 @@ class TestTrajectoryJson:
         out = tmp_path / "train"
         with pytest.raises(SchemaError, match="refusing to write non-finite float nan"):
             experiments.run_command("train", {"width": 6, "max_iters": 20}, str(out))
-        assert (out / "trajectory.csv").exists()
+        assert not (out / "trajectory.csv").exists()
         assert not (out / "trajectory.json").exists()
 
 
@@ -573,6 +912,39 @@ class TestCharts:
         alone = line_chart([("a", [6, 10], [1.0, 4.0]), ("b", [6, 10], [2.0, 3.0])], "t", "x", "y")
         vertex = re.search(r'<polyline points="([^"]*)"', alone).group(1).split()[1]
         assert ",".join(dots[0][:2]) == vertex
+
+    def test_line_chart_points_match_per_point_oracle(self, monkeypatch):
+        # Each point mapped by the chart's own frame one at a time, as scalars, and formatted by _fmt.
+        frames = []
+
+        class RecordingFrame(svgplot._Frame):
+            def __init__(self, *args):
+                super().__init__(*args)
+                frames.append(self)
+
+        monkeypatch.setattr(svgplot, "_Frame", RecordingFrame)
+        rng = np.random.default_rng(3)
+        for trial in range(30):
+            series = []
+            for i in range(int(rng.integers(1, 4))):
+                n = int(rng.integers(1, 30))
+                xs = np.sort(rng.integers(0, 5000, n)).tolist() if trial % 2 else rng.standard_normal(n) * 1e3
+                ys = rng.standard_normal(n) * 10.0 ** int(rng.integers(-6, 6))
+                ys[rng.random(n) < 0.2] = math.nan
+                series.append((f"s{i}", xs, ys.tolist()))
+            svg = line_chart(series, "t", "x", "y")
+            frame = frames[-1]
+            lines, dots = [], []
+            for i, (_, xs, ys) in enumerate(series):
+                pts = [(frame.px(x), frame.py(y)) for x, y in zip(np.asarray(xs, float), np.asarray(ys)) if not math.isnan(y)]
+                marks = [(f"{svgplot._fmt(x)},{svgplot._fmt(y)}", svgplot.PALETTE[i]) for x, y in pts]
+                if len(marks) == 1:
+                    dots += marks
+                elif marks:
+                    lines.append((" ".join(text for text, _ in marks), svgplot.PALETTE[i]))
+            assert re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"', svg) == lines
+            found = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)" r="3" fill="([^"]*)"', svg)
+            assert [(f"{cx},{cy}", colour) for cx, cy, colour in found] == dots
 
     def test_line_chart_empty_rejected(self):
         with pytest.raises(ValueError):
