@@ -420,20 +420,21 @@ def _write_histogram(out: str, name: str, edges, counts, title: str, x_label: st
 # train
 
 
-def _trajectory_columns(result: TrainResult, class_count: int, reports: dict[int, PhaseReport]) -> dict:
+def _trajectory_columns(result: TrainResult, reports: dict[int, PhaseReport], sizes: dict[str, int]) -> dict:
     """trajectory.csv's columns by name, each gathered from the records once."""
     records = result.records
     # A row of the stacked neuron norms sums to its record's weight_norm, bit for bit.
     norms = np.stack([rec.neuron_norms for rec in records])
-    return {
-        "t": [rec.t for rec in records],
-        "loss": np.array([rec.loss for rec in records]),
-        "weight_norm": norms.sum(axis=1),
-        "grad_norm": np.array([rec.grad_norm for rec in records]),
-        **{f"loss_class_{c}": np.array([rec.loss_per_class[c] for rec in records]) for c in range(1, class_count + 1)},
-        **{f"neuron_norm_{j + 1}": column for j, column in enumerate(norms.T)},
-        **{f"gc_class_{i + 1}": rep.gc_timeline for i, rep in enumerate(reports.values())},
-    }
+    columns = [
+        [rec.t for rec in records],
+        np.array([rec.loss for rec in records]),
+        norms.sum(axis=1),
+        np.array([rec.grad_norm for rec in records]),
+        *(np.array([rec.loss_per_class[c] for rec in records]) for c in range(1, sizes["loss_class"] + 1)),
+        *norms.T,
+        *(rep.gc_timeline for rep in reports.values()),
+    ]
+    return dict(zip(SCHEMAS["trajectory"].header(sizes), columns))
 
 
 def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseReport]):
@@ -443,7 +444,7 @@ def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseRep
     if set(labels) != set(range(1, class_count + 1)):
         raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
     sizes = {"loss_class": class_count, "neuron_norm": result.params.k, "gc_class": len(reports)}
-    return _write_table(out, "trajectory.csv", _trajectory_columns(result, class_count, reports), group_sizes=sizes), sizes
+    return _write_table(out, "trajectory.csv", _trajectory_columns(result, reports, sizes), group_sizes=sizes), sizes
 
 
 def cmd_train(cfg: RunSpec, out: str) -> dict:

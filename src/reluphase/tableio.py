@@ -9,7 +9,6 @@ command with the same config and seed therefore reproduces every output byte.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -165,81 +164,34 @@ def _write_bool(value) -> str:
     return "true" if value else "false"
 
 
-def _parse_int(cell: str) -> int:
-    value = int(cell)
-    if str(value) != cell:
-        raise ValueError(f"int cells must be written as {value}, got {cell!r}")
-    return value
+# Column kind -> writer, which turns a value into its cell text and raises
+# SchemaError for a value the kind does not hold.  _refusal states which
+# texts each writer writes.
+_WRITERS = {"int": _write_int, "float": _write_float, "bool": _write_bool, "str": str}
 
 
-def _parse_float(cell: str) -> float:
-    # float() also reads "1_0" and surrounding whitespace, which repr never writes.
-    if "_" in cell or any(map(str.isspace, cell)):
-        raise ValueError(f"float cells hold no whitespace or '_', got {cell!r}")
-    value = float(cell)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite float {cell!r}")
-    return value
+def _kinds(schema: CsvSchema, group_sizes: dict[str, int] | None) -> list[str]:
+    """Each column's kind; raises SchemaError for a kind with no writer."""
+    kinds = schema.kinds(group_sizes)
+    for kind in kinds:
+        if kind not in _WRITERS:
+            raise SchemaError(f"unknown column kind {kind!r}")
+    return kinds
 
 
-def _parse_bool(cell: str) -> bool:
-    if cell not in ("true", "false"):
-        raise ValueError(f"bool cells must be 'true' or 'false', got {cell!r}")
-    return cell == "true"
+def _write_column(kind: str, column, texts_by_bits: dict) -> list[str]:
+    """The texts of one column; raises SchemaError at a refused cell.
 
-
-# Column kind -> (writer, parser).  A writer turns a value into its cell text
-# and raises SchemaError; a parser reads a cell back and raises ValueError.
-_CELL_CODECS = {
-    "int": (_write_int, _parse_int),
-    "float": (_write_float, _parse_float),
-    "bool": (_write_bool, _parse_bool),
-    "str": (str, str),
-}
-
-def _column_codecs(schema: CsvSchema, group_sizes: dict[str, int] | None) -> list[tuple]:
-    """Each column's (kind, writer, parser), picked once per file."""
-    try:
-        return [(kind, *_CELL_CODECS[kind]) for kind in schema.kinds(group_sizes)]
-    except KeyError as exc:
-        raise SchemaError(f"unknown column kind {exc.args[0]!r}") from None
-
-
-def _float64_values(column) -> np.ndarray | None:
-    """A column as a float64 array, if it is one or holds only float64 cells; otherwise None."""
-    if isinstance(column, np.ndarray):
-        return column if column.dtype == np.float64 and column.ndim == 1 else None
-    return np.array(column, dtype=np.float64) if set(map(type, column)) <= {float, np.float64} else None
-
-
-def _write_column(kind: str, writer, column, texts_by_bits: dict) -> list[str] | None:
-    """The texts of one column, or None if its writer refuses a cell.
-
-    A column of float64 values is checked for finiteness at once and shares
-    its texts with an earlier column of the same bits.
+    A 1-d float64 array is checked for finiteness at once and shares its
+    texts with an earlier array of the same bits.
     """
-    values = _float64_values(column) if kind == "float" else None
-    if values is None:
-        try:
-            return list(map(writer, column))
-        except SchemaError:
-            return None
-    if not np.isfinite(values).all():
-        return None
-    bits = values.tobytes()
-    if bits not in texts_by_bits:
-        texts_by_bits[bits] = list(map(float.__repr__, values.tolist()))
-    return texts_by_bits[bits]
-
-
-def _row_texts(schema: CsvSchema, writers: list, rows) -> list[list[str]]:
-    """Each row's cell texts, made row by row; raises SchemaError at the first refused row, at its leftmost cell."""
-    cells = []
-    for row in rows:
-        if len(row) != len(writers):
-            raise SchemaError(f"row has {len(row)} cells, schema {schema.name} expects {len(writers)}")
-        cells.append([f(v) for f, v in zip(writers, row)])
-    return cells
+    if kind == "float" and isinstance(column, np.ndarray) and column.dtype == np.float64 and column.ndim == 1:
+        if np.isfinite(column).all():
+            bits = column.tobytes()
+            if bits not in texts_by_bits:
+                texts_by_bits[bits] = list(map(float.__repr__, column.tolist()))
+            return texts_by_bits[bits]
+    return list(map(_WRITERS[kind], column))
 
 
 def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None = None) -> list[list[str]]:
@@ -251,31 +203,36 @@ def write_csv(path, schema: CsvSchema, rows, group_sizes: dict[str, int] | None 
     nothing.
     """
     header = schema.header(group_sizes)
-    codecs = _column_codecs(schema, group_sizes)
+    kinds = _kinds(schema, group_sizes)
+    rest = []  # the rows from the first one of the wrong length on
     if isinstance(rows, dict):
         if list(rows) != header:
             raise SchemaError(f"columns {list(rows)} are not the header {header} of schema {schema.name}")
         columns = list(rows.values())
         if len(set(map(len, columns))) > 1:
             raise SchemaError(f"columns of unequal lengths {[len(c) for c in columns]} for schema {schema.name}")
-        rows = zip(*columns)
     else:
         rows = list(rows)
-        # No rows: every column is empty.  A row of the wrong length: no columns.
-        columns = (list(zip(*rows)) or [()] * len(codecs)) if set(map(len, rows)) <= {len(codecs)} else None
-    texts = None
-    if columns is not None:
-        texts_by_bits: dict[bytes, list[str]] = {}
-        texts = [_write_column(kind, writer, column, texts_by_bits) for (kind, writer, _), column in zip(codecs, columns)]
-    if texts is None or None in texts:
-        # A row or a cell is refused: name the first, in row order.
-        cells = _row_texts(schema, [writer for _, writer, _ in codecs], rows)
-    else:
-        cells = list(map(list, zip(*texts)))
+        end = next((i for i, row in enumerate(rows) if len(row) != len(kinds)), len(rows))
+        # The rows before it, as columns: all empty when there are none.
+        columns, rest = list(zip(*rows[:end])) or [()] * len(kinds), rows[end:]
+    texts_by_bits: dict[bytes, list[str]] = {}
+    try:
+        texts = [_write_column(kind, column, texts_by_bits) for kind, column in zip(kinds, columns)]
+    except SchemaError:
+        texts = None
+    if texts is None or rest:
+        # Name the first refused cell in row order, the leftmost of its row;
+        # failing that, the first row of the wrong length.
+        for row in zip(*columns):
+            for kind, value in zip(kinds, row):
+                _WRITERS[kind](value)
+        raise SchemaError(f"row has {len(rest[0])} cells, schema {schema.name} expects {len(kinds)}")
+    cells = list(map(list, zip(*texts)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if any(kind == "str" for kind, _, _ in codecs):
+        if "str" in kinds:
             writer.writerows(cells)
         else:
             # csv quotes no int, float or bool text, so each row is its cells
@@ -303,31 +260,28 @@ def _infer_group_sizes(schema: CsvSchema, header: list[str]) -> dict[str, int]:
     return sizes
 
 
-def _column_parses(kind: str, column: tuple) -> bool:
-    """Whether every cell of a column passes its kind's parser, checked for the whole column at once."""
+def _refusal(kind: str, cells: tuple[str, ...]) -> str | None:
+    """None if kind's writer writes every one of cells; otherwise why not, quoting the cells joined by commas.
+
+    For a single cell, the reason is that cell's own.
+    """
+    text = ",".join(cells)
     try:
         if kind == "int":
-            return tuple(map(str, map(int, column))) == column
-        if kind == "float":
-            text = "".join(column)
-            # _parse_float's rule for all cells at once: no "_" and no whitespace.
-            return "_" not in text and text.split() == [text] and all(map(math.isfinite, map(float, column)))
-        if kind == "bool":
-            return set(column) <= {"true", "false"}
-    except ValueError:
-        return False
-    return True
-
-
-def _check_rows(path, lineno: int, parsers: list, rows: list) -> None:
-    """Parse rows cell by cell, the first on line lineno; raises SchemaError at the first bad row, at its leftmost bad cell."""
-    for lineno, row in enumerate(rows, start=lineno):
-        if len(row) != len(parsers):
-            raise SchemaError(f"{path}:{lineno}: expected {len(parsers)} cells, got {len(row)}")
-        try:
-            [f(cell) for f, cell in zip(parsers, row)]
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            texts = tuple(map(str, map(int, cells)))
+            if texts != cells:
+                return f"int cells must be written as {','.join(texts)}, got {text!r}"
+        elif kind == "float":
+            # float() also reads "1_0" and surrounding whitespace, which repr never writes.
+            if "_" in text or (text and text.split() != [text]):
+                return f"float cells hold no whitespace or '_', got {text!r}"
+            if not all(map(math.isfinite, map(float, cells))):
+                return f"non-finite float {text!r}"
+        elif kind == "bool" and not set(cells) <= {"true", "false"}:
+            return f"bool cells must be 'true' or 'false', got {text!r}"
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 # validate_csv reads and checks this many rows at a time, so it never holds a
@@ -344,19 +298,19 @@ def validate_csv(path, schema: CsvSchema | None = None) -> int:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path} is empty") from None
-        codecs = _column_codecs(schema, _infer_group_sizes(schema, header))
-        kinds = [kind for kind, _, _ in codecs]
+        kinds = _kinds(schema, _infer_group_sizes(schema, header))
         count = 0
         while rows := list(itertools.islice(reader, _VALIDATE_ROWS)):
-            if not (set(map(len, rows)) == {len(kinds)} and all(map(_column_parses, kinds, zip(*rows)))):
-                _check_rows(path, count + 2, [parser for _, _, parser in codecs], rows)
+            if set(map(len, rows)) != {len(kinds)} or any(map(_refusal, kinds, zip(*rows))):
+                # Name the first bad row, at its leftmost bad cell.
+                for lineno, row in enumerate(rows, start=count + 2):
+                    if len(row) != len(kinds):
+                        raise SchemaError(f"{path}:{lineno}: expected {len(kinds)} cells, got {len(row)}")
+                    for kind, cell in zip(kinds, row):
+                        if reason := _refusal(kind, (cell,)):
+                            raise SchemaError(f"{path}:{lineno}: {reason}")
             count += len(rows)
     return count
-
-
-# write_json hands its pieces to the file once this many are pending, so a
-# long trajectory is never held as text all at once.
-_FLUSH_PIECES = 4096
 
 
 def _json_scalar(value):
@@ -377,7 +331,7 @@ def _json_scalar(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(obj, newline: str, parts: list, fh) -> None:
+def _emit_json(obj, newline: str, parts: list) -> None:
     """Append the JSON text of obj to parts; newline is "\\n" plus the indent of obj's line."""
     text = _json_scalar(obj)
     if text is not None:
@@ -408,11 +362,8 @@ def _emit_json(obj, newline: str, parts: list, fh) -> None:
         for i, value in enumerate(values):
             parts.append(separator if heads is None else separator + heads[i])
             separator = "," + inner
-            _emit_json(value, inner, parts, fh)
+            _emit_json(value, inner, parts)
         parts.append(newline + closer)
-    if len(parts) >= _FLUSH_PIECES:
-        fh.write("".join(parts))
-        parts.clear()
 
 
 def write_json(path, obj) -> None:
@@ -424,9 +375,9 @@ def write_json(path, obj) -> None:
     floats into null.  Any other object raises TypeError.
     """
     parts: list[str] = []
+    _emit_json(obj, "\n", parts)
+    parts.append("\n")
     with open(path, "w") as fh:
-        _emit_json(obj, "\n", parts, fh)
-        parts.append("\n")
         fh.write("".join(parts))
 
 
@@ -438,11 +389,10 @@ def _record_template(schema: CsvSchema, group_sizes: dict[str, int] | None) -> s
         items = [next(refs) for _ in range((group_sizes or {}).get(g.prefix, 0))]
         record[g.json_key] = {i + 1: ref for i, ref in enumerate(items)} if g.json_object else items
     parts: list[str] = []
-    buffer = io.StringIO()
-    _emit_json(record, "\n    ", parts, buffer)
+    _emit_json(record, "\n    ", parts)
     # Each field is emitted as the string "{i}": double every brace, then
     # drop the quotes around the fields.  No schema key holds a brace.
-    text = (buffer.getvalue() + "".join(parts)).replace("{", "{{").replace("}", "}}")
+    text = "".join(parts).replace("{", "{{").replace("}", "}}")
     return text.replace('"{{', "{").replace('}}"', "}")
 
 
@@ -459,7 +409,7 @@ def write_records_json(path, head: dict, schema: CsvSchema, cells, group_sizes: 
             fh.write(("," if n else "{") + "\n  " + _encode_str(key) + ": ")
             if key != "records":
                 parts: list[str] = []
-                _emit_json(head[key], "\n  ", parts, fh)
+                _emit_json(head[key], "\n  ", parts)
                 fh.write("".join(parts))
                 continue
             # One record at a time: the file's buffer holds the pending text.

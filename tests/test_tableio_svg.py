@@ -523,6 +523,27 @@ CELL_TEXTS = {
 
 
 class TestValidateCsvOracle:
+    @pytest.mark.parametrize(
+        "kind, text",
+        [(kind, text) for kind, texts in CELL_TEXTS.items() for text in texts],
+        ids=[f"{kind}-{text!r}" for kind, texts in CELL_TEXTS.items() for text in texts],
+    )
+    def test_single_cell_verdict_matches_oracle(self, tmp_path, kind, text):
+        """One cell of a one-row file holds the text: the verdict, and any reason, is the per-cell one."""
+        schema = SCHEMAS["norm_runs"]
+        cells = ["0", "7", "12", "true", "1.5", "2.5"]
+        cells[schema.kinds().index(kind)] = text
+        path = tmp_path / "norm_runs.csv"
+        path.write_text(schema_text(schema, None, [cells]))
+        try:
+            expected = oracle_validate(path, schema)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as got:
+                validate_csv(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert validate_csv(path) == expected == 1
+
     @pytest.mark.parametrize("block", [1, 3, 256])
     def test_corrupted_files_match_oracle(self, tmp_path, monkeypatch, block):
         """Random cells of a trajectory file replaced, read in blocks of rows: the verdict is the row-by-row one."""
@@ -659,13 +680,13 @@ class TestJson:
             write_json(tmp_path / "x.json", bad)
         assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("flush_every", [1, 7, 4096])
-    def test_long_payload_written_in_flushes(self, tmp_path, monkeypatch, flush_every):
-        monkeypatch.setattr("reluphase.tableio._FLUSH_PIECES", flush_every)
+    @pytest.mark.parametrize("n_records", [1, 7, 4096])
+    def test_long_payload_written_in_flushes(self, tmp_path, n_records):
+        """A payload of n records, joined and written in one flush, is reference_json's text."""
         payload = {
             "records": [
                 {"t": t, "norms": [t / 7.0, math.nan], "flags": {"1": t % 2 == 0}, "nested": [{"a": []}]}
-                for t in range(3000)
+                for t in range(n_records)
             ]
         }
         path = tmp_path / "x.json"
@@ -691,6 +712,25 @@ class TestJson:
         for path, expected in written:
             with open(path) as fh:
                 assert fh.read() == expected, path
+
+
+def test_every_command_csv_matches_oracle(tmp_path, monkeypatch):
+    """Each table a command writes is csv.writer's text under the per-cell rules, and the row-by-row reader accepts it."""
+    from test_exports import TINY_CONFIGS
+
+    written = []
+
+    def recording_write_csv(path, schema, table, group_sizes=None):
+        cells = assert_write_csv_matches_oracle(path, schema, table, group_sizes)
+        written.append((path, schema, cells))
+        return cells
+
+    monkeypatch.setattr(experiments, "write_csv", recording_write_csv)
+    for name, cfg in TINY_CONFIGS.items():
+        experiments.run_command(name, cfg, str(tmp_path / name))
+    assert {schema.name for _, schema, _ in written} == set(SCHEMAS)
+    for path, schema, cells in written:
+        assert oracle_validate(path, schema) == len(cells), path
 
 
 def result_json(result, reports) -> dict:
