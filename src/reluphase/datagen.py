@@ -6,7 +6,7 @@ its Rng; generators that need no randomness take none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,14 +111,6 @@ def make_subspace_pair(theta: float) -> SubspacePair:
     return SubspacePair(theta=float(theta), v1=v1, v2=v2, v3=v3, v4=v4)
 
 
-def _default_radii() -> tuple[float, ...]:
-    return tuple(20.0 / j for j in range(10, 21))
-
-
-def _default_angles() -> tuple[float, ...]:
-    return tuple(j * math.pi / 40.0 for j in range(1, 81))
-
-
 @dataclass(frozen=True)
 class GridDatasetSpec:
     """Polar product grid: 11 radii sweeping [1, 2] times 80 equispaced angles.
@@ -129,8 +121,8 @@ class GridDatasetSpec:
     """
 
     noise_std: float = 0.0
-    radii: tuple[float, ...] = field(default_factory=_default_radii)
-    angles: tuple[float, ...] = field(default_factory=_default_angles)
+    radii: tuple[float, ...] = tuple(20.0 / j for j in range(10, 21))
+    angles: tuple[float, ...] = tuple(j * math.pi / 40.0 for j in range(1, 81))
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):

@@ -335,10 +335,15 @@ def _check_sweep(cfg) -> None:
         _endpoint_spec(cfg, cfg.seed_base, **run)
 
 
-def _run_cell(cfg, **run) -> list[RunSummary]:
-    """Train cfg.runs seeded runs of one sweep cell, in seed order."""
-    specs = [_endpoint_spec(cfg, cfg.seed_base + r, **run) for r in range(cfg.runs)]
-    return map_runs(_run_worker, specs, cfg.threads)
+def _run_cells(cfg) -> list[tuple[tuple, list[RunSummary]]]:
+    """Train cfg.runs seeded runs of every sweep cell through one map_runs call.
+
+    Returns each cell's (key, runs), in cells() order and seed order.
+    """
+    cells = cfg.cells()
+    specs = [_endpoint_spec(cfg, cfg.seed_base + r, **run) for _, run in cells for r in range(cfg.runs)]
+    runs = map_runs(_run_worker, specs, cfg.threads)
+    return [(key, runs[i * cfg.runs : (i + 1) * cfg.runs]) for i, (key, _) in enumerate(cells)]
 
 
 def rho_at(params: NetworkParams, thetas: np.ndarray) -> np.ndarray:
@@ -394,8 +399,7 @@ def _sweep_tables(out: str, name: str, cfg) -> list[tuple[tuple, list[RunSummary
     Returns each cell's (key, runs, _iteration_stats(runs)), in cells() order.
     """
     cells, run_rows, summary_rows = [], [], []
-    for key, run in cfg.cells():
-        runs = _run_cell(cfg, **run)
+    for key, runs in _run_cells(cfg):
         stats = _iteration_stats(runs)
         cells.append((key, runs, stats))
         run_rows += [[*key, *_run_columns(r, s), s.final_loss, s.max_norm] for r, s in enumerate(runs)]
@@ -601,8 +605,7 @@ class NormHistConfig:
 
 
 def cmd_norm_hist(cfg: NormHistConfig, out: str) -> dict:
-    [(_, run)] = cfg.cells()
-    runs = _run_cell(cfg, **run)
+    [(_, runs)] = _run_cells(cfg)
     _write_table(out, "norm_runs.csv", [[*_run_columns(r, s), s.final_norm, s.max_norm] for r, s in enumerate(runs)])
     max_norms = np.array([s.max_norm for s in runs])
     counts, edges = np.histogram(max_norms, bins=cfg.bins)

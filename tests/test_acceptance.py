@@ -7,7 +7,8 @@ go by; without ``-s`` pytest captures them and shows them only on failure.
 
 The heavy fixtures (the 100-seed planar campaign, the width sweep, the angle
 sweep) are session scoped and shared by every criterion that consumes them.
-The whole file takes a few minutes on one core.
+Each trains its runs in one ``map_runs`` batch on every CPU; the whole file
+takes under a minute on one core.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from reluphase import (
     init_random,
     lipschitz_estimate,
     make_subspace_pair,
+    monotonicity_audit,
     network_params,
     owner_norm_violations,
     phase2_sum_bound,
@@ -55,6 +57,7 @@ from reluphase.experiments import (
     RunSpec,
     build_task,
     execute_run,
+    map_runs,
     run_command,
 )
 
@@ -69,75 +72,69 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"acceptance criterion {num} failed: {detail}"
 
 
-def _owner_violation_count(result, class_label: int) -> int:
-    norms = np.array([rec.neuron_norms for rec in result.records])
-    times = [rec.t for rec in result.records]
-    cols = result.params.output.owner_columns(class_label)
-    return len(owner_norm_violations(norms, times, cols))
-
-
 # ---------------------------------------------------------------------------
-# shared training campaigns
+# shared training campaigns, each one map_runs batch on every CPU
+
+
+def _planar_spec(seed: int, width: int = 8, init: str = "random") -> RunSpec:
+    return RunSpec(task="planar-grid", width=width, v=0.5, eta=0.1, max_iters=5000, init=init, seed=seed)
+
+
+def _crit3_worker(spec):
+    result, data = execute_run(spec)
+    return {
+        "stop_reason": result.stop_reason,
+        "converged_at": result.converged_at,
+        "final_loss": result.records[-1].loss,
+        "phase": detect_phases(result, 1),
+        "audit": critical_point_audit(result.params, data),
+        "owner_violations": len(monotonicity_audit(result, 1)),
+    }
+
+
+def _width_worker(spec):
+    result, _ = execute_run(spec)
+    return result.stop_reason, result.converged_at, len(monotonicity_audit(result, 1))
+
+
+def _angle_worker(spec):
+    """A run's stop reason and converged_at; for a run that records every
+    iteration, also the owner-norm decreases inside each class's own subspace."""
+    result, _ = execute_run(spec)
+    entry = {"stop_reason": result.stop_reason, "converged_at": result.converged_at}
+    if spec.record_every == 1:
+        pair = make_subspace_pair(spec.theta)
+        times = [rec.t for rec in result.records]
+        total = 0
+        for label in (1, 2):
+            basis = pair.basis(label)
+            cols = result.params.output.owner_columns(label)
+            projected = np.array([np.linalg.norm(basis.T @ rec.weights, axis=0) for rec in result.records])
+            total += len(owner_norm_violations(projected, times, cols))
+        entry["projected_violations"] = total
+    return entry
 
 
 @pytest.fixture(scope="session")
 def crit3_runs():
     """100 seeded planar runs: width 8, eta 0.1, random init, class-1 grid."""
-    stats = []
-    for seed in range(100):
-        spec = RunSpec(
-            task="planar-grid",
-            width=8,
-            v=0.5,
-            eta=0.1,
-            max_iters=5000,
-            init="random",
-            seed=seed,
-        )
-        result, data = execute_run(spec)
-        stats.append(
-            {
-                "seed": seed,
-                "stop_reason": result.stop_reason,
-                "converged_at": result.converged_at,
-                "final_loss": result.records[-1].loss,
-                "phase": detect_phases(result, 1),
-                "audit": critical_point_audit(result.params, data),
-                "owner_violations": _owner_violation_count(result, 1),
-            }
-        )
-    return stats
+    return map_runs(_crit3_worker, [_planar_spec(seed) for seed in range(100)], os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
 def width_cells():
     """Width sweep {6, 12, 24} x {random, halfspace} x 100 seeds on the planar task."""
+    keys = [(width, init) for width in (6, 12, 24) for init in ("random", "halfspace")]
+    specs = [_planar_spec(seed, width, init) for width, init in keys for seed in range(100)]
+    runs = map_runs(_width_worker, specs, os.cpu_count() or 1)
     cells = {}
-    for width in (6, 12, 24):
-        for init in ("random", "halfspace"):
-            iters = []
-            converged = 0
-            violations = 0
-            for seed in range(100):
-                spec = RunSpec(
-                    task="planar-grid",
-                    width=width,
-                    v=0.5,
-                    eta=0.1,
-                    max_iters=5000,
-                    init=init,
-                    seed=seed,
-                )
-                result, _ = execute_run(spec)
-                violations += _owner_violation_count(result, 1)
-                if result.stop_reason == "converged":
-                    converged += 1
-                    iters.append(result.converged_at)
-            cells[width, init] = {
-                "mean": float(np.mean(iters)) if iters else math.nan,
-                "converged": converged,
-                "violations": violations,
-            }
+    for i, key in enumerate(keys):
+        cell = runs[100 * i : 100 * (i + 1)]
+        iters = [at for reason, at, _ in cell if reason == "converged"]
+        cells[key] = {
+            "mean": float(np.mean(iters)) if iters else math.nan,
+            "violations": sum(count for *_, count in cell),
+        }
     return cells
 
 
@@ -149,40 +146,23 @@ def angle_runs():
     be audited inside each class's own subspace; the other angles record only
     the endpoints.
     """
-    runs = {theta: [] for theta in SWEEP_ANGLES}
-    for theta in SWEEP_ANGLES:
-        keep = theta == math.pi / 2
-        pair = make_subspace_pair(theta)
-        for seed in range(20):
-            spec = RunSpec(
-                task="subspace-pair",
-                width=8,
-                v=0.5,
-                eta=0.2,
-                max_iters=20000,
-                init="random",
-                seed=seed,
-                theta=theta,
-                record_every=1 if keep else 20000,
-            )
-            result, _ = execute_run(spec)
-            entry = {
-                "stop_reason": result.stop_reason,
-                "converged_at": result.converged_at,
-            }
-            if keep:
-                times = [rec.t for rec in result.records]
-                total = 0
-                for label in (1, 2):
-                    basis = pair.basis(label)
-                    cols = result.params.output.owner_columns(label)
-                    projected = np.array(
-                        [np.linalg.norm(basis.T @ rec.weights, axis=0) for rec in result.records]
-                    )
-                    total += len(owner_norm_violations(projected, times, cols))
-                entry["projected_violations"] = total
-            runs[theta].append(entry)
-    return runs
+    specs = [
+        RunSpec(
+            task="subspace-pair",
+            width=8,
+            v=0.5,
+            eta=0.2,
+            max_iters=20000,
+            init="random",
+            seed=seed,
+            theta=theta,
+            record_every=1 if theta == math.pi / 2 else 20000,
+        )
+        for theta in SWEEP_ANGLES
+        for seed in range(20)
+    ]
+    runs = map_runs(_angle_worker, specs, os.cpu_count() or 1)
+    return {theta: runs[20 * i : 20 * (i + 1)] for i, theta in enumerate(SWEEP_ANGLES)}
 
 
 # ---------------------------------------------------------------------------

@@ -252,44 +252,28 @@ def null_vectors_by_delete(sub):
     return out
 
 
-def pruned_slack(dirs):
-    """The pruned slack loop written with np.delete and a fresh gather of the
-    live sets on every subset: the reference that gc_slack_batch's index
+def reference_slacks(dirs):
+    """The pruned and the full slack in one pass over the subsets, each
+    subset's normal cut out with np.delete and its dots taken on the whole
+    stack.  The pruned slack is the reference that gc_slack_batch's index
     tables and compacted stack must equal bit for bit, NaNs and positive
-    lower bounds included."""
+    lower bounds included: a set takes a subset's value only while its
+    running slack is still <= 0.  The full slack takes every subset's value,
+    without leaving the loop early: the reference for the pruned loop
+    (d >= 3, k > d)."""
     T, k, d = dirs.shape
     if k <= d:
-        return np.full(T, np.inf)
+        slack = np.full(T, np.inf)
+        return slack, slack
     if d == 1:
         x = dirs[:, :, 0]
-        return np.maximum(x.min(axis=1), -x.max(axis=1))
+        slack = np.maximum(x.min(axis=1), -x.max(axis=1))
+        return slack, slack
     if d == 2:
-        return _max_gap(dirs) - math.pi
-    slack = np.full(T, -np.inf)
-    live = slice(None)
-    for subset in combinations(range(k), d - 1):
-        keep = slack <= 0.0
-        if not keep.any():
-            break
-        live = slice(None) if keep.all() else np.flatnonzero(keep)
-        sets = dirs[live]
-        normal = null_vectors_by_delete(sets[:, subset, :])
-        dots = np.einsum("tkd,td->tk", sets, normal)
-        size = np.linalg.norm(normal, axis=1)
-        others = np.delete(dots, subset, axis=1)
-        side = np.maximum(others.min(axis=1), -others.max(axis=1))
-        near_zero = size <= _NEAR_ZERO_NORMAL
-        part = np.maximum(slack[live], side / np.where(near_zero, 1.0, size))
-        part[near_zero] = np.nan
-        slack[live] = part
-    return slack
-
-
-def full_slack(dirs):
-    """gc_slack_batch's slack over every subset, without leaving the loop
-    early: the reference for the pruned loop (d >= 3, k > d)."""
-    T, k, d = dirs.shape
-    slack = np.full(T, -np.inf)
+        slack = _max_gap(dirs) - math.pi
+        return slack, slack
+    pruned = np.full(T, -np.inf)
+    full = np.full(T, -np.inf)
     for subset in combinations(range(k), d - 1):
         normal = null_vectors_by_delete(dirs[:, subset, :])
         dots = np.einsum("tkd,td->tk", dirs, normal)
@@ -297,21 +281,23 @@ def full_slack(dirs):
         others = np.delete(dots, subset, axis=1)
         side = np.maximum(others.min(axis=1), -others.max(axis=1))
         near_zero = size <= _NEAR_ZERO_NORMAL
-        slack = np.maximum(slack, side / np.where(near_zero, 1.0, size))
-        slack[near_zero] = np.nan
-    return slack
+        value = np.where(near_zero, np.nan, side / np.where(near_zero, 1.0, size))
+        live = pruned <= 0.0
+        pruned[live] = np.maximum(pruned[live], value[live])
+        full = np.maximum(full, value)
+    return pruned, full
 
 
 def assert_prunes_exactly(dirs):
-    """The slack equals pruned_slack's bit for bit.  Negative slacks and NaNs
+    """The slack equals the pruned reference slack bit for bit.  Negative slacks and NaNs
     equal the full slack's; a positive slack is a lower bound of it, or the
     full slack is NaN from a later subset."""
     got = gc_slack_batch(dirs)
-    assert np.array_equal(got, pruned_slack(dirs), equal_nan=True)
+    pruned, full = reference_slacks(dirs)
+    assert np.array_equal(got, pruned, equal_nan=True)
     T, k, d = dirs.shape
     if d < 3 or k <= d:
         return got
-    full = full_slack(dirs)
     assert np.array_equal(got < 0.0, full < 0.0)
     neg = got < 0.0
     assert np.array_equal(got[neg], full[neg])
@@ -366,7 +352,7 @@ class TestBatchChecker:
         for d, k in ((3, 5), (4, 7)):
             dirs = unit_rows(rng.normal((200 * k, d))).reshape(200, k, d)
             dirs[::2, k - 1] = dirs[::2, k - 2]
-            assert np.isnan(full_slack(dirs)[::2]).all()
+            assert np.isnan(reference_slacks(dirs)[1][::2]).all()
             assert_prunes_exactly(dirs)
 
     def test_a_set_leaves_once_its_slack_is_positive(self):
@@ -375,7 +361,7 @@ class TestBatchChecker:
         # directions 3 and 4, the last subset, would make it NaN.
         ray = unit_rows([[0.3, 0.8, 0.1]])[0]
         dirs = np.stack([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], unit_rows([[-0.5, 0.5, -0.2]])[0], ray, ray])[None]
-        assert np.isnan(full_slack(dirs)[0])
+        assert np.isnan(reference_slacks(dirs)[1][0])
         assert 0.0 < assert_prunes_exactly(dirs)[0] < np.inf
 
     @pytest.mark.parametrize("d, k", [(3, 5), (4, 8), (4, 12)])
@@ -398,8 +384,8 @@ class TestBatchChecker:
     @pytest.mark.parametrize("d, k", [(3, 5), (4, 8), (5, 7)])
     def test_a_strided_view_gives_the_slack_of_its_contiguous_copy(self, d, k):
         # detect_phases passes np.swapaxes of a (T, d, k) stack.  np.einsum
-        # sums a strided reduction axis left to right, so pruned_slack of the
-        # view itself may differ in the last bit; gc_slack_batch copies every
+        # sums a strided reduction axis left to right, so reference_slacks of
+        # the view itself may differ in the last bit; gc_slack_batch copies every
         # stack into one layout and so reads the same bits from either.
         raw = Rng(80 + d).normal((2000, d, k))
         view = np.swapaxes(raw / np.linalg.norm(raw, axis=1, keepdims=True), 1, 2)
@@ -407,7 +393,7 @@ class TestBatchChecker:
         copy = np.ascontiguousarray(view)
         got = gc_slack_batch(view)
         assert np.array_equal(got, assert_prunes_exactly(copy), equal_nan=True)
-        assert np.array_equal(got < 0.0, pruned_slack(view) < 0.0)
+        assert np.array_equal(got < 0.0, reference_slacks(view)[0] < 0.0)
 
     def test_peak_memory_is_one_component_major_copy_and_a_few_rows(self):
         # gc_slack_batch's docstring: one (k, d, T) copy of the stack plus at
@@ -441,7 +427,7 @@ class TestBatchChecker:
         raw[2::5, 6] = raw[2::5, 0]
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
         got = assert_prunes_exactly(dirs)
-        full = full_slack(dirs)
+        full = reference_slacks(dirs)[1]
         nan = np.isnan(got)
         assert nan.sum() > 100 and (got < 0.0).sum() > 100
         # Positive slacks that stopped short of the full maximum, or of a
