@@ -299,6 +299,7 @@ def _worker_count(threads: int, n_specs: int) -> int:
 
 
 def map_runs(worker, specs, threads: int):
+    """worker(spec) for each spec, in order, on up to threads processes; each run goes to whichever worker is free."""
     workers = _worker_count(threads, len(specs))
     if workers <= 1:
         return [worker(s) for s in specs]
@@ -307,8 +308,7 @@ def map_runs(worker, specs, threads: int):
     from concurrent.futures.process import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunk = max(1, len(specs) // (4 * workers))
-        return list(ex.map(worker, specs, chunksize=chunk))
+        return list(ex.map(worker, specs))
 
 
 def _endpoint_spec(cfg, seed: int, **run) -> RunSpec:

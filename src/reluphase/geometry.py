@@ -244,19 +244,6 @@ def gc_probability(d: int, k: int) -> float:
     return float(Fraction(total, 2 ** (k - 1)))
 
 
-def _det_batch(M: np.ndarray) -> np.ndarray:
-    m = M.shape[-1]
-    if m == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    if m == 3:
-        return (
-            M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
-        )
-    return np.linalg.det(M)
-
-
 def _max_gap(dirs: np.ndarray) -> np.ndarray:
     """Largest angular gap between consecutive directions of each planar set in a (T, k, 2) stack."""
     ang = np.sort(np.arctan2(dirs[:, :, 1], dirs[:, :, 0]), axis=1)
@@ -281,9 +268,11 @@ def _two_lane_sum(terms: list) -> np.ndarray:
 def _subset_normal(x: list, subset: tuple, d: int) -> list:
     """The d rows of the cofactor normal of the subset's directions, the
     common orthogonal vector of its d - 1 directions: component c is
-    (-1)^c times the minor without column c, with _det_batch's products in
-    _det_batch's order.  x[j][c] is component c of direction j over the live
-    sets, one contiguous row."""
+    (-1)^c times the minor without column c.  A 2x2 minor is a0 b1 - a1 b0,
+    and a 3x3 minor is expanded along its first row, each term a product of
+    an entry and a 2x2 minor; from d = 5 each minor is np.linalg.det's.
+    x[j][c] is component c of direction j over the live sets, one
+    contiguous row."""
     if d == 3:
         a, b = (x[j] for j in subset)
         return [a[1] * b[2] - a[2] * b[1], -(a[0] * b[2] - a[2] * b[0]), a[0] * b[1] - a[1] * b[0]]
@@ -300,7 +289,7 @@ def _subset_normal(x: list, subset: tuple, d: int) -> list:
         return normal
     # d >= 5: each minor is gathered as an (m, d-1, d-1) block for np.linalg.det.
     sub = np.stack([np.stack(x[j]) for j in subset]).transpose(2, 0, 1)
-    return [(-1.0) ** c * _det_batch(np.delete(sub, c, axis=2)) for c in range(d)]
+    return [(-1.0) ** c * np.linalg.det(np.delete(sub, c, axis=2)) for c in range(d)]
 
 
 def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:

@@ -33,6 +33,8 @@ class _HingeWorkspace:
 
     def __init__(self, y0: np.ndarray, n: int):
         N = y0.size
+        if y0.max() >= n:
+            raise ValueError(f"label {y0.max() + 1} has no class in an output map of {n} classes")
         self.label_index = np.arange(N) * n + y0  # flat index of F[s, y0[s]]
         # A class no sample is labelled against adds no hinge term, so it is
         # skipped and its active column stays False.  A mask that covers
@@ -76,8 +78,9 @@ def _hinge(F: np.ndarray, ws: _HingeWorkspace):
     sums pairwise, so the last bits can differ.
     """
     slack, margin, hinge, losses, count, active = ws.slack, ws.margin, ws.hinge, ws.losses, ws.count, ws.active
-    # Every index is in range, so mode="clip" never acts; unlike the default
-    # mode, it lets np.take write into out without an intermediate copy.
+    # The workspace checked the labels, so every index is in range and
+    # mode="clip" never acts; unlike the default mode, it lets np.take write
+    # into out without an intermediate copy.
     np.take(F, ws.label_index, out=slack, mode="clip")
     np.subtract(1.0, slack, out=slack)
     losses.fill(0.0)

@@ -109,8 +109,6 @@ def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:
     silent = []
     for label in data.labels:
         cols = params.output.owner_columns(label)
-        if cols.size == 0:
-            continue
         dots = np.abs(data.X[data.indices_for(label)] @ params.weights[:, cols])
         if not np.any(dots > params.biases[cols]):
             silent.append(label)
@@ -123,6 +121,12 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
     # A class that holds every sample records the run's loss, np.add.reduce(losses) / N, which is losses.mean().
     class_rows = {c: idx if idx.size < data.n_samples else None for c, idx in class_rows.items()}
 
+    W = np.array(params.weights, dtype=float, copy=True)
+    b, values = params.biases, params.output.values
+    X, y0 = data.X, data.y - 1
+    # Built first: it refuses a label the output map has no class for.
+    ws = KernelWorkspace(values, X, y0, b)
+
     silent = _check_activation(params, data)
     if silent:
         warnings.warn(
@@ -130,11 +134,6 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
             "those classes cannot start learning",
             RuntimeWarning,
         )
-
-    W = np.array(params.weights, dtype=float, copy=True)
-    b, values = params.biases, params.output.values
-    X, y0 = data.X, data.y - 1
-    ws = KernelWorkspace(values, X, y0, b)
 
     records: list[TrajectoryRecord] = []
     max_norm = 0.0

@@ -48,6 +48,21 @@ class TestConfigBuilding:
         with pytest.raises(ConfigError, match="width"):
             _build_config(RunSpec, {"width": True})
 
+    def test_integral_float_accepted_for_int(self, tmp_path):
+        cfg = _build_config(RunSpec, {"width": 8.0})
+        assert cfg.width == 8 and type(cfg.width) is int
+        run_command("train", {"width": 8.0, "max_iters": 5}, str(tmp_path))
+        width = json.loads((tmp_path / "config.json").read_text())["width"]
+        assert width == 8 and type(width) is int  # written as 8, not 8.0
+
+    def test_fractional_float_rejected_for_int(self):
+        with pytest.raises(ConfigError, match="'width' must be an integer, got 8.5"):
+            _build_config(RunSpec, {"width": 8.5})
+
+    def test_number_rejected_for_str(self):
+        with pytest.raises(ConfigError, match="'init' must be a string, got 3"):
+            _build_config(RunSpec, {"init": 3})
+
     def test_string_rejected_for_float(self):
         with pytest.raises(ConfigError, match="eta"):
             _build_config(RunSpec, {"eta": "fast"})
@@ -280,7 +295,8 @@ class TestWorkerCount:
 
 
 class TestProcessPool:
-    """map_runs with two worker processes writes the same bytes as one process."""
+    """map_runs with two worker processes writes the same bytes as one process,
+    from one pool that takes one spec per task."""
 
     @pytest.mark.parametrize(
         "command, mapping",
@@ -288,16 +304,21 @@ class TestProcessPool:
             ("sweep-width", {"widths": [6, 8], "inits": ["random", "halfspace"], "runs": 3, "max_iters": 300}),
             ("norm-hist", {"runs": 4, "bins": 3, "max_iters": 300, "width": 6}),
             ("sweep-angle", {"angles": [1.5, 0.8], "runs": 3, "max_iters": 700}),
+            ("norm-hist", {"runs": 16, "bins": 3, "max_iters": 300, "width": 6}),
         ],
     )
     def test_two_workers_match_one(self, tmp_path, monkeypatch, command, mapping):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pools = []
+        pools, chunks = [], []
 
         class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
+
+            def map(self, fn, *iterables, **kwargs):
+                chunks.append(kwargs.get("chunksize", 1))
+                return super().map(fn, *iterables, **kwargs)
 
         # map_runs imports the pool class when it needs one.
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
@@ -305,7 +326,7 @@ class TestProcessPool:
         assert run_command(command, {**mapping, "threads": 1}, str(serial)) == run_command(
             command, {**mapping, "threads": 2}, str(pooled)
         )
-        assert pools == [2]
+        assert pools == [2] and chunks == [1]
         names = sorted(os.listdir(serial))
         assert names == sorted(os.listdir(pooled))
         assert any(name.endswith(".csv") for name in names) and any(name.endswith(".svg") for name in names)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +21,6 @@ from reluphase.geometry import (
     _MC_CHUNK,
     _NEAR_ZERO_NORMAL,
     GC_TOL,
-    _det_batch,
     _lp_holds,
     _max_gap,
     gc_slack_batch,
@@ -35,6 +35,7 @@ def unit_rows(a):
 TRIPOD = unit_rows([[1.0, 0.0], [-0.5, math.sqrt(3) / 2], [-0.5, -math.sqrt(3) / 2]])
 QUARTER = unit_rows([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 ANTIPODAL = np.array([[1.0, 0.0], [-1.0, 0.0]])
+OCTAHEDRON = np.vstack([np.eye(3), -np.eye(3)])
 
 
 class TestDirectionSet:
@@ -209,6 +210,26 @@ class TestVerifyCertificate:
         assert np.all(cert.hull_coeffs > GC_TOL)
         assert verify_certificate(ds, cert)
 
+    @pytest.mark.parametrize(
+        "dirs, tamper",
+        [
+            # A hull weight below -GC_TOL; the weights still sum to 1.
+            (OCTAHEDRON, {"hull_coeffs": np.array([2, 1, 1, 1, 1, -1]) / 5}),
+            # Weights that sum to 1 but combine the directions to e1 / 5.
+            (OCTAHEDRON, {"hull_coeffs": np.array([1, 1, 1, 0, 1, 1]) / 5}),
+            # Weight 1/2 on e1 and on -e1: a support of 2 < d = 3 directions.
+            (OCTAHEDRON, {"hull_coeffs": np.array([1, 0, 0, 1, 0, 0]) / 2}),
+            (QUARTER, {"separator": np.array([0.6, 0.8, 0.0])}),
+            (QUARTER, {"separator": np.array([1.2, 1.6])}),
+        ],
+        ids=["negative-weight", "off-origin", "short-support", "separator-shape", "separator-not-unit"],
+    )
+    def test_rejects_each_tampered_witness(self, dirs, tamper):
+        ds = DirectionSet(dirs)
+        cert = gc_check(ds)
+        assert verify_certificate(ds, cert)
+        assert not verify_certificate(ds, replace(cert, **tamper))
+
     def test_degenerate_certificate_carries_no_witness(self):
         ds = DirectionSet(ANTIPODAL)
         cert = gc_check(ds)
@@ -241,6 +262,23 @@ class TestProbability:
             gc_probability(2, 0)
 
 
+def det_batch(M):
+    """Determinants of a stack of square matrices: the 2x2 and 3x3 formulas
+    written out, products in the order gc_slack_batch's d = 3 and d = 4
+    normals take them so the slacks match bit for bit, and np.linalg.det
+    from 4x4 on."""
+    m = M.shape[-1]
+    if m == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    if m == 3:
+        return (
+            M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
+            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
+            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0])
+        )
+    return np.linalg.det(M)
+
+
 def null_vectors_by_delete(sub):
     """Common orthogonal vector of d-1 directions in R^d, by cofactor
     expansion, each minor cut out with np.delete."""
@@ -248,7 +286,7 @@ def null_vectors_by_delete(sub):
     out = np.empty((T, d))
     for c in range(d):
         minor = np.delete(sub, c, axis=2)
-        out[:, c] = (-1.0) ** c * _det_batch(minor)
+        out[:, c] = (-1.0) ** c * det_batch(minor)
     return out
 
 

@@ -8,14 +8,18 @@ from reluphase import (
     LabeledDataset,
     OutputMap,
     Rng,
+    TrainConfig,
     build_output_map,
+    critical_point_audit,
     dataset_loss,
     directional_derivative_fd,
     forward,
     forward_batch,
+    lipschitz_estimate,
     network_params,
     per_sample_losses,
     subgradient,
+    train,
 )
 from reluphase.core import bias_term, forward_arrays
 from reluphase.experiments import build_task, initial_weights
@@ -440,3 +444,36 @@ def test_loss_helpers_match_reference_bytes():
 def test_loss_helpers_on_one_class_data_match_reference_bytes():
     # Classes 1 and 3 are skipped; their active columns must read False.
     check_loss_helpers((1,))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        per_sample_losses,
+        dataset_loss,
+        subgradient,
+        lambda params, data: directional_derivative_fd(params, data, np.ones((2, 4)), 1e-6),
+        lambda params, data: lipschitz_estimate(
+            lambda rng, count: rng.normal((count, 2, 4)), params.output, params.biases, data, 3, Rng(1)
+        ),
+        lambda params, data: train(params, data, TrainConfig(eta=0.1, max_iters=5)),
+        critical_point_audit,
+    ],
+    ids=[
+        "per_sample_losses",
+        "dataset_loss",
+        "subgradient",
+        "directional_derivative_fd",
+        "lipschitz_estimate",
+        "train",
+        "critical_point_audit",
+    ],
+)
+def test_label_outside_the_output_map_is_refused(entry):
+    # Label 3 has no row in a 2-class map: each path builds a hinge
+    # workspace, which refuses it before any score is read.
+    rng = Rng(5)
+    params = network_params(rng.normal((2, 4)), build_output_map(2, 4, 0.5), np.full(4, 0.05))
+    data = LabeledDataset(rng.normal((20, 2)), np.arange(20) % 2 * 2 + 1)  # labels 1 and 3
+    with pytest.raises(ValueError, match="label 3 has no class in an output map of 2 classes"):
+        entry(params, data)
