@@ -37,7 +37,7 @@ from .geometry import DirectionSet, gc_probability, gc_probability_mc
 from .landscape import construct_zero_loss, critical_point_audit, lipschitz_estimate
 from .phases import PhaseReport, detect_phases
 from .svgplot import box_chart, dynamics_frame, histogram_chart, line_chart
-from .tableio import SCHEMAS, schema_for_file, validate_csv, write_csv, write_json, write_records_json
+from .tableio import SCHEMAS, schema_for_file, validate_csv, write_csv, write_json
 from .training import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -424,31 +424,24 @@ def _write_histogram(out: str, name: str, edges, counts, title: str, x_label: st
 # train
 
 
-def _trajectory_columns(result: TrainResult, reports: dict[int, PhaseReport], sizes: dict[str, int]) -> dict:
-    """trajectory.csv's columns by name, each gathered from the records once."""
+def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseReport]) -> None:
+    """Write trajectory.csv, one row per record, from the record columns."""
+    labels = result.data_labels
+    if set(labels) != set(range(1, len(labels) + 1)):
+        raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
     records = result.records
-    # A row of the stacked neuron norms sums to its record's weight_norm, bit for bit.
-    norms = np.stack([rec.neuron_norms for rec in records])
+    sizes = {"loss_class": len(labels), "neuron_norm": result.params.k, "gc_class": len(reports)}
     columns = [
-        [rec.t for rec in records],
-        np.array([rec.loss for rec in records]),
-        norms.sum(axis=1),
-        np.array([rec.grad_norm for rec in records]),
-        *(np.array([rec.loss_per_class[c] for rec in records]) for c in range(1, sizes["loss_class"] + 1)),
-        *norms.T,
+        records.t.tolist(),
+        records.loss,
+        # A row of the neuron norms sums to its record's weight_norm, bit for bit.
+        records.neuron_norms.sum(axis=1),
+        records.grad_norm,
+        *records.loss_per_class.T,
+        *records.neuron_norms.T,
         *(rep.gc_timeline for rep in reports.values()),
     ]
-    return dict(zip(SCHEMAS["trajectory"].header(sizes), columns))
-
-
-def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseReport]):
-    """Write trajectory.csv; returns its cell texts and column group sizes."""
-    labels = result.data_labels
-    class_count = len(labels)
-    if set(labels) != set(range(1, class_count + 1)):
-        raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
-    sizes = {"loss_class": class_count, "neuron_norm": result.params.k, "gc_class": len(reports)}
-    return _write_table(out, "trajectory.csv", _trajectory_columns(result, reports, sizes), group_sizes=sizes), sizes
+    _write_table(out, "trajectory.csv", dict(zip(SCHEMAS["trajectory"].header(sizes), columns)), group_sizes=sizes)
 
 
 def cmd_train(cfg: RunSpec, out: str) -> dict:
@@ -456,15 +449,17 @@ def cmd_train(cfg: RunSpec, out: str) -> dict:
     reports = {c: detect_phases(result, c) for c in data.labels}
     audits = {c: critical_point_audit(result.params, data.subset([c])) for c in data.labels}
 
-    cells, sizes = _write_trajectory(out, result, reports)
-    head = {
-        "stop_reason": result.stop_reason,
-        "converged_at": result.converged_at,
-        "max_weight_norm": result.max_weight_norm,
-        "diverged": result.diverged,
-        "trained_classes": list(result.data_labels),
-    }
-    write_records_json(os.path.join(out, "trajectory.json"), head, SCHEMAS["trajectory"], cells, sizes)
+    _write_trajectory(out, result, reports)
+    write_json(
+        os.path.join(out, "trajectory.json"),
+        {
+            "stop_reason": result.stop_reason,
+            "converged_at": result.converged_at,
+            "max_weight_norm": result.max_weight_norm,
+            "diverged": result.diverged,
+            "trained_classes": list(result.data_labels),
+        },
+    )
     write_json(
         os.path.join(out, "phase_report.json"),
         {f"class_{c}": rep.to_json_dict() for c, rep in reports.items()},
@@ -473,14 +468,13 @@ def cmd_train(cfg: RunSpec, out: str) -> dict:
         os.path.join(out, "audit.json"),
         {f"class_{c}": audit.to_json_dict() for c, audit in audits.items()},
     )
-    ts = [rec.t for rec in result.records]
-    losses = [rec.loss for rec in result.records]
-    svg = line_chart([("objective", ts, losses)], "training objective", "iteration", "loss")
+    records = result.records
+    svg = line_chart([("objective", records.t, records.loss)], "training objective", "iteration", "loss")
     _write_svg(out, "loss_curve.svg", svg)
     return {
         "stop_reason": result.stop_reason,
         "converged_at": result.converged_at,
-        "final_loss": result.records[-1].loss,
+        "final_loss": float(records.loss[-1]),
         "first_hold": {f"class_{c}": rep.first_hold for c, rep in reports.items()},
     }
 
@@ -677,9 +671,10 @@ class TraceDynamicsConfig:
 
 def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
     result, data = execute_run(cfg.run_spec())
-    final_t = result.records[-1].t
+    records = result.records
+    final_t = int(records.t[-1])
     wanted = sorted({min(max(t, 0), final_t) for t in cfg.snapshots} | {final_t})
-    t_to_index = {rec.t: i for i, rec in enumerate(result.records)}
+    t_to_index = {t: i for i, t in enumerate(records.t.tolist())}
 
     inverted = kelvin(data.X)
     sample_angles = np.arctan2(data.X[:, 1], data.X[:, 0])
@@ -688,7 +683,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
     frames = []
     for t in wanted:
         idx = t_to_index[t]
-        W = result.records[idx].weights
+        W, loss = records.weights[idx], float(records.loss[idx])
         params_t = result.params.with_weights(W)
         norms = np.linalg.norm(W[:, owner == 1], axis=0)
         pos_dirs = DirectionSet.from_weight_matrix(W, np.flatnonzero(owner == 1)).dirs
@@ -698,7 +693,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
         frames.append(
             {
                 "t": t,
-                "loss": result.records[idx].loss,
+                "loss": loss,
                 "positive_unit_dirs": pos_dirs,
                 "positive_norms": norms,
                 "negative_weights": neg,
@@ -712,7 +707,7 @@ def cmd_trace_dynamics(cfg: TraceDynamicsConfig, out: str) -> dict:
             neg,
             angles,
             rho,
-            f"t = {t}, loss = {result.records[idx].loss:.6g}",
+            f"t = {t}, loss = {loss:.6g}",
         )
         _write_svg(out, f"frame_t{t:05d}.svg", svg)
     write_json(

@@ -169,13 +169,15 @@ class PhaseReport:
     """Geometric-condition timeline for one class along a recorded run.
 
     The slow phase T1 is the snapshots where the condition fails and the fast
-    phase T2 those where it holds; first_hold is the time of the first hold,
-    and persistence the share of snapshots from there on that hold.
+    phase T2 those where it holds, each with its summed squared class loss;
+    first_hold is the time of the first hold, and persistence the share of
+    snapshots from there on that hold.
     """
 
     class_label: int
     times: tuple[int, ...]
     gc_timeline: tuple[bool, ...]
+    sum_sq_loss_t1: float
     sum_sq_loss_t2: float
 
     def _first_index(self) -> int | None:
@@ -208,6 +210,7 @@ class PhaseReport:
             "t1_size": self.t1_size,
             "t2_size": self.t2_size,
             "persistence": self.persistence,
+            "sum_sq_loss_t1": self.sum_sq_loss_t1,
             "sum_sq_loss_t2": self.sum_sq_loss_t2,
         }
 
@@ -266,8 +269,8 @@ def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
     if owner_cols.size == 0:
         raise ValueError(f"class {class_label} owns no hidden units")
 
-    snapshots = [rec.weights for rec in result.records]
-    W = np.stack(snapshots)[:, :, owner_cols]
+    records = result.records
+    W = records.weights[:, :, owner_cols]
     T, d, k = W.shape
     norms = np.linalg.norm(W, axis=1)
     kept = np.all(norms > DROP_TOL, axis=1)
@@ -280,7 +283,7 @@ def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
         decided &= ~flags
 
     def lp_holds(i: int) -> bool:
-        return _lp_holds(snapshots[i], owner_cols, gc_check)
+        return _lp_holds(records.weights[i], owner_cols, gc_check)
 
     for i in np.flatnonzero(~decided):
         flags[i] = lp_holds(i)
@@ -288,11 +291,14 @@ def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
     if any(lp_holds(i) != flags[i] for i in checks if decided[i]):
         flags = np.array([lp_holds(i) for i in range(T)])
 
-    losses = np.array([rec.loss_per_class.get(class_label, 0.0) for rec in result.records])
+    # A class the run did not train on has no loss column; its losses are 0.
+    labels = records.labels
+    losses = records.loss_per_class[:, labels.index(class_label)] if class_label in labels else np.zeros(T)
     return PhaseReport(
         class_label=class_label,
-        times=tuple(rec.t for rec in result.records),
-        gc_timeline=tuple(bool(f) for f in flags),
+        times=tuple(records.t.tolist()),
+        gc_timeline=tuple(flags.tolist()),
+        sum_sq_loss_t1=float((losses[~flags] ** 2).sum()),
         sum_sq_loss_t2=float((losses[flags] ** 2).sum()),
     )
 
@@ -355,8 +361,7 @@ def monotonicity_audit(
             f"the audit needs a run trained on class {class_label} alone, "
             f"got train classes {result.data_labels}"
         )
-    norms = np.array([rec.neuron_norms for rec in result.records])
-    times = [rec.t for rec in result.records]
+    norms, times = result.records.neuron_norms, result.records.t
     owner_cols = result.params.output.owner_columns(class_label)
     violations = owner_norm_violations(norms, times, owner_cols)
     if r is not None and bounds is not None and result.config.eta < monotonicity_step_threshold(r, bounds):

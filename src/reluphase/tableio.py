@@ -25,7 +25,6 @@ __all__ = [
     "write_csv",
     "validate_csv",
     "write_json",
-    "write_records_json",
 ]
 
 
@@ -35,12 +34,10 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class ColumnGroup:
-    """Run of numbered columns <prefix>_1..<prefix>_m, m >= 0 per file, and its key in a JSON record."""
+    """Run of numbered columns <prefix>_1..<prefix>_m, m >= 0 per file."""
 
     prefix: str
     kind: str
-    json_key: str
-    json_object: bool
 
     def name(self, index: int) -> str:
         return f"{self.prefix}_{index}"
@@ -90,9 +87,9 @@ SCHEMAS: dict[str, CsvSchema] = {
         name="trajectory",
         fixed=(("t", "int"), ("loss", "float"), ("weight_norm", "float"), ("grad_norm", "float")),
         groups=(
-            ColumnGroup("loss_class", "float", "loss_per_class", json_object=True),
-            ColumnGroup("neuron_norm", "float", "neuron_norms", json_object=False),
-            ColumnGroup("gc_class", "bool", "gc_flags", json_object=True),
+            ColumnGroup("loss_class", "float"),
+            ColumnGroup("neuron_norm", "float"),
+            ColumnGroup("gc_class", "bool"),
         ),
     ),
     "width_runs": CsvSchema("width_runs", (*_WIDTH_KEY, *_RUN_COLUMNS, _FINAL_LOSS, _MAX_NORM)),
@@ -379,41 +376,3 @@ def write_json(path, obj) -> None:
     parts.append("\n")
     with open(path, "w") as fh:
         fh.write("".join(parts))
-
-
-def _record_template(schema: CsvSchema, group_sizes: dict[str, int] | None) -> str:
-    """str.format text of one record at the records list's indent, whose field {i} is a row's cell i."""
-    refs = ("{%d}" % i for i in range(len(schema.kinds(group_sizes))))
-    record = {name: next(refs) for name, _ in schema.fixed}
-    for g in schema.groups:
-        items = [next(refs) for _ in range((group_sizes or {}).get(g.prefix, 0))]
-        record[g.json_key] = {i + 1: ref for i, ref in enumerate(items)} if g.json_object else items
-    parts: list[str] = []
-    _emit_json(record, "\n    ", parts)
-    # Each field is emitted as the string "{i}": double every brace, then
-    # drop the quotes around the fields.  No schema key holds a brace.
-    text = "".join(parts).replace("{", "{{").replace("}", "}}")
-    return text.replace('"{{', "{").replace('}}"', "}")
-
-
-def write_records_json(path, head: dict, schema: CsvSchema, cells, group_sizes: dict[str, int] | None = None) -> None:
-    """Write head plus "records", one object per row of cells, as write_json writes it.
-
-    cells are write_csv's texts for rows under schema and group_sizes: a finite float's, an int's or a bool's text is
-    its JSON text, so no value is formatted again.  A record holds each fixed column under its name and each column
-    group under its json_key, as a list or, with json_object, as an object keyed "1".."m".
-    """
-    template = _record_template(schema, group_sizes)
-    with open(path, "w") as fh:
-        for n, key in enumerate(sorted([*head, "records"])):
-            fh.write(("," if n else "{") + "\n  " + _encode_str(key) + ": ")
-            if key != "records":
-                parts: list[str] = []
-                _emit_json(head[key], "\n  ", parts)
-                fh.write("".join(parts))
-                continue
-            # One record at a time: the file's buffer holds the pending text.
-            for i, row in enumerate(cells):
-                fh.write(("," if i else "[") + "\n    " + template.format(*row))
-            fh.write("\n  ]" if cells else "[]")
-        fh.write("\n}\n")

@@ -24,6 +24,7 @@ from .losses import KernelWorkspace, batch_loss_grad
 __all__ = [
     "TrainConfig",
     "TrajectoryRecord",
+    "Trajectory",
     "TrainResult",
     "train",
     "weight_matrix_norm",
@@ -69,7 +70,7 @@ class TrajectoryRecord:
 
     loss is the trained objective (mean over every sample); loss_per_class
     covers every class present in the dataset.  weights is the (d, k)
-    hidden-layer matrix W^t itself.
+    hidden-layer matrix W^t.
     """
 
     t: int
@@ -85,9 +86,39 @@ class TrajectoryRecord:
 
 
 @dataclass
+class Trajectory:
+    """A run's TrajectoryRecords by column: row i is the record of iteration t[i].
+
+    loss_per_class[:, j] is the loss over class labels[j].  records[i] reads
+    row i as a TrajectoryRecord whose arrays are views of the row.
+    """
+
+    labels: tuple[int, ...]
+    t: np.ndarray
+    loss: np.ndarray
+    loss_per_class: np.ndarray
+    neuron_norms: np.ndarray
+    grad_norm: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i: int) -> TrajectoryRecord:
+        return TrajectoryRecord(
+            t=int(self.t[i]),
+            loss=float(self.loss[i]),
+            loss_per_class=dict(zip(self.labels, self.loss_per_class[i].tolist())),
+            neuron_norms=self.neuron_norms[i],
+            grad_norm=float(self.grad_norm[i]),
+            weights=self.weights[i],
+        )
+
+
+@dataclass
 class TrainResult:
     params: NetworkParams
-    records: list[TrajectoryRecord]
+    records: Trajectory
     stop_reason: str  # converged | dead_start | stalled | max_iters | nonfinite
     max_weight_norm: float
     config: TrainConfig
@@ -96,7 +127,7 @@ class TrainResult:
     @property
     def converged_at(self) -> int | None:
         """The iteration the run converged at: its last record's t, if it converged."""
-        return self.records[-1].t if self.stop_reason == "converged" else None
+        return int(self.records.t[-1]) if self.stop_reason == "converged" else None
 
     @property
     def diverged(self) -> bool:
@@ -135,7 +166,13 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
             RuntimeWarning,
         )
 
-    records: list[TrajectoryRecord] = []
+    # The record columns, grown by doubling: a run holds room for at most twice
+    # the records it makes, however many max_iters would allow.
+    size = min(config.max_iters // config.record_every + 2, 64)
+    shapes = ((), (len(class_rows),), (W.shape[1],), W.shape, W.shape)
+    store = [np.empty(size, dtype=np.int64), *(np.empty((size, *shape)) for shape in shapes)]
+    ts, loss_col, class_col, norm_col, weight_col, grad_col = store
+    n = 0
     max_norm = 0.0
     # Overflow on the way to a non-finite iterate is expected and recorded
     # as the "nonfinite" stop reason, so numpy's warnings are silenced.
@@ -165,25 +202,29 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
                 else:
                     stop_reason = None
             due = stop_reason is not None or t % config.record_every == 0
-            if due and not (records and records[-1].t == t):
-                records.append(
-                    TrajectoryRecord(
-                        t=t,
-                        loss=loss,
-                        loss_per_class={
-                            c: loss if idx is None else float(losses[idx].mean()) for c, idx in class_rows.items()
-                        },
-                        neuron_norms=col_norms,
-                        grad_norm=weight_matrix_norm(grad),
-                        # The loop rebinds W each step and never writes into it.
-                        weights=W,
-                    )
-                )
+            if due and not (n and ts[n - 1] == t):
+                if n == len(ts):
+                    store = [np.concatenate((col, np.empty_like(col))) for col in store]
+                    ts, loss_col, class_col, norm_col, weight_col, grad_col = store
+                ts[n], loss_col[n], norm_col[n], weight_col[n], grad_col[n] = t, loss, col_norms, W, grad
+                for j, idx in enumerate(class_rows.values()):
+                    class_col[n, j] = loss if idx is None else losses[idx].mean()
+                n += 1
             if stop_reason is not None:
                 break
             previous_W, previous_norms = W, col_norms
             W = W - config.eta * grad
 
+    records = Trajectory(
+        labels=tuple(class_rows),
+        t=ts[:n],
+        loss=loss_col[:n],
+        loss_per_class=class_col[:n],
+        neuron_norms=norm_col[:n],
+        # Each row is weight_matrix_norm of its record's gradient, bit for bit.
+        grad_norm=_column_norms(grad_col[:n]).sum(axis=1),
+        weights=weight_col[:n],
+    )
     return TrainResult(
         params=params.with_weights(W),
         records=records,

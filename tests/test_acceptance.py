@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -104,12 +103,12 @@ def _angle_worker(spec):
     entry = {"stop_reason": result.stop_reason, "converged_at": result.converged_at}
     if spec.record_every == 1:
         pair = make_subspace_pair(spec.theta)
-        times = [rec.t for rec in result.records]
+        times = result.records.t
         total = 0
         for label in (1, 2):
             basis = pair.basis(label)
             cols = result.params.output.owner_columns(label)
-            projected = np.array([np.linalg.norm(basis.T @ rec.weights, axis=0) for rec in result.records])
+            projected = np.array([np.linalg.norm(basis.T @ W, axis=0) for W in result.records.weights])
             total += len(owner_norm_violations(projected, times, cols))
         entry["projected_violations"] = total
     return entry
@@ -342,21 +341,22 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
     t1 = t1_bound(bounds)
     budget = phase2_sum_bound(bounds)
     bounds_finite = math.isfinite(t1) and math.isfinite(budget) and t1 > 0 and budget > 0
-    if phase.first_hold is not None and t1 < phase.t1_size:
-        warnings.warn(f"slow-phase bound {t1:.1f} below measured {phase.t1_size}")
-    if budget < phase.sum_sq_loss_t2:
-        warnings.warn(
-            f"fast-phase budget {budget:.3f} below measured {phase.sum_sq_loss_t2:.3f}"
-        )
-    ok = hold_ok and persistence_ok and sums_ok and bounds_finite
+    # Each bound must hold on the annulus run; the slow-phase bound once the condition has held.
+    t1_ok = phase.first_hold is None or t1 >= phase.t1_size
+    budget_ok = budget >= phase.sum_sq_loss_t2
+    ok = hold_ok and persistence_ok and sums_ok and bounds_finite and t1_ok and budget_ok
+
+    def ratio(bound, measured):
+        return f"{bound / measured:.3g}" if measured else "inf"
+
     _report(
         8,
         ok,
         f"{len(converged)} converged runs all reach a holding record with "
         f"persistence >= 0.95; annulus run: measured radius "
         f"{result.max_weight_norm:.2f}, slow-phase bound {t1:.1f} vs measured "
-        f"{phase.t1_size}, fast-phase budget {budget:.1f} vs measured "
-        f"{phase.sum_sq_loss_t2:.3f}",
+        f"{phase.t1_size} (ratio {ratio(t1, phase.t1_size)}), fast-phase budget {budget:.1f} vs measured "
+        f"{phase.sum_sq_loss_t2:.3f} (ratio {ratio(budget, phase.sum_sq_loss_t2)})",
     )
 
 

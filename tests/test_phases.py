@@ -15,7 +15,7 @@ from reluphase import (
     Rng,
     TrainConfig,
     TrainResult,
-    TrajectoryRecord,
+    Trajectory,
     build_output_map,
     cp_upper_bound,
     detect_phases,
@@ -159,31 +159,28 @@ class TestPhaseBounds:
 
 
 def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
-    """TrainResult with hand-picked weight snapshots and class-1 losses."""
+    """TrainResult with hand-picked weight snapshots and class-1 losses; class 2's loss is 0."""
     k = timeline_weights[0].shape[1]
     omap = build_output_map(2, k, v)
     params = network_params(timeline_weights[-1], omap)
-    records = []
-    for t, loss1 in enumerate(class1_losses):
-        W = timeline_weights[t]
-        norms = np.linalg.norm(W, axis=0)
-        records.append(
-            TrajectoryRecord(
-                t=t,
-                loss=loss1,
-                loss_per_class={1: loss1, 2: 0.0},
-                neuron_norms=norms,
-                grad_norm=0.0,
-                weights=W,
-            )
-        )
-    cfg = TrainConfig(eta=0.01, max_iters=len(records) - 1)
+    T = len(class1_losses)
+    weights = np.stack(timeline_weights[:T])
+    norms = np.linalg.norm(weights, axis=1)
+    records = Trajectory(
+        labels=(1, 2),
+        t=np.arange(T),
+        loss=np.array(class1_losses, dtype=float),
+        loss_per_class=np.column_stack([class1_losses, np.zeros(T)]),
+        neuron_norms=norms,
+        grad_norm=np.zeros(T),
+        weights=weights,
+    )
     return TrainResult(
         params=params,
         records=records,
         stop_reason="max_iters",
-        max_weight_norm=max(r.weight_norm for r in records),
-        config=cfg,
+        max_weight_norm=float(norms.sum(axis=1).max()),
+        config=TrainConfig(eta=0.01, max_iters=T - 1),
         data_labels=trained,
     )
 
@@ -210,6 +207,7 @@ class TestDetectPhases:
         assert report.t1_size == 1
         assert report.t2_size == 2
         assert report.persistence == 1.0
+        assert report.sum_sq_loss_t1 == 0.9**2
         assert report.sum_sq_loss_t2 == pytest.approx(0.4**2 + 0.1**2, rel=1e-12)
 
     def test_flapping_timeline_persistence(self):
@@ -230,6 +228,7 @@ class TestDetectPhases:
         assert report.first_hold is None
         assert report.persistence is None
         assert report.t2_size == 0
+        assert report.sum_sq_loss_t1 == pytest.approx(0.9**2 + 0.8**2 + 0.7**2, rel=1e-12)
         assert report.sum_sq_loss_t2 == 0.0
 
     def test_second_class_uses_its_own_columns(self):
@@ -260,7 +259,7 @@ class TestDetectPhases:
 def hand_report(timeline):
     """A report for snapshots at t = 0, 5, 10, ..., so a time differs from its index."""
     times = tuple(range(0, 5 * len(timeline), 5))
-    return phases.PhaseReport(class_label=1, times=times, gc_timeline=timeline, sum_sq_loss_t2=0.0)
+    return phases.PhaseReport(class_label=1, times=times, gc_timeline=timeline, sum_sq_loss_t1=0.0, sum_sq_loss_t2=0.0)
 
 
 class TestPhaseReport:
@@ -294,6 +293,7 @@ class TestPhaseReport:
             "t1_size",
             "t2_size",
             "persistence",
+            "sum_sq_loss_t1",
             "sum_sq_loss_t2",
         ]
         assert (out["first_hold"], out["t1_size"], out["t2_size"]) == (5, 2, 2)
@@ -317,6 +317,7 @@ def lp_report(result, class_label):
         class_label=class_label,
         times=tuple(rec.t for rec in result.records),
         gc_timeline=tuple(timeline),
+        sum_sq_loss_t1=float((losses[~flags] ** 2).sum()),
         sum_sq_loss_t2=float((losses[flags] ** 2).sum()),
     )
 
@@ -532,12 +533,9 @@ class TestMonotonicityAudit:
         res = self.planar_run()
         # fabricate a non-owner increase above the radius and confirm the
         # audit only sees it when the step size is below the step threshold
-        norms = np.array([rec.neuron_norms for rec in res.records])
         nonowner = int(np.flatnonzero(res.params.output.owner != 1)[0])
-        res.records[0].neuron_norms = norms[0].copy()
-        res.records[1].neuron_norms = norms[1].copy()
-        res.records[0].neuron_norms[nonowner] = 2.0
-        res.records[1].neuron_norms[nonowner] = 3.0
+        res.records.neuron_norms[0, nonowner] = 2.0
+        res.records.neuron_norms[1, nonowner] = 3.0
         bi = toy_inputs(eta=res.config.eta, data_max=2.0)
         r = 1.0
         assert res.config.eta < monotonicity_step_threshold(r, bi)

@@ -20,7 +20,6 @@ from reluphase.tableio import (
     validate_csv,
     write_csv,
     write_json,
-    write_records_json,
 )
 
 
@@ -157,8 +156,7 @@ class TestCsvRoundTrip:
         "value", ["1.5", "abc", b"1.5", True, np.bool_(False), None, [1.0], 10**400, object()]
     )
     def test_float_kind_refuses_with_schema_error(self, tmp_path, value):
-        # A cell's text is also trajectory.json's text, so a str that float()
-        # reads must not turn into a JSON number.
+        # A str that float() reads is still not a float.
         path = tmp_path / "norm_runs.csv"
         with pytest.raises(SchemaError, match="expected a float"):
             write_csv(path, SCHEMAS["norm_runs"], [[0, 7, 12, True, 1.0, value]])
@@ -733,70 +731,15 @@ def test_every_command_csv_matches_oracle(tmp_path, monkeypatch):
         assert oracle_validate(path, schema) == len(cells), path
 
 
-def result_json(result, reports) -> dict:
-    """Oracle: the trajectory.json object the train command once passed to write_json."""
+def result_json(result) -> dict:
+    """Oracle: the trajectory.json object, the run's head without its records."""
     return {
         "stop_reason": result.stop_reason,
         "converged_at": result.converged_at,
         "max_weight_norm": result.max_weight_norm,
         "diverged": result.diverged,
         "trained_classes": list(result.data_labels),
-        "records": [
-            {
-                "t": rec.t,
-                "loss": rec.loss,
-                "loss_per_class": {str(k): v for k, v in sorted(rec.loss_per_class.items())},
-                "neuron_norms": rec.neuron_norms.tolist(),
-                "weight_norm": rec.weight_norm,
-                "grad_norm": rec.grad_norm,
-                "gc_flags": {str(c): rep.gc_timeline[i] for c, rep in reports.items()},
-            }
-            for i, rec in enumerate(result.records)
-        ],
     }
-
-
-class TestRecordsJson:
-    HEAD = {"stop_reason": "converged", "converged_at": None, "max_weight_norm": np.float64(2.5), "diverged": False}
-
-    @staticmethod
-    def rows(count, classes, k, flags):
-        floats = [0.0, -0.0, 1e-320, 1e308, 1 / 3, 0.1, 2.0**-60, 123456.789]
-        for t in range(count):
-            row = [t] + [floats[(t + j) % len(floats)] for j in range(3 + classes + k)]
-            yield row + [(t + j) % 3 == 0 for j in range(flags)]
-
-    @pytest.mark.parametrize(
-        "count, classes, k, flags",
-        [(5, 12, 3, 11), (3, 1, 0, 1), (4, 2, 8, 0), (2, 0, 0, 0), (0, 2, 3, 2), (1, 1, 24, 1)],
-        ids=["ten-plus-classes", "no-neurons", "no-flags", "only-fixed", "no-records", "one-record"],
-    )
-    def test_matches_the_dict_a_record_was_built_from(self, tmp_path, count, classes, k, flags):
-        sizes = {"loss_class": classes, "neuron_norm": k, "gc_class": flags}
-        head = {**self.HEAD, "trained_classes": list(range(1, classes + 1))}
-        schema = SCHEMAS["trajectory"]
-        cells = write_csv(tmp_path / "trajectory.csv", schema, self.rows(count, classes, k, flags), sizes)
-        write_records_json(tmp_path / "trajectory.json", head, schema, cells, sizes)
-        records = []
-        for row in self.rows(count, classes, k, flags):
-            losses, norms, marks = row[4 : 4 + classes], row[4 + classes : 4 + classes + k], row[4 + classes + k :]
-            records.append(
-                {
-                    "t": row[0],
-                    "loss": row[1],
-                    "weight_norm": row[2],
-                    "grad_norm": row[3],
-                    "loss_per_class": {i + 1: v for i, v in enumerate(losses)},
-                    "neuron_norms": norms,
-                    "gc_flags": {i + 1: v for i, v in enumerate(marks)},
-                }
-            )
-        text = (tmp_path / "trajectory.json").read_text()
-        assert text == reference_json({**head, "records": records})
-        if classes >= 10 and count:
-            first = json.loads(text)["records"][0]
-            assert list(first["loss_per_class"])[:4] == ["1", "10", "11", "12"]
-            assert list(first["gc_flags"])[:4] == ["1", "10", "11", "2"]
 
 
 def loss_curve_oracle(result) -> str:
@@ -836,8 +779,8 @@ def assert_train_outputs_match_oracles(out, result, reports):
 
 
 class TestTrajectoryJson:
-    """trajectory.json, rendered from trajectory.csv's cells, against the dict the train command used to write;
-    and trajectory.csv, loss_curve.svg and phase_report.json against their oracles."""
+    """trajectory.json against the run's head, and trajectory.csv, loss_curve.svg and phase_report.json against
+    their oracles."""
 
     def run_train(self, monkeypatch, tmp_path, mapping, execute=None):
         execute = execute or experiments.execute_run
@@ -854,7 +797,7 @@ class TestTrajectoryJson:
         (result,) = results
         reports = {c: experiments.detect_phases(result, c) for c in result.data_labels}
         assert_train_outputs_match_oracles(out, result, reports)
-        return (out / "trajectory.json").read_text(), reference_json(result_json(result, reports)), result
+        return (out / "trajectory.json").read_text(), reference_json(result_json(result)), result
 
     @pytest.mark.parametrize(
         "mapping",
@@ -893,7 +836,7 @@ class TestTrajectoryJson:
 
         def nan_record(spec):
             result, data = original(spec)
-            result.records[2].grad_norm = math.nan
+            result.records.grad_norm[2] = math.nan
             return result, data
 
         monkeypatch.setattr(experiments, "execute_run", nan_record)

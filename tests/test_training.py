@@ -1,11 +1,13 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from reluphase import training
-from reluphase.experiments import RunSpec, execute_run
-from reluphase.losses import batch_loss_grad
+from reluphase.experiments import RunSpec, build_task, execute_run, initial_weights
+from reluphase.losses import KernelWorkspace, batch_loss_grad
 from reluphase.training import R_MAX
 from reluphase import (
     GridDatasetSpec,
@@ -147,7 +149,7 @@ class TestStopReasons:
 
     def test_nonfinite_ends_on_previous_iterate_off_the_record_cadence(self, monkeypatch):
         # The kernel reports an inf loss at t = 5, so the run ends on t = 4,
-        # which the cadence of 3 did not record: it is appended, by reference.
+        # which the cadence of 3 did not record: it is appended.
         # The t = 5 call overwrote the workspace, so the kernel runs once more
         # on the t = 4 weights, and the record holds that call's values.
         seen, results = [], []
@@ -167,7 +169,7 @@ class TestStopReasons:
         assert [rec.t for rec in res.records] == [0, 3, 4]
         assert len(seen) == 7 and seen[6] is seen[4]
         last = res.records[-1]
-        assert last.weights is seen[4]
+        assert last.weights.tobytes() == seen[4].tobytes()
         np.testing.assert_array_equal(res.params.weights, seen[4])
         loss, losses, grad = results[4]
         assert last.loss == loss and last.grad_norm == weight_matrix_norm(grad)
@@ -196,7 +198,7 @@ class TestStopReasons:
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
         res = train(params, single_point(), TrainConfig(eta=0.01, max_iters=100))
         assert res.stop_reason == "nonfinite" and res.records[-1].t == 2
-        assert res.records[-1].weights is calls[2] is calls[4]
+        assert calls[2] is calls[4] and res.records.weights[-1].tobytes() == calls[2].tobytes()
 
     @pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
     def test_huge_step_stops_nonfinite_where_the_unfused_checks_do(self, task):
@@ -311,6 +313,164 @@ class TestRecording:
         np.testing.assert_array_equal(first.weights, params.weights)
 
 
+def train_by_records(params, data, config, kernel=batch_loss_grad):
+    """Oracle: train's loop as it once recorded, one TrajectoryRecord per record with its
+    grad_norm taken on its own; returns (records, stop_reason, max_weight_norm, final W)."""
+    rows = np.arange(data.n_samples)
+    class_rows = {c: data.indices_for(c) for c in data.labels}
+    class_rows = {c: idx if idx.size < data.n_samples else None for c, idx in class_rows.items()}
+    W = np.array(params.weights, dtype=float, copy=True)
+    b, values, X, y0 = params.biases, params.output.values, data.X, data.y - 1
+    ws = KernelWorkspace(values, X, y0, b)
+    records, max_norm = [], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in itertools.count():
+            loss, losses, grad = kernel(W, b, values, X, y0, rows, ws)
+            col_norms = training._column_norms(W)
+            norm = float(col_norms.sum())
+            if not (math.isfinite(loss) and math.isfinite(norm) and np.isfinite(grad).all()):
+                t, W, col_norms = t - 1, previous_W, previous_norms
+                loss, losses, grad = kernel(W, b, values, X, y0, rows, ws)
+                stop_reason = "nonfinite"
+            else:
+                max_norm = max(max_norm, norm)
+                if loss <= config.stop_loss:
+                    stop_reason = "converged"
+                elif not grad.any():
+                    stop_reason = "dead_start" if t == 0 else "stalled"
+                elif t == config.max_iters:
+                    stop_reason = "max_iters"
+                else:
+                    stop_reason = None
+            due = stop_reason is not None or t % config.record_every == 0
+            if due and not (records and records[-1].t == t):
+                records.append(
+                    training.TrajectoryRecord(
+                        t=t,
+                        loss=loss,
+                        loss_per_class={
+                            c: loss if idx is None else float(losses[idx].mean()) for c, idx in class_rows.items()
+                        },
+                        neuron_norms=col_norms,
+                        grad_norm=weight_matrix_norm(grad),
+                        weights=W,
+                    )
+                )
+            if stop_reason is not None:
+                return records, stop_reason, max_norm, W
+            previous_W, previous_norms = W, col_norms
+            W = W - config.eta * grad
+
+
+def kernel_failing_at(call):
+    """The loss kernel, reporting an inf loss on its call-th call."""
+    calls = []
+
+    def kernel(*args):
+        calls.append(None)
+        loss, losses, grad = batch_loss_grad(*args)
+        return (math.inf if len(calls) == call else loss), losses, grad
+
+    return kernel
+
+
+def spec_inputs(spec):
+    """The params, dataset and config execute_run trains on."""
+    rng = Rng(spec.seed)
+    data = build_task(spec.task, spec.theta, spec.noise_std, rng.child(1))
+    W0 = initial_weights(spec.init, data.dim, spec.width, rng.child(0))
+    return network_params(W0, spec.output_map(), spec.biases), data, spec.train_config()
+
+
+def zero_start(spec):
+    params, data, config = spec_inputs(spec)
+    return params.with_weights(np.zeros_like(params.weights)), data, config
+
+
+class TestColumnStore:
+    """Every column of train's record store is, byte for byte, the per-record loop's values stacked."""
+
+    CASES = {
+        **{
+            f"planar-{init}-{seed}": (RunSpec(seed=seed, init=init), spec_inputs)
+            for init in ("random", "halfspace")
+            for seed in range(6)
+        },
+        "subspace-pair": (RunSpec(task="subspace-pair", seed=1), spec_inputs),
+        "subspace-pair-every-7": (RunSpec(task="subspace-pair", seed=4, width=12, record_every=7), spec_inputs),
+        "planar-every-7": (RunSpec(seed=3, record_every=7), spec_inputs),
+        "planar-width-24": (RunSpec(seed=2, width=24), spec_inputs),
+        "nonfinite-at-start": (RunSpec(seed=1, eta=1e306, max_iters=50), spec_inputs),
+        "dead-start": (RunSpec(width=6), zero_start),
+        "max-iters-0": (RunSpec(seed=5), lambda spec: (*spec_inputs(spec)[:2], TrainConfig(eta=0.1, max_iters=0))),
+    }
+
+    @staticmethod
+    def assert_matches_oracle(result, oracle):
+        records, stop_reason, max_norm, W = oracle
+        store = result.records
+        assert store.labels == tuple(records[0].loss_per_class) == result.data_labels
+        expected = {
+            "t": np.array([rec.t for rec in records], dtype=np.int64),
+            "loss": np.array([rec.loss for rec in records]),
+            "loss_per_class": np.array([[rec.loss_per_class[c] for c in store.labels] for rec in records]),
+            "neuron_norms": np.stack([rec.neuron_norms for rec in records]),
+            "grad_norm": np.array([rec.grad_norm for rec in records]),
+            "weights": np.stack([rec.weights for rec in records]),
+        }
+        for name, want in expected.items():
+            got = getattr(store, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        assert len(store) == len(records)
+        for row, rec in zip(store, records):
+            assert (row.t, row.loss, row.loss_per_class, row.grad_norm) == (
+                rec.t, rec.loss, rec.loss_per_class, rec.grad_norm
+            )
+            assert row.weight_norm == rec.weight_norm
+        assert (result.stop_reason, result.max_weight_norm) == (stop_reason, max_norm)
+        assert result.params.weights.tobytes() == W.tobytes()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_columns_equal_per_record_loop(self, case):
+        spec, inputs = self.CASES[case]
+        params, data, config = inputs(spec)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = train(params, data, config)
+            oracle = train_by_records(params, data, config)
+        self.assert_matches_oracle(result, oracle)
+        reason = {"nonfinite-at-start": "nonfinite", "dead-start": "dead_start", "max-iters-0": "max_iters"}
+        assert result.stop_reason == reason.get(case, "converged")
+
+    def test_off_cadence_nonfinite_stop(self, monkeypatch):
+        # The t = 5 call reports inf, so the run ends on t = 4, off the cadence of 3.
+        data = LabeledDataset(np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([1, 2]))
+        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.1]])
+        config = TrainConfig(eta=0.01, max_iters=100, record_every=3)
+        monkeypatch.setattr(training, "batch_loss_grad", kernel_failing_at(6))
+        result = train(params, data, config)
+        self.assert_matches_oracle(result, train_by_records(params, data, config, kernel_failing_at(6)))
+        assert result.stop_reason == "nonfinite" and result.records.t.tolist() == [0, 3, 4]
+
+    def test_store_grows_past_its_first_size(self):
+        # 64 rows are made first; this run records 101 times at every iteration.
+        params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
+        config = TrainConfig(eta=1e-4, max_iters=100)
+        result = train(params, single_point(), config)
+        assert len(result.records) == 101
+        self.assert_matches_oracle(result, train_by_records(params, single_point(), config))
+
+    def test_rows_read_as_records(self):
+        result = train(one_unit_per_class([[0.1, 0.0], [0.0, 0.0]]), single_point(), TrainConfig(eta=0.1, max_iters=50))
+        last = result.records[-1]
+        assert isinstance(last, training.TrajectoryRecord) and last.t == result.records[2].t == 2
+        assert last.weights.base is not None and np.shares_memory(last.weights, result.records.weights)
+        with pytest.raises(IndexError):
+            result.records[3]
+        assert [rec.t for rec in result.records] == [0, 1, 2]
+
+
 class TestAgainstManualSteps:
     def test_train_matches_gd_step_chain_bitwise(self):
         rng = Rng(42)
@@ -321,8 +481,8 @@ class TestAgainstManualSteps:
         cfg = TrainConfig(eta=0.05, max_iters=10)
         res = train(params, data, cfg)
         manual = params
-        for rec in res.records[:-1]:
-            np.testing.assert_array_equal(rec.weights, manual.weights, err_msg=f"t={rec.t}")
+        for t, W in zip(res.records.t[:-1], res.records.weights[:-1]):
+            np.testing.assert_array_equal(W, manual.weights, err_msg=f"t={t}")
             manual = gd_step(manual, data, cfg.eta)
         np.testing.assert_array_equal(res.records[-1].weights, manual.weights)
         np.testing.assert_array_equal(res.params.weights, manual.weights)
