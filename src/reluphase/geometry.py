@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -50,6 +49,14 @@ _MC_CHUNK = 32768
 # 8192-set blocks left landscape-mc's peak RSS 3.5 MiB higher, and 2048-set
 # blocks no lower.
 _MC_BLOCK = 4096
+# gc_slack_batch's d >= 3 loop shifts the sets still in it to the front of
+# its rows once they are at most this share of the sets it shifted last
+# time.  On the first chunk of gc-prob's seed-0 (4, 8) cell, in _MC_BLOCK
+# blocks, the loop took 3.1-5.9 us per set when it shifted at every
+# departure, 2.8-4.1 at a share of 1/2, 2.4-3.4 at 3/4 and 2.5-3.3 at 9/10
+# (medians of 15 passes in each of five runs, 2-vCPU Xeon, numpy 2.4); 3/4
+# was the fastest share in four of the five runs.
+_COMPACT_LIVE = 0.75
 
 
 @dataclass(frozen=True)
@@ -237,11 +244,12 @@ def _lp_holds(W: np.ndarray, columns=None, check=None) -> bool:
 
 def gc_probability(d: int, k: int) -> float:
     """Closed-form probability that k symmetric random directions in R^d satisfy
-    the condition: 2^(1-k) * sum_{j=d}^{k-1} C(k-1, j).  Exact big-int arithmetic."""
+    the condition: 2^(1-k) * sum_{j=d}^{k-1} C(k-1, j).  The sum is an exact
+    big int, and its int true division by 2^(k-1) is correctly rounded."""
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
     total = sum(math.comb(k - 1, j) for j in range(d, k))
-    return float(Fraction(total, 2 ** (k - 1)))
+    return total / 2 ** (k - 1)
 
 
 def _max_gap(dirs: np.ndarray) -> np.ndarray:
@@ -271,8 +279,8 @@ def _subset_normal(x: list, subset: tuple, d: int) -> list:
     (-1)^c times the minor without column c.  A 2x2 minor is a0 b1 - a1 b0,
     and a 3x3 minor is expanded along its first row, each term a product of
     an entry and a 2x2 minor; from d = 5 each minor is np.linalg.det's.
-    x[j][c] is component c of direction j over the live sets, one
-    contiguous row."""
+    x[j][c] is component c of direction j over the sets the loop holds,
+    one contiguous row."""
     if d == 3:
         a, b = (x[j] for j in subset)
         return [a[1] * b[2] - a[2] * b[1], -(a[0] * b[2] - a[2] * b[0]), a[0] * b[1] - a[1] * b[0]]
@@ -315,9 +323,14 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
 
     The d >= 3 loop runs on one component-major copy of the stack, a
     C-contiguous (k, d, T) array, so each component of each direction over
-    the live sets is one contiguous row, and departed sets are compacted out
-    of every row in place.  Its memory is that copy plus a fixed number of
-    (T,) rows (at most 20 for d = 3 and 4), whatever the input's layout.  The
+    the sets in the loop is one contiguous row.  A set's slack is recorded
+    at the subset where it leaves, and a (T,) bool mask marks it off.
+    Departed sets are compacted out of every row in place only once a
+    quarter of the sets shifted last time has left (_COMPACT_LIVE); until
+    then their later values are computed and never read.  Each set's values
+    come from its own columns alone, so when it is compacted does not change
+    them.  The loop's memory is that copy, a fixed number of (T,) rows (at
+    most 20 for d = 3 and 4) and the mask, whatever the input's layout.  The
     dots and the normal's length are summed in numpy's order for d < 8
     (_two_lane_sum; the squares left to right, as np.add.reduce sums a short
     axis), so the slacks equal those of a loop on np.einsum and
@@ -335,10 +348,14 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
         return _max_gap(dirs) - math.pi
     stack = np.ascontiguousarray(np.moveaxis(dirs, 0, 2))
     slack = np.empty(T)
-    # The live sets' rows in dirs and their running slacks.  The first
-    # rows.size columns of stack hold the live sets, and x[j][c] is the row
-    # of component c of direction j over them.
-    rows, running = np.arange(T), np.full(T, -np.inf)
+    # The first rows.size columns of stack hold the sets not yet shifted
+    # out, and x[j][c] is the row of component c of direction j over them;
+    # rows are their rows in dirs and running their running slacks.  live
+    # marks those still in the loop, n_live of them: a set that leaves keeps
+    # its columns until the next compaction, and its later values are not
+    # read.
+    rows, running, live = np.arange(T), np.full(T, -np.inf), np.ones(T, dtype=bool)
+    n_live = T
     x = [list(block) for block in stack]
     for subset in combinations(range(k), d - 1):
         normal = _subset_normal(x, subset, d)
@@ -360,18 +377,22 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
         side[near_zero] = np.nan
         np.maximum(running, side, out=running)
         del side, size
-        stay = running <= 0.0  # False for a positive or NaN slack
-        if not stay.all():
-            gone = ~stay
+        gone = ~(running <= 0.0)  # a positive or NaN slack
+        gone &= live  # a set that left before keeps the slack it left with
+        left = np.count_nonzero(gone)
+        if left:
             slack[rows[gone]] = running[gone]
-            keep = np.flatnonzero(stay)
-            rows, running = rows[keep], running[keep]
-            if not keep.size:
+            live ^= gone
+            n_live -= left
+            if not n_live:
                 break
-            for row in stack.reshape(k * d, T):
-                row[: keep.size] = row[keep]
-            x = [list(block) for block in stack[:, :, : keep.size]]
-    slack[rows] = running
+            if n_live <= _COMPACT_LIVE * rows.size:
+                keep = np.flatnonzero(live)
+                rows, running, live = rows[keep], running[keep], live[keep]
+                for row in stack.reshape(k * d, T):
+                    row[:n_live] = row[keep]
+                x = [list(block) for block in stack[:, :, :n_live]]
+    slack[rows[live]] = running[live]
     return slack
 
 

@@ -226,8 +226,7 @@ def lipschitz_estimate(
         gaps = _column_norms(stack[0::2] - stack[1::2]).sum(axis=1)
         # The ReLU overwrites the pre-activations, which no ratio reads.
         scores, _ = forward_arrays(stack, bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], H[: 2 * c]))
-        losses, _, _ = _hinge(scores.reshape(2 * c * N, n), ws)
-        means = losses.reshape(2 * c, N).mean(axis=1)
+        means = _hinge(scores.reshape(2 * c * N, n), ws).reshape(2 * c, N).mean(axis=1)
         kept = gaps >= _SKIP_TOL
         chunk = np.abs(means[0::2] - means[1::2])[kept] / gaps[kept]
         ratios[used : used + chunk.size] = chunk

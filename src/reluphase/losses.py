@@ -27,22 +27,25 @@ __all__ = [
 class _HingeWorkspace:
     """The invariants and buffers of the class-by-class hinge for 0-based labels y0 of n classes.
 
-    per_sample_losses builds only this part; the kernel's workspace adds
-    the forward and gradient buffers.
+    per_sample_losses and lipschitz_estimate build only this part, which
+    holds what the losses need: margin[i] is the margin of the i-th class
+    in others, kept for the kernel's flags.  The kernel's workspace adds
+    the flags and the forward and gradient buffers.
     """
 
     def __init__(self, y0: np.ndarray, n: int):
         N = y0.size
-        if y0.max() >= n:
-            raise ValueError(f"label {y0.max() + 1} has no class in an output map of {n} classes")
+        for label in (y0.min(), y0.max()):
+            if not 0 <= label < n:
+                raise ValueError(f"label {label + 1} has no class in an output map of {n} classes")
         self.label_index = np.arange(N) * n + y0  # flat index of F[s, y0[s]]
         # A class no sample is labelled against adds no hinge term, so it is
-        # skipped and its active column stays False.  A mask that covers
+        # skipped and the kernel's active column stays False.  A mask that covers
         # every sample is stored as None: it masks nothing.
         masks = [(c, y0 != c) for c in range(n)]
         self.others = [(c, None if other.all() else other) for c, other in masks if other.any()]
-        self.active = np.zeros((N, n), dtype=bool)
-        self.slack, self.margin, self.hinge, self.losses, self.count = np.empty((5, N))
+        self.margin = list(np.empty((len(self.others), N)))
+        self.slack, self.hinge, self.losses = np.empty((3, N))
 
 
 class KernelWorkspace(_HingeWorkspace):
@@ -51,12 +54,17 @@ class KernelWorkspace(_HingeWorkspace):
     train builds one per run and passes it to every batch_loss_grad call, so
     a call allocates nothing.  The bias term is built here, once, by
     core.bias_term.  Each call overwrites the buffers: the losses and grad
-    it returns stay valid only until the next call.
+    it returns stay valid only until the next call.  active (N, n) holds
+    the strict hinge flags and count (N,) their number per sample, which
+    batch_loss_grad derives from the hinge's margins: flags pairs each
+    class's margin row with its active column and its mask.
     """
 
     def __init__(self, values: np.ndarray, X: np.ndarray, y0: np.ndarray, b: np.ndarray):
         (N, d), (n, k) = X.shape, values.shape
         super().__init__(y0, n)
+        self.active, self.count = np.zeros((N, n), dtype=bool), np.empty(N)
+        self.flags = [(margin, self.active[:, c], other) for (c, other), margin in zip(self.others, self.margin)]
         self.bias = bias_term(b, N)
         self.owner = values.argmax(axis=0)  # 0-based owner class of each unit
         self.two_v = 2.0 * values.max()
@@ -67,35 +75,27 @@ class KernelWorkspace(_HingeWorkspace):
         self.grad = np.empty((d, k))
 
 
-def _hinge(F: np.ndarray, ws: _HingeWorkspace):
-    """Hinge terms class by class into ws: (losses (N,), strict flags (N, n), flag count (N,)).
+def _hinge(F: np.ndarray, ws: _HingeWorkspace) -> np.ndarray:
+    """Hinge losses (N,) class by class into ws, each class's margin kept in ws.margin.
 
     Class c has margin m_c = 1 - f_y + F[:, c].  For c != y it adds
-    max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN) and
-    is active when m_c > 0.  A class whose mask is None is against every
-    sample, so it is added without a where= mask and its flags are kept whole.
-    The class-order loss sum is numpy's row sum for n < 8; from n = 8 numpy
-    sums pairwise, so the last bits can differ.
+    max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN).  A
+    class whose mask is None is against every sample, so it is added
+    without a where= mask.  The class-order loss sum is numpy's row sum for
+    n < 8; from n = 8 numpy sums pairwise, so the last bits can differ.
     """
-    slack, margin, hinge, losses, count, active = ws.slack, ws.margin, ws.hinge, ws.losses, ws.count, ws.active
+    slack, hinge, losses = ws.slack, ws.hinge, ws.losses
     # The workspace checked the labels, so every index is in range and
     # mode="clip" never acts; unlike the default mode, it lets np.take write
     # into out without an intermediate copy.
     np.take(F, ws.label_index, out=slack, mode="clip")
     np.subtract(1.0, slack, out=slack)
     losses.fill(0.0)
-    count.fill(0.0)
-    for c, other in ws.others:
+    for (c, other), margin in zip(ws.others, ws.margin):
         np.add(slack, F[:, c], out=margin)
         np.maximum(margin, 0.0, out=hinge)
-        flag = np.greater(margin, 0.0, out=active[:, c])
-        if other is None:
-            np.add(losses, hinge, out=losses)
-        else:
-            np.add(losses, hinge, out=losses, where=other)
-            flag &= other
-        count += flag
-    return losses, active, count
+        np.add(losses, hinge, out=losses, where=True if other is None else other)
+    return losses
 
 
 def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None):
@@ -111,14 +111,23 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     if ws is None:
         ws = KernelWorkspace(values, X, y0, b)
     F, H = forward_arrays(W, ws.bias, values, X, out=(ws.F, ws.H, ws.relu))
-    losses, active, count = _hinge(F, ws)
+    losses = _hinge(F, ws)
+    # The strict flags m_c > 0 of the classes each sample is against, and
+    # their count.
+    count = ws.count
+    count.fill(0.0)
+    for margin, flag, other in ws.flags:
+        np.greater(margin, 0.0, out=flag)
+        if other is not None:
+            flag &= other
+        count += flag
     # Column j of values is +v on its owner class o_j and -v on every other
     # class, so the coefficient sum_i active_i (V[y, j] - V[i, j]) of x in
     # d/dw_j equals 2v (count [o_j = y] - active[o_j]); table[:, c] holds it
     # for the units that class c owns.  That is the sum of the +-v entries
     # bit for bit for n = 2 at any v, and for any n when v is a power of two;
     # for other v it can differ in the last bits.
-    table = np.negative(active, dtype=float, out=ws.table)
+    table = np.negative(ws.active, dtype=float, out=ws.table)
     table.ravel()[ws.label_index] = count
     table *= ws.two_v
     coef = np.take(table, ws.owner, axis=1, out=ws.coef, mode="clip")
@@ -133,8 +142,7 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
 
 def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
     F, _ = forward_batch(params, data.X)
-    losses, _, _ = _hinge(F, _HingeWorkspace(data.y - 1, params.n))
-    return losses
+    return _hinge(F, _HingeWorkspace(data.y - 1, params.n))
 
 
 def dataset_loss(params: NetworkParams, data: LabeledDataset) -> float:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -252,6 +253,16 @@ class TestProbability:
         for k in range(2, 10):
             assert gc_probability(1, k) == pytest.approx(1.0 - 2.0 ** (1 - k), abs=0)
 
+    def test_float_of_the_exact_fraction(self):
+        # The int true division rounds the exact quotient correctly, as
+        # float(Fraction(total, 2 ** (k - 1))) does.
+        for k in range(1, 200):
+            tail, want = 0, [0.0] * (k + 1)
+            for j in range(k - 1, 0, -1):
+                tail += math.comb(k - 1, j)
+                want[j] = float(Fraction(tail, 2 ** (k - 1)))
+            assert [gc_probability(d, k) for d in range(1, k + 1)] == want[1:]
+
     def test_wide_limit_approaches_one(self):
         assert gc_probability(2, 64) > 0.999
 
@@ -472,6 +483,28 @@ class TestBatchChecker:
         # later NaN, left the loop early.
         early = (got > 0.0) & ~(got == full)
         assert early.sum() > 100
+
+    @pytest.mark.parametrize("holding", [400, 40])
+    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
+    def test_slack_equals_pruned_reference_where_departed_sets_stay_unshifted(self, d, k, holding):
+        # A set that leaves the loop keeps its columns until enough others
+        # have left, and its later values are computed too.  Here 24 sets
+        # leave, a few per subset, each with a positive slack that a later
+        # subset would turn NaN (a shared ray) or raise; each must keep the
+        # slack it left with.  Among 400 sets that hold, no set is ever
+        # shifted out; among 40, the departed sets are shifted out mid-loop
+        # while later ones still wait.
+        raw = Rng(60 + d).normal((3000, k, d))
+        raw[::2, k - 1] = raw[::2, k - 2]
+        pool = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+        pruned, full = reference_slacks(pool)
+        later_nan = np.flatnonzero((pruned > 0.0) & np.isnan(full))[:12]
+        later_larger = np.flatnonzero((pruned > 0.0) & (full > pruned))[:12]
+        assert later_nan.size == later_larger.size == 12
+        pick = np.sort(np.concatenate([np.flatnonzero(pruned < 0.0)[:holding], later_nan, later_larger]))
+        got = assert_prunes_exactly(pool[pick])
+        assert np.array_equal(got, pruned[pick])
+        assert (got > 0.0).sum() == 24 and not np.isnan(got).any()
 
     def test_mc_judges_a_nan_slack_by_the_lp(self):
         # One (3, 5) set of this draw has two nearly opposite directions: the

@@ -142,11 +142,17 @@ def test_directional_derivative_shape_check():
 
 
 def test_hinge_flags():
+    # The kernel derives the flags from the hinge's margins into its workspace.
     params, data = random_instance(5)
     y0 = data.y - 1
     F, _ = forward_batch(params, data.X)
-    losses, active, count = _hinge(F, _HingeWorkspace(y0, params.n))
     rows = np.arange(data.n_samples)
+    W, b, values = params.weights, params.biases, params.output.values
+    ws = KernelWorkspace(values, data.X, y0, b)
+    _, losses, _ = batch_loss_grad(W, b, values, data.X, y0, rows, ws)
+    active, count = ws.active, ws.count
+    assert ws.F.tobytes() == F.tobytes()
+    assert _hinge(F, _HingeWorkspace(y0, params.n)).tobytes() == losses.tobytes()
     assert active.shape == (data.n_samples, params.n)
     assert not active[rows, y0].any()  # own class never active against itself
     margin = 1.0 - F[rows, y0][:, None] + F
@@ -433,8 +439,10 @@ def check_loss_helpers(labels):
     _, losses, _ = reference_batch_loss_grad(W, b, values, X, y0, rows)
     assert per_sample_losses(params, data).tobytes() == losses.tobytes()
     F = np.maximum(X @ W - b, 0.0) @ values.T
-    _, active, _ = _hinge(F, _HingeWorkspace(y0, 3))
-    np.testing.assert_array_equal(active, reference_margins(F, y0) > 0.0)
+    ws = KernelWorkspace(values, X, y0, b)
+    _, kernel_losses, _ = batch_loss_grad(W, b, values, X, y0, rows, ws)
+    assert per_sample_losses(params, data).tobytes() == kernel_losses.tobytes()
+    np.testing.assert_array_equal(ws.active, reference_margins(F, y0) > 0.0)
 
 
 def test_loss_helpers_match_reference_bytes():
@@ -477,3 +485,13 @@ def test_label_outside_the_output_map_is_refused(entry):
     data = LabeledDataset(rng.normal((20, 2)), np.arange(20) % 2 * 2 + 1)  # labels 1 and 3
     with pytest.raises(ValueError, match="label 3 has no class in an output map of 2 classes"):
         entry(params, data)
+
+
+@pytest.mark.parametrize("y0", [[0, -1, 0], [-1, 1, 1]], ids=["middle", "first"])
+def test_negative_label_is_refused(y0):
+    # A 0-based label of -1 would read a neighbouring score through the
+    # flat label index and count both classes as others.
+    rng = Rng(5)
+    W, b, values, X = rng.normal((2, 4)), np.full(4, 0.05), build_output_map(2, 4, 0.5).values, rng.normal((3, 2))
+    with pytest.raises(ValueError, match="label 0 has no class in an output map of 2 classes"):
+        batch_loss_grad(W, b, values, X, np.array(y0), np.arange(3))
