@@ -274,27 +274,30 @@ def bias_term(b: np.ndarray, N: int) -> np.ndarray | None:
 
 
 def forward_arrays(W: np.ndarray, bias: np.ndarray | None, values: np.ndarray, X: np.ndarray, out=None):
-    """Array-level forward pass, (F (N, n), H (N, k)), shared by forward_batch and the loss kernel.
+    """Array-level forward pass, (F (n, N), H (N, k)), shared by forward_batch and the loss kernel.
 
-    bias is the term bias_term builds for X's N rows, or None for no term.
-    out, when given, is a triple of buffers (F (N, n), H (N, k), relu(H)
-    (N, k)) that the pass fills and returns instead of allocating.  W may
-    stack m matrices as (m, d, k); F and H then gain the same leading axis,
-    the (N, k) bias broadcasts over it, and every slice is computed as the
-    pass on its own matrix would be.
+    The scores are class-major: row F[c] holds class c's score on every
+    sample, contiguous, computed as values @ relu(H).T, the transpose of
+    relu(H) @ values.T.  bias is the term bias_term builds for X's N rows,
+    or None for no term.  out, when given, is a triple of buffers (F (n, N),
+    H (N, k), relu(H) (N, k)) that the pass fills and returns instead of
+    allocating.  W may stack m matrices as (m, d, k); H then gains the same
+    leading axis and F becomes (m, n, N), the (N, k) bias broadcasts over
+    it, and every slice is computed as the pass on its own matrix would be.
     """
     F, H, A = (None, None, None) if out is None else out
     H = np.matmul(X, W, out=H)
     if bias is not None:
         np.subtract(H, bias, out=H)
     A = np.maximum(H, 0.0, out=A)
-    return np.matmul(A, values.T, out=F), H
+    return np.matmul(values, A.swapaxes(-1, -2), out=F), H
 
 
 def forward_batch(params: NetworkParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched scores and pre-activations: (F (N, n), H (N, k))."""
+    """Batched scores and pre-activations: (F (N, n), H (N, k)), F a transposed view of the class-major scores."""
     X = np.asarray(X, dtype=float)
-    return forward_arrays(params.weights, bias_term(params.biases, X.shape[0]), params.output.values, X)
+    F, H = forward_arrays(params.weights, bias_term(params.biases, X.shape[0]), params.output.values, X)
+    return F.T, H
 
 
 def forward_binary(params: NetworkParams, x: np.ndarray) -> float:

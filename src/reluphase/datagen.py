@@ -6,7 +6,7 @@ its Rng; generators that need no randomness take none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +30,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Sample matrix X (N, d) with integer labels y (N,), labels in 1..n."""
+    """Sample matrix X (N, d) with integer labels y (N,), labels in 1..n.
+
+    labels, the distinct labels in increasing order, is worked out once at
+    construction.
+    """
 
     X: np.ndarray
     y: np.ndarray
+    labels: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         X = np.array(self.X, dtype=float, copy=True)
@@ -57,6 +62,7 @@ class LabeledDataset:
         y.flags.writeable = False
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "labels", tuple(int(v) for v in np.unique(y)))
 
     @property
     def n_samples(self) -> int:
@@ -65,10 +71,6 @@ class LabeledDataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unique(self.y))
 
     def indices_for(self, label: int) -> np.ndarray:
         return np.flatnonzero(self.y == label)

@@ -239,7 +239,9 @@ class RunSpec:
         _check_init(self.init, d, self.width)
         Rng(self.seed)
         self.train_config()
-        _zero_weight_params(self.output_map(), d, self.biases)
+        # Built once per spec; output_map() hands it to the run.
+        object.__setattr__(self, "_output", build_output_map(2, self.width, self.v))
+        _zero_weight_params(self._output, d, self.biases)
         GridDatasetSpec(noise_std=self.noise_std)
         if self.task == "subspace-pair":
             make_subspace_pair(self.theta)
@@ -250,7 +252,7 @@ class RunSpec:
         )
 
     def output_map(self) -> OutputMap:
-        return build_output_map(2, self.width, self.v)
+        return self._output
 
 
 def execute_run(spec: RunSpec) -> tuple[TrainResult, LabeledDataset]:

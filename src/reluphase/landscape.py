@@ -143,15 +143,16 @@ def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> Landsca
 
     A network that outputs exactly zero on every sample is flat but useless;
     that case is reported separately so it is never mistaken for optimality.
-    The witness, the subgradient norm and the loss all come from one loss
-    kernel call, so they are the values dataset_loss, subgradient and
-    forward_batch give, bit for bit.
+    The witness is the first sample whose column of the kernel's
+    class-major scores is nonzero.  It, the subgradient norm and the loss
+    all come from one loss kernel call, so they are the values
+    dataset_loss, subgradient and forward_batch give, bit for bit.
     """
     W, b, values, y0 = params.weights, params.biases, params.output.values, data.y - 1
     ws = KernelWorkspace(values, data.X, y0, b)
     loss, _, grad = batch_loss_grad(W, b, values, data.X, y0, np.arange(data.n_samples), ws)
-    live_rows = np.flatnonzero(np.any(ws.F != 0.0, axis=1))
-    witness = int(live_rows[0]) if live_rows.size else None
+    live = np.flatnonzero(np.any(ws.F != 0.0, axis=0))
+    witness = int(live[0]) if live.size else None
     return LandscapeAudit(grad_norm=weight_matrix_norm(grad), loss=loss, nonzero_output_witness=witness)
 
 
@@ -196,9 +197,13 @@ def lipschitz_estimate(
 
     The pairs are scored in chunks: one forward pass over the chunk's stacked
     matrices, with the bias term built once per call, and one hinge over its
-    tiled labels.  Every slice runs the per-matrix arithmetic of
-    dataset_loss, so each ratio, and the report, is the one pair-by-pair
-    scoring gives, bit for bit, whatever the chunk size.
+    tiled labels.  The pass writes the scores as (n, 2c, N) through
+    out=buf.transpose(1, 0, 2), so the hinge reads each class across the
+    whole chunk as one contiguous row; a partial last chunk takes the head
+    of the same flat buffer, so no reshape copies.  Every slice runs the
+    per-matrix arithmetic of dataset_loss, so each ratio, and the report,
+    is the one pair-by-pair scoring gives, bit for bit, whatever the chunk
+    size.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
@@ -209,7 +214,7 @@ def lipschitz_estimate(
     bias, values, y0 = bias_term(params.biases, N), output.values, data.y - 1
 
     m = min(pairs, _LIPSCHITZ_CHUNK)
-    F, H = np.empty((2 * m, N, n)), np.empty((2 * m, N, k))
+    F, H = np.empty(n * 2 * m * N), np.empty((2 * m, N, k))
     ws = _HingeWorkspace(np.tile(y0, 2 * m), n)
     ratios = np.empty(pairs)
     used = 0
@@ -225,8 +230,9 @@ def lipschitz_estimate(
         # Each pair's weight_matrix_norm(W1 - W2), the sum of its column norms.
         gaps = _column_norms(stack[0::2] - stack[1::2]).sum(axis=1)
         # The ReLU overwrites the pre-activations, which no ratio reads.
-        scores, _ = forward_arrays(stack, bias, values, data.X, out=(F[: 2 * c], H[: 2 * c], H[: 2 * c]))
-        means = _hinge(scores.reshape(2 * c * N, n), ws).reshape(2 * c, N).mean(axis=1)
+        scores = F[: n * 2 * c * N].reshape(n, 2 * c, N)
+        forward_arrays(stack, bias, values, data.X, out=(scores.transpose(1, 0, 2), H[: 2 * c], H[: 2 * c]))
+        means = _hinge(scores.reshape(n, 2 * c * N), ws).reshape(2 * c, N).mean(axis=1)
         kept = gaps >= _SKIP_TOL
         chunk = np.abs(means[0::2] - means[1::2])[kept] / gaps[kept]
         ratios[used : used + chunk.size] = chunk

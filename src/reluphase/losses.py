@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import NetworkParams, bias_term, forward_arrays, forward_batch
+from .core import NetworkParams, bias_term, forward_arrays
 from .datagen import LabeledDataset
 
 __all__ = [
@@ -30,20 +30,26 @@ class _HingeWorkspace:
     per_sample_losses and lipschitz_estimate build only this part, which
     holds what the losses need: margin[i] is the margin of the i-th class
     in others, kept for the kernel's flags.  The kernel's workspace adds
-    the flags and the forward and gradient buffers.
+    the flags and the forward and gradient buffers.  Two facts of the
+    labels are decided here, once: label is the one label every sample
+    has, or None, in which case label_index is the flat index of each
+    sample's own score in the class-major scores; direct says that the
+    first class in others is against every sample.
     """
 
     def __init__(self, y0: np.ndarray, n: int):
-        N = y0.size
-        for label in (y0.min(), y0.max()):
+        N, lo, hi = y0.size, int(y0.min()), int(y0.max())
+        for label in (lo, hi):
             if not 0 <= label < n:
                 raise ValueError(f"label {label + 1} has no class in an output map of {n} classes")
-        self.label_index = np.arange(N) * n + y0  # flat index of F[s, y0[s]]
+        self.label = lo if lo == hi else None
+        self.label_index = None if self.label is not None else y0 * N + np.arange(N)  # F[y0[s], s]
         # A class no sample is labelled against adds no hinge term, so it is
         # skipped and the kernel's active column stays False.  A mask that covers
         # every sample is stored as None: it masks nothing.
         masks = [(c, y0 != c) for c in range(n)]
         self.others = [(c, None if other.all() else other) for c, other in masks if other.any()]
+        self.direct = bool(self.others) and self.others[0][1] is None
         self.margin = list(np.empty((len(self.others), N)))
         self.slack, self.hinge, self.losses = np.empty((3, N))
 
@@ -54,10 +60,13 @@ class KernelWorkspace(_HingeWorkspace):
     train builds one per run and passes it to every batch_loss_grad call, so
     a call allocates nothing.  The bias term is built here, once, by
     core.bias_term.  Each call overwrites the buffers: the losses and grad
-    it returns stay valid only until the next call.  active (N, n) holds
-    the strict hinge flags and count (N,) their number per sample, which
-    batch_loss_grad derives from the hinge's margins: flags pairs each
-    class's margin row with its active column and its mask.
+    it returns stay valid only until the next call.  F (n, N) holds the
+    class-major scores.  active (N, n) holds the strict hinge flags and
+    count (N,) their number per sample, which batch_loss_grad derives from
+    the hinge's margins: flags pairs each class's margin row with its
+    active column and its mask.  table (N, n) stays sample-major, indexed
+    by table_index, since the coefficients and grad it feeds keep their
+    bits only in that layout.
     """
 
     def __init__(self, values: np.ndarray, X: np.ndarray, y0: np.ndarray, b: np.ndarray):
@@ -69,7 +78,8 @@ class KernelWorkspace(_HingeWorkspace):
         self.owner = values.argmax(axis=0)  # 0-based owner class of each unit
         self.two_v = 2.0 * values.max()
         self.XT = X.T
-        self.F, self.table = np.empty((N, n)), np.empty((N, n))
+        self.F, self.table = np.empty((n, N)), np.empty((N, n))
+        self.table_index = np.arange(N) * n + y0  # flat index of table[s, y0[s]]
         self.H, self.relu, self.coef = np.empty((N, k)), np.empty((N, k)), np.empty((N, k))
         self.live = np.empty((N, k), dtype=bool)
         self.grad = np.empty((d, k))
@@ -78,21 +88,34 @@ class KernelWorkspace(_HingeWorkspace):
 def _hinge(F: np.ndarray, ws: _HingeWorkspace) -> np.ndarray:
     """Hinge losses (N,) class by class into ws, each class's margin kept in ws.margin.
 
-    Class c has margin m_c = 1 - f_y + F[:, c].  For c != y it adds
-    max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN).  A
-    class whose mask is None is against every sample, so it is added
-    without a where= mask.  The class-order loss sum is numpy's row sum for
-    n < 8; from n = 8 numpy sums pairwise, so the last bits can differ.
+    F is the contiguous class-major (n, N) scores, so each class's scores
+    are one row.  Class c has margin m_c = 1 - f_y + F[c].  For c != y it
+    adds max(m_c, 0) to the sample's loss (a NaN margin makes the loss NaN).
+    A class whose mask is None is against every sample, so it is added
+    without a where= mask; when it is the first class, max(m_c, 0) is
+    written into the losses, which is 0 + max(m_c, 0) bit for bit because a
+    margin is never -0.0 (1 - f_y never is, and x + y is -0.0 only when both
+    terms are).  The class-order loss sum is numpy's row sum for n < 8;
+    from n = 8 numpy sums pairwise, so the last bits can differ.
     """
     slack, hinge, losses = ws.slack, ws.hinge, ws.losses
-    # The workspace checked the labels, so every index is in range and
-    # mode="clip" never acts; unlike the default mode, it lets np.take write
-    # into out without an intermediate copy.
-    np.take(F, ws.label_index, out=slack, mode="clip")
-    np.subtract(1.0, slack, out=slack)
-    losses.fill(0.0)
-    for (c, other), margin in zip(ws.others, ws.margin):
-        np.add(slack, F[:, c], out=margin)
+    if ws.label is None:
+        # The workspace checked the labels, so every index is in range and
+        # mode="clip" never acts; unlike the default mode, it lets np.take
+        # write into out without an intermediate copy.
+        np.take(F, ws.label_index, out=slack, mode="clip")
+        np.subtract(1.0, slack, out=slack)
+    else:
+        np.subtract(1.0, F[ws.label], out=slack)
+    terms = zip(ws.others, ws.margin)
+    if ws.direct:
+        (c, _), margin = next(terms)
+        np.add(slack, F[c], out=margin)
+        np.maximum(margin, 0.0, out=losses)
+    else:
+        losses.fill(0.0)
+    for (c, other), margin in terms:
+        np.add(slack, F[c], out=margin)
         np.maximum(margin, 0.0, out=hinge)
         np.add(losses, hinge, out=losses, where=True if other is None else other)
     return losses
@@ -128,7 +151,7 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
     # bit for bit for n = 2 at any v, and for any n when v is a power of two;
     # for other v it can differ in the last bits.
     table = np.negative(ws.active, dtype=float, out=ws.table)
-    table.ravel()[ws.label_index] = count
+    table.ravel()[ws.table_index] = count
     table *= ws.two_v
     coef = np.take(table, ws.owner, axis=1, out=ws.coef, mode="clip")
     coef *= np.greater(H, 0.0, out=ws.live)
@@ -141,7 +164,7 @@ def batch_loss_grad(W, b, values, X, y0, rows, ws: KernelWorkspace | None = None
 
 
 def per_sample_losses(params: NetworkParams, data: LabeledDataset) -> np.ndarray:
-    F, _ = forward_batch(params, data.X)
+    F, _ = forward_arrays(params.weights, bias_term(params.biases, data.n_samples), params.output.values, data.X)
     return _hinge(F, _HingeWorkspace(data.y - 1, params.n))
 
 

@@ -135,12 +135,12 @@ class TrainResult:
         return self.stop_reason == "nonfinite" or self.max_weight_norm > R_MAX
 
 
-def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:
-    """Classes whose owner units see no sample with |<w_j, x>| > b_j at init."""
+def _check_activation(params: NetworkParams, X: np.ndarray, class_rows: dict[int, np.ndarray]) -> list[int]:
+    """Classes whose owner units see no sample with |<w_j, x>| > b_j at init; class_rows holds each label's rows."""
     silent = []
-    for label in data.labels:
+    for label, rows in class_rows.items():
         cols = params.output.owner_columns(label)
-        dots = np.abs(data.X[data.indices_for(label)] @ params.weights[:, cols])
+        dots = np.abs(X[rows] @ params.weights[:, cols])
         if not np.any(dots > params.biases[cols]):
             silent.append(label)
     return silent
@@ -148,17 +148,16 @@ def _check_activation(params: NetworkParams, data: LabeledDataset) -> list[int]:
 
 def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> TrainResult:
     rows = np.arange(data.n_samples)
-    class_rows = {label: data.indices_for(label) for label in data.labels}
-    # A class that holds every sample records the run's loss, np.add.reduce(losses) / N, which is losses.mean().
-    class_rows = {c: idx if idx.size < data.n_samples else None for c, idx in class_rows.items()}
-
     W = np.array(params.weights, dtype=float, copy=True)
     b, values = params.biases, params.output.values
     X, y0 = data.X, data.y - 1
     # Built first: it refuses a label the output map has no class for.
     ws = KernelWorkspace(values, X, y0, b)
 
-    silent = _check_activation(params, data)
+    class_rows = {label: data.indices_for(label) for label in data.labels}
+    silent = _check_activation(params, X, class_rows)
+    # A class that holds every sample records the run's loss, np.add.reduce(losses) / N, which is losses.mean().
+    class_rows = {c: idx if idx.size < data.n_samples else None for c, idx in class_rows.items()}
     if silent:
         warnings.warn(
             f"initial weights activate no owner unit on any sample of classes {silent}; "

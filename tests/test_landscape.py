@@ -315,6 +315,28 @@ class TestLipschitzEstimate:
             reports.append(lipschitz_estimate(*args, Rng(5)))
         assert reports[0] == reports[1] == reports[2]
 
+    def test_partial_chunk_reads_the_head_of_the_chunk_buffer(self, monkeypatch):
+        # Every chunk's hinge reads contiguous class-major scores in place,
+        # the partial last chunk from the head of the same buffer, so neither
+        # a reshape nor the hinge's label gather copies a sliced buffer; the
+        # report is the pair-by-pair one.
+        omap = build_output_map(2, 8, 0.5)
+        data = grid_dataset_planar(GridDatasetSpec())
+        seen = []
+
+        def spy(F, ws, hinge=landscape._hinge):
+            assert F.flags.c_contiguous
+            seen.append((F.shape, F.__array_interface__["data"][0]))
+            return hinge(F, ws)
+
+        monkeypatch.setattr(landscape, "_hinge", spy)
+        args = (self.sampler(omap), omap, self.biases(omap), data, 2 * CHUNK + 5)
+        report = lipschitz_estimate(*args, Rng(3))
+        N = data.n_samples
+        assert [shape for shape, _ in seen] == [(2, 2 * CHUNK * N)] * 2 + [(2, 10 * N)]
+        assert len({address for _, address in seen}) == 1
+        assert report == pairwise_lipschitz(*args, Rng(3))
+
     def test_sampler_called_once_per_chunk(self):
         omap = build_output_map(2, 4, 0.5)
         counts = []

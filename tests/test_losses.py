@@ -151,8 +151,9 @@ def test_hinge_flags():
     ws = KernelWorkspace(values, data.X, y0, b)
     _, losses, _ = batch_loss_grad(W, b, values, data.X, y0, rows, ws)
     active, count = ws.active, ws.count
-    assert ws.F.tobytes() == F.tobytes()
-    assert _hinge(F, _HingeWorkspace(y0, params.n)).tobytes() == losses.tobytes()
+    # The kernel's scores are class-major, forward_batch's view of them is (N, n).
+    assert ws.F.tobytes() == F.T.tobytes()
+    assert _hinge(F.T, _HingeWorkspace(y0, params.n)).tobytes() == losses.tobytes()
     assert active.shape == (data.n_samples, params.n)
     assert not active[rows, y0].any()  # own class never active against itself
     margin = 1.0 - F[rows, y0][:, None] + F
@@ -286,7 +287,8 @@ def test_forward_arrays_matches_inline_forward_bytes(bias):
     want_F = np.maximum(want_H, 0.0) @ values.T
     for got_F, got_H in ((F, H), (F_out, H_out)):
         assert got_H.tobytes() == want_H.tobytes()
-        assert got_F.tobytes() == want_F.tobytes()
+        # Class-major scores: the transpose of the row-major product.
+        assert got_F.tobytes() == want_F.T.tobytes()
     assert F_out is buffers[0] and H_out is buffers[1]
 
 
@@ -336,6 +338,79 @@ def test_forward_arrays_stack_with_tiled_bias_matches_unstacked_bytes():
         assert F[i].tobytes() == F_i.tobytes()
 
 
+def row_major_scores(W, b, values, X):
+    """The scores as the row-major product relu(X @ W - b) @ values.T, (N, n) or (m, N, n)."""
+    return np.matmul(np.maximum(np.matmul(X, W) - b, 0.0), values.T)
+
+
+@pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
+@pytest.mark.parametrize("bias", [0.0, -0.0, 0.05], ids=["plus-zero", "minus-zero", "positive"])
+def test_class_major_scores_equal_row_major_product_bytes(task, bias):
+    # values @ relu(H).T is the row-major product with its operands' roles
+    # swapped: the same sums in the same order, so the same bits.
+    for width in range(4, 41, 2):
+        W, b, values, X, y0, _ = task_arrays(task, width, bias)
+        F, _ = forward_arrays(W, bias_term(b, X.shape[0]), values, X)
+        assert F.shape == (2, X.shape[0]) and F.flags.c_contiguous
+        assert F.tobytes() == row_major_scores(W, b, values, X).T.tobytes()
+        ws = KernelWorkspace(values, X, y0, b)
+        batch_loss_grad(W, b, values, X, y0, np.arange(X.shape[0]), ws)
+        assert ws.F.tobytes() == F.tobytes()
+
+
+def test_class_major_scores_of_a_lipschitz_stack_equal_row_major_product_bytes():
+    # lipschitz_estimate's chunk: 16 pairs as a (32, 2, 8) stack, written as
+    # (n, 32, N) through a transposed out.
+    _, b, values, X, _, _ = task_arrays("planar-grid", 8, 0.05)
+    stack = Rng(4).normal((32, 2, 8))
+    want = row_major_scores(stack, b, values, X)
+    buf = np.empty((2, 32, X.shape[0]))
+    F, _ = forward_arrays(stack, bias_term(b, X.shape[0]), values, X, out=(buf.transpose(1, 0, 2), None, None))
+    assert F.base is buf
+    assert buf.tobytes() == want.transpose(2, 0, 1).tobytes()
+
+
+def check_fast_paths(ws, label, direct):
+    """The per-run facts a hinge workspace decides: the one label, if any, and the direct first class."""
+    assert ws.label == label and (ws.label_index is None) == (label is not None)
+    assert ws.direct == direct
+
+
+@pytest.mark.parametrize("width", [6, 24])
+def test_single_label_not_one_matches_reference_bytes(width):
+    # Class 2 alone: the slack is 1 - F[1], and class 1 is against every
+    # sample, so its hinge goes straight into the losses.
+    W, b, values, X, y0, rows = task_arrays("subspace-pair", width, 0.04, keep=(2,))
+    ws = KernelWorkspace(values, X, y0, b)
+    check_fast_paths(ws, 1, True)
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
+    assert per_sample_losses(
+        network_params(W, build_output_map(2, width, 0.5), b), LabeledDataset(X, y0 + 1)
+    ).tobytes() == reference_batch_loss_grad(W, b, values, X, y0, rows)[1].tobytes()
+
+
+def test_three_outputs_with_two_all_sample_classes_match_reference_bytes():
+    # Label 2 of three classes: classes 1 and 3 are both against every
+    # sample, the first written into the losses and the second added.
+    W, b, values, X, y0, rows = multiclass_arrays(3, 0.5, seed=2)
+    keep = np.flatnonzero(y0 == 1)
+    X, y0, rows = X[keep], y0[keep], np.arange(keep.size)
+    ws = KernelWorkspace(values, X, y0, b)
+    check_fast_paths(ws, 1, True)
+    assert [(c, other) for c, other in ws.others] == [(0, None), (2, None)]
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05)
+
+
+def test_two_masked_classes_take_no_fast_path_and_match_reference_bytes():
+    # Both subspace-pair classes: each hinge class is masked, so the losses
+    # are filled and the slack is gathered through the flat label index.
+    W, b, values, X, y0, rows = task_arrays("subspace-pair", 8, 0.05)
+    ws = KernelWorkspace(values, X, y0, b)
+    check_fast_paths(ws, None, False)
+    np.testing.assert_array_equal(ws.label_index, y0 * X.shape[0] + np.arange(X.shape[0]))
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
+
+
 def test_kernel_call_with_workspace_allocates_no_n_by_k_array():
     W, b, values, X, y0, rows = task_arrays("planar-grid", 24)
     ws = KernelWorkspace(values, X, y0, b)
@@ -365,7 +440,8 @@ def test_kernel_at_kinks_matches_reference_bytes():
     X = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [-1.0, 0.5]])
     y0 = np.array([0, 0, 0, 1, 1, 0, 1])
     F, H = forward_arrays(W, None, values, X)
-    margins = reference_margins(F, y0)
+    assert F.tobytes() == row_major_scores(W, 0.0, values, X).T.tobytes()
+    margins = reference_margins(F.T, y0)
     assert np.any(H == 0.0) and margins[0, 1] == 0.0
     for rows in (np.arange(7), np.array([0, 2, 5])):
         assert_kernel_matches(W, np.zeros(2), values, X, y0, rows)
