@@ -65,8 +65,7 @@ class KernelWorkspace(_HingeWorkspace):
     count (N,) their number per sample, which batch_loss_grad derives from
     the hinge's margins: flags pairs each class's margin row with its
     active column and its mask.  table (N, n) stays sample-major, indexed
-    by table_index, since the coefficients and grad it feeds keep their
-    bits only in that layout.
+    by table_index: every other coef layout tried changed the grad bits.
     """
 
     def __init__(self, values: np.ndarray, X: np.ndarray, y0: np.ndarray, b: np.ndarray):

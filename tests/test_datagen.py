@@ -25,6 +25,7 @@ class TestLabeledDataset:
         assert data.n_samples == 3
         assert data.dim == 3
         assert data.labels == (1, 2)
+        assert data.labels is data.labels  # worked out once, at construction
         np.testing.assert_array_equal(data.indices_for(1), [0, 2])
         sub = data.subset((2,))
         assert sub.n_samples == 1

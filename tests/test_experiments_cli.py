@@ -204,6 +204,7 @@ class TestTaskBuilders:
         spec = RunSpec(
             task="planar-grid", width=4, v=0.5, eta=0.1, max_iters=5, init="random", seed=3
         )
+        assert spec.output_map() is spec.output_map()  # one output map per spec
         r1, d1 = execute_run(spec)
         r2, d2 = execute_run(spec)
         np.testing.assert_array_equal(d1.X, d2.X)
