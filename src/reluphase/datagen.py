@@ -113,32 +113,27 @@ def make_subspace_pair(theta: float) -> SubspacePair:
     return SubspacePair(theta=float(theta), v1=v1, v2=v2, v3=v3, v4=v4)
 
 
+# The polar product grid: 11 radii 20/j (j = 10..20) sweeping [1, 2] times 80
+# equispaced angles j*pi/40 (j = 1..80), so each class gets exactly 880 points.
+_RADII = tuple(20.0 / j for j in range(10, 21))
+_ANGLES = tuple(j * math.pi / 40.0 for j in range(1, 81))
+
+
 @dataclass(frozen=True)
 class GridDatasetSpec:
-    """Polar product grid: 11 radii sweeping [1, 2] times 80 equispaced angles.
-
-    The radii are 20/j for j = 10..20 and the angles j*pi/40 for j = 1..80,
-    so each class gets exactly 880 points.  noise_std > 0 adds isotropic
-    Gaussian jitter in the ambient space.
-    """
+    """The polar grid's jitter: noise_std > 0 adds isotropic Gaussian noise in the ambient space."""
 
     noise_std: float = 0.0
-    radii: tuple[float, ...] = tuple(20.0 / j for j in range(10, 21))
-    angles: tuple[float, ...] = tuple(j * math.pi / 40.0 for j in range(1, 81))
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
 
-    @property
-    def points_per_class(self) -> int:
-        return len(self.radii) * len(self.angles)
 
-
-def _polar_grid(radii, angles) -> np.ndarray:
-    """(len(radii)*len(angles), 2) array of r*(cos phi, sin phi), radius-major order."""
-    r = np.repeat(np.asarray(radii, dtype=float), len(angles))
-    phi = np.tile(np.asarray(angles, dtype=float), len(radii))
+def _polar_grid() -> np.ndarray:
+    """(880, 2) array of r*(cos phi, sin phi) over the grid, radius-major order."""
+    r = np.repeat(_RADII, len(_ANGLES))
+    phi = np.tile(_ANGLES, len(_RADII))
     return np.column_stack([r * np.cos(phi), r * np.sin(phi)])
 
 
@@ -153,7 +148,7 @@ def _jittered(X: np.ndarray, y: np.ndarray, spec: GridDatasetSpec, rng: Rng | No
 
 def grid_dataset(pair: SubspacePair, spec: GridDatasetSpec, rng: Rng | None = None) -> LabeledDataset:
     """Both classes' polar grids embedded in R^4 through the subspace pair."""
-    planar = _polar_grid(spec.radii, spec.angles)
+    planar = _polar_grid()
     X1 = planar @ pair.basis(1).T
     X2 = planar @ pair.basis(2).T
     X = np.vstack([X1, X2])
@@ -161,40 +156,28 @@ def grid_dataset(pair: SubspacePair, spec: GridDatasetSpec, rng: Rng | None = No
     return _jittered(X, y, spec, rng)
 
 
-def grid_dataset_planar(spec: GridDatasetSpec, label: int = 1, rng: Rng | None = None) -> LabeledDataset:
-    """One class's polar grid in its own 2-d coordinates (no embedding)."""
-    X = _polar_grid(spec.radii, spec.angles)
-    return _jittered(X, np.full(len(X), int(label), dtype=int), spec, rng)
+def grid_dataset_planar(spec: GridDatasetSpec, rng: Rng | None = None) -> LabeledDataset:
+    """Class 1's polar grid in its own 2-d coordinates (no embedding)."""
+    X = _polar_grid()
+    return _jittered(X, np.ones(len(X), dtype=int), spec, rng)
 
 
 @dataclass(frozen=True)
 class AnnulusDistribution:
-    """Uniform distribution on an annulus inside a subspace of the ambient space.
+    """Uniform distribution on the annulus inner < |x| < outer in R^subspace_dim.
 
-    basis: (d, d_sub) with orthonormal columns; inner < |x| < outer measured
-    inside the subspace.  The density is constant, so both density bounds
-    equal 1/volume.
+    The density is constant, so both density bounds equal 1/volume.
     """
 
-    basis: np.ndarray
+    subspace_dim: int
     inner: float
     outer: float
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=float, copy=True)
-        if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
-            raise ValueError("basis must be (d, d_sub) with d >= d_sub")
-        gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-12:
-            raise ValueError("basis columns must be orthonormal to 1e-12")
+        if self.subspace_dim < 1:
+            raise ValueError("subspace_dim must be at least 1")
         if not (0.0 < self.inner < self.outer < math.inf):
             raise ValueError(f"need 0 < inner < outer < inf, got {self.inner}, {self.outer}")
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def subspace_dim(self) -> int:
-        return self.basis.shape[1]
 
     def volume(self) -> float:
         """d_sub-dimensional volume of the annulus."""
@@ -207,7 +190,7 @@ class AnnulusDistribution:
 
 
 def sample_annulus(dist: AnnulusDistribution, count: int, rng: Rng, label: int = 1) -> LabeledDataset:
-    """Uniform draws from the annulus, embedded back into the ambient space.
+    """Uniform draws from the annulus.
 
     Radii use the inverse-CDF transform r = (inner^d + U*(outer^d - inner^d))^(1/d);
     directions are normalized Gaussians.
@@ -222,8 +205,7 @@ def sample_annulus(dist: AnnulusDistribution, count: int, rng: Rng, label: int =
     dirs = raw / norms[:, None]
     u = rng.uniform(count)
     radii = (dist.inner**d + u * (dist.outer**d - dist.inner**d)) ** (1.0 / d)
-    X = (radii[:, None] * dirs) @ dist.basis.T
-    return LabeledDataset(X, np.full(count, int(label), dtype=int))
+    return LabeledDataset(radii[:, None] * dirs, np.full(count, int(label), dtype=int))
 
 
 def init_random(d: int, k: int, rng: Rng) -> np.ndarray:

@@ -192,7 +192,7 @@ def build_task(task: str, theta: float, noise_std: float, rng: Rng | None) -> La
     _require_known("task", task, _TASKS)
     spec = GridDatasetSpec(noise_std=noise_std)
     if task == "planar-grid":
-        return grid_dataset_planar(spec, label=1, rng=rng)
+        return grid_dataset_planar(spec, rng=rng)
     return grid_dataset(make_subspace_pair(theta), spec, rng=rng)
 
 
@@ -204,11 +204,6 @@ def initial_weights(init: str, d: int, width: int, rng: Rng) -> np.ndarray:
 def _require_even_width(width: int, key: str = "width") -> None:
     """Two classes of at least two units each under the round-robin output map."""
     _require(width >= 4 and width % 2 == 0, f"{key} must be even and at least 4, got {width}")
-
-
-def _zero_weight_params(output: OutputMap, d: int, biases) -> NetworkParams:
-    """A run's params on zero weights: NetworkParams checks the biases against the output map."""
-    return NetworkParams(np.zeros((d, output.k)), np.zeros(output.k) if biases is None else biases, output)
 
 
 @dataclass(frozen=True)
@@ -241,7 +236,7 @@ class RunSpec:
         self.train_config()
         # Built once per spec; output_map() hands it to the run.
         object.__setattr__(self, "_output", build_output_map(2, self.width, self.v))
-        _zero_weight_params(self._output, d, self.biases)
+        network_params(np.zeros((d, self.width)), self._output, self.biases)  # checks the biases
         GridDatasetSpec(noise_std=self.noise_std)
         if self.task == "subspace-pair":
             make_subspace_pair(self.theta)
@@ -358,7 +353,7 @@ def rho_at(params: NetworkParams, thetas: np.ndarray) -> np.ndarray:
     return np.clip(score, 0.0, 1.0)
 
 
-def rho_curve(params: NetworkParams, samples: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def rho_curve(params: NetworkParams, samples: int) -> tuple[np.ndarray, np.ndarray]:
     if samples < 3:
         raise ValueError("need at least 3 samples")
     thetas = np.arange(samples) * (2.0 * math.pi / samples)
@@ -428,7 +423,7 @@ def _write_histogram(out: str, name: str, edges, counts, title: str, x_label: st
 
 def _write_trajectory(out: str, result: TrainResult, reports: dict[int, PhaseReport]) -> None:
     """Write trajectory.csv, one row per record, from the record columns."""
-    labels = result.data_labels
+    labels = result.records.labels
     if set(labels) != set(range(1, len(labels) + 1)):
         raise RuntimeError(f"trajectory export expects labels 1..n, got {labels}")
     records = result.records
@@ -459,7 +454,7 @@ def cmd_train(cfg: RunSpec, out: str) -> dict:
             "converged_at": result.converged_at,
             "max_weight_norm": result.max_weight_norm,
             "diverged": result.diverged,
-            "trained_classes": list(result.data_labels),
+            "trained_classes": list(result.records.labels),
         },
     )
     write_json(
@@ -754,7 +749,6 @@ class LandscapeAuditConfig:
         _require(self.pairs >= 1, "pairs must be at least 1")
         _require(self.audit_runs >= 0, "audit_runs must be nonnegative")
         _require(self.samples_per_class >= 1, "samples_per_class must be at least 1")
-        _require(self.subspace_dim >= 1, "subspace_dim must be at least 1")
         self.annulus()
         _require(
             self.width // 2 > self.subspace_dim,
@@ -765,11 +759,11 @@ class LandscapeAuditConfig:
             self.biases is None or sum(self.biases) != 0.0,
             "the weight-perturbation diagnostic needs nonzero biases",
         )
-        _zero_weight_params(output, 2, self.lipschitz_biases())
+        network_params(np.zeros((2, self.width)), output, self.lipschitz_biases())  # checks the biases
 
     def annulus(self) -> AnnulusDistribution:
         """The data range of the constructed minima."""
-        return AnnulusDistribution(np.eye(self.subspace_dim), self.data_min, self.data_max)
+        return AnnulusDistribution(self.subspace_dim, self.data_min, self.data_max)
 
     def audit_spec(self, r: int) -> RunSpec:
         """Audited run r: a random-init planar run from seed + r."""

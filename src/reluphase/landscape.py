@@ -8,17 +8,14 @@ subgradient both vanish identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import NetworkParams, OutputMap, Rng, bias_term, forward_arrays, network_params
+from .core import NetworkParams, OutputMap, Rng, bias_term, forward_arrays, forward_batch, network_params
 from .datagen import LabeledDataset
-from .losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
-# Not called here: bench/tracing.py hooks reluphase.landscape.dataset_loss and
-# reports its calls as a per-layer metric, so the name stays bound.
-from .losses import dataset_loss  # noqa: F401
+from .losses import _hinge, _HingeWorkspace, dataset_loss, subgradient
 from .training import _column_norms, weight_matrix_norm
 
 __all__ = [
@@ -128,14 +125,7 @@ class LandscapeAudit:
         return "not_critical"
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "grad_norm": self.grad_norm,
-            "loss": self.loss,
-            "nonzero_output_witness": self.nonzero_output_witness,
-            "eps_critical": EPS_CRITICAL,
-            "loss_tolerance": LOSS_TOLERANCE,
-        }
+        return {**asdict(self), "verdict": self.verdict, "eps_critical": EPS_CRITICAL, "loss_tolerance": LOSS_TOLERANCE}
 
 
 def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> LandscapeAudit:
@@ -143,17 +133,13 @@ def critical_point_audit(params: NetworkParams, data: LabeledDataset) -> Landsca
 
     A network that outputs exactly zero on every sample is flat but useless;
     that case is reported separately so it is never mistaken for optimality.
-    The witness is the first sample whose column of the kernel's
-    class-major scores is nonzero.  It, the subgradient norm and the loss
-    all come from one loss kernel call, so they are the values
-    dataset_loss, subgradient and forward_batch give, bit for bit.
+    The witness is the first sample with a nonzero score.
     """
-    W, b, values, y0 = params.weights, params.biases, params.output.values, data.y - 1
-    ws = KernelWorkspace(values, data.X, y0, b)
-    loss, _, grad = batch_loss_grad(W, b, values, data.X, y0, np.arange(data.n_samples), ws)
-    live = np.flatnonzero(np.any(ws.F != 0.0, axis=0))
+    F, _ = forward_batch(params, data.X)
+    live = np.flatnonzero(np.any(F != 0.0, axis=1))
     witness = int(live[0]) if live.size else None
-    return LandscapeAudit(grad_norm=weight_matrix_norm(grad), loss=loss, nonzero_output_witness=witness)
+    grad_norm = weight_matrix_norm(subgradient(params, data))
+    return LandscapeAudit(grad_norm=grad_norm, loss=dataset_loss(params, data), nonzero_output_witness=witness)
 
 
 @dataclass(frozen=True)
@@ -166,14 +152,7 @@ class LipschitzReport:
     hist_edges: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "mean_ratio": self.mean_ratio,
-            "pairs_used": self.pairs_used,
-            "skipped": self.skipped,
-            "hist_counts": list(self.hist_counts),
-            "hist_edges": list(self.hist_edges),
-        }
+        return asdict(self)
 
 
 def lipschitz_estimate(

@@ -356,10 +356,10 @@ def monotonicity_audit(
     """
     if result.params.mode != "no-bias":
         raise ValueError("the monotonicity audit applies to no-bias runs only")
-    if result.data_labels != (class_label,):
+    if result.records.labels != (class_label,):
         raise ValueError(
             f"the audit needs a run trained on class {class_label} alone, "
-            f"got train classes {result.data_labels}"
+            f"got train classes {result.records.labels}"
         )
     norms, times = result.records.neuron_norms, result.records.t
     owner_cols = result.params.output.owner_columns(class_label)

@@ -122,7 +122,6 @@ class TrainResult:
     stop_reason: str  # converged | dead_start | stalled | max_iters | nonfinite
     max_weight_norm: float
     config: TrainConfig
-    data_labels: tuple[int, ...]
 
     @property
     def converged_at(self) -> int | None:
@@ -230,5 +229,4 @@ def train(params: NetworkParams, data: LabeledDataset, config: TrainConfig) -> T
         stop_reason=stop_reason,
         max_weight_norm=max_norm,
         config=config,
-        data_labels=data.labels,
     )

@@ -318,7 +318,7 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
 
     # theory task: uniform annulus with known density feeds the calculators,
     # the measured norm ceiling plays the boundedness constant
-    dist = AnnulusDistribution(np.eye(2), 1.0, 2.0)
+    dist = AnnulusDistribution(2, 1.0, 2.0)
     data = sample_annulus(dist, 400, Rng(31), label=1)
     result = train(
         network_params(init_random(2, 8, Rng(31).child(0)), build_output_map(2, 8, 0.5)),
@@ -362,7 +362,7 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
 
 def test_criterion_09_constructed_and_reached_minima(crit3_runs):
     output = build_output_map(2, 8, 0.5)
-    dist = AnnulusDistribution(np.eye(2), 1.0, 2.0)
+    dist = AnnulusDistribution(2, 1.0, 2.0)
     built_ok = True
     for label in (1, 2):
         W = construct_zero_loss(output, label, 2, 1.0)

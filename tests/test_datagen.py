@@ -76,9 +76,7 @@ class TestSubspacePair:
 
 class TestGridDataset:
     def test_default_sizes_and_norms(self):
-        spec = GridDatasetSpec()
-        assert spec.points_per_class == 880
-        data = grid_dataset_planar(spec)
+        data = grid_dataset_planar(GridDatasetSpec())
         assert data.n_samples == 880
         assert data.dim == 2
         norms = np.linalg.norm(data.X, axis=1)
@@ -123,7 +121,7 @@ class TestGridDataset:
 
 class TestAnnulus:
     def dist(self):
-        return AnnulusDistribution(basis=np.eye(2), inner=1.0, outer=2.0)
+        return AnnulusDistribution(subspace_dim=2, inner=1.0, outer=2.0)
 
     def test_volume_and_density(self):
         d = self.dist()
@@ -141,21 +139,11 @@ class TestAnnulus:
             frac = float((norms <= r).mean())
             assert frac == pytest.approx((r * r - 1.0) / 3.0, abs=0.02)
 
-    def test_embedded_samples_stay_in_subspace(self):
-        basis = np.zeros((4, 2))
-        basis[1, 0] = 1.0
-        basis[3, 1] = 1.0
-        dist = AnnulusDistribution(basis=basis, inner=0.5, outer=1.5)
-        data = sample_annulus(dist, 50, Rng(3), label=2)
-        assert data.labels == (2,)
-        np.testing.assert_allclose(data.X[:, 0], 0.0, atol=0)
-        np.testing.assert_allclose(data.X[:, 2], 0.0, atol=0)
-
     def test_validation(self):
+        with pytest.raises(ValueError, match="subspace_dim must be at least 1"):
+            AnnulusDistribution(subspace_dim=0, inner=1.0, outer=2.0)
         with pytest.raises(ValueError):
-            AnnulusDistribution(basis=np.eye(2) * 2.0, inner=1.0, outer=2.0)
-        with pytest.raises(ValueError):
-            AnnulusDistribution(basis=np.eye(2), inner=2.0, outer=1.0)
+            AnnulusDistribution(subspace_dim=2, inner=2.0, outer=1.0)
         with pytest.raises(ValueError):
             sample_annulus(self.dist(), 0, Rng(0))
 
@@ -163,7 +151,7 @@ class TestAnnulus:
     def test_rejects_non_finite_outer(self, outer):
         # an infinite annulus has no uniform density: its volume would be inf
         with pytest.raises(ValueError, match="inner < outer < inf"):
-            AnnulusDistribution(basis=np.eye(2), inner=1.0, outer=outer)
+            AnnulusDistribution(subspace_dim=2, inner=1.0, outer=outer)
 
 
 class TestInitializers:

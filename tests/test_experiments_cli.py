@@ -387,6 +387,7 @@ BAD_RUN_SETTINGS = [
     ("gc-prob", {"seed": -3}, "seed must be nonnegative, got -3"),
     ("trace-dynamics", {"seed": -1}, "seed must be nonnegative"),
     ("landscape-audit", {"seed": -1, "audit_runs": 0}, "seed must be nonnegative"),
+    ("landscape-audit", {"subspace_dim": 0}, "subspace_dim must be at least 1"),
 ]
 
 

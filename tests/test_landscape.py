@@ -22,6 +22,7 @@ from reluphase import (
 )
 from reluphase import landscape
 from reluphase.landscape import EPS_CRITICAL, LOSS_TOLERANCE, LipschitzReport
+from test_training import polar_grid
 
 
 class TestRegularSimplex:
@@ -50,7 +51,7 @@ class TestRegularSimplex:
 
 
 def annulus_data(dim, label, inner=1.0, outer=2.0, count=300, seed=5):
-    dist = AnnulusDistribution(basis=np.eye(dim), inner=inner, outer=outer)
+    dist = AnnulusDistribution(subspace_dim=dim, inner=inner, outer=outer)
     return sample_annulus(dist, count, Rng(seed), label=label)
 
 
@@ -246,7 +247,7 @@ class TestLipschitzEstimate:
         return draw
 
     def data(self):
-        return grid_dataset_planar(GridDatasetSpec(radii=(1.0, 1.5, 2.0), angles=tuple(np.linspace(0.1, 6.2, 24))))
+        return polar_grid((1.0, 1.5, 2.0), np.linspace(0.1, 6.2, 24))
 
     def test_no_bias_refused(self):
         omap = build_output_map(2, 4, 0.5)

@@ -186,7 +186,9 @@ def reference_batch_loss_grad(W, b, values, X, y0, rows):
     count * V[y, :] - active @ V.
     """
     H = X @ W - b
-    F = np.maximum(H, 0.0) @ values.T
+    # The class-major product the kernel makes: under some BLAS kernels
+    # (Nehalem) the row-major one differs from it in the last bits.
+    F = (values @ np.maximum(H, 0.0).T).T
     margins = reference_margins(F, y0)
     losses = np.maximum(margins, 0.0).sum(axis=1)
     active = margins > 0.0

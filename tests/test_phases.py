@@ -158,8 +158,8 @@ class TestPhaseBounds:
             monotonicity_step_threshold(0.0, bi)
 
 
-def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
-    """TrainResult with hand-picked weight snapshots and class-1 losses; class 2's loss is 0."""
+def fabricated_result(timeline_weights, class1_losses, v=1.0):
+    """TrainResult of a class-1 run with hand-picked weight snapshots and losses; class 2 has no loss column."""
     k = timeline_weights[0].shape[1]
     omap = build_output_map(2, k, v)
     params = network_params(timeline_weights[-1], omap)
@@ -167,10 +167,10 @@ def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
     weights = np.stack(timeline_weights[:T])
     norms = np.linalg.norm(weights, axis=1)
     records = Trajectory(
-        labels=(1, 2),
+        labels=(1,),
         t=np.arange(T),
         loss=np.array(class1_losses, dtype=float),
-        loss_per_class=np.column_stack([class1_losses, np.zeros(T)]),
+        loss_per_class=np.array(class1_losses, dtype=float)[:, None],
         neuron_norms=norms,
         grad_norm=np.zeros(T),
         weights=weights,
@@ -181,7 +181,6 @@ def fabricated_result(timeline_weights, class1_losses, trained=(1,), v=1.0):
         stop_reason="max_iters",
         max_weight_norm=float(norms.sum(axis=1).max()),
         config=TrainConfig(eta=0.01, max_iters=T - 1),
-        data_labels=trained,
     )
 
 

@@ -738,7 +738,7 @@ def result_json(result) -> dict:
         "converged_at": result.converged_at,
         "max_weight_norm": result.max_weight_norm,
         "diverged": result.diverged,
-        "trained_classes": list(result.data_labels),
+        "trained_classes": list(result.records.labels),
     }
 
 
@@ -759,12 +759,12 @@ def assert_train_outputs_match_oracles(out, result, reports):
     against per-point formatting, and phase_report.json against the reference encoder."""
     rows = [
         [rec.t, rec.loss, rec.weight_norm, rec.grad_norm]
-        + [rec.loss_per_class[c] for c in result.data_labels]
+        + [rec.loss_per_class[c] for c in result.records.labels]
         + rec.neuron_norms.tolist()
         + [rep.gc_timeline[i] for rep in reports.values()]
         for i, rec in enumerate(result.records)
     ]
-    sizes = {"loss_class": len(result.data_labels), "neuron_norm": result.params.k, "gc_class": len(reports)}
+    sizes = {"loss_class": len(result.records.labels), "neuron_norm": result.params.k, "gc_class": len(reports)}
     with open(out / "trajectory.csv", newline="") as fh:
         assert fh.read() == oracle_csv(SCHEMAS["trajectory"], rows, sizes)[0]
     svg = (out / "loss_curve.svg").read_text()
@@ -795,7 +795,7 @@ class TestTrajectoryJson:
         out = tmp_path / "train"
         experiments.run_command("train", mapping, str(out))
         (result,) = results
-        reports = {c: experiments.detect_phases(result, c) for c in result.data_labels}
+        reports = {c: experiments.detect_phases(result, c) for c in result.records.labels}
         assert_train_outputs_match_oracles(out, result, reports)
         return (out / "trajectory.json").read_text(), reference_json(result_json(result)), result
 

@@ -10,12 +10,10 @@ from reluphase.experiments import RunSpec, build_task, execute_run, initial_weig
 from reluphase.losses import KernelWorkspace, batch_loss_grad
 from reluphase.training import R_MAX
 from reluphase import (
-    GridDatasetSpec,
     LabeledDataset,
     Rng,
     TrainConfig,
     build_output_map,
-    grid_dataset_planar,
     init_random,
     network_params,
     subgradient,
@@ -32,6 +30,12 @@ def gd_step(params, data, eta):
 def one_unit_per_class(weights, biases=None):
     """Binary net, k = 2, v = 1, unit j owned by class j + 1."""
     return network_params(np.asarray(weights, dtype=float), build_output_map(2, 2, 1.0), biases)
+
+
+def polar_grid(radii, angles):
+    """Class 1 on the polar grid r*(cos phi, sin phi) over radii x angles, radius-major, as the library's grid."""
+    r, phi = np.repeat(radii, len(angles)), np.tile(angles, len(radii))
+    return LabeledDataset(np.column_stack([r * np.cos(phi), r * np.sin(phi)]), np.ones(r.size, dtype=int))
 
 
 def single_point():
@@ -278,9 +282,8 @@ class TestRecording:
         # Column 2 is zero and column 3 is -0.0; neither unit ever fires.
         W = init_random(2, 6, Rng(4))
         W[:, 2], W[:, 3] = 0.0, -0.0
-        spec = GridDatasetSpec(radii=(1.0, 1.5), angles=tuple(np.linspace(0.1, 3.0, 9)))
         params = network_params(W, build_output_map(2, 6, 0.5))
-        res = train(params, grid_dataset_planar(spec), TrainConfig(eta=0.05, max_iters=30))
+        res = train(params, polar_grid((1.0, 1.5), np.linspace(0.1, 3.0, 9)), TrainConfig(eta=0.05, max_iters=30))
         assert np.signbit(res.records[0].weights[:, 3]).all() and len(res.records) > 1
         for rec in res.records:
             assert rec.neuron_norms.tobytes() == np.linalg.norm(rec.weights, axis=0).tobytes()
@@ -303,7 +306,7 @@ class TestRecording:
         params = one_unit_per_class([[0.1, 0.0], [0.0, 0.0]])
         cfg = TrainConfig(eta=0.1, max_iters=50)
         res = train(params, single_point(), cfg)
-        assert res.data_labels == (1,)
+        assert res.records.labels == (1,)
         first = res.records[0]
         assert first.loss == 0.8
         assert first.loss_per_class == {1: 0.8}
@@ -409,7 +412,7 @@ class TestColumnStore:
     def assert_matches_oracle(result, oracle):
         records, stop_reason, max_norm, W = oracle
         store = result.records
-        assert store.labels == tuple(records[0].loss_per_class) == result.data_labels
+        assert store.labels == tuple(records[0].loss_per_class)
         expected = {
             "t": np.array([rec.t for rec in records], dtype=np.int64),
             "loss": np.array([rec.loss for rec in records]),
@@ -474,8 +477,7 @@ class TestColumnStore:
 class TestAgainstManualSteps:
     def test_train_matches_gd_step_chain_bitwise(self):
         rng = Rng(42)
-        spec = GridDatasetSpec(radii=(1.0, 1.5), angles=tuple(np.linspace(0.1, 3.0, 9)))
-        data = grid_dataset_planar(spec)
+        data = polar_grid((1.0, 1.5), np.linspace(0.1, 3.0, 9))
         omap = build_output_map(2, 4, 0.5)
         params = network_params(init_random(2, 4, rng), omap)
         cfg = TrainConfig(eta=0.05, max_iters=10)
@@ -491,8 +493,7 @@ class TestAgainstManualSteps:
 class TestBiasMode:
     def test_loss_decreases(self):
         rng = Rng(7)
-        spec = GridDatasetSpec(radii=(1.0, 2.0), angles=tuple(np.linspace(0.1, 3.0, 11)))
-        data = grid_dataset_planar(spec)
+        data = polar_grid((1.0, 2.0), np.linspace(0.1, 3.0, 11))
         omap = build_output_map(2, 4, 0.5)
         biases = np.full(4, 0.1)
         params = network_params(init_random(2, 4, rng), omap, biases)
