@@ -5,6 +5,9 @@ kernel's matrix products go through BLAS, and kernels differ in FMA use and
 summation order, so trajectory digits differ in their last places.  What must
 hold under every kernel is what the lab reports: stop reasons,
 ``converged_at``, ``first_hold``, sweep statistics and gc-prob estimates.
+Within one kernel, the loss kernel's bytes must also equal the oracle's on
+both gradient paths: the signed path is exact because scaling a sum by a
+power of two commutes with rounding in whatever order the kernel sums.
 Each kernel runs in a child process whose environment alone sets
 ``OPENBLAS_CORETYPE``, which a DYNAMIC_ARCH OpenBLAS reads once at load.
 """
@@ -20,6 +23,8 @@ import pytest
 
 import reluphase
 from reluphase.experiments import run_command
+from reluphase.losses import KernelWorkspace, batch_loss_grad
+from test_losses import reference_batch_loss_grad, task_arrays
 
 # Candidate kernels, newest first.  A CPU that cannot run one makes OpenBLAS
 # fall back to another, which the child reports.
@@ -61,8 +66,28 @@ def _table(path) -> list[list[str]]:
         return list(csv.reader(fh))
 
 
+def kernel_mismatches() -> dict:
+    """Per task and gradient path, the steps of a short two-class descent where kernel and oracle bytes differ."""
+    found = {}
+    for task in ("planar-grid", "subspace-pair"):
+        for path, v in (("signed", 0.5), ("table", 0.7)):
+            W, b, values, X, y0, rows = task_arrays(task, 8, 0.05, v=v)
+            ws = KernelWorkspace(values, X, y0, b)
+            steps = found[f"{task}-{path}"] = [] if ws.signed is (path == "signed") else ["other path"]
+            for step in range(40):
+                want = reference_batch_loss_grad(W, b, values, X, y0, rows)
+                got = batch_loss_grad(W, b, values, X, y0, rows, ws)
+                if any(np.asarray(g).tobytes() != np.asarray(w).tobytes() for g, w in zip(got, want)):
+                    steps.append(step)
+                W = W - 0.1 * want[2]
+    return found
+
+
 def semantic_results(out: str) -> dict:
-    """What a tiny train, a two-cell width sweep and a gc-prob run report, without trajectory digits."""
+    """What a tiny train, a two-cell width sweep and a gc-prob run report, without trajectory digits.
+
+    Also the steps where the loss kernel's bytes leave the oracle's (none).
+    """
     train = run_command("train", {"seed": 7}, os.path.join(out, "train"))
     run_command(
         "sweep-width",
@@ -78,6 +103,7 @@ def semantic_results(out: str) -> dict:
         "gc_timelines": timelines,
         "sweep_summary": _table(os.path.join(out, "sweep", "width_summary.csv")),
         "gc_prob": [row[:3] + row[4:6] for row in gc_rows],
+        "kernel_mismatches": kernel_mismatches(),
     }
 
 
@@ -116,6 +142,7 @@ def test_semantic_results_hold_under_every_kernel(tmp_path):
             env=env,
         )
     expected = semantic_results(str(tmp_path / "in-process"))
+    assert not any(expected["kernel_mismatches"].values()), expected["kernel_mismatches"]
     ran = {}
     for kernel, child in children.items():
         stdout, stderr = child.communicate(timeout=120)

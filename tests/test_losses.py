@@ -213,41 +213,53 @@ def assert_kernel_matches(W, b, values, X, y0, rows, grad_atol=None, ws=None):
     return want
 
 
-def check_trajectory(W, b, values, X, y0, rows, steps, eta, grad_atol=None):
+def check_trajectory(W, b, values, X, y0, rows, steps, eta, grad_atol=None, signed=None):
     """Compare the kernels at every iterate of a descent run driven by the reference.
 
-    One workspace serves every step, as in train.
+    One workspace serves every step, as in train; with signed given, it
+    must have chosen that gradient path.
     """
     ws = KernelWorkspace(values, X, y0, b)
+    assert signed is None or ws.signed is signed
     for _ in range(steps):
         _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, grad_atol, ws)
         W = W - eta * grad
 
 
-def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None):
-    """A task's arrays; rows selects the classes, keep drops the other samples from the data."""
+def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None, v=0.5):
+    """A task's arrays for a two-class map of magnitude v; rows selects the classes, keep drops the other samples."""
     rng = Rng(seed)
     data = build_task(task, math.pi / 3, 0.0, rng.child(1))
     W = initial_weights("random", data.dim, width, rng.child(0))
     if keep is not None:
         data = data.subset(keep)
     rows = np.arange(data.n_samples) if classes is None else np.flatnonzero(np.isin(data.y, classes))
-    return W, np.full(width, bias), build_output_map(2, width, 0.5).values, data.X, data.y - 1, rows
+    return W, np.full(width, bias), build_output_map(2, width, v).values, data.X, data.y - 1, rows
 
 
 @pytest.mark.parametrize(
-    "task, width, bias, classes, keep",
+    "task, width, bias, classes, keep, v, signed",
     [
-        ("planar-grid", 6, 0.0, None, None),
-        ("planar-grid", 14, 0.0, None, None),
-        ("planar-grid", 24, 0.0, None, None),
-        ("subspace-pair", 8, 0.0, None, None),
-        ("planar-grid", 8, 0.05, None, None),
-        ("planar-grid", 24, -0.0, None, None),
-        ("subspace-pair", 8, 0.05, None, None),
-        ("subspace-pair", 8, -0.0, None, None),
-        ("subspace-pair", 8, 0.0, (2,), None),
-        ("subspace-pair", 8, 0.0, None, (2,)),
+        ("planar-grid", 6, 0.0, None, None, 0.5, True),
+        ("planar-grid", 14, 0.0, None, None, 0.5, True),
+        ("planar-grid", 24, 0.0, None, None, 0.5, True),
+        ("subspace-pair", 8, 0.0, None, None, 0.5, True),
+        ("planar-grid", 8, 0.05, None, None, 0.5, True),
+        ("planar-grid", 24, -0.0, None, None, 0.5, True),
+        ("subspace-pair", 8, 0.05, None, None, 0.5, True),
+        ("subspace-pair", 8, -0.0, None, None, 0.5, True),
+        ("subspace-pair", 8, 0.0, (2,), None, 0.5, True),
+        ("subspace-pair", 8, 0.0, None, (2,), 0.5, True),
+        ("planar-grid", 8, 0.0, None, None, 0.25, True),
+        ("subspace-pair", 8, 0.05, None, None, 1.0, True),
+        ("subspace-pair", 14, 0.0, None, None, 2.0, True),
+        ("planar-grid", 8, 0.0, None, None, 0.7, False),
+        ("planar-grid", 8, 0.05, None, None, 0.3, False),
+        ("subspace-pair", 8, 0.0, None, None, 0.7, False),
+        ("subspace-pair", 8, 0.05, None, None, 0.7, False),
+        ("subspace-pair", 8, 0.0, None, None, 0.3, False),
+        ("subspace-pair", 8, 0.05, None, None, 0.3, False),
+        ("subspace-pair", 8, 0.05, None, (2,), 0.7, False),
     ],
     ids=[
         "planar-k6",
@@ -260,10 +272,24 @@ def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None):
         "subspace-k8-negzero-bias",
         "subspace-k8-class2",
         "subspace-k8-class2-data",
+        "planar-k8-v0.25",
+        "subspace-k8-biased-v1",
+        "subspace-k14-v2",
+        "planar-k8-v0.7",
+        "planar-k8-biased-v0.3",
+        "subspace-k8-v0.7",
+        "subspace-k8-biased-v0.7",
+        "subspace-k8-v0.3",
+        "subspace-k8-biased-v0.3",
+        "subspace-k8-class2-data-biased-v0.7",
     ],
 )
-def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes, keep):
-    check_trajectory(*task_arrays(task, width, bias, classes, keep=keep), steps=150, eta=0.1)
+def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes, keep, v, signed):
+    # Two classes take the signed path when 2v is a power of two, the table
+    # path otherwise; with both labels, the table path reads one margin row
+    # for both classes' flags.
+    W, b, values, X, y0, rows = task_arrays(task, width, bias, classes, keep=keep, v=v)
+    check_trajectory(W, b, values, X, y0, rows, steps=150, eta=0.1, signed=signed)
 
 
 @pytest.mark.parametrize("bias", [0.0, -0.0, 0.05])
@@ -317,15 +343,31 @@ def test_all_true_mask_next_to_mixed_masks_matches_reference_bytes():
     assert [c for c, _ in ws.others] == [0, 1, 2] and ws.others[2][1] is None
     for c, other in ws.others[:2]:
         assert other.tobytes() == (y0 != c).tobytes() and not other.all()
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1, signed=False)
 
 
-@pytest.mark.parametrize("task, bias", [("planar-grid", 0.0), ("planar-grid", 0.05), ("subspace-pair", 0.05)])
-def test_workspace_rows_subset_matches_reference_bytes(task, bias):
+@pytest.mark.parametrize(
+    "task, bias, v, signed",
+    [
+        ("planar-grid", 0.0, 0.5, True),
+        ("planar-grid", 0.05, 0.5, True),
+        ("subspace-pair", 0.05, 0.5, True),
+        ("subspace-pair", 0.0, 2.0, True),
+        ("subspace-pair", 0.05, 0.7, False),
+    ],
+    ids=[
+        "planar-grid-0.0",
+        "planar-grid-0.05",
+        "subspace-pair-0.05",
+        "subspace-pair-0.0-v2",
+        "subspace-pair-0.05-v0.7",
+    ],
+)
+def test_workspace_rows_subset_matches_reference_bytes(task, bias, v, signed):
     # Every third sample: the losses, masks and bias term cover every row,
     # and the loss and gradient read the subset.
-    W, b, values, X, y0, _ = task_arrays(task, 8, bias)
-    check_trajectory(W, b, values, X, y0, np.arange(0, X.shape[0], 3), steps=100, eta=0.1)
+    W, b, values, X, y0, _ = task_arrays(task, 8, bias, v=v)
+    check_trajectory(W, b, values, X, y0, np.arange(0, X.shape[0], 3), steps=100, eta=0.1, signed=signed)
 
 
 def test_forward_arrays_stack_with_tiled_bias_matches_unstacked_bytes():
@@ -373,9 +415,13 @@ def test_class_major_scores_of_a_lipschitz_stack_equal_row_major_product_bytes()
 
 
 def check_fast_paths(ws, label, direct):
-    """The per-run facts a hinge workspace decides: the one label, if any, and the direct first class."""
+    """The per-run facts a hinge workspace decides: the one label, if any, and the direct first class.
+
+    Two classes with both labels also gather each sample's other-class scores.
+    """
     assert ws.label == label and (ws.label_index is None) == (label is not None)
     assert ws.direct == direct
+    assert (ws.other_index is None) == (label is not None or len(ws.others) != 2)
 
 
 @pytest.mark.parametrize("width", [6, 24])
@@ -400,30 +446,39 @@ def test_three_outputs_with_two_all_sample_classes_match_reference_bytes():
     ws = KernelWorkspace(values, X, y0, b)
     check_fast_paths(ws, 1, True)
     assert [(c, other) for c, other in ws.others] == [(0, None), (2, None)]
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05)
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, signed=False)
 
 
 def test_two_masked_classes_take_no_fast_path_and_match_reference_bytes():
-    # Both subspace-pair classes: each hinge class is masked, so the losses
-    # are filled and the slack is gathered through the flat label index.
+    # Both subspace-pair classes: each hinge class is masked, so the slack
+    # is gathered through the flat label index, and each sample's one other
+    # class through the flat other index.
     W, b, values, X, y0, rows = task_arrays("subspace-pair", 8, 0.05)
     ws = KernelWorkspace(values, X, y0, b)
     check_fast_paths(ws, None, False)
     np.testing.assert_array_equal(ws.label_index, y0 * X.shape[0] + np.arange(X.shape[0]))
+    np.testing.assert_array_equal(ws.other_index, (1 - y0) * X.shape[0] + np.arange(X.shape[0]))
     check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
 
 
 def test_kernel_call_with_workspace_allocates_no_n_by_k_array():
-    W, b, values, X, y0, rows = task_arrays("planar-grid", 24)
-    ws = KernelWorkspace(values, X, y0, b)
-    batch_loss_grad(W, b, values, X, y0, rows, ws)
-    tracemalloc.start()
-    try:
+    # The signed path with one label and with two, and the table path; a
+    # signed workspace holds none of the table path's buffers.
+    table_only = ("active", "count", "flags", "owner", "table", "table_index", "coef")
+    for task, v, signed in (("planar-grid", 0.5, True), ("subspace-pair", 0.5, True), ("subspace-pair", 0.7, False)):
+        W, b, values, X, y0, rows = task_arrays(task, 24, v=v)
+        ws = KernelWorkspace(values, X, y0, b)
+        assert ws.signed is signed
+        assert [hasattr(ws, name) for name in table_only] == [not signed] * len(table_only)
+        assert ws.live.dtype == (float if signed else bool)
         batch_loss_grad(W, b, values, X, y0, rows, ws)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < X.shape[0] * 24 * 8
+        tracemalloc.start()
+        try:
+            batch_loss_grad(W, b, values, X, y0, rows, ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.shape[0] * 24 * 8
 
 
 @pytest.mark.parametrize("bias", [0.0, 0.05])
@@ -431,6 +486,51 @@ def test_kernel_all_dead_start_matches_reference_bytes(bias):
     W, b, values, X, y0, rows = task_arrays("planar-grid", 8, bias)
     want = assert_kernel_matches(np.zeros_like(W), b, values, X, y0, rows)
     assert want[0] == 1.0 and not want[2].any()
+
+
+@pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
+@pytest.mark.parametrize("v, signed", [(0.5, True), (2.0, True), (0.7, False)])
+def test_zero_gradient_columns_are_minus_zero_on_both_paths(task, v, signed):
+    # A column with no live term sums to +0.0, and the mean negates it to
+    # -0.0.  The signed path scales the sum by -2v on the units class 2
+    # owns (the odd ones), which must not flip that zero.  States: an
+    # all-dead start, then class 2's units dead and class 1's live.
+    W, b, values, X, y0, rows = task_arrays(task, 8, v=v)
+    ws = KernelWorkspace(values, X, y0, b)
+    assert ws.signed is signed
+    half_dead = W.copy()
+    half_dead[:, 1::2] = 0.0
+    for state, dead in ((np.zeros_like(W), slice(None)), (half_dead, slice(1, None, 2))):
+        _, _, grad = assert_kernel_matches(state, b, values, X, y0, rows, ws=ws)
+        assert not grad[:, dead].any() and np.signbit(grad[:, dead]).all()
+    assert grad[:, 0::2].any()
+
+
+@pytest.mark.parametrize("v", [0.25, 0.5, 2.0])
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**900, 2.0**990], ids=["2^-1000", "2^900", "2^990"])
+def test_scaled_data_matches_reference_bytes_on_the_path_its_check_picks(scale, v):
+    # Scaling by 2v is exact only while every value stays normal: nonzero
+    # entries of at least 2**-900 and N max|x| max(1, 2v) < 2**1000.  The
+    # subspace-pair data has N = 1760, max|x| = 2 and entries down to 6e-17,
+    # so 2**900 passes and 2**-1000 and 2**990 fail; at 2v = 1 the signed
+    # path is exact anyway.
+    W, b, values, X, y0, rows = task_arrays("subspace-pair", 8, v=v)
+    X = X * scale
+    signed = v == 0.5 or scale == 2.0**900
+    check_trajectory(W, b, values, X, y0, rows, steps=20, eta=0.1 / scale, signed=signed)
+
+
+def test_least_subnormal_samples_take_the_table_path():
+    # Three samples at the least subnormal x with 2v = 1/2: the table path
+    # rounds each term x/2 to 0, while the signed path would round its sum
+    # 3x, scaled by 1/2, to 2x.
+    X = np.array([[2.0**-1074, 0.0]] * 3)
+    W, b, values = np.eye(2), np.zeros(2), build_output_map(2, 2, 0.25).values
+    y0, rows = np.zeros(3, dtype=int), np.arange(3)
+    ws = KernelWorkspace(values, X, y0, b)
+    assert not ws.signed
+    _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, ws=ws)
+    assert not grad.any()
 
 
 def test_kernel_at_kinks_matches_reference_bytes():
@@ -458,20 +558,20 @@ def multiclass_arrays(n, v, seed=0, k=7, d=4, N=60):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_multiclass_power_of_two_v_matches_reference_bytes(n):
-    check_trajectory(*multiclass_arrays(n, 0.5), steps=100, eta=0.05)
+    check_trajectory(*multiclass_arrays(n, 0.5), steps=100, eta=0.05, signed=False)
 
 
 def test_kernel_non_round_robin_owners_match_reference_bytes():
     W, b, _, X, y0, rows = multiclass_arrays(3, 0.5, k=4)
     values = OutputMap(owner=np.array([2, 1, 3, 1]), v=0.5).values
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05)
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, signed=False)
 
 
 def test_kernel_data_missing_a_class_matches_reference_bytes():
     # Classes 1 and 3 of three: class 2 owns units but labels no sample.
     W, b, values, X, y0, _ = multiclass_arrays(3, 0.5)
     keep = np.flatnonzero(y0 != 1)
-    check_trajectory(W, b, values, X[keep], y0[keep], np.arange(keep.size), steps=100, eta=0.05)
+    check_trajectory(W, b, values, X[keep], y0[keep], np.arange(keep.size), steps=100, eta=0.05, signed=False)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -481,7 +581,7 @@ def test_kernel_multiclass_other_v_within_rounding(n, v):
     # sample, scaled by |x| and averaged over the samples.
     W, b, values, X, y0, rows = multiclass_arrays(n, v)
     atol = 4 * n * np.finfo(float).eps * 2 * v * np.abs(X).max()
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, grad_atol=atol)
+    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, grad_atol=atol, signed=False)
 
 
 def check_nonfinite_weights(reuse):
