@@ -147,25 +147,25 @@ def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutputMap:
-    """Fixed output layer: values[i, j] = +v when class i owns unit j, else -v.
+    """Fixed two-class output layer: values[i, j] = +v when class i + 1 owns unit j, else -v.
 
-    Built from the owner labels (1..n, each owning at least one unit) and
+    Built from the owner labels (1 and 2, each owning at least one unit) and
     the magnitude v; values is derived from them once and frozen, so a
     matrix that disagrees with its owners cannot exist.
     """
 
-    owner: np.ndarray  # (k,) owning class per hidden unit, labels 1..n
+    owner: np.ndarray  # (k,) owning class per hidden unit, labels 1 and 2
     v: float
-    values: np.ndarray = field(init=False, repr=False)  # (n, k)
+    values: np.ndarray = field(init=False, repr=False)  # (2, k)
 
     def __post_init__(self):
         owner = _frozen(self.owner, dtype=None)
         v = float(self.v)
         if owner.ndim != 1 or owner.size == 0 or not np.issubdtype(owner.dtype, np.integer):
             raise ValueError("owner must be a non-empty 1-d array of integer labels")
-        labels = np.arange(1, owner.max() + 1)
-        if owner.min() < 1 or not np.all(np.isin(labels, owner)):
-            raise ValueError("every class 1..n must own at least one hidden unit")
+        labels = np.array([1, 2])
+        if not np.array_equal(np.unique(owner), labels):
+            raise ValueError("the owner labels must be 1 and 2, each owning at least one hidden unit")
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"output magnitude v must be positive and finite, got v={v}")
         object.__setattr__(self, "owner", owner)
@@ -185,13 +185,11 @@ class OutputMap:
         return np.flatnonzero(self.owner == label)
 
 
-def build_output_map(n: int, k: int, v: float) -> OutputMap:
-    """Round-robin output map: unit j is owned by class (j mod n) + 1."""
-    if n < 2:
-        raise ValueError(f"output map needs at least two classes, got n={n}")
-    if k < n:
-        raise ValueError(f"output map needs k >= n so every class owns a unit, got k={k} < n={n}")
-    return OutputMap(owner=np.arange(k) % n + 1, v=v)
+def build_output_map(k: int, v: float) -> OutputMap:
+    """Round-robin output map: unit j is owned by class (j mod 2) + 1."""
+    if k < 2:
+        raise ValueError(f"output map needs k >= n = 2 so every class owns a unit, got k={k}")
+    return OutputMap(owner=np.arange(k) % 2 + 1, v=v)
 
 
 @dataclass(frozen=True)
@@ -306,8 +304,6 @@ def forward_binary(params: NetworkParams, x: np.ndarray) -> float:
     Equals (score_1 - score_2) / (2 v); computed directly from the owner
     mask so it stays a genuinely independent path.
     """
-    if params.n != 2:
-        raise ValueError(f"binary forward needs exactly 2 classes, got n={params.n}")
     _, pre = forward(params, x)
     act = np.maximum(pre, 0.0)
     own1 = params.output.owner == 1

@@ -235,7 +235,7 @@ class RunSpec:
         Rng(self.seed)
         self.train_config()
         # Built once per spec; output_map() hands it to the run.
-        object.__setattr__(self, "_output", build_output_map(2, self.width, self.v))
+        object.__setattr__(self, "_output", build_output_map(self.width, self.v))
         network_params(np.zeros((d, self.width)), self._output, self.biases)  # checks the biases
         GridDatasetSpec(noise_std=self.noise_std)
         if self.task == "subspace-pair":
@@ -345,7 +345,7 @@ def _run_cells(cfg) -> list[tuple[tuple, list[RunSummary]]]:
 
 def rho_at(params: NetworkParams, thetas: np.ndarray) -> np.ndarray:
     """Scalar-score coverage min(1, relu(score)) at unit-circle angles."""
-    if params.n != 2 or params.d != 2:
+    if params.d != 2:
         raise ValueError("coverage curve needs a planar two-class network")
     pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
     F, _ = forward_batch(params, pts)
@@ -776,7 +776,7 @@ class LandscapeAuditConfig:
 
 def cmd_landscape_audit(cfg: LandscapeAuditConfig, out: str) -> dict:
     rng = Rng(cfg.seed)
-    output = build_output_map(2, cfg.width, cfg.v)
+    output = build_output_map(cfg.width, cfg.v)
     dist = cfg.annulus()
 
     constructed = {}

@@ -194,13 +194,13 @@ def lipschitz_estimate(
 
     m = min(pairs, _LIPSCHITZ_CHUNK)
     F, H = np.empty(n * 2 * m * N), np.empty((2 * m, N, k))
-    ws = _HingeWorkspace(np.tile(y0, 2 * m), n)
+    ws = _HingeWorkspace(np.tile(y0, 2 * m))
     ratios = np.empty(pairs)
     used = 0
     for start in range(0, pairs, m):
         c = min(m, pairs - start)
         if c < m:  # the last, partial chunk
-            ws = _HingeWorkspace(np.tile(y0, 2 * c), n)
+            ws = _HingeWorkspace(np.tile(y0, 2 * c))
         stack = np.ascontiguousarray(sampler(rng, 2 * c), dtype=float)
         if stack.shape != (2 * c, d, k):
             raise ValueError(f"sampled weights must have shape {(2 * c, d, k)}, got {stack.shape}")

@@ -292,7 +292,7 @@ def test_criterion_06_owner_norm_monotonicity(crit3_runs, width_cells, angle_run
 def test_criterion_07_orthogonal_class_decoupling():
     data = build_task("subspace-pair", math.pi / 2, 0.0, None)
     class1, class2 = data.subset([1]), data.subset([2])
-    output = build_output_map(2, 8, 0.5)
+    output = build_output_map(8, 0.5)
     rng = Rng(4242)
     worst = 0.0
     for _ in range(100):
@@ -321,7 +321,7 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
     dist = AnnulusDistribution(2, 1.0, 2.0)
     data = sample_annulus(dist, 400, Rng(31), label=1)
     result = train(
-        network_params(init_random(2, 8, Rng(31).child(0)), build_output_map(2, 8, 0.5)),
+        network_params(init_random(2, 8, Rng(31).child(0)), build_output_map(8, 0.5)),
         data,
         TrainConfig(eta=0.1, max_iters=5000),
     )
@@ -361,7 +361,7 @@ def test_criterion_08_phase_structure_and_bounds(crit3_runs):
 
 
 def test_criterion_09_constructed_and_reached_minima(crit3_runs):
-    output = build_output_map(2, 8, 0.5)
+    output = build_output_map(8, 0.5)
     dist = AnnulusDistribution(2, 1.0, 2.0)
     built_ok = True
     for label in (1, 2):
@@ -421,7 +421,7 @@ def test_criterion_10_finite_difference_consistency():
         "planar-grid": build_task("planar-grid", math.pi / 2, 0.0, None),
         "subspace-pair": build_task("subspace-pair", math.pi / 2, 0.0, None),
     }
-    output = build_output_map(2, 8, 0.5)
+    output = build_output_map(8, 0.5)
     central_worst = {}
     one_sided_worst = {}
     counts_ok = True
@@ -489,7 +489,7 @@ def test_criterion_10_finite_difference_consistency():
 
 
 def test_criterion_11_lipschitz_ceiling():
-    output = build_output_map(2, 8, 0.5)
+    output = build_output_map(8, 0.5)
     bias_arr = np.full(8, 0.4 / 8)
     data = grid_dataset_planar(GridDatasetSpec())
 

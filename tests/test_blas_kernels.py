@@ -5,14 +5,14 @@ kernel's matrix products go through BLAS, and kernels differ in FMA use and
 summation order, so trajectory digits differ in their last places.  What must
 hold under every kernel is what the lab reports: stop reasons,
 ``converged_at``, ``first_hold``, sweep statistics and gc-prob estimates.
-Within one kernel, the loss kernel's bytes must also equal the oracle's on
-both gradient paths: the signed path is exact because scaling a sum by a
-power of two commutes with rounding in whatever order the kernel sums.
+Within one kernel, the loss kernel's bytes must also equal the oracle's in
+both operand forms: the scaled form is exact because scaling a sum by a
+power of two commutes with rounding in whatever order the kernel sums, and
+every entry of the product form's right operand is the oracle's.
 Each kernel runs in a child process whose environment alone sets
 ``OPENBLAS_CORETYPE``, which a DYNAMIC_ARCH OpenBLAS reads once at load.
 """
 import csv
-import ctypes
 import json
 import os
 import subprocess
@@ -22,43 +22,23 @@ import numpy as np
 import pytest
 
 import reluphase
+from reluphase import OutputMap
 from reluphase.experiments import run_command
 from reluphase.losses import KernelWorkspace, batch_loss_grad
+from openblas_core import blas_corename
 from test_losses import reference_batch_loss_grad, task_arrays
 
 # Candidate kernels, newest first.  A CPU that cannot run one makes OpenBLAS
 # fall back to another, which the child reports.
 KERNELS = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")
-_CORENAME_SYMBOLS = (
-    "scipy_openblas_get_corename64_",
-    "scipy_openblas_get_corename",
-    "openblas_get_corename64_",
-    "openblas_get_corename",
-)
 
 _CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from test_blas_kernels import blas_corename, semantic_results
+from openblas_core import blas_corename
+from test_blas_kernels import semantic_results
 print(json.dumps({"kernel": blas_corename(), "results": semantic_results(sys.argv[2])}))
 """
-
-
-def blas_corename() -> str | None:
-    """The OpenBLAS kernel this process runs, or None if no loaded library reports one."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for symbol in _CORENAME_SYMBOLS:
-            corename = getattr(lib, symbol, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
 
 
 def _table(path) -> list[list[str]]:
@@ -67,13 +47,27 @@ def _table(path) -> list[list[str]]:
 
 
 def kernel_mismatches() -> dict:
-    """Per task and gradient path, the steps of a short two-class descent where kernel and oracle bytes differ."""
+    """Per task and operand form, the steps of a short two-class descent where kernel and oracle bytes differ.
+
+    The product form runs at v = 0.7 and 1.5, and each form also with units
+    owned in no round-robin order.
+    """
     found = {}
+    owner = np.array([2, 1, 1, 2, 1, 2, 2, 1])
     for task in ("planar-grid", "subspace-pair"):
-        for path, v in (("signed", 0.5), ("table", 0.7)):
+        for form, v, owners in (
+            ("scaled", 0.5, False),
+            ("product", 0.7, False),
+            ("product", 1.5, False),
+            ("scaled", 0.5, True),
+            ("product", 0.7, True),
+        ):
             W, b, values, X, y0, rows = task_arrays(task, 8, 0.05, v=v)
+            if owners:
+                values = OutputMap(owner=owner, v=v).values
             ws = KernelWorkspace(values, X, y0, b)
-            steps = found[f"{task}-{path}"] = [] if ws.signed is (path == "signed") else ["other path"]
+            key = f"{task}-{form}-v{v}" + ("-owners" if owners else "")
+            steps = found[key] = [] if ws.scaled is (form == "scaled") else ["other form"]
             for step in range(40):
                 want = reference_batch_loss_grad(W, b, values, X, y0, rows)
                 got = batch_loss_grad(W, b, values, X, y0, rows, ws)

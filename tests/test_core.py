@@ -152,30 +152,28 @@ class TestRng:
 
 class TestOutputMap:
     def test_round_robin_owners(self):
-        m = build_output_map(3, 7, 0.5)
-        np.testing.assert_array_equal(m.owner, [1, 2, 3, 1, 2, 3, 1])
-        np.testing.assert_array_equal(m.owner_columns(1), [0, 3, 6])
-        assert m.n == 3 and m.k == 7 and m.v == 0.5
+        m = build_output_map(7, 0.5)
+        np.testing.assert_array_equal(m.owner, [1, 2, 1, 2, 1, 2, 1])
+        np.testing.assert_array_equal(m.owner_columns(1), [0, 2, 4, 6])
+        assert m.n == 2 and m.k == 7 and m.v == 0.5
 
     def test_values_signs_and_magnitude(self):
-        m = build_output_map(2, 4, 0.25)
+        m = build_output_map(4, 0.25)
         np.testing.assert_array_equal(np.abs(m.values), np.full((2, 4), 0.25))
         assert np.all((m.values > 0).sum(axis=0) == 1)
         np.testing.assert_array_equal(m.values[0], [0.25, -0.25, 0.25, -0.25])
 
     @pytest.mark.parametrize(
-        "n,k,v", [(1, 3, 1.0), (3, 2, 1.0), (2, 4, 0.0), (2, 4, -1.0), (2, 4, float("inf")), (2, 4, float("nan"))]
+        "k,v", [(1, 1.0), (0, 1.0), (4, 0.0), (4, -1.0), (4, float("inf")), (4, float("nan"))]
     )
-    def test_builder_rejects_bad_arguments(self, n, k, v):
+    def test_builder_rejects_bad_arguments(self, k, v):
         with pytest.raises(ValueError):
-            build_output_map(n, k, v)
+            build_output_map(k, v)
 
     def test_values_derived_from_owner_and_v(self):
-        m = OutputMap(owner=[2, 1, 3, 1], v=0.5)
-        assert m.n == 3 and m.k == 4
-        np.testing.assert_array_equal(
-            m.values, [[-0.5, 0.5, -0.5, 0.5], [0.5, -0.5, -0.5, -0.5], [-0.5, -0.5, 0.5, -0.5]]
-        )
+        m = OutputMap(owner=[2, 1, 1, 2], v=0.5)
+        assert m.n == 2 and m.k == 4
+        np.testing.assert_array_equal(m.values, [[-0.5, 0.5, 0.5, -0.5], [0.5, -0.5, -0.5, 0.5]])
         with pytest.raises(ValueError):
             m.values[0, 0] = 0.5
 
@@ -185,6 +183,10 @@ class TestOutputMap:
         with pytest.raises(ValueError, match="at least one"):
             OutputMap(owner=np.array([0, 1, 2]), v=1.0)
 
+    def test_rejects_a_third_class(self):
+        with pytest.raises(ValueError, match="1 and 2"):
+            OutputMap(owner=np.array([1, 2, 3]), v=1.0)
+
     @pytest.mark.parametrize("owner", [[], [[1, 2]], [1.0, 2.0]])
     def test_rejects_malformed_owner(self, owner):
         with pytest.raises(ValueError, match="integer labels"):
@@ -193,13 +195,13 @@ class TestOutputMap:
 
 class TestNetworkParams:
     def test_mode_inference(self):
-        m = build_output_map(2, 4, 1.0)
+        m = build_output_map(4, 1.0)
         W = np.ones((3, 4))
         assert network_params(W, m).mode == "no-bias"
         assert network_params(W, m, np.full(4, 0.1)).mode == "bias"
 
     def test_bias_sum_window(self):
-        m = build_output_map(2, 4, 1.0)
+        m = build_output_map(4, 1.0)
         W = np.ones((2, 4))
         with pytest.raises(ValueError, match="sum"):
             network_params(W, m, np.full(4, 0.25))  # sums to exactly 1
@@ -207,7 +209,7 @@ class TestNetworkParams:
             network_params(W, m, [0.1, -0.1, 0.1, 0.1])
 
     def test_shape_and_finiteness_checks(self):
-        m = build_output_map(2, 4, 1.0)
+        m = build_output_map(4, 1.0)
         with pytest.raises(ValueError):
             network_params(np.ones((2, 3)), m)
         with pytest.raises(ValueError):
@@ -216,12 +218,12 @@ class TestNetworkParams:
             network_params(np.ones((2, 4)), m, np.zeros(3))
 
     def test_arrays_frozen(self):
-        p = network_params(np.ones((2, 4)), build_output_map(2, 4, 1.0))
+        p = network_params(np.ones((2, 4)), build_output_map(4, 1.0))
         with pytest.raises(ValueError):
             p.weights[0, 0] = 5.0
 
     def test_with_weights_keeps_rest(self):
-        m = build_output_map(2, 4, 1.0)
+        m = build_output_map(4, 1.0)
         p = network_params(np.ones((2, 4)), m, np.full(4, 0.05))
         q = p.with_weights(np.zeros((2, 4)))
         assert q.mode == "bias"
@@ -229,7 +231,7 @@ class TestNetworkParams:
         assert q.output is p.output
 
     def test_mode_is_read_off_the_biases(self):
-        m = build_output_map(2, 4, 1.0)
+        m = build_output_map(4, 1.0)
         assert NetworkParams(np.ones((2, 4)), np.zeros(4), m).mode == "no-bias"
         p = NetworkParams(np.ones((2, 4)), np.full(4, 0.1), m)
         assert p.mode == "bias"
@@ -239,7 +241,7 @@ class TestNetworkParams:
 
 class TestForward:
     def setup_method(self):
-        self.map = build_output_map(2, 2, 1.0)
+        self.map = build_output_map(2, 1.0)
         W = np.array([[0.1, 0.0], [0.0, 0.0]])
         self.params = network_params(W, self.map)
 
@@ -250,7 +252,7 @@ class TestForward:
 
     def test_batch_matches_single(self):
         rng = Rng(2)
-        m = build_output_map(3, 6, 0.7)
+        m = OutputMap(owner=np.array([2, 2, 1, 1, 2, 1]), v=0.7)
         p = network_params(rng.normal((4, 6)), m, np.abs(rng.normal(6)) * 0.05)
         X = rng.normal((9, 4))
         F, H = forward_batch(p, X)
@@ -265,7 +267,7 @@ class TestForward:
 
     def test_binary_score_consistent_with_scores(self):
         rng = Rng(8)
-        p = network_params(rng.normal((3, 4)), build_output_map(2, 4, 0.5))
+        p = network_params(rng.normal((3, 4)), build_output_map(4, 0.5))
         for x in rng.normal((20, 3)):
             scores, _ = forward(p, x)
             expect = (scores[0] - scores[1]) / (2.0 * 0.5)
@@ -274,8 +276,3 @@ class TestForward:
     def test_binary_score_of_zero_weights_is_zero(self):
         p = network_params(np.zeros((2, 2)), self.map)
         assert forward_binary(p, np.array([1.0, 1.0])) == 0.0
-
-    def test_binary_requires_two_classes(self):
-        p = network_params(np.ones((2, 3)), build_output_map(3, 3, 1.0))
-        with pytest.raises(ValueError):
-            forward_binary(p, np.ones(2))

@@ -173,7 +173,7 @@ class TestConfigFromFields:
 
 class TestTaskBuilders:
     def test_binary_output_map(self):
-        omap = build_output_map(2, 6, 0.5)
+        omap = build_output_map(6, 0.5)
         assert omap.values.shape == (2, 6)
         assert tuple(omap.owner) == (1, 2, 1, 2, 1, 2)
 
@@ -216,17 +216,17 @@ class TestRhoCurve:
     def test_hand_values_single_live_unit(self):
         # one class 1 unit at (1, 0) and a dead class 2 unit: the scalar score
         # at angle t is cos(t), clipped to [0, 1]
-        params = network_params(np.array([[1.0, 0.0], [0.0, 0.0]]), build_output_map(2, 2, 0.5))
+        params = network_params(np.array([[1.0, 0.0], [0.0, 0.0]]), build_output_map(2, 0.5))
         thetas = np.array([0.0, math.pi / 3, math.pi / 2, math.pi])
         rho = rho_at(params, thetas)
         np.testing.assert_allclose(rho, [1.0, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_clipping_above_one(self):
-        params = network_params(np.array([[5.0, 0.0], [0.0, 0.0]]), build_output_map(2, 2, 0.5))
+        params = network_params(np.array([[5.0, 0.0], [0.0, 0.0]]), build_output_map(2, 0.5))
         assert rho_at(params, np.array([0.0]))[0] == 1.0
 
     def test_curve_shape(self):
-        params = network_params(np.eye(2), build_output_map(2, 2, 0.5))
+        params = network_params(np.eye(2), build_output_map(2, 0.5))
         thetas, rho = rho_curve(params, samples=8)
         assert thetas.shape == rho.shape == (8,)
         assert thetas[0] == 0.0
@@ -234,7 +234,7 @@ class TestRhoCurve:
             rho_curve(params, samples=2)
 
     def test_requires_planar_binary(self):
-        params3 = network_params(np.ones((3, 2)), build_output_map(2, 2, 0.5))
+        params3 = network_params(np.ones((3, 2)), build_output_map(2, 0.5))
         with pytest.raises(ValueError, match="planar"):
             rho_at(params3, np.array([0.0]))
 
@@ -245,7 +245,7 @@ class TestRunSummary:
     @staticmethod
     def one_point_run(eta, max_iters):
         # binary net, k = 2, v = 1, one class-1 sample at (1, 0)
-        params = network_params(np.array([[0.1, 0.0], [0.0, 0.0]]), build_output_map(2, 2, 1.0))
+        params = network_params(np.array([[0.1, 0.0], [0.0, 0.0]]), build_output_map(2, 1.0))
         data = LabeledDataset(np.array([[1.0, 0.0]]), np.array([1]))
         return train(params, data, TrainConfig(eta=eta, max_iters=max_iters))
 

@@ -57,7 +57,7 @@ def annulus_data(dim, label, inner=1.0, outer=2.0, count=300, seed=5):
 
 class TestConstructZeroLoss:
     def test_spec_radius_example(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         W = construct_zero_loss(omap, 1, 2, 1.0)
         norms = np.linalg.norm(W, axis=0)
         owners = omap.owner_columns(1)
@@ -68,7 +68,7 @@ class TestConstructZeroLoss:
     @pytest.mark.parametrize("v", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_exact_zero_loss_and_subgradient(self, v, dim):
-        omap = build_output_map(2, 10, v)
+        omap = build_output_map(10, v)
         W = construct_zero_loss(omap, 1, dim, 1.0)
         data = annulus_data(dim, 1)
         params = network_params(W, omap)
@@ -76,7 +76,7 @@ class TestConstructZeroLoss:
         np.testing.assert_array_equal(subgradient(params, data), np.zeros_like(W))
 
     def test_zero_loss_on_grid_data(self):
-        omap = build_output_map(2, 6, 0.5)
+        omap = build_output_map(6, 0.5)
         W = construct_zero_loss(omap, 1, 2, 1.0)
         data = grid_dataset_planar(GridDatasetSpec())
         params = network_params(W, omap)
@@ -84,7 +84,7 @@ class TestConstructZeroLoss:
         np.testing.assert_array_equal(subgradient(params, data), 0.0)
 
     def test_scales_with_data_min(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         W_far = construct_zero_loss(omap, 1, 2, 4.0)
         data = annulus_data(2, 1, inner=4.0, outer=5.0)
         params = network_params(W_far, omap)
@@ -93,7 +93,7 @@ class TestConstructZeroLoss:
         np.testing.assert_allclose(np.linalg.norm(W_far, axis=0)[owners], 2.02 / 4.0, atol=1e-12)
 
     def test_bias_variant(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         biases = np.full(8, 0.05)
         W = construct_zero_loss(omap, 1, 2, 1.0, biases=biases)
         owners = omap.owner_columns(1)
@@ -105,17 +105,17 @@ class TestConstructZeroLoss:
         np.testing.assert_array_equal(subgradient(params, data), 0.0)
 
     def test_works_for_second_class(self):
-        omap = build_output_map(3, 9, 0.5)
+        omap = build_output_map(9, 0.5)
         W = construct_zero_loss(omap, 2, 2, 1.0)
         data = annulus_data(2, 2)
         params = network_params(W, omap)
         assert dataset_loss(params, data) == 0.0
 
     def test_errors(self):
-        omap = build_output_map(2, 4, 0.5)  # two owners per class
+        omap = build_output_map(4, 0.5)  # two owners per class
         with pytest.raises(ValueError, match="owner units"):
             construct_zero_loss(omap, 1, 2, 1.0)
-        omap8 = build_output_map(2, 8, 0.5)
+        omap8 = build_output_map(8, 0.5)
         with pytest.raises(ValueError, match="data_min"):
             construct_zero_loss(omap8, 1, 2, 0.0)
         with pytest.raises(ValueError, match="biases"):
@@ -147,7 +147,7 @@ class TestAuditVerdict:
 
 class TestCriticalPointAudit:
     def test_constructed_minimum_is_global_min(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         W = construct_zero_loss(omap, 1, 2, 1.0)
         audit = critical_point_audit(network_params(W, omap), annulus_data(2, 1))
         assert audit.verdict == "global_min"
@@ -156,7 +156,7 @@ class TestCriticalPointAudit:
         assert audit.nonzero_output_witness is not None
 
     def test_zero_weights_degenerate(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         audit = critical_point_audit(network_params(np.zeros((2, 8)), omap), annulus_data(2, 1))
         assert audit.verdict == "degenerate_zero_output"
         assert audit.grad_norm == 0.0
@@ -165,28 +165,29 @@ class TestCriticalPointAudit:
     def test_live_units_with_zero_scores_are_degenerate(self):
         # Each class owns two units with the same weights, so the units fire
         # but every score sums to exactly zero: the output, not H, decides.
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         W = np.tile([[1.0], [0.5]], (1, 4))
         audit = critical_point_audit(network_params(W, omap), annulus_data(2, 1))
         assert audit.verdict == "degenerate_zero_output"
         assert audit.loss == 1.0
 
     def test_random_state_not_critical(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         params = network_params(Rng(1).normal((2, 8)), omap)
         audit = critical_point_audit(params, annulus_data(2, 1))
         assert audit.verdict == "not_critical"
         assert audit.grad_norm > 1e-3
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_equals_the_three_pass_definition(self, seed, n):
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_equals_the_three_pass_definition(self, seed, m):
         # One kernel call gives the values forward_batch, subgradient and
-        # dataset_loss give, bit for bit.
-        omap = build_output_map(n, 3 * n, 0.5)
+        # dataset_loss give, bit for bit, at widths 6 and 9 (where class 1
+        # owns one unit more).
+        omap = build_output_map(3 * m, 0.5)
         rng = Rng(seed)
         params = network_params(rng.normal((2, omap.k)), omap, np.full(omap.k, 0.6 / omap.k))
-        data = LabeledDataset(2.0 * rng.normal((90, 2)), np.arange(90) % n + 1)
+        data = LabeledDataset(2.0 * rng.normal((90, 2)), np.arange(90) % 2 + 1)
         audit = critical_point_audit(params, data)
         F, _ = forward_batch(params, data.X)
         live = np.flatnonzero(np.any(F != 0.0, axis=1))
@@ -195,7 +196,7 @@ class TestCriticalPointAudit:
         assert audit.loss == dataset_loss(params, data)
 
     def test_json_dict_round_trip(self):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         audit = critical_point_audit(network_params(np.zeros((2, 8)), omap), annulus_data(2, 1))
         d = audit.to_json_dict()
         assert d["verdict"] == "degenerate_zero_output"
@@ -250,7 +251,7 @@ class TestLipschitzEstimate:
         return polar_grid((1.0, 1.5, 2.0), np.linspace(0.1, 6.2, 24))
 
     def test_no_bias_refused(self):
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         calls = []
 
         def bare(rng, count):
@@ -263,7 +264,7 @@ class TestLipschitzEstimate:
         assert calls == []
 
     def test_deterministic_and_consistent(self):
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         r1 = lipschitz_estimate(self.sampler(omap), omap, self.biases(omap), self.data(), 200, Rng(9))
         r2 = lipschitz_estimate(self.sampler(omap), omap, self.biases(omap), self.data(), 200, Rng(9))
         assert r1 == r2
@@ -278,7 +279,7 @@ class TestLipschitzEstimate:
     def test_ratio_definition_on_two_point_check(self, pairs):
         # Chunking is exact: every ratio, so the max, the mean and the
         # histogram, equals the pair-by-pair scoring on the same draws.
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         data = grid_dataset_planar(GridDatasetSpec())
         args = (self.sampler(omap), omap, self.biases(omap), data, pairs)
         report = lipschitz_estimate(*args, Rng(3))
@@ -288,7 +289,7 @@ class TestLipschitzEstimate:
     def test_skipped_pairs_match_pairwise_reference(self):
         # Every third pair is coincident; it is counted as skipped and the
         # ratios of the other pairs keep their order.
-        omap = build_output_map(3, 9, 0.5)
+        omap = build_output_map(9, 0.5)
         data = annulus_data(2, 2)
         fixed = np.ones((2, 9))
         draws = []
@@ -308,7 +309,7 @@ class TestLipschitzEstimate:
         assert report.skipped == (2 * CHUNK + 5 + 2) // 3
 
     def test_report_does_not_depend_on_chunk_size(self, monkeypatch):
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         args = (self.sampler(omap, scale=2.0), omap, self.biases(omap), self.data(), 2 * CHUNK + 7)
         reports = []
         for chunk in (1, 3, CHUNK):
@@ -321,7 +322,7 @@ class TestLipschitzEstimate:
         # the partial last chunk from the head of the same buffer, so neither
         # a reshape nor the hinge's label gather copies a sliced buffer; the
         # report is the pair-by-pair one.
-        omap = build_output_map(2, 8, 0.5)
+        omap = build_output_map(8, 0.5)
         data = grid_dataset_planar(GridDatasetSpec())
         seen = []
 
@@ -339,7 +340,7 @@ class TestLipschitzEstimate:
         assert report == pairwise_lipschitz(*args, Rng(3))
 
     def test_sampler_called_once_per_chunk(self):
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         counts = []
 
         def counted(rng, count):
@@ -351,7 +352,7 @@ class TestLipschitzEstimate:
 
     def test_bad_weights_in_a_later_chunk_refused(self):
         # The checks run on every chunk, not only the first.
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         calls = []
 
         def late_nan(rng, count):
@@ -366,7 +367,7 @@ class TestLipschitzEstimate:
         assert calls == [2 * CHUNK, 2 * CHUNK]
 
     def test_coincident_pairs_rejected(self):
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
 
         def constant(rng, count):
             return np.ones((count, 2, 4))
@@ -386,13 +387,13 @@ class TestLipschitzEstimate:
         ids=["nan", "inf", "wrong-k", "wrong-d", "vector"],
     )
     def test_bad_sampled_weights_refused(self, weights, match):
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         with pytest.raises(ValueError, match=match):
             lipschitz_estimate(
                 lambda rng, count: np.stack([weights] * count), omap, self.biases(omap), self.data(), 5, Rng(0)
             )
 
     def test_pairs_validated(self):
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         with pytest.raises(ValueError):
             lipschitz_estimate(self.sampler(omap), omap, self.biases(omap), self.data(), 0, Rng(0))

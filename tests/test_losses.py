@@ -24,6 +24,7 @@ from reluphase import (
 from reluphase.core import bias_term, forward_arrays
 from reluphase.experiments import build_task, initial_weights
 from reluphase.losses import KernelWorkspace, _hinge, _HingeWorkspace, batch_loss_grad
+from openblas_core import ROW_MAJOR_KERNELS, blas_corename
 
 
 def brute_force_grad(params, data, classes=None):
@@ -48,20 +49,20 @@ def brute_force_grad(params, data, classes=None):
     return grad / len(list(rows))
 
 
-def random_instance(seed, n=3, k=5, d=4, N=30):
+def random_instance(seed, k=5, d=4, N=30):
     rng = Rng(seed)
     params = network_params(
-        rng.normal((d, k)), build_output_map(n, k, 0.6), np.abs(rng.normal(k)) * 0.02
+        rng.normal((d, k)), build_output_map(k, 0.6), np.abs(rng.normal(k)) * 0.02
     )
     X = rng.normal((N, d))
-    y = (np.arange(N) % n) + 1
+    y = (np.arange(N) % 2) + 1
     return params, LabeledDataset(X, y)
 
 
 def test_hand_oracle_loss_and_grad():
     """One active sample, one live unit and one dead unit, worked by hand."""
     params = network_params(
-        np.array([[0.1, 0.0], [0.0, 0.0]]), build_output_map(2, 2, 1.0)
+        np.array([[0.1, 0.0], [0.0, 0.0]]), build_output_map(2, 1.0)
     )
     data = LabeledDataset(np.array([[1.0, 0.0]]), np.array([1]))
     assert sample_loss(params, data.X[0], 1) == pytest.approx(0.8, abs=0)
@@ -99,7 +100,7 @@ def test_per_sample_losses_agree_with_sample_loss():
 
 def test_relu_boundary_contributes_nothing():
     # Unit 1 sits exactly on its activation boundary for the only sample.
-    params = network_params(np.array([[0.0, 0.3], [1.0, 0.0]]), build_output_map(2, 2, 1.0))
+    params = network_params(np.array([[0.0, 0.3], [1.0, 0.0]]), build_output_map(2, 1.0))
     data = LabeledDataset(np.array([[1.0, 0.0]]), np.array([1]))
     g = subgradient(params, data)
     np.testing.assert_array_equal(g[:, 0], [0.0, 0.0])
@@ -108,7 +109,7 @@ def test_relu_boundary_contributes_nothing():
 
 def test_hinge_boundary_contributes_nothing():
     # Margin exactly zero: f1 - f2 = 1, strict inequality excludes it.
-    params = network_params(np.array([[0.5, 0.0], [0.0, 0.0]]), build_output_map(2, 2, 1.0))
+    params = network_params(np.array([[0.5, 0.0], [0.0, 0.0]]), build_output_map(2, 1.0))
     data = LabeledDataset(np.array([[1.0, 0.0]]), np.array([1]))
     assert dataset_loss(params, data) == 0.0
     np.testing.assert_array_equal(subgradient(params, data), np.zeros((2, 2)))
@@ -120,7 +121,7 @@ def test_gradient_lies_in_data_span():
     X2 = rng.normal((12, 2))
     X = np.hstack([X2, np.zeros((12, 2))])  # data confined to the first two axes
     data = LabeledDataset(X, np.ones(12, dtype=int))
-    params = network_params(rng.normal((4, 6)), build_output_map(2, 6, 0.5))
+    params = network_params(rng.normal((4, 6)), build_output_map(6, 0.5))
     g = subgradient(params, data)
     np.testing.assert_array_equal(g[2:, :], np.zeros((2, 6)))
 
@@ -142,7 +143,8 @@ def test_directional_derivative_shape_check():
 
 
 def test_hinge_flags():
-    # The kernel derives the flags from the hinge's margins into its workspace.
+    # The kernel derives each sample's one strict flag from the hinge's
+    # margin into its workspace, signed by the sample's label.
     params, data = random_instance(5)
     y0 = data.y - 1
     F, _ = forward_batch(params, data.X)
@@ -150,17 +152,13 @@ def test_hinge_flags():
     W, b, values = params.weights, params.biases, params.output.values
     ws = KernelWorkspace(values, data.X, y0, b)
     _, losses, _ = batch_loss_grad(W, b, values, data.X, y0, rows, ws)
-    active, count = ws.active, ws.count
-    # The kernel's scores are class-major, forward_batch's view of them is (N, n).
+    # The kernel's scores are class-major, forward_batch's view of them is (N, 2).
     assert ws.F.tobytes() == F.T.tobytes()
-    assert _hinge(F.T, _HingeWorkspace(y0, params.n)).tobytes() == losses.tobytes()
-    assert active.shape == (data.n_samples, params.n)
-    assert not active[rows, y0].any()  # own class never active against itself
-    margin = 1.0 - F[rows, y0][:, None] + F
-    margin[rows, y0] = 0.0
-    np.testing.assert_array_equal(active, margin > 0.0)
-    np.testing.assert_array_equal(count, active.sum(axis=1))
-    np.testing.assert_allclose(losses, np.maximum(margin, 0.0).sum(axis=1), rtol=1e-14, atol=0.0)
+    assert _hinge(F.T, _HingeWorkspace(y0)).tobytes() == losses.tobytes()
+    margin = 1.0 - F[rows, y0] + F[rows, 1 - y0]
+    np.testing.assert_array_equal(ws.margin, margin)
+    np.testing.assert_array_equal(ws.weight, np.where(margin > 0.0, 1.0 - 2.0 * y0, 0.0))
+    np.testing.assert_allclose(losses, np.maximum(margin, 0.0), rtol=1e-14, atol=0.0)
 
 
 def sample_loss(params, x, y):
@@ -171,7 +169,7 @@ def sample_loss(params, x, y):
 
 
 def reference_margins(F, y0):
-    """(N, n) hinge margins 1 - f_y + f_i with the i = y column zeroed."""
+    """(N, 2) hinge margins 1 - f_y + f_i with the i = y column zeroed."""
     rows = np.arange(F.shape[0])
     m = 1.0 - F[rows, y0][:, None] + F
     m[rows, y0] = 0.0
@@ -179,7 +177,7 @@ def reference_margins(F, y0):
 
 
 def reference_batch_loss_grad(W, b, values, X, y0, rows):
-    """The loss kernel before the owner-table form, kept as a byte-level oracle.
+    """The loss kernel before its two-class operand forms, kept as a byte-level oracle.
 
     It shares no code with the kernel: it runs its own forward pass, builds
     every margin, sums the hinge over classes, and forms the coefficients as
@@ -213,14 +211,14 @@ def assert_kernel_matches(W, b, values, X, y0, rows, grad_atol=None, ws=None):
     return want
 
 
-def check_trajectory(W, b, values, X, y0, rows, steps, eta, grad_atol=None, signed=None):
+def check_trajectory(W, b, values, X, y0, rows, steps, eta, grad_atol=None, scaled=None):
     """Compare the kernels at every iterate of a descent run driven by the reference.
 
-    One workspace serves every step, as in train; with signed given, it
-    must have chosen that gradient path.
+    One workspace serves every step, as in train; with scaled given, it
+    must have chosen that operand form.
     """
     ws = KernelWorkspace(values, X, y0, b)
-    assert signed is None or ws.signed is signed
+    assert scaled is None or ws.scaled is scaled
     for _ in range(steps):
         _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, grad_atol, ws)
         W = W - eta * grad
@@ -234,11 +232,11 @@ def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None, v=0.5):
     if keep is not None:
         data = data.subset(keep)
     rows = np.arange(data.n_samples) if classes is None else np.flatnonzero(np.isin(data.y, classes))
-    return W, np.full(width, bias), build_output_map(2, width, v).values, data.X, data.y - 1, rows
+    return W, np.full(width, bias), build_output_map(width, v).values, data.X, data.y - 1, rows
 
 
 @pytest.mark.parametrize(
-    "task, width, bias, classes, keep, v, signed",
+    "task, width, bias, classes, keep, v, scaled",
     [
         ("planar-grid", 6, 0.0, None, None, 0.5, True),
         ("planar-grid", 14, 0.0, None, None, 0.5, True),
@@ -260,6 +258,8 @@ def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None, v=0.5):
         ("subspace-pair", 8, 0.0, None, None, 0.3, False),
         ("subspace-pair", 8, 0.05, None, None, 0.3, False),
         ("subspace-pair", 8, 0.05, None, (2,), 0.7, False),
+        ("planar-grid", 8, 0.05, None, None, 1.5, False),
+        ("subspace-pair", 8, 0.0, None, None, 1.5, False),
     ],
     ids=[
         "planar-k6",
@@ -282,14 +282,15 @@ def task_arrays(task, width, bias=0.0, classes=None, seed=0, keep=None, v=0.5):
         "subspace-k8-v0.3",
         "subspace-k8-biased-v0.3",
         "subspace-k8-class2-data-biased-v0.7",
+        "planar-k8-biased-v1.5",
+        "subspace-k8-v1.5",
     ],
 )
-def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes, keep, v, signed):
-    # Two classes take the signed path when 2v is a power of two, the table
-    # path otherwise; with both labels, the table path reads one margin row
-    # for both classes' flags.
+def test_kernel_trajectory_matches_reference_bytes(task, width, bias, classes, keep, v, scaled):
+    # The kernel takes the scaled form when 2v is a power of two, the
+    # product form otherwise.
     W, b, values, X, y0, rows = task_arrays(task, width, bias, classes, keep=keep, v=v)
-    check_trajectory(W, b, values, X, y0, rows, steps=150, eta=0.1, signed=signed)
+    check_trajectory(W, b, values, X, y0, rows, steps=150, eta=0.1, scaled=scaled)
 
 
 @pytest.mark.parametrize("bias", [0.0, -0.0, 0.05])
@@ -333,21 +334,8 @@ def test_workspace_bias_term_matches_reference_bytes(bias):
     check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
 
 
-def test_all_true_mask_next_to_mixed_masks_matches_reference_bytes():
-    # Three classes over subspace-pair data, which labels classes 1 and 2
-    # only: every sample is against class 3, so its mask is stored as None,
-    # while classes 1 and 2 keep their mixed masks.
-    W, b, _, X, y0, rows = task_arrays("subspace-pair", 6, 0.05)
-    values = build_output_map(3, 6, 0.5).values
-    ws = KernelWorkspace(values, X, y0, b)
-    assert [c for c, _ in ws.others] == [0, 1, 2] and ws.others[2][1] is None
-    for c, other in ws.others[:2]:
-        assert other.tobytes() == (y0 != c).tobytes() and not other.all()
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1, signed=False)
-
-
 @pytest.mark.parametrize(
-    "task, bias, v, signed",
+    "task, bias, v, scaled",
     [
         ("planar-grid", 0.0, 0.5, True),
         ("planar-grid", 0.05, 0.5, True),
@@ -363,11 +351,11 @@ def test_all_true_mask_next_to_mixed_masks_matches_reference_bytes():
         "subspace-pair-0.05-v0.7",
     ],
 )
-def test_workspace_rows_subset_matches_reference_bytes(task, bias, v, signed):
+def test_workspace_rows_subset_matches_reference_bytes(task, bias, v, scaled):
     # Every third sample: the losses, masks and bias term cover every row,
     # and the loss and gradient read the subset.
     W, b, values, X, y0, _ = task_arrays(task, 8, bias, v=v)
-    check_trajectory(W, b, values, X, y0, np.arange(0, X.shape[0], 3), steps=100, eta=0.1, signed=signed)
+    check_trajectory(W, b, values, X, y0, np.arange(0, X.shape[0], 3), steps=100, eta=0.1, scaled=scaled)
 
 
 def test_forward_arrays_stack_with_tiled_bias_matches_unstacked_bytes():
@@ -383,8 +371,23 @@ def test_forward_arrays_stack_with_tiled_bias_matches_unstacked_bytes():
 
 
 def row_major_scores(W, b, values, X):
-    """The scores as the row-major product relu(X @ W - b) @ values.T, (N, n) or (m, N, n)."""
+    """The scores as the row-major product relu(X @ W - b) @ values.T, (N, 2) or (m, N, 2)."""
     return np.matmul(np.maximum(np.matmul(X, W) - b, 0.0), values.T)
+
+
+def assert_row_major_product(got, W, b, values, X, axes):
+    """got equals row_major_scores(W, b, values, X).transpose(axes).
+
+    Byte for byte under the OpenBLAS kernels README names; under any other
+    kernel (Nehalem sums the two products in different orders), within a
+    few ulps of the sum of the terms' magnitudes.
+    """
+    want = row_major_scores(W, b, values, X).transpose(axes)
+    if blas_corename() in ROW_MAJOR_KERNELS:
+        assert got.tobytes() == want.tobytes()
+    else:
+        size = row_major_scores(W, b, np.abs(values), X).transpose(axes)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * size)
 
 
 @pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
@@ -396,7 +399,7 @@ def test_class_major_scores_equal_row_major_product_bytes(task, bias):
         W, b, values, X, y0, _ = task_arrays(task, width, bias)
         F, _ = forward_arrays(W, bias_term(b, X.shape[0]), values, X)
         assert F.shape == (2, X.shape[0]) and F.flags.c_contiguous
-        assert F.tobytes() == row_major_scores(W, b, values, X).T.tobytes()
+        assert_row_major_product(F, W, b, values, X, (1, 0))
         ws = KernelWorkspace(values, X, y0, b)
         batch_loss_grad(W, b, values, X, y0, np.arange(X.shape[0]), ws)
         assert ws.F.tobytes() == F.tobytes()
@@ -404,73 +407,55 @@ def test_class_major_scores_equal_row_major_product_bytes(task, bias):
 
 def test_class_major_scores_of_a_lipschitz_stack_equal_row_major_product_bytes():
     # lipschitz_estimate's chunk: 16 pairs as a (32, 2, 8) stack, written as
-    # (n, 32, N) through a transposed out.
+    # (2, 32, N) through a transposed out.
     _, b, values, X, _, _ = task_arrays("planar-grid", 8, 0.05)
     stack = Rng(4).normal((32, 2, 8))
-    want = row_major_scores(stack, b, values, X)
     buf = np.empty((2, 32, X.shape[0]))
     F, _ = forward_arrays(stack, bias_term(b, X.shape[0]), values, X, out=(buf.transpose(1, 0, 2), None, None))
     assert F.base is buf
-    assert buf.tobytes() == want.transpose(2, 0, 1).tobytes()
+    assert_row_major_product(buf, stack, b, values, X, (2, 0, 1))
 
 
-def check_fast_paths(ws, label, direct):
-    """The per-run facts a hinge workspace decides: the one label, if any, and the direct first class.
+def check_fast_paths(ws, label):
+    """The per-run fact a hinge workspace decides: the one label, if any.
 
-    Two classes with both labels also gather each sample's other-class scores.
+    With both labels it gathers each sample's own and other scores.
     """
-    assert ws.label == label and (ws.label_index is None) == (label is not None)
-    assert ws.direct == direct
-    assert (ws.other_index is None) == (label is not None or len(ws.others) != 2)
+    assert ws.label == label
+    assert hasattr(ws, "label_index") == hasattr(ws, "other_index") == (label is None)
 
 
 @pytest.mark.parametrize("width", [6, 24])
 def test_single_label_not_one_matches_reference_bytes(width):
-    # Class 2 alone: the slack is 1 - F[1], and class 1 is against every
-    # sample, so its hinge goes straight into the losses.
+    # Class 2 alone: the slack is 1 - F[1], and every margin adds F[0].
     W, b, values, X, y0, rows = task_arrays("subspace-pair", width, 0.04, keep=(2,))
     ws = KernelWorkspace(values, X, y0, b)
-    check_fast_paths(ws, 1, True)
+    check_fast_paths(ws, 1)
     check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
     assert per_sample_losses(
-        network_params(W, build_output_map(2, width, 0.5), b), LabeledDataset(X, y0 + 1)
+        network_params(W, build_output_map(width, 0.5), b), LabeledDataset(X, y0 + 1)
     ).tobytes() == reference_batch_loss_grad(W, b, values, X, y0, rows)[1].tobytes()
 
 
-def test_three_outputs_with_two_all_sample_classes_match_reference_bytes():
-    # Label 2 of three classes: classes 1 and 3 are both against every
-    # sample, the first written into the losses and the second added.
-    W, b, values, X, y0, rows = multiclass_arrays(3, 0.5, seed=2)
-    keep = np.flatnonzero(y0 == 1)
-    X, y0, rows = X[keep], y0[keep], np.arange(keep.size)
-    ws = KernelWorkspace(values, X, y0, b)
-    check_fast_paths(ws, 1, True)
-    assert [(c, other) for c, other in ws.others] == [(0, None), (2, None)]
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, signed=False)
-
-
 def test_two_masked_classes_take_no_fast_path_and_match_reference_bytes():
-    # Both subspace-pair classes: each hinge class is masked, so the slack
-    # is gathered through the flat label index, and each sample's one other
-    # class through the flat other index.
+    # Both subspace-pair labels: each sample's own score is gathered through
+    # the flat label index, and its other class's through the flat other index.
     W, b, values, X, y0, rows = task_arrays("subspace-pair", 8, 0.05)
     ws = KernelWorkspace(values, X, y0, b)
-    check_fast_paths(ws, None, False)
+    check_fast_paths(ws, None)
     np.testing.assert_array_equal(ws.label_index, y0 * X.shape[0] + np.arange(X.shape[0]))
     np.testing.assert_array_equal(ws.other_index, (1 - y0) * X.shape[0] + np.arange(X.shape[0]))
     check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.1)
 
 
 def test_kernel_call_with_workspace_allocates_no_n_by_k_array():
-    # The signed path with one label and with two, and the table path; a
-    # signed workspace holds none of the table path's buffers.
-    table_only = ("active", "count", "flags", "owner", "table", "table_index", "coef")
-    for task, v, signed in (("planar-grid", 0.5, True), ("subspace-pair", 0.5, True), ("subspace-pair", 0.7, False)):
+    # The scaled form with one label and with two, and the product form,
+    # whose left operand is X itself.
+    for task, v, scaled in (("planar-grid", 0.5, True), ("subspace-pair", 0.5, True), ("subspace-pair", 0.7, False)):
         W, b, values, X, y0, rows = task_arrays(task, 24, v=v)
         ws = KernelWorkspace(values, X, y0, b)
-        assert ws.signed is signed
-        assert [hasattr(ws, name) for name in table_only] == [not signed] * len(table_only)
-        assert ws.live.dtype == (float if signed else bool)
+        assert ws.scaled is scaled and (ws.left is X) is not scaled
+        assert ws.live.dtype == float
         batch_loss_grad(W, b, values, X, y0, rows, ws)
         tracemalloc.start()
         try:
@@ -489,15 +474,15 @@ def test_kernel_all_dead_start_matches_reference_bytes(bias):
 
 
 @pytest.mark.parametrize("task", ["planar-grid", "subspace-pair"])
-@pytest.mark.parametrize("v, signed", [(0.5, True), (2.0, True), (0.7, False)])
-def test_zero_gradient_columns_are_minus_zero_on_both_paths(task, v, signed):
+@pytest.mark.parametrize("v, scaled", [(0.5, True), (2.0, True), (0.7, False)])
+def test_zero_gradient_columns_are_minus_zero_on_both_paths(task, v, scaled):
     # A column with no live term sums to +0.0, and the mean negates it to
-    # -0.0.  The signed path scales the sum by -2v on the units class 2
+    # -0.0.  The scaled form scales the sum by -2v on the units class 2
     # owns (the odd ones), which must not flip that zero.  States: an
     # all-dead start, then class 2's units dead and class 1's live.
     W, b, values, X, y0, rows = task_arrays(task, 8, v=v)
     ws = KernelWorkspace(values, X, y0, b)
-    assert ws.signed is signed
+    assert ws.scaled is scaled
     half_dead = W.copy()
     half_dead[:, 1::2] = 0.0
     for state, dead in ((np.zeros_like(W), slice(None)), (half_dead, slice(1, None, 2))):
@@ -512,23 +497,23 @@ def test_scaled_data_matches_reference_bytes_on_the_path_its_check_picks(scale, 
     # Scaling by 2v is exact only while every value stays normal: nonzero
     # entries of at least 2**-900 and N max|x| max(1, 2v) < 2**1000.  The
     # subspace-pair data has N = 1760, max|x| = 2 and entries down to 6e-17,
-    # so 2**900 passes and 2**-1000 and 2**990 fail; at 2v = 1 the signed
-    # path is exact anyway.
+    # so 2**900 passes and 2**-1000 and 2**990 fail; at 2v = 1 the scaled
+    # form is exact anyway.
     W, b, values, X, y0, rows = task_arrays("subspace-pair", 8, v=v)
     X = X * scale
-    signed = v == 0.5 or scale == 2.0**900
-    check_trajectory(W, b, values, X, y0, rows, steps=20, eta=0.1 / scale, signed=signed)
+    scaled = v == 0.5 or scale == 2.0**900
+    check_trajectory(W, b, values, X, y0, rows, steps=20, eta=0.1 / scale, scaled=scaled)
 
 
 def test_least_subnormal_samples_take_the_table_path():
-    # Three samples at the least subnormal x with 2v = 1/2: the table path
-    # rounds each term x/2 to 0, while the signed path would round its sum
-    # 3x, scaled by 1/2, to 2x.
+    # Three samples at the least subnormal x with 2v = 1/2 take the product
+    # form, which rounds each term x/2 to 0, while the scaled form would
+    # round its sum 3x, scaled by 1/2, to 2x.
     X = np.array([[2.0**-1074, 0.0]] * 3)
-    W, b, values = np.eye(2), np.zeros(2), build_output_map(2, 2, 0.25).values
+    W, b, values = np.eye(2), np.zeros(2), build_output_map(2, 0.25).values
     y0, rows = np.zeros(3, dtype=int), np.arange(3)
     ws = KernelWorkspace(values, X, y0, b)
-    assert not ws.signed
+    assert not ws.scaled
     _, _, grad = assert_kernel_matches(W, b, values, X, y0, rows, ws=ws)
     assert not grad.any()
 
@@ -538,7 +523,7 @@ def test_kernel_at_kinks_matches_reference_bytes():
     # 1 - (h_1 - h_2): x = (1, 0) sits exactly on the hinge, and every sample
     # on the first axis sits exactly on unit 2's ReLU boundary.
     W = np.eye(2)
-    values = build_output_map(2, 2, 0.5).values
+    values = build_output_map(2, 0.5).values
     X = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [-1.0, 0.5]])
     y0 = np.array([0, 0, 0, 1, 1, 0, 1])
     F, H = forward_arrays(W, None, values, X)
@@ -549,39 +534,20 @@ def test_kernel_at_kinks_matches_reference_bytes():
         assert_kernel_matches(W, np.zeros(2), values, X, y0, rows)
 
 
-def multiclass_arrays(n, v, seed=0, k=7, d=4, N=60):
+def gaussian_arrays(v, seed=0, k=7, d=4, N=60):
+    """Gaussian arrays for a round-robin map of magnitude v, labels alternating between the two classes."""
     rng = Rng(seed)
-    values = build_output_map(n, k, v).values
+    values = build_output_map(k, v).values
     X = rng.normal((N, d))
-    return rng.normal((d, k)), np.abs(rng.normal(k)) * 0.02, values, X, np.arange(N) % n, np.arange(N)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_kernel_multiclass_power_of_two_v_matches_reference_bytes(n):
-    check_trajectory(*multiclass_arrays(n, 0.5), steps=100, eta=0.05, signed=False)
+    return rng.normal((d, k)), np.abs(rng.normal(k)) * 0.02, values, X, np.arange(N) % 2, np.arange(N)
 
 
 def test_kernel_non_round_robin_owners_match_reference_bytes():
-    W, b, _, X, y0, rows = multiclass_arrays(3, 0.5, k=4)
-    values = OutputMap(owner=np.array([2, 1, 3, 1]), v=0.5).values
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, signed=False)
-
-
-def test_kernel_data_missing_a_class_matches_reference_bytes():
-    # Classes 1 and 3 of three: class 2 owns units but labels no sample.
-    W, b, values, X, y0, _ = multiclass_arrays(3, 0.5)
-    keep = np.flatnonzero(y0 != 1)
-    check_trajectory(W, b, values, X[keep], y0[keep], np.arange(keep.size), steps=100, eta=0.05, signed=False)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("v", [0.6, 0.1])
-def test_kernel_multiclass_other_v_within_rounding(n, v):
-    # count * v against a repeated sum of v: a few roundings of size 2v per
-    # sample, scaled by |x| and averaged over the samples.
-    W, b, values, X, y0, rows = multiclass_arrays(n, v)
-    atol = 4 * n * np.finfo(float).eps * 2 * v * np.abs(X).max()
-    check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, grad_atol=atol, signed=False)
+    # Units owned in no round-robin order, in both operand forms.
+    for v, scaled in ((0.5, True), (0.7, False)):
+        W, b, _, X, y0, rows = gaussian_arrays(v, k=4)
+        values = OutputMap(owner=np.array([2, 1, 1, 2]), v=v).values
+        check_trajectory(W, b, values, X, y0, rows, steps=100, eta=0.05, scaled=scaled)
 
 
 def check_nonfinite_weights(reuse):
@@ -609,10 +575,10 @@ def test_kernel_nonfinite_weights_match_reference_after_a_finite_call_on_the_wor
 
 
 def check_loss_helpers(labels):
-    W, b, values, X, y0, rows = multiclass_arrays(3, 0.6, seed=8)
+    W, b, values, X, y0, rows = gaussian_arrays(0.6, seed=8)
     keep = np.flatnonzero(np.isin(y0, labels))
     X, y0, rows = X[keep], y0[keep], np.arange(keep.size)
-    params = network_params(W, build_output_map(3, 7, 0.6), b)
+    params = network_params(W, build_output_map(7, 0.6), b)
     data = LabeledDataset(X, y0 + 1)
     _, losses, _ = reference_batch_loss_grad(W, b, values, X, y0, rows)
     assert per_sample_losses(params, data).tobytes() == losses.tobytes()
@@ -620,15 +586,15 @@ def check_loss_helpers(labels):
     ws = KernelWorkspace(values, X, y0, b)
     _, kernel_losses, _ = batch_loss_grad(W, b, values, X, y0, rows, ws)
     assert per_sample_losses(params, data).tobytes() == kernel_losses.tobytes()
-    np.testing.assert_array_equal(ws.active, reference_margins(F, y0) > 0.0)
+    np.testing.assert_array_equal(ws.weight != 0.0, (reference_margins(F, y0) > 0.0).any(axis=1))
 
 
 def test_loss_helpers_match_reference_bytes():
-    check_loss_helpers((0, 1, 2))
+    check_loss_helpers((0, 1))
 
 
 def test_loss_helpers_on_one_class_data_match_reference_bytes():
-    # Classes 1 and 3 are skipped; their active columns must read False.
+    # Class 2 alone: every sample's one margin is against class 1.
     check_loss_helpers((1,))
 
 
@@ -659,7 +625,7 @@ def test_label_outside_the_output_map_is_refused(entry):
     # Label 3 has no row in a 2-class map: each path builds a hinge
     # workspace, which refuses it before any score is read.
     rng = Rng(5)
-    params = network_params(rng.normal((2, 4)), build_output_map(2, 4, 0.5), np.full(4, 0.05))
+    params = network_params(rng.normal((2, 4)), build_output_map(4, 0.5), np.full(4, 0.05))
     data = LabeledDataset(rng.normal((20, 2)), np.arange(20) % 2 * 2 + 1)  # labels 1 and 3
     with pytest.raises(ValueError, match="label 3 has no class in an output map of 2 classes"):
         entry(params, data)
@@ -670,6 +636,6 @@ def test_negative_label_is_refused(y0):
     # A 0-based label of -1 would read a neighbouring score through the
     # flat label index and count both classes as others.
     rng = Rng(5)
-    W, b, values, X = rng.normal((2, 4)), np.full(4, 0.05), build_output_map(2, 4, 0.5).values, rng.normal((3, 2))
+    W, b, values, X = rng.normal((2, 4)), np.full(4, 0.05), build_output_map(4, 0.5).values, rng.normal((3, 2))
     with pytest.raises(ValueError, match="label 0 has no class in an output map of 2 classes"):
         batch_loss_grad(W, b, values, X, np.array(y0), np.arange(3))

@@ -161,7 +161,7 @@ class TestPhaseBounds:
 def fabricated_result(timeline_weights, class1_losses, v=1.0):
     """TrainResult of a class-1 run with hand-picked weight snapshots and losses; class 2 has no loss column."""
     k = timeline_weights[0].shape[1]
-    omap = build_output_map(2, k, v)
+    omap = build_output_map(k, v)
     params = network_params(timeline_weights[-1], omap)
     T = len(class1_losses)
     weights = np.stack(timeline_weights[:T])
@@ -508,7 +508,7 @@ class TestMonotonicityAudit:
         rng = Rng(13)
         X = np.vstack([rng.normal((12, 2)) + np.array([2.0, 0.0])])
         data = LabeledDataset(X, np.ones(12, dtype=int))
-        params = network_params(rng.normal((2, 4)), build_output_map(2, 4, 0.5))
+        params = network_params(rng.normal((2, 4)), build_output_map(4, 0.5))
         return train(params, data, TrainConfig(eta=eta, max_iters=60))
 
     def test_clean_run_has_no_owner_violations(self):
@@ -518,7 +518,7 @@ class TestMonotonicityAudit:
     def test_bias_mode_rejected(self):
         rng = Rng(13)
         data = LabeledDataset(rng.normal((6, 2)) + 2.0, np.ones(6, dtype=int))
-        params = network_params(rng.normal((2, 4)), build_output_map(2, 4, 0.5), np.full(4, 0.1))
+        params = network_params(rng.normal((2, 4)), build_output_map(4, 0.5), np.full(4, 0.1))
         res = train(params, data, TrainConfig(eta=0.05, max_iters=5))
         with pytest.raises(ValueError, match="no-bias"):
             monotonicity_audit(res, 1)

@@ -29,7 +29,7 @@ def gd_step(params, data, eta):
 
 def one_unit_per_class(weights, biases=None):
     """Binary net, k = 2, v = 1, unit j owned by class j + 1."""
-    return network_params(np.asarray(weights, dtype=float), build_output_map(2, 2, 1.0), biases)
+    return network_params(np.asarray(weights, dtype=float), build_output_map(2, 1.0), biases)
 
 
 def polar_grid(radii, angles):
@@ -282,7 +282,7 @@ class TestRecording:
         # Column 2 is zero and column 3 is -0.0; neither unit ever fires.
         W = init_random(2, 6, Rng(4))
         W[:, 2], W[:, 3] = 0.0, -0.0
-        params = network_params(W, build_output_map(2, 6, 0.5))
+        params = network_params(W, build_output_map(6, 0.5))
         res = train(params, polar_grid((1.0, 1.5), np.linspace(0.1, 3.0, 9)), TrainConfig(eta=0.05, max_iters=30))
         assert np.signbit(res.records[0].weights[:, 3]).all() and len(res.records) > 1
         for rec in res.records:
@@ -478,7 +478,7 @@ class TestAgainstManualSteps:
     def test_train_matches_gd_step_chain_bitwise(self):
         rng = Rng(42)
         data = polar_grid((1.0, 1.5), np.linspace(0.1, 3.0, 9))
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         params = network_params(init_random(2, 4, rng), omap)
         cfg = TrainConfig(eta=0.05, max_iters=10)
         res = train(params, data, cfg)
@@ -494,7 +494,7 @@ class TestBiasMode:
     def test_loss_decreases(self):
         rng = Rng(7)
         data = polar_grid((1.0, 2.0), np.linspace(0.1, 3.0, 11))
-        omap = build_output_map(2, 4, 0.5)
+        omap = build_output_map(4, 0.5)
         biases = np.full(4, 0.1)
         params = network_params(init_random(2, 4, rng), omap, biases)
         res = train(params, data, TrainConfig(eta=0.05, max_iters=200))
