@@ -35,11 +35,14 @@ LOSS_TOLERANCE = 1e-8
 # sampled pair counts as coincident and is skipped.
 _LIPSCHITZ_BINS = 32
 _SKIP_TOL = 1e-14
-# Pairs per lipschitz_estimate chunk.  At landscape-audit's defaults (880
-# samples, 8 units) its largest buffer, the (32, 880, 8) pre-activations,
-# which the ReLU overwrites in place, takes 1.7 MiB.  32-pair chunks were no
-# faster and raised landscape-mc's peak RSS by 2 MiB.
-_LIPSCHITZ_CHUNK = 16
+# lipschitz_estimate draws _LIPSCHITZ_DRAW pairs per sampler call and scores
+# them in chunks whose (2c, N, n) scores and (2c, N, k) pre-activations fit
+# _LIPSCHITZ_CHUNK_BYTES: at 880 samples and 8 units, 64 KiB of draws and
+# 8-pair chunks of 1.07 MiB, inside a 2 MiB L2.  A 1,250-pair call took 31
+# ms there, against 41 ms with one call per 16-pair chunk, and 95 against
+# 115 ms at 24 units, in 3-pair chunks (BENCH_lipschitz_blocks.json).
+_LIPSCHITZ_DRAW = 256
+_LIPSCHITZ_CHUNK_BYTES = 9 << 17
 
 
 def regular_simplex_vertices(d: int) -> np.ndarray:
@@ -167,22 +170,27 @@ def lipschitz_estimate(
 
     sampler(rng, count) draws count (d, k) weight matrices as one
     (count, d, k) array; each pair is two consecutive draws, scored as
-    network_params(W, output, biases) on data.  It is called once per chunk
-    with twice the chunk's pairs, so its draws must not depend on how the
-    pairs are chunked, as Rng.normal_draws's do not.
+    network_params(W, output, biases) on data.  It is called once per draw
+    block of at most _LIPSCHITZ_DRAW pairs, so its draws must not depend
+    on how the pairs are split, as Rng.normal_draws's do not.
     Only bias-mode states are accepted: without biases the loss is positively
     homogeneous and the ratio is unbounded, so the diagnostic would be
     meaningless there.  Pairs closer than _SKIP_TOL in weight norm are skipped.
 
-    The pairs are scored in chunks: one forward pass over the chunk's stacked
-    matrices, with the bias term built once per call, and one hinge over its
-    tiled labels.  The pass writes the scores as (n, 2c, N) through
-    out=buf.transpose(1, 0, 2), so the hinge reads each class across the
-    whole chunk as one contiguous row; a partial last chunk takes the head
-    of the same flat buffer, so no reshape copies.  Every slice runs the
-    per-matrix arithmetic of dataset_loss, so each ratio, and the report,
-    is the one pair-by-pair scoring gives, bit for bit, whatever the chunk
-    size.
+    A block is checked and its gaps computed at once, then scored in
+    chunks of whole pairs, at least one, whose buffers fit
+    _LIPSCHITZ_CHUNK_BYTES; a block is whole chunks, so only a call's last
+    chunk is partial.  A chunk is one forward pass over its stacked
+    matrices, which writes the scores as (n, 2c, N) through
+    out=buf.transpose(1, 0, 2), so the hinge reads each class as one
+    contiguous row; a partial chunk takes the head of the same buffer.
+    The loss sums fill one row per block.  Every slice runs dataset_loss's
+    per-matrix arithmetic, and np.add.reduce(...) / N is its mean, so each
+    ratio, and the report, is pair-by-pair scoring's, bit for bit.
+
+    Memory: one chunk's buffers, its hinge workspace (at most five (2c N,)
+    rows) and the (N, k) bias; twice one draw block of weights; about 24 B
+    per pair for the ratios and their histogram.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
@@ -192,30 +200,34 @@ def lipschitz_estimate(
         raise ValueError("lipschitz_estimate refuses no-bias states: the no-bias loss has no finite modulus")
     bias, values, y0 = bias_term(params.biases, N), output.values, data.y - 1
 
-    m = min(pairs, _LIPSCHITZ_CHUNK)
-    F, H = np.empty(n * 2 * m * N), np.empty((2 * m, N, k))
-    ws = _HingeWorkspace(np.tile(y0, 2 * m))
+    # A chunk and a draw block as counts of matrices, two per pair.
+    chunk = 2 * max(min(pairs, _LIPSCHITZ_DRAW, _LIPSCHITZ_CHUNK_BYTES // (16 * N * (n + k))), 1)
+    block = 2 * _LIPSCHITZ_DRAW // chunk * chunk
+    F, H, sums = np.empty(n * chunk * N), np.empty((chunk, N, k)), np.empty(min(2 * pairs, block))
+    ws = _HingeWorkspace(np.tile(y0, chunk))
     ratios = np.empty(pairs)
     used = 0
-    for start in range(0, pairs, m):
-        c = min(m, pairs - start)
-        if c < m:  # the last, partial chunk
-            ws = _HingeWorkspace(np.tile(y0, 2 * c))
-        stack = np.ascontiguousarray(sampler(rng, 2 * c), dtype=float)
-        if stack.shape != (2 * c, d, k):
-            raise ValueError(f"sampled weights must have shape {(2 * c, d, k)}, got {stack.shape}")
+    for start in range(0, 2 * pairs, block):
+        b = min(block, 2 * pairs - start)
+        stack = np.ascontiguousarray(sampler(rng, b), dtype=float)
+        if stack.shape != (b, d, k):
+            raise ValueError(f"sampled weights must have shape {(b, d, k)}, got {stack.shape}")
         if not np.all(np.isfinite(stack)):
             raise ValueError("weights must be finite")
         # Each pair's weight_matrix_norm(W1 - W2), the sum of its column norms.
         gaps = _column_norms(stack[0::2] - stack[1::2]).sum(axis=1)
-        # The ReLU overwrites the pre-activations, which no ratio reads.
-        scores = F[: n * 2 * c * N].reshape(n, 2 * c, N)
-        forward_arrays(stack, bias, values, data.X, out=(scores.transpose(1, 0, 2), H[: 2 * c], H[: 2 * c]))
-        means = _hinge(scores.reshape(n, 2 * c * N), ws).reshape(2 * c, N).mean(axis=1)
-        kept = gaps >= _SKIP_TOL
-        chunk = np.abs(means[0::2] - means[1::2])[kept] / gaps[kept]
-        ratios[used : used + chunk.size] = chunk
-        used += chunk.size
+        for lo in range(0, b, chunk):
+            m = min(chunk, b - lo)
+            if m < chunk:  # the call's last, partial chunk
+                ws = _HingeWorkspace(np.tile(y0, m))
+            # The ReLU overwrites the pre-activations, which no ratio reads.
+            scores = F[: n * m * N].reshape(n, m, N)
+            forward_arrays(stack[lo : lo + m], bias, values, data.X, out=(scores.transpose(1, 0, 2), H[:m], H[:m]))
+            np.add.reduce(_hinge(scores.reshape(n, m * N), ws).reshape(m, N), axis=1, out=sums[lo : lo + m])
+        means, kept = sums[:b] / N, gaps >= _SKIP_TOL
+        found = np.abs(means[0::2] - means[1::2])[kept] / gaps[kept]
+        ratios[used : used + found.size] = found
+        used += found.size
     skipped = pairs - used
     if used == 0:
         raise ValueError("every sampled pair was coincident; nothing to estimate")

@@ -22,10 +22,11 @@ import numpy as np
 import pytest
 
 import reluphase
-from reluphase import OutputMap
+from reluphase import GridDatasetSpec, OutputMap, Rng, build_output_map, grid_dataset_planar, lipschitz_estimate
 from reluphase.experiments import run_command
 from reluphase.losses import KernelWorkspace, batch_loss_grad
 from openblas_core import blas_corename
+from test_landscape import CHUNK, DRAW, pairwise_lipschitz
 from test_losses import reference_batch_loss_grad, task_arrays
 
 # Candidate kernels, newest first.  A CPU that cannot run one makes OpenBLAS
@@ -77,10 +78,27 @@ def kernel_mismatches() -> dict:
     return found
 
 
+def lipschitz_matches_pairwise() -> bool:
+    """Whether lipschitz_estimate's report equals pair-by-pair scoring's on landscape-audit's data.
+
+    The scan spans two full draw blocks and ends in a partial chunk.
+    """
+    omap = build_output_map(8, 0.5)
+    args = (
+        lambda rng, count: rng.normal_draws(count, (2, 8)),
+        omap,
+        np.full(8, 0.05),
+        grid_dataset_planar(GridDatasetSpec()),
+        2 * DRAW + CHUNK + 3,
+    )
+    return lipschitz_estimate(*args, Rng(11)) == pairwise_lipschitz(*args, Rng(11))
+
+
 def semantic_results(out: str) -> dict:
     """What a tiny train, a two-cell width sweep and a gc-prob run report, without trajectory digits.
 
-    Also the steps where the loss kernel's bytes leave the oracle's (none).
+    Also the steps where the loss kernel's bytes leave the oracle's (none),
+    and whether the Lipschitz scan's report is pair-by-pair scoring's (it is).
     """
     train = run_command("train", {"seed": 7}, os.path.join(out, "train"))
     run_command(
@@ -98,6 +116,7 @@ def semantic_results(out: str) -> dict:
         "sweep_summary": _table(os.path.join(out, "sweep", "width_summary.csv")),
         "gc_prob": [row[:3] + row[4:6] for row in gc_rows],
         "kernel_mismatches": kernel_mismatches(),
+        "lipschitz_matches_pairwise": lipschitz_matches_pairwise(),
     }
 
 
@@ -137,6 +156,7 @@ def test_semantic_results_hold_under_every_kernel(tmp_path):
         )
     expected = semantic_results(str(tmp_path / "in-process"))
     assert not any(expected["kernel_mismatches"].values()), expected["kernel_mismatches"]
+    assert expected["lipschitz_matches_pairwise"]
     ran = {}
     for kernel, child in children.items():
         stdout, stderr = child.communicate(timeout=120)

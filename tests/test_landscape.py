@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,7 +236,20 @@ def pairwise_lipschitz(sampler, omap, biases, data, pairs, rng):
     )
 
 
-CHUNK = landscape._LIPSCHITZ_CHUNK
+# lipschitz_estimate's chunk and draw block at landscape-audit's defaults:
+# the 880-sample planar grid and 8 units.
+CHUNK = 8
+DRAW = landscape._LIPSCHITZ_DRAW
+
+
+def chunk_budget(pairs, N, k, n=2):
+    """The _LIPSCHITZ_CHUNK_BYTES at which a chunk of N samples and k units holds pairs pairs."""
+    return 16 * N * (n + k) * pairs
+
+
+def set_blocks(monkeypatch, chunk, draw, N, k):
+    monkeypatch.setattr(landscape, "_LIPSCHITZ_CHUNK_BYTES", chunk_budget(chunk, N, k))
+    monkeypatch.setattr(landscape, "_LIPSCHITZ_DRAW", draw)
 
 
 class TestLipschitzEstimate:
@@ -275,10 +290,15 @@ class TestLipschitzEstimate:
         assert 0.0 < r1.mean_ratio <= r1.max_ratio
         assert np.isfinite(r1.max_ratio)
 
-    @pytest.mark.parametrize("pairs", [1, CHUNK - 1, CHUNK, CHUNK + 1, 1250])
+    @pytest.mark.parametrize(
+        "pairs",
+        [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1]
+        + [DRAW - 1, DRAW, DRAW + 1, 2 * DRAW + CHUNK + 1, 1250],
+    )
     def test_ratio_definition_on_two_point_check(self, pairs):
-        # Chunking is exact: every ratio, so the max, the mean and the
-        # histogram, equals the pair-by-pair scoring on the same draws.
+        # Draw blocks and chunks are exact: every ratio, so the max, the
+        # mean and the histogram, equals the pair-by-pair scoring on the
+        # same draws.
         omap = build_output_map(8, 0.5)
         data = grid_dataset_planar(GridDatasetSpec())
         args = (self.sampler(omap), omap, self.biases(omap), data, pairs)
@@ -286,36 +306,45 @@ class TestLipschitzEstimate:
         assert report == pairwise_lipschitz(*args, Rng(3))
         assert report.pairs_used == pairs
 
-    def test_skipped_pairs_match_pairwise_reference(self):
-        # Every third pair is coincident; it is counted as skipped and the
-        # ratios of the other pairs keep their order.
+    def test_skipped_pairs_match_pairwise_reference(self, monkeypatch):
+        # Every third pair is coincident, among them the last pair of the
+        # first draw block and the first of the second; each is counted as
+        # skipped and the ratios of the other pairs keep their order.
         omap = build_output_map(9, 0.5)
         data = annulus_data(2, 2)
+        set_blocks(monkeypatch, 4, 12, data.n_samples, 9)
         fixed = np.ones((2, 9))
         draws = []
 
         def mixed(rng, count):
-            # Indexed by the global draw, whatever the chunk.
+            # Indexed by the global draw, whatever the block.
             out = np.empty((count, 2, 9))
             for i in range(count):
                 draws.append(1)
                 pair = (len(draws) - 1) // 2
-                out[i] = fixed if pair % 3 == 0 else rng.normal((2, 9))
+                out[i] = fixed if pair % 3 == 2 or pair == 12 else rng.normal((2, 9))
             return out
 
-        report = lipschitz_estimate(mixed, omap, self.biases(omap), data, 2 * CHUNK + 5, Rng(4))
+        pairs = 2 * 12 + 5
+        report = lipschitz_estimate(mixed, omap, self.biases(omap), data, pairs, Rng(4))
+        assert len(draws) == 2 * pairs
         draws.clear()
-        assert report == pairwise_lipschitz(mixed, omap, self.biases(omap), data, 2 * CHUNK + 5, Rng(4))
-        assert report.skipped == (2 * CHUNK + 5 + 2) // 3
+        assert report == pairwise_lipschitz(mixed, omap, self.biases(omap), data, pairs, Rng(4))
+        assert report.skipped == pairs // 3 + 1
 
     def test_report_does_not_depend_on_chunk_size(self, monkeypatch):
+        # Chunks of 1, 3 and 8 pairs, each in draw blocks of one chunk, of
+        # three chunks and of the default _LIPSCHITZ_DRAW pairs.
         omap = build_output_map(8, 0.5)
-        args = (self.sampler(omap, scale=2.0), omap, self.biases(omap), self.data(), 2 * CHUNK + 7)
+        data = self.data()
+        args = (self.sampler(omap, scale=2.0), omap, self.biases(omap), data, 2 * DRAW + 7)
         reports = []
         for chunk in (1, 3, CHUNK):
-            monkeypatch.setattr(landscape, "_LIPSCHITZ_CHUNK", chunk)
-            reports.append(lipschitz_estimate(*args, Rng(5)))
-        assert reports[0] == reports[1] == reports[2]
+            for draw in (chunk, 3 * chunk, DRAW):
+                set_blocks(monkeypatch, chunk, draw, data.n_samples, 8)
+                reports.append(lipschitz_estimate(*args, Rng(5)))
+        assert len(reports) == 9 and all(r == reports[0] for r in reports)
+        assert reports[0] == pairwise_lipschitz(*args, Rng(5))
 
     def test_partial_chunk_reads_the_head_of_the_chunk_buffer(self, monkeypatch):
         # Every chunk's hinge reads contiguous class-major scores in place,
@@ -339,20 +368,27 @@ class TestLipschitzEstimate:
         assert len({address for _, address in seen}) == 1
         assert report == pairwise_lipschitz(*args, Rng(3))
 
-    def test_sampler_called_once_per_chunk(self):
+    def test_sampler_called_once_per_draw_block(self, monkeypatch):
+        # A draw block is a whole number of chunks: 2 chunks of 5 pairs when
+        # _LIPSCHITZ_DRAW is 13.
         omap = build_output_map(4, 0.5)
+        data = self.data()
+        set_blocks(monkeypatch, 5, 13, data.n_samples, 4)
         counts = []
 
         def counted(rng, count):
             counts.append(count)
             return rng.normal_draws(count, (2, 4))
 
-        lipschitz_estimate(counted, omap, self.biases(omap), self.data(), 2 * CHUNK + 7, Rng(6))
-        assert counts == [2 * CHUNK, 2 * CHUNK, 14]
+        report = lipschitz_estimate(counted, omap, self.biases(omap), data, 3 * 10 + 7, Rng(6))
+        assert counts == [20, 20, 20, 14]
+        assert report == pairwise_lipschitz(self.sampler(omap), omap, self.biases(omap), data, 37, Rng(6))
 
-    def test_bad_weights_in_a_later_chunk_refused(self):
-        # The checks run on every chunk, not only the first.
+    def test_bad_weights_in_a_later_draw_block_refused(self, monkeypatch):
+        # The checks run on every draw block, not only the first.
         omap = build_output_map(4, 0.5)
+        data = self.data()
+        set_blocks(monkeypatch, 3, 6, data.n_samples, 4)
         calls = []
 
         def late_nan(rng, count):
@@ -363,8 +399,31 @@ class TestLipschitzEstimate:
             return out
 
         with pytest.raises(ValueError, match="finite"):
-            lipschitz_estimate(late_nan, omap, self.biases(omap), self.data(), 2 * CHUNK, Rng(6))
-        assert calls == [2 * CHUNK, 2 * CHUNK]
+            lipschitz_estimate(late_nan, omap, self.biases(omap), data, 3 * 6, Rng(6))
+        assert calls == [12, 12]
+
+    def test_peak_memory_is_one_chunk_one_draw_block_and_a_few_rows_per_pair(self):
+        # The docstring's bound at landscape-audit's defaults.  Past it, the
+        # peak grows only by the ratios and their histogram, about 24 B per
+        # pair.
+        omap = build_output_map(8, 0.5)
+        data = grid_dataset_planar(GridDatasetSpec())
+        N, k = data.n_samples, omap.k
+        args = (self.sampler(omap), omap, self.biases(omap), data)
+        peaks = {}
+        for pairs in (1250, 10_000):
+            tracemalloc.start()
+            try:
+                lipschitz_estimate(*args, pairs, Rng(7))
+                peaks[pairs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        chunk = chunk_budget(CHUNK, N, k)
+        hinge = 5 * 2 * CHUNK * N * 8
+        block = 2 * DRAW * 2 * k * 8
+        assert chunk <= landscape._LIPSCHITZ_CHUNK_BYTES
+        assert peaks[1250] <= chunk + hinge + N * k * 8 + 2 * block + 24 * 1250
+        assert peaks[10_000] - peaks[1250] <= 24 * (10_000 - 1250)
 
     def test_coincident_pairs_rejected(self):
         omap = build_output_map(4, 0.5)
