@@ -38,9 +38,10 @@ _SKIP_TOL = 1e-14
 # lipschitz_estimate draws _LIPSCHITZ_DRAW pairs per sampler call and scores
 # them in chunks whose (2c, N, n) scores and (2c, N, k) pre-activations fit
 # _LIPSCHITZ_CHUNK_BYTES: at 880 samples and 8 units, 64 KiB of draws and
-# 8-pair chunks of 1.07 MiB, inside a 2 MiB L2.  A 1,250-pair call took 31
-# ms there, against 41 ms with one call per 16-pair chunk, and 95 against
-# 115 ms at 24 units, in 3-pair chunks (BENCH_lipschitz_blocks.json).
+# 8-pair chunks of 1.07 MiB, inside a 2 MiB L2.  A 1,250-pair call took 32
+# ms there, against 41 ms with one call per 16-pair chunk, and 96 against
+# 127 ms at 24 units, in 3-pair chunks.  Chunks of 4 to 8 pairs (8 units)
+# and 2 to 4 (24 units) ran equally fast (BENCH_lipschitz_blocks.json).
 _LIPSCHITZ_DRAW = 256
 _LIPSCHITZ_CHUNK_BYTES = 9 << 17
 

@@ -384,22 +384,28 @@ class TestLipschitzEstimate:
         assert counts == [20, 20, 20, 14]
         assert report == pairwise_lipschitz(self.sampler(omap), omap, self.biases(omap), data, 37, Rng(6))
 
-    def test_bad_weights_in_a_later_draw_block_refused(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((12, 2, 4), "finite"), ((11, 2, 4), r"must have shape \(12, 2, 4\)"), ((12, 2, 5), r"\(12, 2, 4\)")],
+        ids=["nan", "one-short", "wrong-k"],
+    )
+    def test_bad_weights_in_a_later_draw_block_refused(self, monkeypatch, shape, match):
         # The checks run on every draw block, not only the first.
         omap = build_output_map(4, 0.5)
         data = self.data()
         set_blocks(monkeypatch, 3, 6, data.n_samples, 4)
         calls = []
 
-        def late_nan(rng, count):
+        def late_bad(rng, count):
             calls.append(count)
-            out = rng.normal_draws(count, (2, 4))
-            if len(calls) == 2:
-                out[-1, 1, 3] = np.nan
+            if len(calls) == 1:
+                return rng.normal_draws(count, (2, 4))
+            out = np.ones(shape)
+            out[-1, 1, 3] = np.nan if match == "finite" else 1.0
             return out
 
-        with pytest.raises(ValueError, match="finite"):
-            lipschitz_estimate(late_nan, omap, self.biases(omap), data, 3 * 6, Rng(6))
+        with pytest.raises(ValueError, match=match):
+            lipschitz_estimate(late_bad, omap, self.biases(omap), data, 3 * 6, Rng(6))
         assert calls == [12, 12]
 
     def test_peak_memory_is_one_chunk_one_draw_block_and_a_few_rows_per_pair(self):
