@@ -307,9 +307,10 @@ class TestLipschitzEstimate:
         assert report.pairs_used == pairs
 
     def test_skipped_pairs_match_pairwise_reference(self, monkeypatch):
-        # Every third pair is coincident, among them the last pair of the
-        # first draw block and the first of the second; each is counted as
-        # skipped and the ratios of the other pairs keep their order.
+        # Every third pair is coincident, the last pair of the first draw
+        # block among them, and so is the first pair of the second; each is
+        # counted as skipped and the ratios of the other pairs keep their
+        # order.
         omap = build_output_map(9, 0.5)
         data = annulus_data(2, 2)
         set_blocks(monkeypatch, 4, 12, data.n_samples, 9)
@@ -386,7 +387,11 @@ class TestLipschitzEstimate:
 
     @pytest.mark.parametrize(
         "shape, match",
-        [((12, 2, 4), "finite"), ((11, 2, 4), r"must have shape \(12, 2, 4\)"), ((12, 2, 5), r"\(12, 2, 4\)")],
+        [
+            ((12, 2, 4), "finite"),
+            ((11, 2, 4), r"must have shape \(12, 2, 4\)"),
+            ((12, 2, 5), r"must have shape \(12, 2, 4\)"),
+        ],
         ids=["nan", "one-short", "wrong-k"],
     )
     def test_bad_weights_in_a_later_draw_block_refused(self, monkeypatch, shape, match):
@@ -401,7 +406,8 @@ class TestLipschitzEstimate:
             if len(calls) == 1:
                 return rng.normal_draws(count, (2, 4))
             out = np.ones(shape)
-            out[-1, 1, 3] = np.nan if match == "finite" else 1.0
+            if match == "finite":
+                out[-1, 1, 3] = np.nan
             return out
 
         with pytest.raises(ValueError, match=match):
