@@ -123,20 +123,30 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def _normal_blocks(reader: np.random.Generator, rows: int, shape: tuple, pairs: int, block: int):
-    """Rng.normal_blocks's blocks, drawn by reader from its starting state."""
+    """Rng.normal_blocks's blocks, drawn by reader from its starting state.
+    A caller that drops a block frees it before the next is drawn."""
     size = math.prod(shape)
     start = reader.bit_generator.state
     for r0 in range(0, rows, block):
         r1 = min(rows, r0 + block)
         lo, hi = r0 * size, r1 * size
         p0, p1 = lo // 2, (hi + 1) // 2
-        u = np.empty((2, p1 - p0))
-        reader.bit_generator.state = start
-        reader.bit_generator.advance(p0)
-        reader.random(out=u[0])
-        reader.bit_generator.advance(pairs - (p1 - p0))
-        reader.random(out=u[1])
-        yield _box_muller(u)[lo - 2 * p0 : hi - 2 * p0].reshape((r1 - r0, *shape))
+        # No local of this frame may hold the block while it is read.
+        yield _box_muller(_uniform_pairs(reader, start, p0, p1, pairs))[lo - 2 * p0 : hi - 2 * p0].reshape(
+            (r1 - r0, *shape)
+        )
+
+
+def _uniform_pairs(reader: np.random.Generator, start: dict, p0: int, p1: int, pairs: int) -> np.ndarray:
+    """Pairs p0..p1 of a stream of `pairs` pairs from state start: the radius
+    uniforms at offset p0 and the angle uniforms at offset pairs + p0, as (2, p1 - p0)."""
+    u = np.empty((2, p1 - p0))
+    reader.bit_generator.state = start
+    reader.bit_generator.advance(p0)
+    reader.random(out=u[0])
+    reader.bit_generator.advance(pairs - (p1 - p0))
+    reader.random(out=u[1])
+    return u
 
 
 def _frozen(a: np.ndarray, dtype=float) -> np.ndarray:

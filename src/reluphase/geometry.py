@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -39,24 +40,12 @@ GC_TOL = 1e-9
 DROP_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
-# Cofactor normals of unit directions carry rounding below ~1e-14 for small
-# d, so a normal above this norm keeps the rounding of normalized dots below
-# 1e-10.
-_NEAR_ZERO_NORMAL = 1e-4
 # Rng.normal pairs its uniforms within one call, so the chunk size fixes
 # which numbers every estimate is drawn from.
 _MC_CHUNK = 32768
 # 8192-set blocks left landscape-mc's peak RSS 3.5 MiB higher, and 2048-set
 # blocks no lower.
 _MC_BLOCK = 4096
-# gc_slack_batch's d >= 3 loop shifts the sets still in it to the front of
-# its rows once they are at most this share of the sets it shifted last
-# time.  On the first chunk of gc-prob's seed-0 (4, 8) cell, in _MC_BLOCK
-# blocks, the loop took 3.1-5.9 us per set when it shifted at every
-# departure, 2.8-4.1 at a share of 1/2, 2.4-3.4 at 3/4 and 2.5-3.3 at 9/10
-# (medians of 15 passes in each of five runs, 2-vCPU Xeon, numpy 2.4); 3/4
-# was the fastest share in four of the five runs.
-_COMPACT_LIVE = 0.75
 
 
 @dataclass(frozen=True)
@@ -260,81 +249,114 @@ def _max_gap(dirs: np.ndarray) -> np.ndarray:
     return np.maximum(gaps.max(axis=1), wrap)
 
 
-def _two_lane_sum(terms: list) -> np.ndarray:
-    """Sum of d >= 2 rows in the order np.einsum gives a contiguous reduction
-    axis of fewer than 8 doubles on numpy 2.4: even and odd terms in two
-    lanes, then lane 0 + lane 1, (p0 + p2) + p1 for d = 3 and (p0 + p2) +
-    (p1 + p3) for d = 4.  A left-to-right sum differs from einsum's in the
-    last bit of about 39% of (30000, 8, 4) dots.  The terms are fresh rows
-    and are summed in place."""
-    lanes = terms[0], terms[1]
-    for i in range(2, len(terms)):
-        lanes[i % 2][...] += terms[i]
-    return lanes[0] + lanes[1]
+def _det_bound(d: int) -> float:
+    """Bound on the rounding error of each determinant det[x_i; S] that
+    gc_slack_batch computes from rows of norm at most r = 1 + 1e-12, so a
+    computed value larger in size has the exact value's sign.
+
+    d = 3, 4: each of the d! products of the Leibniz sum passes through at
+    most n roundings (d = 3: a 2x2 minor 2, a product 1, a sum of three 2;
+    d = 4: a 2x2 minor 2, the 3x3 cofactor 3, a product 1, a sum of four 3,
+    in any order), so the error is at most gamma_n = n u / (1 - n u),
+    u = 2^-53, times the permanent of |x| (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, Lemma 3.1), itself at most the product
+    of the rows' l1 norms, sqrt(d) r each: 2.9e-15 at d = 3 (n = 5) and
+    1.6e-14 at d = 4 (n = 9).  Underflow adds a few 2^-1074 at most.
+    d >= 5: a minor of order m = d - 1 is np.linalg.det's, whose pivoted LU
+    factors are exact for the minor plus E, |E_ij| <= gamma_m m 2^(m-1) r
+    (Higham, Theorem 9.3), which moves it by at most (r + sqrt(m) max|E|)^m
+    - r^m (multilinearity, Hadamard's inequality); numpy's sign *
+    exp(sum log |u_ii|) adds m u (1/e + 2 m (m-1) ln 2) + 2 u at most, and
+    the dot with x_i sqrt(d) r times that plus gamma_d r (1 + sqrt(d) times
+    that).  The bound doubles the total: 5.4e-13 at d = 5.
+    """
+    u, r = 2.0**-53, 1.0 + 1e-12
+
+    def gamma(n: int) -> float:
+        return n * u / (1.0 - n * u)
+
+    if d <= 4:
+        return gamma(5 if d == 3 else 9) * d ** (d / 2) * r**d
+    m = d - 1
+    lu = (r + math.sqrt(m) * gamma(m) * m * 2 ** (m - 1) * r) ** m - r**m
+    minor = lu + m * u * (1.0 / math.e + 2 * m * (m - 1) * math.log(2.0)) + 2 * u
+    return 2.0 * (math.sqrt(d) * r * minor + gamma(d) * r * (1.0 + math.sqrt(d) * minor))
 
 
-def _subset_normal(x: list, subset: tuple, d: int) -> list:
-    """The d rows of the cofactor normal of the subset's directions, the
-    common orthogonal vector of its d - 1 directions: component c is
-    (-1)^c times the minor without column c.  A 2x2 minor is a0 b1 - a1 b0,
-    and a 3x3 minor is expanded along its first row, each term a product of
-    an entry and a 2x2 minor; from d = 5 each minor is np.linalg.det's.
-    x[j][c] is component c of direction j over the sets the loop holds,
-    one contiguous row."""
-    if d == 3:
-        a, b = (x[j] for j in subset)
-        return [a[1] * b[2] - a[2] * b[1], -(a[0] * b[2] - a[2] * b[0]), a[0] * b[1] - a[1] * b[0]]
-    if d == 4:
-        # The six 2x2 minors of the last two directions, shared by the four
-        # 3x3 cofactors.
-        a, b, e = (x[j] for j in subset)
-        minor = {(p, q): b[p] * e[q] - b[q] * e[p] for p, q in combinations(range(4), 2)}
-        normal = []
-        for c in range(4):
-            c0, c1, c2 = (j for j in range(4) if j != c)
-            det = a[c0] * minor[c1, c2] - a[c1] * minor[c0, c2] + a[c2] * minor[c0, c1]
-            normal.append(-det if c % 2 else det)
-        return normal
-    # d >= 5: each minor is gathered as an (m, d-1, d-1) block for np.linalg.det.
-    sub = np.stack([np.stack(x[j]) for j in subset]).transpose(2, 0, 1)
-    return [(-1.0) ** c * np.linalg.det(np.delete(sub, c, axis=2)) for c in range(d)]
+def _normals(x: np.ndarray, d: int):
+    """(S, normal) for each (d-1)-subset S of directions 1..k-1 of a (k, d, T)
+    stack x: the d rows over the sets of S's cofactor normal, normal . x_i =
+    det[x_i; S], overwritten by the next S.  For d = 3 and 4 each cofactor
+    is expanded along S[0] over the entries, or the six 2x2 minors, of S's
+    last d - 2 directions, shared by each S that ends in them; from d = 5
+    each cofactor is np.linalg.det's."""
+    k, _, T = x.shape
+    if d >= 5:
+        for S in combinations(range(1, k), d - 1):
+            sub = x[list(S)].transpose(2, 0, 1)
+            yield S, [(-1.0) ** c * np.linalg.det(np.delete(sub, c, axis=2)) for c in range(d)]
+        return
+    keys = list(combinations(range(d), d - 2))
+    normal, term, minors = np.empty((d, T)), np.empty(T), np.empty((len(keys), T))
+    # plan[c]: (column of S[0], minor, subtract?) per term, a positive one first.
+    plan = []
+    for c in range(d):
+        cols = [i for i in range(d) if i != c]
+        terms = [(cols[t], minors[keys.index(tuple(cols[:t] + cols[t + 1 :]))], (c + t) % 2) for t in range(d - 1)]
+        plan.append(sorted(terms, key=lambda term: term[2]))
+    for tail in combinations(range(2, k), d - 2):
+        if d == 3:
+            minors[...] = x[tail[0]]
+        else:
+            b, e = x[tail[0]], x[tail[1]]
+            for row, (p, q) in zip(minors, keys):
+                np.multiply(b[p], e[q], out=row)
+                row -= np.multiply(b[q], e[p], out=term)
+        for j in range(1, tail[0]):
+            a = x[j]
+            for row, ((col, minor, _), *rest) in zip(normal, plan):
+                np.multiply(a[col], minor, out=row)
+                for col, minor, subtract in rest:
+                    (np.subtract if subtract else np.add)(row, np.multiply(a[col], minor, out=term), out=row)
+            yield (j, *tail), normal
+
+
+@lru_cache(maxsize=16)
+def _dot_rows(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C(k, d-1), k-d+1) read-only arrays: for each (d-1)-subset S and each
+    i outside it, the colex rank of S + {i}, and whether det[x_i; S] is its
+    determinant negated (an odd number of S below i)."""
+    rows, flip = [], []
+    for S in combinations(range(k), d - 1):
+        others = [i for i in range(k) if i not in S]
+        rows.append([sum(math.comb(u, p + 1) for p, u in enumerate(sorted((*S, i)))) for i in others])
+        flip.append([sum(s < i for s in S) % 2 for i in others])
+    rows, flip = np.array(rows), np.array(flip)
+    rows.flags.writeable = flip.flags.writeable = False
+    return rows, flip
 
 
 def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
-    """Signed slack of the geometric condition for a (T, k, d) stack of
+    """Signed verdict of the geometric condition for a (T, k, d) stack of
     unit-direction sets: negative where the origin is strictly inside the
-    hull of the directions, positive where a closed hemisphere holds them all.
+    hull of the directions, positive where a closed hemisphere holds them
+    all, NaN where rounding leaves it open.  Sets with k <= d get +inf.  For
+    d = 1 the value is the slack max(min x, -max x), for d = 2 max_gap - pi.
 
-    For d = 2 the slack is max_gap - pi.  For d >= 3 it is the largest, over
-    the subsets of d-1 directions, of max(min dot, -max dot) taken over the
-    other directions' dots with the subset's unit normal.  A positive value
-    exhibits a covering hemisphere.  A negative value rules one out, because a
-    covering hemisphere, when one exists, can be taken orthogonal to d-1
-    independent directions.  Sets with k <= d never satisfy the condition and
-    get +inf.  Where a subset normal has norm at most _NEAR_ZERO_NORMAL
-    (nearly dependent subset directions, such as shared or opposite rays)
-    the normalized dots are not accurate, and the slack is NaN.
+    For d >= 3 it is -1.0, +1.0 or NaN.  The dot of x_i with the cofactor
+    normal of a (d-1)-subset S is det[x_i; S], (-1)^(members of S below i)
+    times the determinant of S + {i} in index order, so each of the C(k, d)
+    determinants is computed once, and its sign counts only where it
+    exceeds _det_bound(d) in size.  The set holds when every S has a
+    certainly positive and a certainly negative dot (a closed hemisphere
+    holding a spanning set can be turned until its boundary holds d - 1
+    independent directions, and a set that does not span has no nonzero
+    determinant), and fails when all of some S's dots are certain and of
+    one sign.  Any other set, such as one with a shared ray, is NaN.
 
-    A d >= 3 set leaves the subset loop as soon as its running slack is
-    positive or NaN, since later subsets could only raise a positive slack or
-    keep a NaN.  A negative slack or a NaN is therefore the same as over every
-    subset, while a positive slack is a lower bound: the largest value over
-    the subsets taken so far, some of which may lie beyond a near-zero normal.
-
-    The d >= 3 loop runs on one component-major copy of the stack, a
-    C-contiguous (k, d, T) array, so each component of each direction over
-    the sets in the loop is one contiguous row.  A set's slack is recorded
-    at the subset where it leaves, and a (T,) bool mask marks it off.
-    Departed sets are compacted out of every row in place only once a
-    quarter of the sets shifted last time has left (_COMPACT_LIVE); until
-    then their later values are computed and never read.  Each set's values
-    come from its own columns alone, so when it is compacted does not change
-    them.  The loop's memory is that copy, a fixed number of (T,) rows (at
-    most 20 for d = 3 and 4) and the mask, whatever the input's layout.  The
-    dots and the normal's length are summed in numpy's order for d < 8
-    (_two_lane_sum; the squares left to right, as np.add.reduce sums a short
-    axis), so the slacks equal those of a loop on np.einsum and
-    np.linalg.norm over a C-ordered stack bit for bit.
+    The memory is a C-contiguous (k, d, T) copy of the stack (none if dirs
+    is a view of one), two bits per determinant and, for d = 3 and 4, 12
+    float and 2 bool (T,) rows at most.
     """
     if dirs.ndim != 3:
         raise ValueError("need a (T, k, d) array")
@@ -346,70 +368,43 @@ def gc_slack_batch(dirs: np.ndarray) -> np.ndarray:
         return np.maximum(x.min(axis=1), -x.max(axis=1))
     if d == 2:
         return _max_gap(dirs) - math.pi
-    stack = np.ascontiguousarray(np.moveaxis(dirs, 0, 2))
-    slack = np.empty(T)
-    # The first rows.size columns of stack hold the sets not yet shifted
-    # out, and x[j][c] is the row of component c of direction j over them;
-    # rows are their rows in dirs and running their running slacks.  live
-    # marks those still in the loop, n_live of them: a set that leaves keeps
-    # its columns until the next compaction, and its later values are not
-    # read.
-    rows, running, live = np.arange(T), np.full(T, -np.inf), np.ones(T, dtype=bool)
-    n_live = T
-    x = [list(block) for block in stack]
-    for subset in combinations(range(k), d - 1):
-        normal = _subset_normal(x, subset, d)
-        dots = (_two_lane_sum([x[j][c] * normal[c] for c in range(d)]) for j in range(k) if j not in subset)
-        lo = next(dots)
-        hi = lo.copy()
-        for dot in dots:
-            np.minimum(lo, dot, out=lo)
-            np.maximum(hi, dot, out=hi)
-        side = np.maximum(lo, np.negative(hi, out=hi), out=lo)
-        size = normal[0] * normal[0]
-        for c in range(1, d):
-            size += normal[c] * normal[c]
-        del normal, dots, hi, lo
-        np.sqrt(size, out=size)
-        near_zero = size <= _NEAR_ZERO_NORMAL
-        size[near_zero] = 1.0
-        side /= size
-        side[near_zero] = np.nan
-        np.maximum(running, side, out=running)
-        del side, size
-        gone = ~(running <= 0.0)  # a positive or NaN slack
-        gone &= live  # a set that left before keeps the slack it left with
-        left = np.count_nonzero(gone)
-        if left:
-            slack[rows[gone]] = running[gone]
-            live ^= gone
-            n_live -= left
-            if not n_live:
-                break
-            if n_live <= _COMPACT_LIVE * rows.size:
-                keep = np.flatnonzero(live)
-                rows, running, live = rows[keep], running[keep], live[keep]
-                for row in stack.reshape(k * d, T):
-                    row[:n_live] = row[keep]
-                x = [list(block) for block in stack[:, :, :n_live]]
-    slack[rows[live]] = running[live]
-    return slack
+    x = np.ascontiguousarray(np.moveaxis(dirs, 0, 2))
+    bound = _det_bound(d)
+    # Bit t of sure[0, r] (sure[1, r]) is set where the determinant of the
+    # d-subset of colex rank r is certainly positive (negative) in set t.
+    sure = np.empty((2, math.comb(k, d), (T + 7) // 8), dtype=np.uint8)
+    det, flag = np.empty(T), np.empty((2, T), dtype=bool)
+    for S, normal in _normals(x, d):
+        # The d-subsets (i, *S), i < S[0], have colex ranks r + i.
+        r = sum(math.comb(s, p + 2) for p, s in enumerate(S))
+        for i in range(S[0]):
+            np.einsum("ct,ct->t", x[i], normal, out=det)
+            np.greater(det, bound, out=flag[0])
+            np.less(det, -bound, out=flag[1])
+            sure[:, r + i] = np.packbits(flag, axis=1)
+    rows, flip = _dot_rows(k, d)
+    mixed = np.bitwise_or.reduce(sure[flip, rows], axis=1)
+    mixed &= np.bitwise_or.reduce(sure[1 - flip, rows], axis=1)
+    one_sided = np.bitwise_and.reduce((sure[0] | sure[1])[rows], axis=1) & ~mixed
+    verdict = np.full(T, np.nan)
+    verdict[np.unpackbits(np.bitwise_and.reduce(mixed, axis=0), count=T).view(bool)] = -1.0
+    verdict[np.unpackbits(np.bitwise_or.reduce(one_sided, axis=0), count=T).view(bool)] = 1.0
+    return verdict
 
 
 def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, float]:
     """Monte Carlo estimate and its standard error over `trials` direction sets.
 
-    Directions are normalized Gaussian draws, judged by the sign of
-    gc_slack_batch, which agrees with gc_check almost surely.  A set whose
-    slack is NaN, with a subset normal too short to trust, is judged by
-    gc_check itself, and an all-zero draw, with no direction, does not hold.
+    Directions are normalized Gaussian draws, judged by gc_slack_batch's
+    sign.  A set it leaves open (NaN), such as one with a shared ray, is
+    judged by gc_check, and an all-zero draw, with no direction, fails.
 
     The sets are drawn in chunks of _MC_CHUNK, each what one
     rng.normal((t, k, d)) call returns, so the chunk fixes the draws and
     the estimate.  Each chunk is read, normalized and judged in blocks of
     _MC_BLOCK sets, so the memory is a few blocks whatever trials is: at
     (k, d) = (8, 4) the peak is below three (_MC_BLOCK, k, d) blocks.  Each
-    set's slack is computed on its own, so the block does not change it.
+    set is judged on its own, so the block does not change its verdict.
     """
     if d < 1 or k < 1:
         raise ValueError(f"need d >= 1 and k >= 1, got d={d}, k={k}")
@@ -421,9 +416,13 @@ def gc_probability_mc(d: int, k: int, trials: int, rng: Rng) -> tuple[float, flo
             norms = np.linalg.norm(raw, axis=2)
             norms[norms == 0.0] = 1.0
             raw /= norms[:, :, None]
-            slack = gc_slack_batch(raw)
+            # The (k, d, T) layout gc_slack_batch reads, so that the block is
+            # held once while it is judged and freed before the next is drawn.
+            dirs = np.moveaxis(np.ascontiguousarray(np.moveaxis(raw, 0, 2)), 2, 0)
+            del raw, norms
+            slack = gc_slack_batch(dirs)
             count += int((slack < 0.0).sum())
-            count += sum(_lp_holds(raw[s].T) for s in np.flatnonzero(np.isnan(slack)))
-            del raw, norms, slack  # so the next block is drawn without this one
+            count += sum(_lp_holds(dirs[s].T) for s in np.flatnonzero(np.isnan(slack)))
+            del dirs, slack  # so the next block is drawn without this one
     est = count / trials
     return est, math.sqrt(est * (1.0 - est) / trials)

@@ -215,9 +215,9 @@ class PhaseReport:
         }
 
 
-# Allowance for rounding in a computed slack: planar gaps come from arctan2
-# and a sort (error ~1e-15); subset slacks from normals above the near-zero
-# cutoff of gc_slack_batch (error below 1e-10).
+# Allowance for rounding in a planar slack, whose gaps come from arctan2 and
+# a sort (error ~1e-15).  gc_slack_batch's d >= 3 values are -1, +1 or NaN,
+# verdicts from determinant signs its own error bound makes exact.
 _SLACK_ROUNDING = 1e-9
 
 
@@ -240,15 +240,14 @@ def detect_phases(result: TrainResult, class_label: int) -> PhaseReport:
 
     The whole timeline is judged at once from the signed slack of
     gc_slack_batch over the (T, k, d) stack of owner directions: a slack below
-    -band holds, one above band fails.  Of a positive slack only `> band` is
-    read.  For d >= 3 gc_slack_batch returns a lower bound of it, which still
-    exhibits a covering hemisphere when above band and goes to the LP
-    otherwise, so the verdict is the same.  gc_check runs only where the
-    slack cannot stand in for the LP:
-      * snapshots with a column of norm <= DROP_TOL or a near-zero subset
-        normal (shared rays) before any positive subset, whose slack is NaN;
+    -band holds, one above band fails.  For d >= 3 the value is a verdict:
+    +1.0 where a closed hemisphere certainly holds every direction, -1.0
+    where certainly none does, NaN where rounding leaves it open.
+    gc_check runs only where the value cannot stand in for the LP:
+      * snapshots with a column of norm <= DROP_TOL, or whose d >= 3
+        verdict is open (shared rays, sets inside a hyperplane), as NaN;
       * snapshots with |slack| <= band;
-      * for d != 2, snapshots whose slack holds, since only the planar slack
+      * for d != 2, snapshots that hold, since only the planar slack
         bounds the LP optimum;
     and, as a check on the batch, at snapshot 0 and at every snapshot where
     the timeline flips, first_hold among them.  If a check disagrees with a

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,18 @@ class TestRng:
         calls.normal((9, 5, 3))
         assert ours.normal(3).tobytes() == calls.normal(3).tobytes()
         assert np.concatenate(list(blocks)).tobytes() == Rng(31).normal((9, 5, 3)).tobytes()
+
+    def test_normal_blocks_hold_no_block_a_caller_dropped(self):
+        # gc_probability_mc drops each block before judging its copy, so
+        # the generator must not keep the block's buffer alive.
+        blocks = Rng(3).normal_blocks(12, (5, 3), 4)
+        block = next(blocks)
+        while block.base is not None:
+            block = block.base
+        buffer = weakref.ref(block)
+        del block
+        assert buffer() is None
+        assert len(list(blocks)) == 2
 
     def test_normal_blocks_reject_an_empty_block(self):
         with pytest.raises(ValueError, match="block must be positive"):

@@ -17,10 +17,10 @@ from reluphase import (
     gc_probability_mc,
     verify_certificate,
 )
+from reluphase import geometry
 from reluphase.geometry import (
     _MC_BLOCK,
     _MC_CHUNK,
-    _NEAR_ZERO_NORMAL,
     GC_TOL,
     _lp_holds,
     _max_gap,
@@ -282,9 +282,7 @@ class TestProbability:
 
 def det_batch(M):
     """Determinants of a stack of square matrices: the 2x2 and 3x3 formulas
-    written out, products in the order gc_slack_batch's d = 3 and d = 4
-    normals take them so the slacks match bit for bit, and np.linalg.det
-    from 4x4 on."""
+    written out, and np.linalg.det from 4x4 on."""
     m = M.shape[-1]
     if m == 2:
         return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
@@ -308,27 +306,26 @@ def null_vectors_by_delete(sub):
     return out
 
 
+# A subset normal no longer than this gives the reference slack NaN: its
+# normalized dots carry rounding up to about 1e-10.
+NEAR_ZERO_NORMAL = 1e-4
+
+
 def reference_slacks(dirs):
-    """The pruned and the full slack in one pass over the subsets, each
-    subset's normal cut out with np.delete and its dots taken on the whole
-    stack.  The pruned slack is the reference that gc_slack_batch's index
-    tables and compacted stack must equal bit for bit, NaNs and positive
-    lower bounds included: a set takes a subset's value only while its
-    running slack is still <= 0.  The full slack takes every subset's value,
-    without leaving the loop early: the reference for the pruned loop
-    (d >= 3, k > d)."""
+    """The signed slack of each set, an oracle written apart from
+    gc_slack_batch's determinant signs: negative where the condition holds,
+    positive where a closed hemisphere holds the set.  For d >= 3 it is the
+    largest, over every (d-1)-subset, of max(min dot, -max dot) over the
+    other directions' dots with the subset's unit normal, and NaN where a
+    subset normal is no longer than NEAR_ZERO_NORMAL."""
     T, k, d = dirs.shape
     if k <= d:
-        slack = np.full(T, np.inf)
-        return slack, slack
+        return np.full(T, np.inf)
     if d == 1:
         x = dirs[:, :, 0]
-        slack = np.maximum(x.min(axis=1), -x.max(axis=1))
-        return slack, slack
+        return np.maximum(x.min(axis=1), -x.max(axis=1))
     if d == 2:
-        slack = _max_gap(dirs) - math.pi
-        return slack, slack
-    pruned = np.full(T, -np.inf)
+        return _max_gap(dirs) - math.pi
     full = np.full(T, -np.inf)
     for subset in combinations(range(k), d - 1):
         normal = null_vectors_by_delete(dirs[:, subset, :])
@@ -336,30 +333,25 @@ def reference_slacks(dirs):
         size = np.linalg.norm(normal, axis=1)
         others = np.delete(dots, subset, axis=1)
         side = np.maximum(others.min(axis=1), -others.max(axis=1))
-        near_zero = size <= _NEAR_ZERO_NORMAL
-        value = np.where(near_zero, np.nan, side / np.where(near_zero, 1.0, size))
-        live = pruned <= 0.0
-        pruned[live] = np.maximum(pruned[live], value[live])
-        full = np.maximum(full, value)
-    return pruned, full
+        near_zero = size <= NEAR_ZERO_NORMAL
+        full = np.maximum(full, np.where(near_zero, np.nan, side / np.where(near_zero, 1.0, size)))
+    return full
 
 
-def assert_prunes_exactly(dirs):
-    """The slack equals the pruned reference slack bit for bit.  Negative slacks and NaNs
-    equal the full slack's; a positive slack is a lower bound of it, or the
-    full slack is NaN from a later subset."""
+def assert_matches_reference(dirs):
+    """For d <= 2, or k <= d, gc_slack_batch's value equals the reference
+    slack bit for bit.  For d >= 3 it is a verdict, -1.0, +1.0 or NaN, and
+    it has the sign of every reference slack that is a number larger than
+    1e-9 in size.  Returns gc_slack_batch's values."""
     got = gc_slack_batch(dirs)
-    pruned, full = reference_slacks(dirs)
-    assert np.array_equal(got, pruned, equal_nan=True)
+    full = reference_slacks(dirs)
     T, k, d = dirs.shape
     if d < 3 or k <= d:
+        assert np.array_equal(got, full, equal_nan=True)
         return got
-    assert np.array_equal(got < 0.0, full < 0.0)
-    neg = got < 0.0
-    assert np.array_equal(got[neg], full[neg])
-    assert np.all(np.isnan(full[np.isnan(got)]))
-    pos = got > 0.0
-    assert np.all((got[pos] <= full[pos]) | np.isnan(full[pos]))
+    assert np.all((got == -1.0) | (got == 1.0) | np.isnan(got))
+    clear = np.abs(full) > 1e-9
+    assert np.array_equal(np.sign(got[clear]), np.sign(full[clear]))
     return got
 
 
@@ -370,7 +362,7 @@ class TestBatchChecker:
             for k in (d + 1, d + 3):
                 dirs = rng.normal((40, k, d))
                 dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-                got = assert_prunes_exactly(dirs) < 0.0
+                got = assert_matches_reference(dirs) < 0.0
                 for t in range(40):
                     if d == 1:
                         expect = bool(np.any(dirs[t, :, 0] > 0) and np.any(dirs[t, :, 0] < 0))
@@ -389,11 +381,15 @@ class TestBatchChecker:
         planar = gc_slack_batch(np.stack([TRIPOD, QUARTER]))
         assert planar == pytest.approx([2 * math.pi / 3 - math.pi, math.pi / 2], abs=1e-12)
         # regular tetrahedron: every pair's unit normal puts the other two
-        # vertices at dots +-2/sqrt(6)
+        # vertices at dots +-2/sqrt(6).  From d = 3 on gc_slack_batch gives
+        # the verdict alone.
         tetra = unit_rows([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-        assert gc_slack_batch(tetra[None]) == pytest.approx([-2.0 / math.sqrt(6)], abs=1e-12)
-        # a shared ray gives a zero subset normal: the slack is undefined
-        shared = unit_rows([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 1.0]])
+        assert reference_slacks(tetra[None]) == pytest.approx([-2.0 / math.sqrt(6)], abs=1e-12)
+        assert gc_slack_batch(tetra[None])[0] == -1.0
+        # a shared ray gives its subset no nonzero determinant, so a set
+        # that holds cannot be shown to: the verdict is open
+        shared = unit_rows([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
+        assert exact_inside(shared.tolist()) is True
         assert np.isnan(gc_slack_batch(shared[None])[0])
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -401,30 +397,33 @@ class TestBatchChecker:
         rng = Rng(40 + d)
         for k in range(1, d + 5):
             dirs = unit_rows(rng.normal((300 * k, d))).reshape(300, k, d)
-            assert_prunes_exactly(dirs)
+            assert_matches_reference(dirs)
 
     def test_pruned_slack_agrees_on_shared_rays(self):
+        # A subset holding both copies of the shared ray has no nonzero
+        # determinant, so such a set is never called holding.
         rng = Rng(9)
         for d, k in ((3, 5), (4, 7)):
             dirs = unit_rows(rng.normal((200 * k, d))).reshape(200, k, d)
             dirs[::2, k - 1] = dirs[::2, k - 2]
-            assert np.isnan(reference_slacks(dirs)[1][::2]).all()
-            assert_prunes_exactly(dirs)
+            assert np.isnan(reference_slacks(dirs)[::2]).all()
+            got = assert_matches_reference(dirs)
+            assert not (got[::2] == -1.0).any()
 
     def test_a_set_leaves_once_its_slack_is_positive(self):
         # Subset (0, 1) has normal e2, and every other direction has y > 0,
-        # so the slack is positive after the first subset; the shared ray of
-        # directions 3 and 4, the last subset, would make it NaN.
+        # so the set fails; the shared ray of directions 3 and 4, whose
+        # subset has no normal, leaves that verdict as it is.
         ray = unit_rows([[0.3, 0.8, 0.1]])[0]
         dirs = np.stack([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], unit_rows([[-0.5, 0.5, -0.2]])[0], ray, ray])[None]
-        assert np.isnan(reference_slacks(dirs)[1][0])
-        assert 0.0 < assert_prunes_exactly(dirs)[0] < np.inf
+        assert np.isnan(reference_slacks(dirs)[0])
+        assert assert_matches_reference(dirs)[0] == 1.0
 
     @pytest.mark.parametrize("d, k", [(3, 5), (4, 8), (4, 12)])
     def test_pruned_slack_agrees_on_the_mc_draws(self, d, k):
         raw = Rng(0).normal((_MC_CHUNK, k, d))
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        holds = assert_prunes_exactly(dirs) < 0.0
+        holds = assert_matches_reference(dirs) < 0.0
         est, _ = gc_probability_mc(d, k, _MC_CHUNK, Rng(0))
         assert est == holds.sum() / _MC_CHUNK
 
@@ -434,98 +433,124 @@ class TestBatchChecker:
         for k in range(1, d + 4):
             for T in (0, 1):
                 dirs = unit_rows(rng.normal((max(T * k, 1), d)))[: T * k].reshape(T, k, d)
-                got = assert_prunes_exactly(dirs)
+                got = assert_matches_reference(dirs)
                 assert got.shape == (T,) and got.dtype == np.float64
 
     @pytest.mark.parametrize("d, k", [(3, 5), (4, 8), (5, 7)])
     def test_a_strided_view_gives_the_slack_of_its_contiguous_copy(self, d, k):
-        # detect_phases passes np.swapaxes of a (T, d, k) stack.  np.einsum
-        # sums a strided reduction axis left to right, so reference_slacks of
-        # the view itself may differ in the last bit; gc_slack_batch copies every
-        # stack into one layout and so reads the same bits from either.
+        # detect_phases passes np.swapaxes of a (T, d, k) stack, which
+        # gc_slack_batch copies into its own layout.
         raw = Rng(80 + d).normal((2000, d, k))
         view = np.swapaxes(raw / np.linalg.norm(raw, axis=1, keepdims=True), 1, 2)
         assert not view.flags.c_contiguous
-        copy = np.ascontiguousarray(view)
         got = gc_slack_batch(view)
-        assert np.array_equal(got, assert_prunes_exactly(copy), equal_nan=True)
-        assert np.array_equal(got < 0.0, reference_slacks(view)[0] < 0.0)
+        assert np.array_equal(got, assert_matches_reference(np.ascontiguousarray(view)), equal_nan=True)
 
     def test_peak_memory_is_one_component_major_copy_and_a_few_rows(self):
-        # gc_slack_batch's docstring: one (k, d, T) copy of the stack plus at
-        # most 20 (T,) rows for d = 3 and 4.
-        T, k, d = 30000, 8, 4
-        raw = Rng(0).normal((T, k, d))
-        dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        tracemalloc.start()
-        try:
-            gc_slack_batch(dirs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= dirs.nbytes + 20 * T * 8
+        # gc_slack_batch's docstring: one (k, d, T) copy of the stack plus a
+        # few (T,) rows per subset and two bits per determinant, at most 20
+        # rows in all for d = 3 and 4.
+        for T, k, d in ((30000, 8, 4), (30000, 5, 3)):
+            raw = Rng(0).normal((T, k, d))
+            dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+            tracemalloc.start()
+            try:
+                gc_slack_batch(dirs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= dirs.nbytes + 20 * T * 8, (k, d)
 
     @pytest.mark.parametrize("cell", range(4))
     def test_slack_equals_pruned_reference_on_default_gc_prob_draws(self, cell):
-        # The first Monte Carlo batch of each default gc-prob cell (seed 0).
+        # The first Monte Carlo batch of each default gc-prob cell (seed 0);
+        # every d >= 3 set is decided without the LP.
         d, k = ((2, 3), (2, 4), (3, 5), (4, 8))[cell]
         raw = Rng(0).child(cell).normal((_MC_CHUNK, k, d))
-        assert_prunes_exactly(raw / np.linalg.norm(raw, axis=2, keepdims=True))
+        got = assert_matches_reference(raw / np.linalg.norm(raw, axis=2, keepdims=True))
+        assert not np.isnan(got).any()
 
     def test_slack_equals_pruned_reference_where_sets_leave_mid_loop(self):
-        # Shared rays and nearly opposite pairs give near-zero subset normals
-        # at different subsets, so sets leave the loop at many points, some
-        # with a NaN slack and some with a positive lower bound.
+        # Shared rays on some sets and pairs opposite up to a 1e-7 turn on
+        # others.  A short normal does not leave a set open, so every set
+        # without a shared ray is decided; a set with one never holds, and
+        # is often shown to fail by another subset.
         rng = Rng(12)
         raw = rng.normal((6000, 8, 4))
         raw[0::3, 7] = raw[0::3, 2]
         raw[1::4, 5] = -raw[1::4, 1] + 1e-7 * rng.normal((1500, 4))
         raw[2::5, 6] = raw[2::5, 0]
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        got = assert_prunes_exactly(dirs)
-        full = reference_slacks(dirs)[1]
-        nan = np.isnan(got)
-        assert nan.sum() > 100 and (got < 0.0).sum() > 100
-        # Positive slacks that stopped short of the full maximum, or of a
-        # later NaN, left the loop early.
-        early = (got > 0.0) & ~(got == full)
-        assert early.sum() > 100
-
-    @pytest.mark.parametrize("holding", [400, 40])
-    @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
-    def test_slack_equals_pruned_reference_where_departed_sets_stay_unshifted(self, d, k, holding):
-        # A set that leaves the loop keeps its columns until enough others
-        # have left, and its later values are computed too.  Here 24 sets
-        # leave, a few per subset, each with a positive slack that a later
-        # subset would turn NaN (a shared ray) or raise; each must keep the
-        # slack it left with.  Among 400 sets that hold, no set is ever
-        # shifted out; among 40, the departed sets are shifted out mid-loop
-        # while later ones still wait.
-        raw = Rng(60 + d).normal((3000, k, d))
-        raw[::2, k - 1] = raw[::2, k - 2]
-        pool = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        pruned, full = reference_slacks(pool)
-        later_nan = np.flatnonzero((pruned > 0.0) & np.isnan(full))[:12]
-        later_larger = np.flatnonzero((pruned > 0.0) & (full > pruned))[:12]
-        assert later_nan.size == later_larger.size == 12
-        pick = np.sort(np.concatenate([np.flatnonzero(pruned < 0.0)[:holding], later_nan, later_larger]))
-        got = assert_prunes_exactly(pool[pick])
-        assert np.array_equal(got, pruned[pick])
-        assert (got > 0.0).sum() == 24 and not np.isnan(got).any()
+        got = assert_matches_reference(dirs)
+        t = np.arange(6000)
+        shared = (t % 3 == 0) | (t % 5 == 2)
+        assert not np.isnan(got[~shared]).any()
+        assert (got[(t % 4 == 1) & ~shared] == -1.0).sum() > 100
+        assert not (got[shared] == -1.0).any()
+        assert (got[shared] == 1.0).sum() > 100 and np.isnan(got[shared]).sum() > 100
 
     def test_mc_judges_a_nan_slack_by_the_lp(self):
-        # One (3, 5) set of this draw has two nearly opposite directions: the
-        # normal of that pair is too short, so the slack is NaN, but the LP
-        # decides that the condition holds.
+        # One (3, 5) set of this draw, index 8069, has two nearly opposite
+        # directions: the normal of that pair is short, so the reference
+        # slack is NaN.  gc_slack_batch decides it as holding, as the LP
+        # does, so the estimate counts it without an LP call.
         trials = 30000
         raw = Rng(8000).child(0).normal((trials, 5, 3))
         dirs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
-        slack = gc_slack_batch(dirs)
-        undecided = np.flatnonzero(np.isnan(slack))
-        assert undecided.size == 1
-        assert gc_check(DirectionSet(dirs[undecided[0]])).verdict == "holds"
+        full = reference_slacks(dirs)
+        undecided = np.flatnonzero(np.isnan(full))
+        assert undecided.tolist() == [8069]
+        assert gc_check(DirectionSet(dirs[8069])).verdict == "holds"
+        got = gc_slack_batch(dirs)
+        assert got[8069] == -1.0 and not np.isnan(got).any()
         est, _ = gc_probability_mc(3, 5, trials, Rng(8000).child(0))
-        assert est == ((slack < 0.0).sum() + 1) / trials
+        assert est == ((full < 0.0).sum() + 1) / trials
+        assert est == (got < 0.0).sum() / trials
+
+    def test_mc_sends_an_undecided_set_to_the_lp(self, monkeypatch):
+        # With the verdict of set 8069 of the draw above left open, the
+        # estimate asks the LP, which says it holds: the same estimate.
+        trials = 30000
+        real = gc_slack_batch
+
+        def open_8069(dirs):
+            verdict = real(dirs)
+            if dirs.shape[0] == trials:
+                verdict[8069] = np.nan
+            return verdict
+
+        calls = []
+
+        def counted(W, columns=None, check=None):
+            calls.append(W)
+            return _lp_holds(W, columns, check)
+
+        monkeypatch.setattr(geometry, "_MC_BLOCK", trials)
+        monkeypatch.setattr(geometry, "gc_slack_batch", open_8069)
+        monkeypatch.setattr(geometry, "_lp_holds", counted)
+        est, _ = gc_probability_mc(3, 5, trials, Rng(8000).child(0))
+        raw = Rng(8000).child(0).normal((trials, 5, 3))
+        assert len(calls) == 1 and np.array_equal(calls[0], (raw[8069] / np.linalg.norm(raw[8069], axis=1)[:, None]).T)
+        assert est == (real(raw / np.linalg.norm(raw, axis=2, keepdims=True)) < 0.0).sum() / trials
+
+    def test_mc_decides_a_nearly_opposite_pair_without_the_lp(self, monkeypatch):
+        # Set 38 of the (3, 5) opposite family has directions 0 and 1
+        # opposite up to a 1e-9 turn; its LP raises "lost primal feasibility
+        # after phase 1" (a strict xfail below).  Its determinants clear
+        # the rounding bound, so gc-prob's Monte Carlo judges it alone.
+        dirs = near_degenerate_sets("opposite", 3, 5, Rng(953), 40)[38]
+        assert exact_inside(dirs.tolist()) is True
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the LP was asked")
+
+        class OneDraw:
+            def normal_blocks(self, rows, shape, block):
+                return iter([dirs[None].copy()])
+
+        monkeypatch.setattr(geometry, "_lp_holds", no_lp)
+        assert gc_slack_batch(dirs[None])[0] == -1.0
+        assert gc_probability_mc(3, 5, 1, OneDraw()) == (1.0, 0.0)
 
     @pytest.mark.parametrize("d, k", [(3, 5), (4, 8)])
     def test_mc_estimate_equals_an_unblocked_reference(self, d, k):
@@ -624,12 +649,12 @@ def exact_inside(rows):
 
 
 def assert_agrees_with_exact_oracle(dirs):
-    """Every gc_check verdict on a (T, k, d) stack, and the sign of every
-    gc_slack_batch slack, equal the exact verdict.  A degenerate verdict is
+    """Every gc_check verdict on a (T, k, d) stack, and every gc_slack_batch
+    verdict, equal the exact verdict.  A degenerate gc_check verdict is
     excused only where gc_check states it: a margin within GC_TOL of zero,
-    or directions whose matrix_rank is below d (its span guard).  A slack
-    within GC_TOL of zero, or NaN, claims no verdict.  Returns the exact
-    verdicts."""
+    or directions whose matrix_rank is below d (its span guard).  A planar
+    slack within GC_TOL of zero claims no verdict; from d = 3 on every value
+    but NaN does.  Returns the exact verdicts."""
     truth = [exact_inside(rows) for rows in dirs.tolist()]
     slack = gc_slack_batch(dirs)
     d = dirs.shape[2]
@@ -639,20 +664,23 @@ def assert_agrees_with_exact_oracle(dirs):
             assert abs(cert.margin) <= GC_TOL or np.linalg.matrix_rank(dirs[t]) < d, (t, cert.margin)
         else:
             assert (cert.verdict == "holds") == inside, (t, cert.verdict)
-        if abs(slack[t]) > GC_TOL:
+        if abs(slack[t]) > GC_TOL if d == 2 else not np.isnan(slack[t]):
             assert (slack[t] < 0.0) == inside, (t, slack[t])
     return truth
 
 
 def near_degenerate_sets(family, d, k, rng, count):
     """count unit sets of one near-degenerate family as a (T, k, d) stack.
-    opposite: direction 1 is -direction 0 turned by 1e-3 to 1e-12.  shared:
-    the last two directions are equal.  flat: the set lies inside a
-    hyperplane, through a coordinate axis (exactly) on even rows and through
-    a random normal (up to rounding) on odd rows."""
+    opposite: direction 1 is -direction 0 turned by 1e-3 to 1e-12.  tight:
+    the same turned by 1e-13 to 1e-15, about the rounding bound of
+    gc_slack_batch's determinants.  shared: the last two directions are
+    equal.  flat: the set lies inside a hyperplane, through a coordinate
+    axis (exactly) on even rows and through a random normal (up to
+    rounding) on odd rows."""
     dirs = unit_rows(rng.normal((count * k, d))).reshape(count, k, d)
-    if family == "opposite":
-        nudge = 10.0 ** -np.arange(3, 13, 3)[np.arange(count) % 4]
+    if family in ("opposite", "tight"):
+        powers = np.arange(3, 13, 3) if family == "opposite" else np.arange(13, 16)
+        nudge = 10.0 ** -powers[np.arange(count) % powers.size]
         dirs[:, 1] = -dirs[:, 0] + nudge[:, None] * dirs[:, 1]
     elif family == "shared":
         dirs[:, -1] = dirs[:, -2]
@@ -668,10 +696,10 @@ GC_CHECK_DEFECTS = {
     # Five directions within 3e-15 of a line: the span guard, matrix_rank at
     # its default tolerance, counts them as spanning, so the LP's 1/6 margin
     # reads "holds" where the exact verdict fails.
-    ("flat", 2): pytest.mark.xfail(strict=True, reason="gc_check holds on sets within rounding of a line"),
+    ("flat", 2, 5): pytest.mark.xfail(strict=True, reason="gc_check holds on sets within rounding of a line"),
     # Set 38, whose directions 0 and 1 are opposite up to a 1e-9 turn:
     # solve_equality_lp raises "lost primal feasibility after phase 1".
-    ("opposite", 3): pytest.mark.xfail(strict=True, raises=RuntimeError, reason="the LP fails on a nearly opposite pair"),
+    ("opposite", 3, 5): pytest.mark.xfail(strict=True, raises=RuntimeError, reason="the LP fails on a nearly opposite pair"),
 }
 
 
@@ -694,12 +722,22 @@ class TestExactOracle:
         truth = assert_agrees_with_exact_oracle(raw / np.linalg.norm(raw, axis=2, keepdims=True))
         assert 0 < sum(truth) < count
 
-    @pytest.mark.parametrize("family", ["opposite", "shared", "flat"])
-    @pytest.mark.parametrize("d, k, count", [(2, 5, 120), (3, 5, 40), (4, 8, 12)])
+    @pytest.mark.parametrize("family", ["opposite", "tight", "shared", "flat"])
+    @pytest.mark.parametrize("d, k, count", [(2, 5, 120), (3, 5, 40), (4, 8, 12), (3, 7, 30), (5, 7, 30)])
     def test_checkers_agree_on_near_degenerate_sets(self, request, family, d, k, count):
-        if (family, d) in GC_CHECK_DEFECTS:
-            request.applymarker(GC_CHECK_DEFECTS[family, d])
+        if (family, d, k) in GC_CHECK_DEFECTS:
+            request.applymarker(GC_CHECK_DEFECTS[family, d, k])
         assert_agrees_with_exact_oracle(near_degenerate_sets(family, d, k, Rng(950 + d), count))
+
+    @pytest.mark.parametrize("d, k, count", [(3, 5, 60), (4, 8, 24)])
+    def test_tight_pairs_fall_on_both_sides_of_the_rounding_bound(self, d, k, count):
+        # Turns of 1e-13 to 1e-15 leave some determinants of the nearly
+        # opposite pair above the bound and some below it: some sets are
+        # decided, and others stay open; the oracle checks every decision.
+        dirs = near_degenerate_sets("tight", d, k, Rng(970 + d), count)
+        assert_agrees_with_exact_oracle(dirs)
+        open_sets = np.isnan(gc_slack_batch(dirs))
+        assert 0 < open_sets.sum() < count
 
     def test_checkers_agree_on_the_delta_family(self):
         family = list(boundary_family())
